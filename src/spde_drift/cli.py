@@ -7,7 +7,6 @@ Subcommands: simulate | estimate | mc | advise | theory.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -26,12 +25,13 @@ from .errors import (
 )
 from .estimate import estimate_theta, z_score
 from .mc import (
-    ESTIMATES_CSV_HEADER,
+    EstimateRow,
     MCReport,
     StudySpec,
     resolve_threads,
     run_study,
     theoretical_variance,
+    write_estimate_rows,
 )
 from .simulate import SchemeSpec, simulate_model
 from .svgplot import render_band_plot, render_histogram_plot, render_mse_plot
@@ -44,26 +44,16 @@ EXIT_IO = 3
 
 
 def _write_trajectory_csv(path, times, trajectory):
+    """Long-format (t, k, x) CSV, byte for byte what ``csv.writer`` writes:
+    CRLF line ends and ``repr`` floats, which round-trip exactly."""
+    k_fields = [f",{k}," for k in range(1, trajectory.shape[-1] + 1)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("t", "k", "x"))
-        for t, row in zip(times, trajectory):
-            for k, x in enumerate(row, start=1):
-                writer.writerow((repr(float(t)), k, repr(float(x))))
-
-
-def _write_estimates_csv(path_or_fh, rows):
-    fh = path_or_fh if hasattr(path_or_fh, "write") else open(path_or_fh, "w", newline="")
-    close = fh is not path_or_fh
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(ESTIMATES_CSV_HEADER)
-        for trial, variant, n, alpha, theta_hat, z in rows:
-            z_str = "" if z is None or not math.isfinite(z) else repr(z)
-            writer.writerow((trial, variant, n, repr(alpha), repr(theta_hat), z_str))
-    finally:
-        if close:
-            fh.close()
+        fh.write("t,k,x\r\n")
+        # one snapshot of Python floats at a time keeps the peak heap small
+        for t, row in zip(times.tolist(), trajectory):
+            t_field = repr(t)
+            lines = [f"{t_field}{k}{x!r}\r\n" for k, x in zip(k_fields, row.tolist())]
+            fh.write("".join(lines))
 
 
 def _single_run_rows(cfg):
@@ -81,7 +71,7 @@ def _single_run_rows(cfg):
                 if variance
                 else None
             )
-            rows.append((0, variant, n, cfg.est_req.alpha, res.theta_hat, z))
+            rows.append(EstimateRow(0, variant, n, cfg.est_req.alpha, res.theta_hat, z))
     return out, rows
 
 
@@ -100,7 +90,8 @@ def cmd_simulate(args) -> int:
     _write_trajectory_csv(out_dir / "trajectory.csv", sim.times, sim.trajectory)
     if sim.w_trajectory is not None:
         _write_trajectory_csv(out_dir / "trajectory_w.csv", sim.times, sim.w_trajectory)
-    _write_estimates_csv(out_dir / "estimates.csv", rows)
+    with open(out_dir / "estimates.csv", "w", newline="") as fh:
+        write_estimate_rows(fh, rows)
     print(f"wrote {out_dir / 'trajectory.csv'} and {out_dir / 'estimates.csv'}")
     return EXIT_OK
 
@@ -109,10 +100,11 @@ def cmd_estimate(args) -> int:
     cfg = load_config(args.config)
     _, rows = _single_run_rows(cfg)
     if args.out:
-        _write_estimates_csv(args.out, rows)
+        with open(args.out, "w", newline="") as fh:
+            write_estimate_rows(fh, rows)
         print(f"wrote {args.out}")
     else:
-        _write_estimates_csv(sys.stdout, rows)
+        write_estimate_rows(sys.stdout, rows)
     return EXIT_OK
 
 

@@ -363,11 +363,11 @@ def coupled_estimates(
 def z_score(theta_hat: float, n: int, theta_true: float, variance: float, beta: float) -> float:
     if variance <= 0:
         raise DomainError("asymptotic variance must be positive")
-    return n ** ((beta + 1.0) / 2.0) * (theta_hat - theta_true) / np.sqrt(variance)
+    return float(n ** ((beta + 1.0) / 2.0) * (theta_hat - theta_true) / np.sqrt(variance))
 
 
 def standardize(
     result: EstimateResult, theta_true: float, variance: float, beta: float
 ) -> float:
     """Standardized residual z = N^{(beta+1)/2} (theta_hat - theta) / sqrt(V)."""
-    return float(z_score(result.theta_hat, result.N, theta_true, variance, beta))
+    return z_score(result.theta_hat, result.N, theta_true, variance, beta)

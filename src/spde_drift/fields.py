@@ -11,6 +11,13 @@ basis on [0, L].  ``nemytskii_modes`` therefore splits f(u) exactly into its
 sine and cosine parts on the odd-extended periodic grid and projects the
 cosine part onto the sine modes in closed form, so the returned coefficients
 are the exact inner products (f(u), Phi_k) up to round-off.
+
+A polynomial of degree m applied to n modes has sine-degree m * n, so any grid
+with M_g >= m * n gives the same coefficients up to round-off.
+``default_grid`` takes the smallest such M_g of the form 2^p - 1, which puts
+every transform on a power-of-two FFT length.  Step loops evaluate f through a
+``NemytskiiPlan`` built once per trajectory; ``nemytskii_modes`` is the
+one-shot form of the same kernel.
 """
 
 from __future__ import annotations
@@ -133,11 +140,11 @@ class GridSpec:
 
 
 def default_grid(n_modes: int, degree: int) -> GridSpec:
-    """Grid sized 2^p - 1 with a factor-two margin over the dealiasing bound
-    degree * n_modes, so transforms land on power-of-two FFT lengths."""
+    """Smallest grid of size 2^p - 1 that meets the dealiasing bound
+    degree * n_modes, so transforms land on power-of-two FFT lengths
+    (511 points for 100 cubic modes, 127 for 32)."""
     bound = max(degree, 1) * n_modes
-    p = max(1, math.ceil(math.log2(bound + 1)))
-    return GridSpec(n_grid=2 ** (p + 1) - 1, n_modes_keep=n_modes)
+    return GridSpec(n_grid=(1 << bound.bit_length()) - 1, n_modes_keep=n_modes)
 
 
 def _check_dealiasing(n_in: int, degree: int, grid: GridSpec, n_out: int):
@@ -148,16 +155,11 @@ def _check_dealiasing(n_in: int, degree: int, grid: GridSpec, n_out: int):
         )
 
 
-def _pad_modes(x: np.ndarray, n: int) -> np.ndarray:
-    """Zero-pad mode coefficients (last axis) to length n."""
-    if x.shape[-1] > n:
+def _check_mode_count(n_modes: int, grid: GridSpec):
+    if n_modes > grid.n_grid:
         raise ConfigurationError(
-            f"more modes ({x.shape[-1]}) than grid points ({n})"
+            f"more modes ({n_modes}) than grid points ({grid.n_grid})"
         )
-    if x.shape[-1] == n:
-        return x
-    pad = [(0, 0)] * (x.ndim - 1) + [(0, n - x.shape[-1])]
-    return np.pad(x, pad)
 
 
 def _fit_modes(x: np.ndarray, n: int) -> np.ndarray:
@@ -175,9 +177,10 @@ def modes_to_grid(x, grid: GridSpec, spec: OperatorSpec) -> np.ndarray:
     most n_grid modes.  Batched input is transformed along the last axis.
     """
     arr = np.asarray(x, dtype=np.float64)
+    _check_mode_count(arr.shape[-1], grid)
     L = spec.domain_length
-    padded = _pad_modes(arr, grid.n_grid)
-    return 0.5 * scipy.fft.dst(padded * math.sqrt(2.0 / L), type=1, axis=-1)
+    scaled = arr * math.sqrt(2.0 / L)
+    return 0.5 * scipy.fft.dst(scaled, type=1, n=grid.n_grid, axis=-1)
 
 
 def grid_to_modes(u, grid: GridSpec, spec: OperatorSpec) -> np.ndarray:
@@ -199,10 +202,9 @@ def grid_to_modes(u, grid: GridSpec, spec: OperatorSpec) -> np.ndarray:
 def _cosine_eval(a, grid: GridSpec) -> np.ndarray:
     """Evaluate sum_k a_k cos(k pi x_j / L) at the interior points via DCT-I."""
     arr = np.asarray(a, dtype=np.float64)
-    padded = _pad_modes(arr, grid.n_grid)
-    shape = padded.shape[:-1] + (grid.n_grid + 2,)
-    y = np.zeros(shape)
-    y[..., 1:-1] = 0.5 * padded
+    _check_mode_count(arr.shape[-1], grid)
+    y = np.zeros(arr.shape[:-1] + (grid.n_grid + 2,))
+    y[..., 1 : arr.shape[-1] + 1] = 0.5 * arr
     return scipy.fft.dct(y, type=1, axis=-1)[..., 1:-1]
 
 
@@ -221,33 +223,100 @@ def _cos_to_sine_projection(n_out: int, n_cos: int, L: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = L * parity * k / (math.pi * denom)
     out[denom == 0] = 0.0
+    out.setflags(write=False)  # shared by every caller through the cache
     return out
 
 
-def _sine_cosine_parts(values: np.ndarray, n_freq: int):
-    """Exact sine/cosine coefficients of periodic samples on 2(M_g+1) points.
+class NemytskiiPlan:
+    """Reusable workspace for the exact sine-mode coefficients of f(u).
 
-    ``values`` holds samples w(x_j), j = 0..2 M_g + 1 of a real trig
-    polynomial of degree <= M_g with period 2L.  Returns (s, a) with
-    w = a_0/2 + sum_{l>=1} (a_l cos + s_l sin), truncated at frequency n_freq;
-    a is indexed from l = 0 (with the 1/2 already folded in), s from l = 1.
+    Built once for a batch of ``n_rows`` states with ``n_in`` modes each: the
+    dealiasing check, the zero-padded mode buffer, the odd-extension and
+    polynomial buffers and the cosine->sine projection are set up here, so a
+    call allocates only the outputs of the two transforms.
+
+    A call maps an (n_rows, n_in) array to (n_rows, n_out) coefficients:
+    type-I DST to the grid, odd extension to the periodic grid of 2(M_g+1)
+    points, Horner evaluation in ``polyval``'s operation order, rfft split
+    into sine and cosine parts, and closed-form projection of the cosine part
+    onto the sine modes.  The returned array belongs to the plan and is
+    overwritten by its next call; a plan must not be shared between
+    concurrent callers.
     """
-    P = values.shape[-1]
-    W = scipy.fft.rfft(values, axis=-1)
-    a = 2.0 * W.real / P
-    s = -2.0 * W.imag / P
-    a = a[..., : n_freq + 1].copy()
-    a[..., 0] *= 0.5
-    return s[..., 1 : n_freq + 1], a
 
+    def __init__(
+        self,
+        nl: NonlinearitySpec,
+        grid: GridSpec,
+        spec: OperatorSpec,
+        n_rows: int,
+        n_in: int,
+        n_out: int,
+    ):
+        if nl.variant != "polynomial":
+            raise ConfigurationError(
+                f"nemytskii_modes needs a polynomial nonlinearity, got {nl.variant!r}"
+            )
+        degree = nl.degree
+        _check_dealiasing(n_in, degree, grid, n_out)
+        m_g = grid.n_grid
+        L = spec.domain_length
+        n_freq = min(degree * n_in, m_g)
+        self.shape = (n_rows, n_in)
+        self._coeffs = nl.poly_coeffs
+        self._L = L
+        self._n_s = min(n_out, n_freq)
+        # 0.5 * DST(x sqrt(2/L)) with the exact factor 0.5 folded into the scale
+        self._in_scale = 0.5 * math.sqrt(2.0 / L)
+        self._modes = np.zeros((n_rows, m_g))
+        self._ext = np.zeros((n_rows, 2 * (m_g + 1)))
+        self._poly = np.empty_like(self._ext)
+        self._cos = np.empty((n_rows, n_freq + 1))
+        self._proj_t = _cos_to_sine_projection(n_out, n_freq + 1, L).T
+        self._out = np.empty((n_rows, n_out))
 
-def _odd_extension(u_interior: np.ndarray) -> np.ndarray:
-    """Periodic samples over [0, 2L): [0, u_1..u_M, 0, -u_M..-u_1]."""
-    shape = u_interior.shape[:-1] + (1,)
-    zero = np.zeros(shape)
-    return np.concatenate(
-        [zero, u_interior, zero, -u_interior[..., ::-1]], axis=-1
-    )
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != self.shape:
+            raise ConfigurationError(
+                f"batch shape {x.shape} does not match the plan's {self.shape}"
+            )
+        m_g = self._modes.shape[-1]
+        np.multiply(x, self._in_scale, out=self._modes[:, : x.shape[-1]])
+        u = scipy.fft.dst(self._modes, type=1, axis=-1)
+
+        # periodic samples over [0, 2L): [0, u_1..u_M, 0, -u_M..-u_1]
+        ext = self._ext
+        ext[:, 1 : m_g + 1] = u
+        np.negative(u[:, ::-1], out=ext[:, m_g + 2 :])
+
+        c = self._coeffs
+        w = self._poly
+        np.multiply(ext, c[-1], out=w)
+        w += c[-2]
+        for coeff in c[-3::-1]:
+            w *= ext
+            w += coeff
+
+        # w = a_0/2 + sum_l (a_l cos + s_l sin); a indexed from l = 0 with the
+        # 1/2 folded in, s from l = 1, both truncated at n_freq
+        n_points = ext.shape[-1]
+        spectrum = scipy.fft.rfft(w, axis=-1, overwrite_x=True)
+        a = self._cos
+        np.multiply(spectrum.real[:, : a.shape[-1]], 2.0, out=a)
+        a /= n_points
+        a[:, 0] *= 0.5
+
+        n_s = self._n_s
+        out = self._out
+        s = out[:, :n_s]
+        np.multiply(spectrum.imag[:, 1 : n_s + 1], -2.0, out=s)
+        s /= n_points
+        s *= self._L / 2.0
+        out[:, n_s:] = 0.0
+        out += a @ self._proj_t
+        out *= math.sqrt(2.0 / self._L)
+        return out
 
 
 def nemytskii_modes(
@@ -262,31 +331,12 @@ def nemytskii_modes(
     ``x`` may be batched (modes on the last axis); the result has the same
     leading shape with n_out coefficients.  Raises a configuration error when
     the grid is too small to resolve the product of degree m_F * max(modes).
+    A one-shot ``NemytskiiPlan``; loops that evaluate f every step keep a plan.
     """
-    if nl.variant != "polynomial":
-        raise ConfigurationError(
-            f"nemytskii_modes needs a polynomial nonlinearity, got {nl.variant!r}"
-        )
-    arr = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    degree = nl.degree
-    _check_dealiasing(arr.shape[-1], degree, grid, n_out)
-
-    u = modes_to_grid(arr, grid, spec)
-    w = np.polynomial.polynomial.polyval(
-        _odd_extension(u), np.asarray(nl.poly_coeffs), tensor=False
-    )
-    n_freq = min(degree * arr.shape[-1], grid.n_grid)
-    s, a = _sine_cosine_parts(w, n_freq)
-
-    L = spec.domain_length
-    out = np.zeros(arr.shape[:-1] + (n_out,))
-    n_s = min(n_out, s.shape[-1])
-    out[..., :n_s] = (L / 2.0) * s[..., :n_s]
-    proj = _cos_to_sine_projection(n_out, a.shape[-1], L)
-    out += a @ proj.T
-    out *= math.sqrt(2.0 / L)
-    res = out if np.asarray(x).ndim > 1 else out[0]
-    return res
+    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    rows = arr.reshape(-1, arr.shape[-1])
+    plan = NemytskiiPlan(nl, grid, spec, rows.shape[0], rows.shape[1], n_out)
+    return plan(rows).reshape(arr.shape[:-1] + (n_out,))
 
 
 def burgers_modes(x, grid: GridSpec, spec: OperatorSpec, n_out: int) -> np.ndarray:

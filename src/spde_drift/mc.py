@@ -133,14 +133,19 @@ class MCReport:
 
     def write_estimates_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(ESTIMATES_CSV_HEADER)
-            for row in self.estimates:
-                z = "" if row.z is None or not np.isfinite(row.z) else repr(row.z)
-                writer.writerow(
-                    [row.trial, row.variant, row.N, repr(row.alpha),
-                     repr(row.theta_hat), z]
-                )
+            write_estimate_rows(fh, self.estimates)
+
+
+def write_estimate_rows(fh, rows) -> None:
+    """Write ``EstimateRow`` records as the estimates CSV to an open text
+    file; a missing or non-finite z is left empty."""
+    writer = csv.writer(fh)
+    writer.writerow(ESTIMATES_CSV_HEADER)
+    for row in rows:
+        z = "" if row.z is None or not np.isfinite(row.z) else repr(row.z)
+        writer.writerow(
+            [row.trial, row.variant, row.N, repr(row.alpha), repr(row.theta_hat), z]
+        )
 
 
 def normal_ks_distance(sample) -> float:

@@ -18,6 +18,7 @@ requested.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,10 +29,10 @@ from .errors import BlowUpError, ConfigurationError
 from .estimate import EstimatorAccumulator, EstimatorRequest, warn_if_inadmissible
 from .fields import (
     GridSpec,
+    NemytskiiPlan,
     NonlinearitySpec,
     burgers_modes,
     default_grid,
-    nemytskii_modes,
 )
 from .spectrum import OperatorSpec, eigenvalues
 
@@ -189,18 +190,22 @@ def _resolve_grid(model: ModelSpec, bias_nl: NonlinearitySpec, grid: GridSpec | 
     return grid
 
 
-def _truncation_masks(n_list, n_modes) -> np.ndarray:
-    masks = np.zeros((len(n_list), n_modes))
-    for i, n in enumerate(n_list):
+def _row_masks(n_list, n_modes) -> np.ndarray:
+    """Row 0 keeps the full state, row i the first n_list[i-1] modes."""
+    masks = np.zeros((1 + len(n_list), n_modes))
+    masks[0] = 1.0
+    for i, n in enumerate(n_list, start=1):
         masks[i, :n] = 1.0
     return masks
 
 
-def _eval_nonlinearity(nl: NonlinearitySpec, batch, grid, spec, n_out):
+def _drift_evaluator(nl: NonlinearitySpec, grid, spec, n_rows: int, n_modes: int):
+    """Per-trajectory callable mapping an (n_rows, n_modes) batch to the
+    drift's mode coefficients; the result is valid until the next call."""
     if nl.variant == "polynomial":
-        return nemytskii_modes(batch, nl, grid, spec, n_out)
+        return NemytskiiPlan(nl, grid, spec, n_rows, n_modes, n_modes)
     if nl.variant == "burgers":
-        return burgers_modes(batch, grid, spec, n_out)
+        return functools.partial(burgers_modes, grid=grid, spec=spec, n_out=n_modes)
     raise ConfigurationError(f"cannot evaluate nonlinearity {nl.variant!r}")
 
 
@@ -302,7 +307,12 @@ def _semilinear_loop(model, scheme, req, bias_nl, grid) -> SimOutput:
     has_bias = bias_nl.variant != "none"
     has_dyn = dyn_nl.variant != "none"
     need_rows = has_bias and req.wants_partial
-    masks = _truncation_masks(req.n_list, n0) if need_rows else None
+    masks = _row_masks(req.n_list if need_rows else (), n0)
+    batch = np.empty_like(masks)
+    bias_eval = _drift_evaluator(bias_nl, grid, op, len(masks), n0) if has_bias else None
+    dyn_eval = (
+        _drift_evaluator(dyn_nl, grid, op, 1, n0) if has_dyn and not same_bias else None
+    )
 
     acc = EstimatorAccumulator(
         lam, scheme.t_final, model.gamma, req.n_list,
@@ -313,36 +323,32 @@ def _semilinear_loop(model, scheme, req, bias_nl, grid) -> SimOutput:
 
     x0 = model.initial_state()
     x = x0.copy()
-    for j in range(n_steps):
-        if snaps is not None and j % scheme.snapshot_stride == 0:
-            snaps.append(x.copy())
+    # a blow-up surfaces as BlowUpError from _check_finite, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n_steps):
+            if snaps is not None and j % scheme.snapshot_stride == 0:
+                snaps.append(x.copy())
 
-        f_dyn = f_full = f_rows = None
-        if has_dyn and same_bias:
-            batch = x[None, :] if not need_rows else np.vstack([x[None, :], x * masks])
-            out = _eval_nonlinearity(dyn_nl, batch, grid, op, n0)
-            f_dyn = out[0]
-            f_full = out[0]
-            if need_rows:
-                f_rows = out[1:]
-        else:
-            if has_dyn:
-                f_dyn = _eval_nonlinearity(dyn_nl, x[None, :], grid, op, n0)[0]
+            f_full = f_rows = None
             if has_bias:
-                batch = x[None, :] if not need_rows else np.vstack([x[None, :], x * masks])
-                out = _eval_nonlinearity(bias_nl, batch, grid, op, n0)
+                np.multiply(x, masks, out=batch)
+                out = bias_eval(batch)
                 f_full = out[0]
                 if need_rows:
                     f_rows = out[1:]
+            if same_bias:
+                f_dyn = f_full
+            else:
+                f_dyn = dyn_eval(x[None, :])[0] if has_dyn else None
 
-        acc.add_state(x, f_full=f_full, f_part_rows=f_rows)
-        if f_dyn is not None:
-            x_next = (x + h * f_dyn + noise[j]) / denom
-        else:
-            x_next = (x + noise[j]) / denom
-        _check_finite(x_next, j + 1)
-        acc.add_increment(x, x_next)
-        x = x_next
+            acc.add_state(x, f_full=f_full, f_part_rows=f_rows)
+            if f_dyn is not None:
+                x_next = (x + h * f_dyn + noise[j]) / denom
+            else:
+                x_next = (x + noise[j]) / denom
+            _check_finite(x_next, j + 1)
+            acc.add_increment(x, x_next)
+            x = x_next
 
     if snaps is not None:
         snaps.append(x.copy())
@@ -401,7 +407,9 @@ def simulate_fhn(
     noise_w = _scaled_noise(scheme.seed, 1, n0, n_steps, h, amp_w)
 
     need_rows = est_req.wants_partial
-    masks = _truncation_masks(est_req.n_list, n0) if need_rows else None
+    masks = _row_masks(est_req.n_list if need_rows else (), n0)
+    batch = np.empty_like(masks)
+    cubic_eval = NemytskiiPlan(cubic, grid, op, len(masks), n0, n0)
     acc = EstimatorAccumulator(
         lam, scheme.t_final, model.gamma, est_req.n_list,
         coupled=True, track_partial=need_rows,
@@ -414,24 +422,25 @@ def simulate_fhn(
     w0 = model.initial_w_state()
     v = v0.copy()
     w = w0.copy()
-    for j in range(n_steps):
-        if snaps_v is not None and j % scheme.snapshot_stride == 0:
-            snaps_v.append(v.copy())
-            snaps_w.append(w.copy())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n_steps):
+            if snaps_v is not None and j % scheme.snapshot_stride == 0:
+                snaps_v.append(v.copy())
+                snaps_w.append(w.copy())
 
-        batch = v[None, :] if not need_rows else np.vstack([v[None, :], v * masks])
-        out = nemytskii_modes(batch, cubic, grid, op, n0)
-        f_rows = out[1:] if need_rows else None
-        acc.add_state(v, f_full=out[0], f_part_rows=f_rows, w=w)
+            np.multiply(v, masks, out=batch)
+            out = cubic_eval(batch)
+            f_rows = out[1:] if need_rows else None
+            acc.add_state(v, f_full=out[0], f_part_rows=f_rows, w=w)
 
-        f_dyn = out[0] - w
-        v_next = (v + h * f_dyn + noise_v[j]) / denom
-        w_next = w + h * (p.epsilon * (v - p.b * w)) + noise_w[j]
-        _check_finite(v_next, j + 1)
-        _check_finite(w_next, j + 1)
-        acc.add_increment(v, v_next)
-        v = v_next
-        w = w_next
+            f_dyn = out[0] - w
+            v_next = (v + h * f_dyn + noise_v[j]) / denom
+            w_next = w + h * (p.epsilon * (v - p.b * w)) + noise_w[j]
+            _check_finite(v_next, j + 1)
+            _check_finite(w_next, j + 1)
+            acc.add_increment(v, v_next)
+            v = v_next
+            w = w_next
 
     if snaps_v is not None:
         snaps_v.append(v.copy())

@@ -1,9 +1,12 @@
+import csv
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from spde_drift.cli import main
+from spde_drift.cli import _write_trajectory_csv, main
 from spde_drift.theory import asymptotic_constants
 
 LINEAR_CONFIG = """
@@ -198,3 +201,37 @@ def test_theory_inadmissible_alpha(capsys):
 
 def test_bad_subcommand_is_validation_error(capsys):
     assert main(["frobnicate"]) == 1
+
+
+def test_trajectory_csv_matches_csv_writer_bytes(tmp_path):
+    times = np.array([0.0, 1e-300, 0.1, 2.0])
+    trajectory = np.array([
+        [0.0, -0.0, 1e-300],
+        [1e300, 5e-324, 3.0],
+        [-2.5e-310, 1.0 / 3.0, -7.0],
+        [np.inf, -1e300, 123456789.0],
+    ])
+    path = tmp_path / "trajectory.csv"
+    _write_trajectory_csv(path, times, trajectory)
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(("t", "k", "x"))
+    for t, row in zip(times, trajectory):
+        for k, x in enumerate(row, start=1):
+            writer.writerow((repr(float(t)), k, repr(float(x))))
+    assert path.read_bytes() == ref.getvalue().encode()
+
+
+@pytest.mark.parametrize("command", ["mc", "simulate"])
+def test_estimates_z_fields_are_plain_floats(command, linear_cfg, cubic_cfg, tmp_path):
+    out = tmp_path / command
+    if command == "mc":
+        argv = ["mc", str(linear_cfg), "--out-dir", str(out)]
+    else:
+        argv = ["simulate", str(cubic_cfg), "--out", str(out)]
+    assert main(argv) == 0
+    with open(out / "estimates.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for row in rows:
+        assert math.isfinite(float(row["z"]))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.integrate import simpson
 
 from spde_drift.errors import ConfigurationError
@@ -9,7 +10,9 @@ from spde_drift.fields import (
     ALLEN_CAHN,
     FHNParams,
     GridSpec,
+    NemytskiiPlan,
     NonlinearitySpec,
+    _cos_to_sine_projection,
     burgers_modes,
     default_grid,
     fhn_drift,
@@ -264,10 +267,105 @@ def test_fhn_drift_cubic_against_dense_quadrature():
 
 
 def test_default_grid_sizes():
+    # smallest 2^p - 1 >= degree * n_modes
     g = default_grid(100, 3)
-    assert g.n_grid == 1023 and g.n_modes_keep == 100
-    g2 = default_grid(32, 3)
-    assert g2.n_grid >= 96 and (g2.n_grid + 1) & g2.n_grid == 0
+    assert g.n_grid == 511 and g.n_modes_keep == 100
+    assert default_grid(32, 3).n_grid == 127
+    assert default_grid(32, 2).n_grid == 127  # bound 64 needs 127, not 63
+    assert default_grid(51, 5).n_grid == 255  # bound 255 fits exactly
+    assert default_grid(52, 5).n_grid == 511
+    assert default_grid(8, 0).n_grid == 15
+
+
+def _random_state(rng, n):
+    """Mode vector with the 1/k decay of a smoothed stochastic field."""
+    return rng.standard_normal(n) / np.arange(1, n + 1)
+
+
+@pytest.mark.parametrize("n", [8, 32, 100])
+@pytest.mark.parametrize("degree", [2, 3, 5])
+def test_nemytskii_grid_invariance(n, degree):
+    # the coefficients are exact on every grid meeting the dealiasing bound,
+    # so the default grid and the next two larger 2^p - 1 grids agree
+    rng = np.random.default_rng(1000 * n + degree)
+    coeffs = tuple(rng.standard_normal(degree)) + (-1.0,)
+    nl = NonlinearitySpec("polynomial", poly_coeffs=coeffs)
+    base = default_grid(n, degree)
+    grids = [GridSpec(n_grid=(base.n_grid + 1) * 2**i - 1, n_modes_keep=n)
+             for i in range(3)]
+    for _ in range(3):
+        x = _random_state(rng, n)
+        ref = nemytskii_modes(x, nl, grids[0], SPEC, n)
+        for grid in grids[1:]:
+            out = nemytskii_modes(x, nl, grid, SPEC, n)
+            assert np.max(np.abs(out - ref)) <= 1e-12
+
+
+def reference_nemytskii(x, nl, grid, spec, n_out):
+    """The allocating pipeline the plan replaces: padded DST, concatenated
+    odd extension, ``polyval``, rfft split, projection."""
+    L = spec.domain_length
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    m_g = grid.n_grid
+    padded = np.pad(x, [(0, 0), (0, m_g - x.shape[-1])])
+    u = 0.5 * scipy.fft.dst(padded * math.sqrt(2.0 / L), type=1, axis=-1)
+    zero = np.zeros((x.shape[0], 1))
+    ext = np.concatenate([zero, u, zero, -u[:, ::-1]], axis=-1)
+    w = np.polynomial.polynomial.polyval(ext, np.asarray(nl.poly_coeffs), tensor=False)
+    n_freq = min(nl.degree * x.shape[-1], m_g)
+    W = scipy.fft.rfft(w, axis=-1)
+    a = (2.0 * W.real / w.shape[-1])[:, : n_freq + 1].copy()
+    a[:, 0] *= 0.5
+    s = (-2.0 * W.imag / w.shape[-1])[:, 1 : n_freq + 1]
+    out = np.zeros((x.shape[0], n_out))
+    n_s = min(n_out, n_freq)
+    out[:, :n_s] = (L / 2.0) * s[:, :n_s]
+    out += a @ _cos_to_sine_projection(n_out, n_freq + 1, L).T
+    out *= math.sqrt(2.0 / L)
+    return out
+
+
+@pytest.mark.parametrize("m_g", [31, 63, 127])
+@pytest.mark.parametrize("L", [1.0, 2.0])
+def test_nemytskii_plan_matches_reference_bitwise(m_g, L):
+    # same arithmetic in the same order, only without temporaries
+    rng = np.random.default_rng(m_g)
+    spec = OperatorSpec(domain_length=L)
+    for coeffs in [(0.0, 1.0, 0.0, -1.0), (0.1, -0.3, 0.8, -1.0), (0.5, 2.0)]:
+        nl = NonlinearitySpec("polynomial", poly_coeffs=coeffs)
+        n = m_g // nl.degree
+        x = rng.standard_normal((4, n))
+        assert np.array_equal(
+            nemytskii_modes(x, nl, GridSpec(m_g, n), spec, n),
+            reference_nemytskii(x, nl, GridSpec(m_g, n), spec, n),
+        )
+
+
+def test_nemytskii_plan_reuse_matches_fresh_calls():
+    rng = np.random.default_rng(21)
+    cubic = NonlinearitySpec("polynomial", poly_coeffs=(0.0, -0.5, 1.5, -1.0))
+    n = 32
+    grid = default_grid(n, 3)
+    plan = NemytskiiPlan(cubic, grid, SPEC, 3, n, n)
+    for i in range(25):
+        x = rng.standard_normal((3, n)) * rng.uniform(0.1, 3.0)
+        x[:, rng.integers(1, n + 1):] = 0.0  # vary the populated mode count
+        out = plan(x)
+        assert np.array_equal(out, nemytskii_modes(x, cubic, grid, SPEC, n))
+    # nothing of the previous input survives in the buffers
+    assert np.array_equal(plan(np.zeros((3, n))), np.zeros((3, n)))
+
+
+def test_nemytskii_plan_rejects_other_shapes():
+    plan = NemytskiiPlan(ALLEN_CAHN, GridSpec(63, 8), SPEC, 2, 8, 8)
+    with pytest.raises(ConfigurationError):
+        plan(np.zeros((3, 8)))
+    with pytest.raises(ConfigurationError):
+        plan(np.zeros((2, 7)))
+    with pytest.raises(ConfigurationError):
+        NemytskiiPlan(ALLEN_CAHN, GridSpec(15, 8), SPEC, 1, 8, 8)
+    with pytest.raises(ConfigurationError):
+        NemytskiiPlan(NonlinearitySpec("burgers"), GridSpec(63, 8), SPEC, 1, 8, 8)
 
 
 def test_nonlinearity_validation():
