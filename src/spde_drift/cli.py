@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,17 +24,17 @@ from .errors import (
     SpdeDriftError,
     StudyError,
 )
-from .estimate import estimate_theta, z_score
+from .estimate import z_score
 from .mc import (
-    EstimateRow,
     MCReport,
     StudySpec,
+    estimate_rows,
     resolve_threads,
     run_study,
     theoretical_variance,
     write_estimate_rows,
 )
-from .simulate import SchemeSpec, simulate_model
+from .simulate import simulate_model
 from .svgplot import render_band_plot, render_histogram_plot, render_mse_plot
 from .theory import AdvisorQuery, advise, asymptotic_constants
 
@@ -61,17 +62,13 @@ def _single_run_rows(cfg):
     variance = theoretical_variance(
         StudySpec(model=cfg.model, scheme=cfg.scheme, est_req=cfg.est_req, n_trials=1)
     )
-    rows = []
-    beta = cfg.model.operator.beta
-    for variant in cfg.est_req.variants:
-        for n in cfg.est_req.n_list:
-            res = estimate_theta(out.accumulators, cfg.est_req, variant, n)
-            z = (
-                z_score(res.theta_hat, n, cfg.model.theta_true, variance, beta)
-                if variance
-                else None
+    rows = estimate_rows(out, cfg.est_req)
+    if variance:
+        for row in rows:
+            row.z = z_score(
+                row.theta_hat, row.N, cfg.model.theta_true, variance,
+                cfg.model.operator.beta,
             )
-            rows.append(EstimateRow(0, variant, n, cfg.est_req.alpha, res.theta_hat, z))
     return out, rows
 
 
@@ -79,11 +76,7 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if cfg.scheme.snapshot_stride is None:
         stride = max(1, cfg.scheme.n_steps // 1000)
-        cfg.scheme = SchemeSpec(
-            dt=cfg.scheme.dt, t_final=cfg.scheme.t_final, seed=cfg.scheme.seed,
-            snapshot_stride=stride, backend=cfg.scheme.backend,
-            noise_scale=cfg.scheme.noise_scale,
-        )
+        cfg.scheme = replace(cfg.scheme, snapshot_stride=stride)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sim, rows = _single_run_rows(cfg)

@@ -173,7 +173,6 @@ class EstimatorAccumulator:
         n_list: tuple[int, ...],
         coupled: bool = False,
         track_partial: bool = True,
-        track_ito: bool = True,
     ):
         n_modes = len(lam)
         if max(n_list) > n_modes:
@@ -186,7 +185,7 @@ class EstimatorAccumulator:
         self.n_list = tuple(n_list)
         self.coupled = coupled
         self.q = np.zeros(n_modes)
-        self.ito = np.zeros(n_modes) if track_ito else None
+        self.ito = np.zeros(n_modes)
         self.bias_full = np.zeros(n_modes)
         self.bias_part = np.zeros((len(n_list), n_modes)) if track_partial else None
         self.bias_w = np.zeros(n_modes) if coupled else None
@@ -206,8 +205,7 @@ class EstimatorAccumulator:
             self.bias_w += x * w
 
     def add_increment(self, x, x_next):
-        if self.ito is not None:
-            self.ito += x * (x_next - x)
+        self.ito += x * (x_next - x)
 
     def finalize(self, h: float, x0, xT):
         self.q *= h
@@ -264,8 +262,6 @@ class EstimatorAccumulator:
                 self.x0, self.xT, self.t_final, alpha, self.gamma, n, self.lam
             )
         if mode == "ito_sum":
-            if self.ito is None:
-                raise ConfigurationError("ito increments were not tracked")
             w = self.lam[:n] ** (1.0 + 2.0 * alpha)
             return float(np.sum(w * self.ito[:n]))
         raise ConfigurationError(f"unknown numerator mode {mode!r}")

@@ -13,7 +13,7 @@ import csv
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -26,7 +26,7 @@ from .errors import (
     StudyError,
 )
 from .estimate import EstimatorRequest, estimate_theta, z_score
-from .simulate import ModelSpec, SchemeSpec, simulate_model
+from .simulate import ModelSpec, SchemeSpec, SimOutput, simulate_model
 from .theory import asymptotic_constants
 
 THREADS_ENV_VAR = "SPDE_DRIFT_THREADS"
@@ -160,24 +160,27 @@ def normal_ks_distance(sample) -> float:
     return float(max(upper, lower))
 
 
+def estimate_rows(
+    out: SimOutput, req: EstimatorRequest, trial: int = 0
+) -> list[EstimateRow]:
+    """One ``EstimateRow`` per (variant, N) of ``req``, z left unset."""
+    return [
+        EstimateRow(
+            trial, variant, n, req.alpha,
+            estimate_theta(out.accumulators, req, variant, n).theta_hat,
+        )
+        for variant in req.variants
+        for n in req.n_list
+    ]
+
+
 def _run_trial(spec: StudySpec, trial: int):
-    scheme = SchemeSpec(
-        dt=spec.scheme.dt,
-        t_final=spec.scheme.t_final,
-        seed=mix_seed(spec.scheme.seed, trial),
-        snapshot_stride=None,
-        backend=spec.scheme.backend,
-        noise_scale=spec.scheme.noise_scale,
+    scheme = replace(
+        spec.scheme, seed=mix_seed(spec.scheme.seed, trial), snapshot_stride=None
     )
-    req = spec.est_req
     try:
-        out = simulate_model(spec.model, scheme, req)
-        rows = []
-        for variant in req.variants:
-            for n in req.n_list:
-                res = estimate_theta(out.accumulators, req, variant, n)
-                rows.append(EstimateRow(trial, variant, n, req.alpha, res.theta_hat))
-        return trial, rows, None
+        out = simulate_model(spec.model, scheme, spec.est_req)
+        return trial, estimate_rows(out, spec.est_req, trial), None
     except (BlowUpError, DegenerateTrajectoryError) as exc:
         return trial, None, f"{type(exc).__name__}: {exc}"
 
@@ -287,23 +290,17 @@ def summarize(
 
     Percentiles use linear interpolation between order statistics, the MSE is
     (1/M) sum (theta_hat - theta)^2, and residual moments use the population
-    convention (so MSE = var(theta_hat) + bias^2 exactly).  ``variance`` may
-    be a single float, a mapping N -> V, or None to skip standardization.
+    convention (so MSE = var(theta_hat) + bias^2 exactly).  ``variance`` is
+    the asymptotic variance V shared by every N, or None to skip
+    standardization.
     """
     rows_in = _as_rows(estimates)
     if not rows_in and not failures:
         raise ConfigurationError("no estimates to summarize")
     rows_in.sort(key=lambda r: (r.trial, r.variant, r.N))
 
-    def variance_at(n):
-        if variance is None:
-            return None
-        if isinstance(variance, dict):
-            return variance.get(n)
-        return float(variance)
-
+    v = None if variance is None else float(variance)
     for row in rows_in:
-        v = variance_at(row.N)
         row.z = z_score(row.theta_hat, row.N, theta_true, v, beta) if v else None
 
     by_key: dict[tuple[str, int], list[EstimateRow]] = {}
@@ -368,11 +365,10 @@ def summarize(
         else:
             mse_slope[variant] = None
 
-    scalar_variance = None if isinstance(variance, dict) else variance
     return MCReport(
         theta_true=theta_true,
         beta=beta,
-        variance=scalar_variance,
+        variance=variance,
         n_trials=n_trials if n_trials is not None else len(trials_present),
         rows=summary_rows,
         ks=ks,

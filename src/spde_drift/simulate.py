@@ -1,15 +1,20 @@
 """Time integration in mode space.
 
-The semilinear equation dX = (theta A X + F(X)) dt + (-A)^{-gamma} dW is
-stepped with a linear-implicit Euler scheme: implicit in the stiff linear
-part, explicit in the nonlinearity and the noise increment,
+Every model is a semilinear equation dX = (theta A X + F(X)) dt + noise on a
+``(components, n_modes)`` state: one component for a scalar equation, two
+(activator v, recovery w) for the FitzHugh-Nagumo system.  One
+linear-implicit Euler core steps them all,
 
-    x_{j+1}^k = (x_j^k + h F^k(X_j) + lambda_k^{-gamma} dW_j^k) / (1 + h theta lambda_k).
+    x_{j+1} = (x_j + h F(x_j) + noise_j) / denom,
+
+implicit in theta A through denom^k = 1 + h theta lambda_k and explicit in
+the recovery component, whose denom is 1.  A model supplies denom, its noise
+amplitudes and a drift closure that also feeds the estimator accumulator.
 
 Noise increments are drawn from counter-based Philox streams keyed by
 (seed, channel, mode), so trajectories are bit-reproducible regardless of
-host parallelism.  The drift-free case admits two vectorized backends: the
-implicit-Euler recursion itself and exact Gaussian transition sampling.
+host parallelism.  The drift-free case bypasses the core with a vectorized
+per-mode recursion: implicit Euler or exact Ornstein-Uhlenbeck transitions.
 
 Estimator integrals are accumulated online with left-endpoint Riemann sums at
 full step resolution; trajectories are only stored when snapshots are
@@ -141,24 +146,43 @@ def _mode_stream(seed: int, channel: int, mode: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _standard_normals(seed, channel, n_modes, n_draws) -> np.ndarray:
+def _standard_normals(seed, channel, n_modes, n_draws, out=None) -> np.ndarray:
     """(n_draws, n_modes) independent N(0,1) draws, one stream per mode."""
-    out = np.empty((n_draws, n_modes))
+    if out is None:
+        out = np.empty((n_draws, n_modes))
     for k in range(n_modes):
         out[:, k] = _mode_stream(seed, channel, k + 1).standard_normal(n_draws)
     return out
 
 
-def _scaled_noise(seed, channel, n_modes, n_steps, h, amp) -> np.ndarray:
-    """Increment matrix amp_k * dW_j^k with dW ~ N(0, h)."""
-    noise = _standard_normals(seed, channel, n_modes, n_steps)
+def _scaled_noise(seed, amps: np.ndarray, n_steps: int, h: float) -> np.ndarray:
+    """(n_steps, channels, n_modes) increments amps[c, k] * dW_j with
+    dW ~ N(0, h); channel c draws from the streams keyed (seed, c, mode)."""
+    noise = np.empty((n_steps,) + amps.shape)
+    for c in range(len(amps)):
+        _standard_normals(seed, c, amps.shape[1], n_steps, out=noise[:, c])
     noise *= math.sqrt(h)
-    noise *= amp
+    noise *= amps
     return noise
 
 
-def _base_noise_amp(scheme: SchemeSpec, lam: np.ndarray, gamma: float) -> np.ndarray:
-    return scheme.noise_scale * lam ** (-gamma)
+def _noise_amp(noise_scale: float, lam: np.ndarray, gamma: float) -> np.ndarray:
+    return noise_scale * lam ** (-gamma)
+
+
+def _ou_transition(theta, lam, d, gamma, noise_scale):
+    """Exact transition over time d: x_{t+d} = decay x_t + amp xi, xi ~ N(0, 1)."""
+    decay = np.exp(-theta * lam * d)
+    amp = _noise_amp(noise_scale, lam, gamma) * np.sqrt(
+        -np.expm1(-2.0 * theta * lam * d) / (2.0 * theta * lam)
+    )
+    return decay, amp
+
+
+def _ar1_filter(decay, amp, draws, out):
+    """Per mode k, out[j] = decay_k out[j-1] + amp_k draws[j] from a zero start."""
+    for k in range(len(decay)):
+        out[:, k] = lfilter([amp[k]], [1.0, -decay[k]], draws[:, k])
 
 
 def _snapshot_indices(n_steps: int, stride: int | None) -> np.ndarray | None:
@@ -171,9 +195,11 @@ def _snapshot_indices(n_steps: int, stride: int | None) -> np.ndarray | None:
 
 
 def _check_finite(x: np.ndarray, step: int):
+    """Raise BlowUpError naming the first non-finite mode; components are
+    scanned in order, so a coupled state reports v before w."""
     if not np.all(np.isfinite(x)):
-        mode = int(np.flatnonzero(~np.isfinite(x))[0]) + 1
-        raise BlowUpError(step=step, mode=mode)
+        flat = int(np.flatnonzero(~np.isfinite(x))[0])
+        raise BlowUpError(step=step, mode=flat % x.shape[-1] + 1)
 
 
 def _validate_request(model: ModelSpec, req: EstimatorRequest):
@@ -253,22 +279,17 @@ def _linear_output(model, scheme, req, exact: bool) -> SimOutput:
     theta = model.theta_true
     x0 = model.initial_state()
 
-    path = np.empty((n_steps + 1, n0))
-    path[0] = x0
     if exact:
-        decay = np.exp(-theta * lam * h)
-        amp = _base_noise_amp(scheme, lam, model.gamma) * np.sqrt(
-            -np.expm1(-2.0 * theta * lam * h) / (2.0 * theta * lam)
-        )
+        decay, amp = _ou_transition(theta, lam, h, model.gamma, scheme.noise_scale)
         draws = _standard_normals(scheme.seed, 0, n0, n_steps)
     else:
         decay = 1.0 / (1.0 + h * theta * lam)
         amp = decay  # noise enters the implicit step divided by (1 + h theta lam)
-        draws = _scaled_noise(
-            scheme.seed, 0, n0, n_steps, h, _base_noise_amp(scheme, lam, model.gamma)
-        )
-    for k in range(n0):
-        path[1:, k] = lfilter([amp[k]], [1.0, -decay[k]], draws[:, k])
+        base = _noise_amp(scheme.noise_scale, lam, model.gamma)
+        draws = _scaled_noise(scheme.seed, base[None], n_steps, h)[:, 0]
+    path = np.empty((n_steps + 1, n0))
+    path[0] = x0
+    _ar1_filter(decay, amp, draws, path[1:])
     if np.any(x0 != 0.0):
         j = np.arange(1, n_steps + 1)[:, None]
         path[1:] += x0 * decay[None, :] ** j
@@ -288,19 +309,57 @@ def _linear_output(model, scheme, req, exact: bool) -> SimOutput:
     )
 
 
+def _euler_loop(scheme, denom, noise, x0, drift, acc) -> SimOutput:
+    """Step the (components, n_modes) state x_{j+1} = (x_j + h F(x_j) +
+    noise[j]) / denom.
+
+    ``drift(x)`` hands the left endpoint to ``acc`` and returns F, or None
+    for F = 0.  Component 0 is the observed field; a second component is
+    reported as the recovery field w.
+    """
+    h = scheme.dt
+    n_steps = scheme.n_steps
+    stride = scheme.snapshot_stride
+    snaps = [] if stride is not None else None
+    x = x0.copy()
+    # a blow-up surfaces as BlowUpError from _check_finite, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n_steps):
+            if snaps is not None and j % stride == 0:
+                snaps.append(x.copy())
+            f = drift(x)
+            x_next = x + noise[j] if f is None else x + h * f + noise[j]
+            x_next /= denom
+            _check_finite(x_next, j + 1)
+            acc.add_increment(x[0], x_next[0])
+            x = x_next
+
+    acc.finalize(h, x0[0], x[0])
+    times = traj = None
+    if snaps is not None:
+        snaps.append(x.copy())
+        times = _snapshot_indices(n_steps, stride) * h
+        traj = np.asarray(snaps)
+    out = SimOutput(
+        x0=x0[0], xT=x[0], accumulators=acc, times=times,
+        trajectory=None if traj is None else traj[:, 0],
+    )
+    if len(x) == 2:
+        out.w0, out.wT = x0[1], x[1]
+        out.w_trajectory = None if traj is None else traj[:, 1]
+    return out
+
+
 def _semilinear_loop(model, scheme, req, bias_nl, grid) -> SimOutput:
     n0 = model.n_sim
     h = scheme.dt
-    n_steps = scheme.n_steps
     op = model.operator
     lam = eigenvalues(op, n0)
-    theta = model.theta_true
     grid = _resolve_grid(model, bias_nl, grid)
 
-    denom = 1.0 + h * theta * lam
-    noise = _scaled_noise(
-        scheme.seed, 0, n0, n_steps, h, _base_noise_amp(scheme, lam, model.gamma)
-    )
+    denom = (1.0 + h * model.theta_true * lam)[None]
+    amp = _noise_amp(scheme.noise_scale, lam, model.gamma)
+    noise = _scaled_noise(scheme.seed, amp[None], scheme.n_steps, h)
 
     dyn_nl = model.nonlinearity
     same_bias = req.bias_model is None
@@ -318,48 +377,21 @@ def _semilinear_loop(model, scheme, req, bias_nl, grid) -> SimOutput:
         lam, scheme.t_final, model.gamma, req.n_list,
         track_partial=(need_rows or not has_bias),
     )
-    idx = _snapshot_indices(n_steps, scheme.snapshot_stride)
-    snaps = [] if idx is not None else None
 
-    x0 = model.initial_state()
-    x = x0.copy()
-    # a blow-up surfaces as BlowUpError from _check_finite, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_steps):
-            if snaps is not None and j % scheme.snapshot_stride == 0:
-                snaps.append(x.copy())
+    def drift(x):
+        f_full = f_rows = None
+        if has_bias:
+            np.multiply(x[0], masks, out=batch)
+            out = bias_eval(batch)
+            f_full = out[0]
+            if need_rows:
+                f_rows = out[1:]
+        acc.add_state(x[0], f_full=f_full, f_part_rows=f_rows)
+        if same_bias:
+            return f_full
+        return dyn_eval(x) if has_dyn else None
 
-            f_full = f_rows = None
-            if has_bias:
-                np.multiply(x, masks, out=batch)
-                out = bias_eval(batch)
-                f_full = out[0]
-                if need_rows:
-                    f_rows = out[1:]
-            if same_bias:
-                f_dyn = f_full
-            else:
-                f_dyn = dyn_eval(x[None, :])[0] if has_dyn else None
-
-            acc.add_state(x, f_full=f_full, f_part_rows=f_rows)
-            if f_dyn is not None:
-                x_next = (x + h * f_dyn + noise[j]) / denom
-            else:
-                x_next = (x + noise[j]) / denom
-            _check_finite(x_next, j + 1)
-            acc.add_increment(x, x_next)
-            x = x_next
-
-    if snaps is not None:
-        snaps.append(x.copy())
-    acc.finalize(h, x0, x)
-    times = trajectory = None
-    if idx is not None:
-        times = idx * h
-        trajectory = np.asarray(snaps)
-    return SimOutput(
-        x0=x0, xT=x, accumulators=acc, times=times, trajectory=trajectory
-    )
+    return _euler_loop(scheme, denom, noise, model.initial_state()[None], drift, acc)
 
 
 def simulate_fhn(
@@ -394,17 +426,18 @@ def simulate_fhn(
     p = nl.fhn_params
     n0 = model.n_sim
     h = scheme.dt
-    n_steps = scheme.n_steps
     op = model.operator
     lam = eigenvalues(op, n0)
     cubic = NonlinearitySpec("polynomial", poly_coeffs=p.cubic_coeffs())
     grid = _resolve_grid(model, cubic, grid)
 
-    denom = 1.0 + h * model.theta_true * lam
-    amp_v = p.sigma * _base_noise_amp(scheme, lam, model.gamma)
-    amp_w = p.sigma_w * _base_noise_amp(scheme, lam, p.gamma_w)
-    noise_v = _scaled_noise(scheme.seed, 0, n0, n_steps, h, amp_v)
-    noise_w = _scaled_noise(scheme.seed, 1, n0, n_steps, h, amp_w)
+    denom = np.ones((2, n0))  # w is stepped explicitly
+    denom[0] = 1.0 + h * model.theta_true * lam
+    amps = np.stack([
+        p.sigma * _noise_amp(scheme.noise_scale, lam, model.gamma),
+        p.sigma_w * _noise_amp(scheme.noise_scale, lam, p.gamma_w),
+    ])
+    noise = _scaled_noise(scheme.seed, amps, scheme.n_steps, h)
 
     need_rows = est_req.wants_partial
     masks = _row_masks(est_req.n_list if need_rows else (), n0)
@@ -414,47 +447,21 @@ def simulate_fhn(
         lam, scheme.t_final, model.gamma, est_req.n_list,
         coupled=True, track_partial=need_rows,
     )
-    idx = _snapshot_indices(n_steps, scheme.snapshot_stride)
-    snaps_v = [] if idx is not None else None
-    snaps_w = [] if idx is not None else None
+    f = np.empty((2, n0))
 
-    v0 = model.initial_state()
-    w0 = model.initial_w_state()
-    v = v0.copy()
-    w = w0.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_steps):
-            if snaps_v is not None and j % scheme.snapshot_stride == 0:
-                snaps_v.append(v.copy())
-                snaps_w.append(w.copy())
+    def drift(x):
+        v, w = x
+        np.multiply(v, masks, out=batch)
+        out = cubic_eval(batch)
+        acc.add_state(v, f_full=out[0], f_part_rows=out[1:] if need_rows else None, w=w)
+        np.subtract(out[0], w, out=f[0])  # v(1 - v)(v - a) - w
+        np.multiply(p.b, w, out=f[1])
+        np.subtract(v, f[1], out=f[1])
+        f[1] *= p.epsilon  # eps (v - b w)
+        return f
 
-            np.multiply(v, masks, out=batch)
-            out = cubic_eval(batch)
-            f_rows = out[1:] if need_rows else None
-            acc.add_state(v, f_full=out[0], f_part_rows=f_rows, w=w)
-
-            f_dyn = out[0] - w
-            v_next = (v + h * f_dyn + noise_v[j]) / denom
-            w_next = w + h * (p.epsilon * (v - p.b * w)) + noise_w[j]
-            _check_finite(v_next, j + 1)
-            _check_finite(w_next, j + 1)
-            acc.add_increment(v, v_next)
-            v = v_next
-            w = w_next
-
-    if snaps_v is not None:
-        snaps_v.append(v.copy())
-        snaps_w.append(w.copy())
-    acc.finalize(h, v0, v)
-    times = traj_v = traj_w = None
-    if idx is not None:
-        times = idx * h
-        traj_v = np.asarray(snaps_v)
-        traj_w = np.asarray(snaps_w)
-    return SimOutput(
-        x0=v0, xT=v, accumulators=acc, times=times, trajectory=traj_v,
-        w0=w0, wT=w, w_trajectory=traj_w,
-    )
+    x0 = np.stack([model.initial_state(), model.initial_w_state()])
+    return _euler_loop(scheme, denom, noise, x0, drift, acc)
 
 
 def simulate_model(
@@ -501,24 +508,16 @@ def simulate_ou_exact(
 
     path = np.zeros((len(full), n_modes))
     if n_int > 0:
+        draws = _standard_normals(seed, 0, n_modes, n_int)
         uniform = diffs[0] > 0 and np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0)
         if uniform:
-            d = np.exp(-theta * lam * diffs[0])
-            amp = noise_scale * lam ** (-gamma) * np.sqrt(
-                -np.expm1(-2.0 * theta * lam * diffs[0]) / (2.0 * theta * lam)
-            )
-            draws = _standard_normals(seed, 0, n_modes, n_int)
-            for k in range(n_modes):
-                path[1:, k] = lfilter([amp[k]], [1.0, -d[k]], draws[:, k])
+            decay, amp = _ou_transition(theta, lam, diffs[0], gamma, noise_scale)
+            _ar1_filter(decay, amp, draws, path[1:])
         else:
-            draws = _standard_normals(seed, 0, n_modes, n_int)
             x = np.zeros(n_modes)
             for i, dt in enumerate(diffs):
                 if dt > 0:
-                    d = np.exp(-theta * lam * dt)
-                    amp = noise_scale * lam ** (-gamma) * np.sqrt(
-                        -np.expm1(-2.0 * theta * lam * dt) / (2.0 * theta * lam)
-                    )
-                    x = d * x + amp * draws[i]
+                    decay, amp = _ou_transition(theta, lam, dt, gamma, noise_scale)
+                    x = decay * x + amp * draws[i]
                 path[i + 1] = x
     return path[1:] if prepend else path

@@ -58,16 +58,6 @@ class OperatorSpec:
         object.__setattr__(self, "lambda_scale", lam_scale)
 
 
-def as_modes(x) -> np.ndarray:
-    """Validate and return a mode vector as a 1-D float64 array."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ConfigurationError("mode vector must be 1-D with at least one entry")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigurationError("mode vector contains non-finite entries")
-    return arr
-
-
 def eigenvalues(spec: OperatorSpec, count: int) -> np.ndarray:
     """Eigenvalues lambda_1 .. lambda_count of -A, strictly increasing."""
     if count < 1:

@@ -224,8 +224,22 @@ def test_blow_up_raises_with_step_and_mode():
     scheme = SchemeSpec(dt=0.1, t_final=10.0, seed=1, noise_scale=0.0)
     with pytest.raises(BlowUpError) as exc:
         simulate_semilinear(model, scheme, EstimatorRequest(alpha=1.0, n_list=(4,)))
-    assert exc.value.step is not None
-    assert exc.value.mode is not None
+    assert (exc.value.step, exc.value.mode) == (6, 1)
+
+
+def test_coupled_blow_up_in_recovery_names_its_mode():
+    # v stays finite at step 1 while eps * b * w overflows in w's third mode
+    p = FHNParams(a=0.5, b=100, epsilon=10, sigma=0, sigma_w=0)
+    model = ModelSpec(
+        operator=OP, theta_true=0.02, gamma=0.8,
+        nonlinearity=NonlinearitySpec("fhn", fhn_params=p),
+        initial_modes=(0.0,), n_sim=4, initial_w_modes=(0, 0, 1e307),
+    )
+    scheme = SchemeSpec(dt=0.1, t_final=100, seed=1)
+    req = EstimatorRequest(alpha=0.8, n_list=(4,), variants=("full", "linear"))
+    with pytest.raises(BlowUpError) as exc:
+        simulate_fhn(model, scheme, req)
+    assert (exc.value.step, exc.value.mode) == (1, 3)
 
 
 def test_snapshot_times_and_shape():
@@ -236,6 +250,18 @@ def test_snapshot_times_and_shape():
     assert out.trajectory.shape == (5, 2)
     assert np.array_equal(out.trajectory[0], out.x0)
     assert np.array_equal(out.trajectory[-1], out.xT)
+
+    coupled = simulate_fhn(
+        fhn_model(w0=(0.2, -0.1)), scheme,
+        EstimatorRequest(alpha=0.8, n_list=(2,), variants=("full", "linear")),
+    )
+    assert coupled.times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
+    assert coupled.trajectory.shape == coupled.w_trajectory.shape == (5, 8)
+    assert np.array_equal(coupled.trajectory[0], coupled.x0)
+    assert np.array_equal(coupled.trajectory[-1], coupled.xT)
+    assert np.array_equal(coupled.w_trajectory[0], coupled.w0)
+    assert np.array_equal(coupled.w_trajectory[-1], coupled.wT)
+    assert np.array_equal(coupled.w0[:2], [0.2, -0.1])
 
 
 def test_ou_backend_requires_drift_free_model():
