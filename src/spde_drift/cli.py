@@ -24,13 +24,13 @@ from .errors import (
     SpdeDriftError,
     StudyError,
 )
-from .estimate import z_score
 from .mc import (
     MCReport,
     StudySpec,
     estimate_rows,
     resolve_threads,
     run_study,
+    standardize_rows,
     theoretical_variance,
     write_estimate_rows,
 )
@@ -59,16 +59,9 @@ def _write_trajectory_csv(path, times, trajectory):
 
 def _single_run_rows(cfg):
     out = simulate_model(cfg.model, cfg.scheme, cfg.est_req)
-    variance = theoretical_variance(
-        StudySpec(model=cfg.model, scheme=cfg.scheme, est_req=cfg.est_req, n_trials=1)
-    )
+    variance = theoretical_variance(cfg.model, cfg.scheme.t_final, cfg.est_req.alpha)
     rows = estimate_rows(out, cfg.est_req)
-    if variance:
-        for row in rows:
-            row.z = z_score(
-                row.theta_hat, row.N, cfg.model.theta_true, variance,
-                cfg.model.operator.beta,
-            )
+    standardize_rows(rows, cfg.model.theta_true, variance, cfg.model.operator.beta)
     return out, rows
 
 

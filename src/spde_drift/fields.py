@@ -2,8 +2,8 @@
 
 The field basis is fixed to Phi_k(x) = sqrt(2/L) sin(k pi x / L) on [0, L],
 sampled at the interior collocation points x_j = j L / (M_g + 1), j = 1..M_g.
-Transforms are type-I DST/DCT pairs; products of trigonometric polynomials of
-sine-degree <= M_g are represented without error on this grid.
+Modes go to the grid by a type-I DST; products of trigonometric polynomials
+of sine-degree <= M_g are represented without error on this grid.
 
 Polynomial composition f(u) generally produces cosine content (even powers of
 a sine polynomial are cosine polynomials), which is not orthogonal to the sine
@@ -12,12 +12,17 @@ sine and cosine parts on the odd-extended periodic grid and projects the
 cosine part onto the sine modes in closed form, so the returned coefficients
 are the exact inner products (f(u), Phi_k) up to round-off.
 
+The Burgers transport term is the same kernel: -u u_x = -(u^2)_x / 2, and
+u^2 is the cosine series sum_l a_l cos(l pi x / L).  Since u vanishes at both
+ends, integration by parts gives (-(u^2)_x / 2, Phi_k) = (k pi / 4) sqrt(2/L)
+a_k, so squaring the field and scaling its cosine coefficients is exact.
+
 A polynomial of degree m applied to n modes has sine-degree m * n, so any grid
 with M_g >= m * n gives the same coefficients up to round-off.
 ``default_grid`` takes the smallest such M_g of the form 2^p - 1, which puts
 every transform on a power-of-two FFT length.  Step loops evaluate f through a
-``NemytskiiPlan`` built once per trajectory; ``nemytskii_modes`` is the
-one-shot form of the same kernel.
+``NemytskiiPlan`` built once per trajectory; ``nemytskii_modes`` and
+``burgers_modes`` are one-shot forms of the same kernel.
 """
 
 from __future__ import annotations
@@ -65,6 +70,15 @@ class FHNParams:
     def cubic_coeffs(self) -> tuple[float, ...]:
         """Ascending coefficients of v(1-v)(v-a) = -a v + (1+a) v^2 - v^3."""
         return (0.0, -self.a, 1.0 + self.a, -1.0)
+
+    def coupled_drift(self, f_v, v, w, out) -> np.ndarray:
+        """Write F_v = f_v - w and F_w = eps (v - b w) into ``out[0]`` and
+        ``out[1]``, where f_v holds the modes of v(1-v)(v-a)."""
+        np.subtract(f_v, w, out=out[0])
+        np.multiply(self.b, w, out=out[1])
+        np.subtract(v, out[1], out=out[1])
+        out[1] *= self.epsilon
+        return out
 
 
 VARIANTS = ("none", "polynomial", "burgers", "fhn")
@@ -199,15 +213,6 @@ def grid_to_modes(u, grid: GridSpec, spec: OperatorSpec) -> np.ndarray:
     return coeffs[..., : grid.n_modes_keep]
 
 
-def _cosine_eval(a, grid: GridSpec) -> np.ndarray:
-    """Evaluate sum_k a_k cos(k pi x_j / L) at the interior points via DCT-I."""
-    arr = np.asarray(a, dtype=np.float64)
-    _check_mode_count(arr.shape[-1], grid)
-    y = np.zeros(arr.shape[:-1] + (grid.n_grid + 2,))
-    y[..., 1 : arr.shape[-1] + 1] = 0.5 * arr
-    return scipy.fft.dct(y, type=1, axis=-1)[..., 1:-1]
-
-
 @functools.lru_cache(maxsize=32)
 def _cos_to_sine_projection(n_out: int, n_cos: int, L: float) -> np.ndarray:
     """Matrix P with P[k-1, l] = integral_0^L cos(l pi x/L) sin(k pi x/L) dx.
@@ -228,7 +233,8 @@ def _cos_to_sine_projection(n_out: int, n_cos: int, L: float) -> np.ndarray:
 
 
 class NemytskiiPlan:
-    """Reusable workspace for the exact sine-mode coefficients of f(u).
+    """Reusable workspace for the exact sine-mode coefficients of a scalar
+    drift: a polynomial f(u) or the Burgers transport term -u u_x.
 
     Built once for a batch of ``n_rows`` states with ``n_in`` modes each: the
     dealiasing check, the zero-padded mode buffer, the odd-extension and
@@ -239,7 +245,10 @@ class NemytskiiPlan:
     type-I DST to the grid, odd extension to the periodic grid of 2(M_g+1)
     points, Horner evaluation in ``polyval``'s operation order, rfft split
     into sine and cosine parts, and closed-form projection of the cosine part
-    onto the sine modes.  The returned array belongs to the plan and is
+    onto the sine modes.  Burgers runs the same steps with f(u) = u^2 and
+    replaces the output stage by -(u^2)_x / 2, which maps the cosine
+    coefficient a_k to (k pi / 4) sqrt(2/L) a_k; the sine part of the even
+    u^2 is zero.  The returned array belongs to the plan and is
     overwritten by its next call; a plan must not be shared between
     concurrent callers.
     """
@@ -253,17 +262,19 @@ class NemytskiiPlan:
         n_in: int,
         n_out: int,
     ):
-        if nl.variant != "polynomial":
+        if nl.variant not in ("polynomial", "burgers"):
             raise ConfigurationError(
-                f"nemytskii_modes needs a polynomial nonlinearity, got {nl.variant!r}"
+                f"NemytskiiPlan needs a polynomial or burgers nonlinearity, "
+                f"got {nl.variant!r}"
             )
+        burgers = nl.variant == "burgers"
         degree = nl.degree
         _check_dealiasing(n_in, degree, grid, n_out)
         m_g = grid.n_grid
         L = spec.domain_length
         n_freq = min(degree * n_in, m_g)
         self.shape = (n_rows, n_in)
-        self._coeffs = nl.poly_coeffs
+        self._coeffs = (0.0, 0.0, 1.0) if burgers else nl.poly_coeffs
         self._L = L
         self._n_s = min(n_out, n_freq)
         # 0.5 * DST(x sqrt(2/L)) with the exact factor 0.5 folded into the scale
@@ -272,7 +283,11 @@ class NemytskiiPlan:
         self._ext = np.zeros((n_rows, 2 * (m_g + 1)))
         self._poly = np.empty_like(self._ext)
         self._cos = np.empty((n_rows, n_freq + 1))
-        self._proj_t = _cos_to_sine_projection(n_out, n_freq + 1, L).T
+        self._deriv = self._proj_t = None
+        if burgers:  # (-(u^2)_x / 2, Phi_k) = (k pi / 4) sqrt(2/L) a_k
+            self._deriv = np.arange(1, self._n_s + 1) * (math.pi / 4 * math.sqrt(2 / L))
+        else:
+            self._proj_t = _cos_to_sine_projection(n_out, n_freq + 1, L).T
         self._out = np.empty((n_rows, n_out))
 
     def __call__(self, x) -> np.ndarray:
@@ -309,11 +324,14 @@ class NemytskiiPlan:
 
         n_s = self._n_s
         out = self._out
+        out[:, n_s:] = 0.0
+        if self._deriv is not None:
+            np.multiply(a[:, 1 : n_s + 1], self._deriv, out=out[:, :n_s])
+            return out
         s = out[:, :n_s]
         np.multiply(spectrum.imag[:, 1 : n_s + 1], -2.0, out=s)
         s /= n_points
         s *= self._L / 2.0
-        out[:, n_s:] = 0.0
         out += a @ self._proj_t
         out *= math.sqrt(2.0 / self._L)
         return out
@@ -340,22 +358,9 @@ def nemytskii_modes(
 
 
 def burgers_modes(x, grid: GridSpec, spec: OperatorSpec, n_out: int) -> np.ndarray:
-    """Sine-mode coefficients of the transport term -v v_x.
-
-    v comes from the DST of the modes, v_x from the exact cosine series of the
-    sine expansion; their pointwise product is a pure sine polynomial of twice
-    the degree, so the DST back is exact under the dealiasing bound.
-    """
-    arr = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    _check_dealiasing(arr.shape[-1], 2, grid, n_out)
-    L = spec.domain_length
-    k = np.arange(1, arr.shape[-1] + 1, dtype=np.float64)
-    v = modes_to_grid(arr, grid, spec)
-    dv = _cosine_eval(arr * math.sqrt(2.0 / L) * (k * math.pi / L), grid)
-    scale = math.sqrt(L / 2.0) / (grid.n_grid + 1)
-    coeffs = scale * scipy.fft.dst(-v * dv, type=1, axis=-1)
-    res = coeffs[..., :n_out]
-    return res if np.asarray(x).ndim > 1 else res[0]
+    """Sine-mode coefficients of the transport term -v v_x, shaped like
+    ``nemytskii_modes``; a one-shot Burgers ``NemytskiiPlan``."""
+    return nemytskii_modes(x, NonlinearitySpec("burgers"), grid, spec, n_out)
 
 
 def fhn_drift(
@@ -376,5 +381,6 @@ def fhn_drift(
     w_arr = np.asarray(w, dtype=np.float64)
     f_v = nemytskii_modes(v_arr, cubic, grid, spec, n_out)
     w_fit = _fit_modes(w_arr, n_out)
-    v_fit = _fit_modes(v_arr, n_out)
-    return f_v - w_fit, p.epsilon * (v_fit - p.b * w_fit)
+    out = np.empty((2,) + np.broadcast_shapes(f_v.shape, w_fit.shape))
+    f = p.coupled_drift(f_v, _fit_modes(v_arr, n_out), w_fit, out)
+    return f[0], f[1]

@@ -225,7 +225,7 @@ def run_study(spec: StudySpec, threads: int | None = None) -> MCReport:
         else:
             estimates.extend(rows)
 
-    variance = theoretical_variance(spec)
+    variance = theoretical_variance(spec.model, spec.scheme.t_final, spec.est_req.alpha)
     report = summarize(
         estimates,
         spec.model.theta_true,
@@ -245,20 +245,22 @@ def run_study(spec: StudySpec, threads: int | None = None) -> MCReport:
     return report
 
 
-def theoretical_variance(spec: StudySpec) -> float | None:
+def theoretical_variance(model: ModelSpec, t_final: float, alpha: float) -> float | None:
     """Asymptotic variance used for standardization, None when inadmissible."""
-    op = spec.model.operator
+    op = model.operator
     try:
         return asymptotic_constants(
-            spec.model.theta_true,
-            spec.scheme.t_final,
-            op.lambda_scale,
-            op.beta,
-            spec.model.gamma,
-            spec.est_req.alpha,
+            model.theta_true, t_final, op.lambda_scale, op.beta, model.gamma, alpha
         ).variance
     except DomainError:
         return None
+
+
+def standardize_rows(rows, theta_true: float, variance, beta: float) -> None:
+    """Set each row's z score, or None when ``variance`` is None or zero."""
+    v = None if variance is None else float(variance)
+    for row in rows:
+        row.z = z_score(row.theta_hat, row.N, theta_true, v, beta) if v else None
 
 
 def _as_rows(estimates) -> list[EstimateRow]:
@@ -299,9 +301,7 @@ def summarize(
         raise ConfigurationError("no estimates to summarize")
     rows_in.sort(key=lambda r: (r.trial, r.variant, r.N))
 
-    v = None if variance is None else float(variance)
-    for row in rows_in:
-        row.z = z_score(row.theta_hat, row.N, theta_true, v, beta) if v else None
+    standardize_rows(rows_in, theta_true, variance, beta)
 
     by_key: dict[tuple[str, int], list[EstimateRow]] = {}
     variants_seen: list[str] = []

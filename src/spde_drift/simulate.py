@@ -23,7 +23,6 @@ requested.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -32,13 +31,7 @@ from scipy.signal import lfilter
 
 from .errors import BlowUpError, ConfigurationError
 from .estimate import EstimatorAccumulator, EstimatorRequest, warn_if_inadmissible
-from .fields import (
-    GridSpec,
-    NemytskiiPlan,
-    NonlinearitySpec,
-    burgers_modes,
-    default_grid,
-)
+from .fields import GridSpec, NemytskiiPlan, NonlinearitySpec, default_grid
 from .spectrum import OperatorSpec, eigenvalues
 
 BACKENDS = ("euler", "ou_exact")
@@ -225,16 +218,6 @@ def _row_masks(n_list, n_modes) -> np.ndarray:
     return masks
 
 
-def _drift_evaluator(nl: NonlinearitySpec, grid, spec, n_rows: int, n_modes: int):
-    """Per-trajectory callable mapping an (n_rows, n_modes) batch to the
-    drift's mode coefficients; the result is valid until the next call."""
-    if nl.variant == "polynomial":
-        return NemytskiiPlan(nl, grid, spec, n_rows, n_modes, n_modes)
-    if nl.variant == "burgers":
-        return functools.partial(burgers_modes, grid=grid, spec=spec, n_out=n_modes)
-    raise ConfigurationError(f"cannot evaluate nonlinearity {nl.variant!r}")
-
-
 def simulate_semilinear(
     model: ModelSpec,
     scheme: SchemeSpec,
@@ -368,9 +351,9 @@ def _semilinear_loop(model, scheme, req, bias_nl, grid) -> SimOutput:
     need_rows = has_bias and req.wants_partial
     masks = _row_masks(req.n_list if need_rows else (), n0)
     batch = np.empty_like(masks)
-    bias_eval = _drift_evaluator(bias_nl, grid, op, len(masks), n0) if has_bias else None
+    bias_eval = NemytskiiPlan(bias_nl, grid, op, len(masks), n0, n0) if has_bias else None
     dyn_eval = (
-        _drift_evaluator(dyn_nl, grid, op, 1, n0) if has_dyn and not same_bias else None
+        NemytskiiPlan(dyn_nl, grid, op, 1, n0, n0) if has_dyn and not same_bias else None
     )
 
     acc = EstimatorAccumulator(
@@ -454,11 +437,7 @@ def simulate_fhn(
         np.multiply(v, masks, out=batch)
         out = cubic_eval(batch)
         acc.add_state(v, f_full=out[0], f_part_rows=out[1:] if need_rows else None, w=w)
-        np.subtract(out[0], w, out=f[0])  # v(1 - v)(v - a) - w
-        np.multiply(p.b, w, out=f[1])
-        np.subtract(v, f[1], out=f[1])
-        f[1] *= p.epsilon  # eps (v - b w)
-        return f
+        return p.coupled_drift(out[0], v, w, f)
 
     x0 = np.stack([model.initial_state(), model.initial_w_state()])
     return _euler_loop(scheme, denom, noise, x0, drift, acc)

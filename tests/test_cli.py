@@ -235,3 +235,64 @@ def test_estimates_z_fields_are_plain_floats(command, linear_cfg, cubic_cfg, tmp
     assert rows
     for row in rows:
         assert math.isfinite(float(row["z"]))
+
+
+# the cubic u^3 from a large start blows up at step 6 in every trial
+BLOW_UP_CONFIG = """
+[model]
+theta_true = 0.01
+gamma = 1.0
+nonlinearity = polynomial
+poly_coeffs = 0, 0, 0, 1
+initial_modes = 10
+n_sim = 4
+
+[scheme]
+dt = 0.1
+t_final = 10
+seed = 1
+noise_scale = 0
+
+[estimators]
+alpha = 1.0
+n_list = 4
+variants = full, linear
+
+[study]
+n_trials = 3
+"""
+
+
+@pytest.fixture
+def blow_up_cfg(tmp_path):
+    path = tmp_path / "blow_up.cfg"
+    path.write_text(BLOW_UP_CONFIG)
+    return path
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_blow_up_exits_with_runtime_code(command, blow_up_cfg, tmp_path, capsys):
+    assert main([command, str(blow_up_cfg), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: trajectory blew up at step 6, mode 1\n"
+    assert captured.out == ""
+
+
+def test_mc_blow_up_exits_with_runtime_code_and_flushes_report(
+    blow_up_cfg, tmp_path, capsys
+):
+    out = tmp_path / "study"
+    with pytest.warns(UserWarning, match="omitted"):
+        code = main(["mc", str(blow_up_cfg), "--out-dir", str(out), "--threads", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: 3 of 3 trials failed\n"
+    assert captured.out == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_failed"] == 3
+    assert [f["trial"] for f in summary["failures"]] == [0, 1, 2]
+    assert all(
+        f["reason"] == "BlowUpError: trajectory blew up at step 6, mode 1"
+        for f in summary["failures"]
+    )
+    assert (out / "estimates.csv").read_bytes() == b"trial,variant,N,alpha,theta_hat,z\r\n"

@@ -283,14 +283,18 @@ def _random_state(rng, n):
 
 
 @pytest.mark.parametrize("n", [8, 32, 100])
-@pytest.mark.parametrize("degree", [2, 3, 5])
+@pytest.mark.parametrize("degree", [2, 3, 5, "burgers"])
 def test_nemytskii_grid_invariance(n, degree):
     # the coefficients are exact on every grid meeting the dealiasing bound,
     # so the default grid and the next two larger 2^p - 1 grids agree
-    rng = np.random.default_rng(1000 * n + degree)
-    coeffs = tuple(rng.standard_normal(degree)) + (-1.0,)
-    nl = NonlinearitySpec("polynomial", poly_coeffs=coeffs)
-    base = default_grid(n, degree)
+    if degree == "burgers":
+        rng = np.random.default_rng(1000 * n)
+        nl = NonlinearitySpec("burgers")
+    else:
+        rng = np.random.default_rng(1000 * n + degree)
+        coeffs = tuple(rng.standard_normal(degree)) + (-1.0,)
+        nl = NonlinearitySpec("polynomial", poly_coeffs=coeffs)
+    base = default_grid(n, nl.degree)
     grids = [GridSpec(n_grid=(base.n_grid + 1) * 2**i - 1, n_modes_keep=n)
              for i in range(3)]
     for _ in range(3):
@@ -325,6 +329,36 @@ def reference_nemytskii(x, nl, grid, spec, n_out):
     return out
 
 
+def reference_burgers(x, grid, spec, n_out):
+    """The three-transform pipeline the plan replaces: u by DST, u_x by a
+    DCT-I of the differentiated cosine series, -u u_x back by DST."""
+    L = spec.domain_length
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    m_g = grid.n_grid
+    k = np.arange(1, x.shape[-1] + 1)
+    scaled = x * math.sqrt(2.0 / L)
+    u = 0.5 * scipy.fft.dst(scaled, type=1, n=m_g, axis=-1)
+    y = np.zeros((x.shape[0], m_g + 2))
+    y[:, 1 : x.shape[-1] + 1] = 0.5 * scaled * (k * PI / L)
+    du = scipy.fft.dct(y, type=1, axis=-1)[:, 1:-1]
+    coeffs = math.sqrt(L / 2.0) / (m_g + 1) * scipy.fft.dst(-u * du, type=1, axis=-1)
+    return coeffs[:, :n_out]
+
+
+@pytest.mark.parametrize("n", [8, 32, 100])
+@pytest.mark.parametrize("L", [1.0, 2.0])
+def test_burgers_plan_matches_reference(n, L):
+    # -(u^2)_x / 2 from the squared field's cosine series is the product
+    # -u u_x of the reference up to round-off
+    rng = np.random.default_rng(n)
+    spec = OperatorSpec(domain_length=L)
+    grid = default_grid(n, 2)
+    for rows in (1, 6):
+        x = np.stack([_random_state(rng, n) for _ in range(rows)])
+        out = burgers_modes(x, grid, spec, n)
+        assert np.max(np.abs(out - reference_burgers(x, grid, spec, n))) <= 1e-12
+
+
 @pytest.mark.parametrize("m_g", [31, 63, 127])
 @pytest.mark.parametrize("L", [1.0, 2.0])
 def test_nemytskii_plan_matches_reference_bitwise(m_g, L):
@@ -346,14 +380,15 @@ def test_nemytskii_plan_reuse_matches_fresh_calls():
     cubic = NonlinearitySpec("polynomial", poly_coeffs=(0.0, -0.5, 1.5, -1.0))
     n = 32
     grid = default_grid(n, 3)
-    plan = NemytskiiPlan(cubic, grid, SPEC, 3, n, n)
-    for i in range(25):
-        x = rng.standard_normal((3, n)) * rng.uniform(0.1, 3.0)
-        x[:, rng.integers(1, n + 1):] = 0.0  # vary the populated mode count
-        out = plan(x)
-        assert np.array_equal(out, nemytskii_modes(x, cubic, grid, SPEC, n))
-    # nothing of the previous input survives in the buffers
-    assert np.array_equal(plan(np.zeros((3, n))), np.zeros((3, n)))
+    for nl in (cubic, NonlinearitySpec("burgers")):
+        plan = NemytskiiPlan(nl, grid, SPEC, 3, n, n)
+        for i in range(25):
+            x = rng.standard_normal((3, n)) * rng.uniform(0.1, 3.0)
+            x[:, rng.integers(1, n + 1):] = 0.0  # vary the populated mode count
+            out = plan(x)
+            assert np.array_equal(out, nemytskii_modes(x, nl, grid, SPEC, n))
+        # nothing of the previous input survives in the buffers
+        assert np.array_equal(plan(np.zeros((3, n))), np.zeros((3, n)))
 
 
 def test_nemytskii_plan_rejects_other_shapes():
@@ -364,8 +399,10 @@ def test_nemytskii_plan_rejects_other_shapes():
         plan(np.zeros((2, 7)))
     with pytest.raises(ConfigurationError):
         NemytskiiPlan(ALLEN_CAHN, GridSpec(15, 8), SPEC, 1, 8, 8)
-    with pytest.raises(ConfigurationError):
-        NemytskiiPlan(NonlinearitySpec("burgers"), GridSpec(63, 8), SPEC, 1, 8, 8)
+    fhn = NonlinearitySpec("fhn", fhn_params=FHNParams(a=0.5, b=0.5, epsilon=0.1))
+    for nl in (NonlinearitySpec("none"), fhn):
+        with pytest.raises(ConfigurationError):
+            NemytskiiPlan(nl, GridSpec(63, 8), SPEC, 1, 8, 8)
 
 
 def test_nonlinearity_validation():

@@ -167,8 +167,7 @@ def test_study_failure_raises_with_partial_report():
         n_trials=5,
     )
     with pytest.raises(StudyError) as exc, pytest.warns(UserWarning, match="omitted"):
-        with np.errstate(over="ignore", invalid="ignore"):
-            run_study(spec)
+        run_study(spec)
     report = exc.value.report
     assert report is not None
     assert report.n_failed == 5

@@ -198,7 +198,6 @@ def test_allen_cahn_reference_setup_runs():
     assert out.accumulators.q[0] > 0
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_burgers_drift_runs_and_is_deterministic():
     model = ModelSpec(
         operator=OP, theta_true=0.1, gamma=0.8,
