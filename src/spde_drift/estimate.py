@@ -25,6 +25,7 @@ decomposition identities theta_full = theta_linear + bias hold bit for bit.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 
@@ -163,6 +164,10 @@ class EstimatorAccumulator:
     int x^k F^k(full state) dt, ``bias_part[i, k]`` the same with the state
     truncated to n_list[i] modes, and for the coupled system ``bias_w[k]``
     holds int v^k w^k dt.  Left-endpoint Riemann sums at full step resolution.
+
+    ``batched`` gives every integral a leading trial axis, so trajectories
+    stepped together accumulate in one object; ``split`` then hands out one
+    accumulator per trial, with the bits that trial accumulates alone.
     """
 
     def __init__(
@@ -200,7 +205,7 @@ class EstimatorAccumulator:
         if f_full is not None:
             self.bias_full += x * f_full
         if f_part_rows is not None:
-            self.bias_part += x * f_part_rows
+            self.bias_part += x[..., None, :] * f_part_rows
         if w is not None:
             self.bias_w += x * w
 
@@ -217,6 +222,31 @@ class EstimatorAccumulator:
         self.x0 = np.array(x0, dtype=np.float64)
         self.xT = np.array(xT, dtype=np.float64)
         self._finalized = True
+
+    @classmethod
+    def batched(cls, n_trials: int, *args, **kwargs) -> "EstimatorAccumulator":
+        """Accumulator of ``n_trials`` trajectories stepped together: the
+        constructor's arguments, with every integral and endpoint carrying a
+        leading trial axis."""
+        acc = cls(*args, **kwargs)
+        for name in ("q", "ito", "bias_full", "bias_part", "bias_w"):
+            arr = getattr(acc, name)
+            if arr is not None:
+                setattr(acc, name, np.zeros((n_trials,) + arr.shape))
+        return acc
+
+    def split(self) -> list["EstimatorAccumulator"]:
+        """One finalized accumulator per trial of a ``batched`` one."""
+        names = ("q", "ito", "bias_full", "bias_part", "bias_w", "x0", "xT")
+        out = []
+        for b in range(len(self.q)):
+            acc = copy.copy(self)
+            for name in names:
+                arr = getattr(self, name)
+                if arr is not None:
+                    setattr(acc, name, arr[b].copy())
+            out.append(acc)
+        return out
 
     @classmethod
     def from_linear_path(

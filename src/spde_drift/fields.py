@@ -21,8 +21,8 @@ A polynomial of degree m applied to n modes has sine-degree m * n, so any grid
 with M_g >= m * n gives the same coefficients up to round-off.
 ``default_grid`` takes the smallest such M_g of the form 2^p - 1, which puts
 every transform on a power-of-two FFT length.  Step loops evaluate f through a
-``NemytskiiPlan`` built once per trajectory; ``nemytskii_modes`` and
-``burgers_modes`` are one-shot forms of the same kernel.
+``NemytskiiPlan`` built once per batch of trajectories; ``nemytskii_modes``
+and ``burgers_modes`` are one-shot forms of the same kernel.
 """
 
 from __future__ import annotations
@@ -239,13 +239,17 @@ class NemytskiiPlan:
     Built once for a batch of ``n_rows`` states with ``n_in`` modes each: the
     dealiasing check, the zero-padded mode buffer, the odd-extension and
     polynomial buffers and the cosine->sine projection are set up here, so a
-    call allocates only the outputs of the two transforms.
+    call allocates only the outputs of the two transforms.  ``n_rows`` may
+    also be a shape such as (trials, rows) for a stack of batches.
 
     A call maps an (n_rows, n_in) array to (n_rows, n_out) coefficients:
     type-I DST to the grid, odd extension to the periodic grid of 2(M_g+1)
     points, Horner evaluation in ``polyval``'s operation order, rfft split
     into sine and cosine parts, and closed-form projection of the cosine part
-    onto the sine modes.  Burgers runs the same steps with f(u) = u^2 and
+    onto the sine modes.  The transforms and the polynomial act on each row
+    alone and the projection is one matrix product per batch of the stack,
+    with that batch's own shape, so a batch gets the same bits whatever is
+    stacked with it.  Burgers runs the same steps with f(u) = u^2 and
     replaces the output stage by -(u^2)_x / 2, which maps the cosine
     coefficient a_k to (k pi / 4) sqrt(2/L) a_k; the sine part of the even
     u^2 is zero.  The returned array belongs to the plan and is
@@ -273,22 +277,29 @@ class NemytskiiPlan:
         m_g = grid.n_grid
         L = spec.domain_length
         n_freq = min(degree * n_in, m_g)
-        self.shape = (n_rows, n_in)
+        lead = (n_rows,) if np.ndim(n_rows) == 0 else tuple(n_rows)
+        n_rows = math.prod(lead)
+        self.shape = lead + (n_in,)
         self._coeffs = (0.0, 0.0, 1.0) if burgers else nl.poly_coeffs
         self._L = L
         self._n_s = min(n_out, n_freq)
         # 0.5 * DST(x sqrt(2/L)) with the exact factor 0.5 folded into the scale
         self._in_scale = 0.5 * math.sqrt(2.0 / L)
+        # every stage runs on (rows, .) buffers; the input and the
+        # projection see them through views shaped like the batch stack
         self._modes = np.zeros((n_rows, m_g))
+        self._modes_in = self._modes.reshape(lead + (m_g,))[..., :n_in]
         self._ext = np.zeros((n_rows, 2 * (m_g + 1)))
         self._poly = np.empty_like(self._ext)
         self._cos = np.empty((n_rows, n_freq + 1))
+        self._cos_stack = self._cos.reshape(lead + (n_freq + 1,))
         self._deriv = self._proj_t = None
         if burgers:  # (-(u^2)_x / 2, Phi_k) = (k pi / 4) sqrt(2/L) a_k
             self._deriv = np.arange(1, self._n_s + 1) * (math.pi / 4 * math.sqrt(2 / L))
         else:
             self._proj_t = _cos_to_sine_projection(n_out, n_freq + 1, L).T
         self._out = np.empty((n_rows, n_out))
+        self._out_stack = self._out.reshape(lead + (n_out,))
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -297,7 +308,7 @@ class NemytskiiPlan:
                 f"batch shape {x.shape} does not match the plan's {self.shape}"
             )
         m_g = self._modes.shape[-1]
-        np.multiply(x, self._in_scale, out=self._modes[:, : x.shape[-1]])
+        np.multiply(x, self._in_scale, out=self._modes_in)
         u = scipy.fft.dst(self._modes, type=1, axis=-1)
 
         # periodic samples over [0, 2L): [0, u_1..u_M, 0, -u_M..-u_1]
@@ -327,14 +338,16 @@ class NemytskiiPlan:
         out[:, n_s:] = 0.0
         if self._deriv is not None:
             np.multiply(a[:, 1 : n_s + 1], self._deriv, out=out[:, :n_s])
-            return out
+            return self._out_stack
         s = out[:, :n_s]
         np.multiply(spectrum.imag[:, 1 : n_s + 1], -2.0, out=s)
         s /= n_points
         s *= self._L / 2.0
-        out += a @ self._proj_t
+        # a stacked matmul makes one BLAS call per batch, each with the lone
+        # batch's shape; a (trials * rows)-row product would round differently
+        self._out_stack += self._cos_stack @ self._proj_t
         out *= math.sqrt(2.0 / self._L)
-        return out
+        return self._out_stack
 
 
 def nemytskii_modes(

@@ -11,10 +11,18 @@ implicit in theta A through denom^k = 1 + h theta lambda_k and explicit in
 the recovery component, whose denom is 1.  A model supplies denom, its noise
 amplitudes and a drift closure that also feeds the estimator accumulator.
 
+The core steps a batch of trials, one per seed, as one ``(trials,
+components, n_modes)`` state; a single trajectory is a batch of one.  Each
+operation acts on every trial alone (the drift's matrix products are one
+BLAS call per trial), so a trial's output is the same bits in any batch.
+
 Noise increments are drawn from counter-based Philox streams keyed by
 (seed, channel, mode), so trajectories are bit-reproducible regardless of
-host parallelism.  The drift-free case bypasses the core with a vectorized
-per-mode recursion: implicit Euler or exact Ornstein-Uhlenbeck transitions.
+host parallelism.  The core draws them a block of steps at a time from
+streams that live for the whole run, so its memory does not grow with the
+step count.  The drift-free case bypasses the core with a vectorized
+per-mode recursion, implicit Euler or exact Ornstein-Uhlenbeck transitions,
+one trial at a time; it holds the whole path.
 
 Estimator integrals are accumulated online with left-endpoint Riemann sums at
 full step resolution; trajectories are only stored when snapshots are
@@ -24,7 +32,7 @@ requested.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import lfilter
@@ -139,24 +147,49 @@ def _mode_stream(seed: int, channel: int, mode: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _standard_normals(seed, channel, n_modes, n_draws, out=None) -> np.ndarray:
+def _standard_normals(seed, channel, n_modes, n_draws) -> np.ndarray:
     """(n_draws, n_modes) independent N(0,1) draws, one stream per mode."""
-    if out is None:
-        out = np.empty((n_draws, n_modes))
+    out = np.empty((n_draws, n_modes))
     for k in range(n_modes):
         out[:, k] = _mode_stream(seed, channel, k + 1).standard_normal(n_draws)
     return out
 
 
-def _scaled_noise(seed, amps: np.ndarray, n_steps: int, h: float) -> np.ndarray:
-    """(n_steps, channels, n_modes) increments amps[c, k] * dW_j with
-    dW ~ N(0, h); channel c draws from the streams keyed (seed, c, mode)."""
-    noise = np.empty((n_steps,) + amps.shape)
-    for c in range(len(amps)):
-        _standard_normals(seed, c, amps.shape[1], n_steps, out=noise[:, c])
-    noise *= math.sqrt(h)
-    noise *= amps
-    return noise
+#: a noise block holds at most this many steps and this many values, so the
+#: stepping models' memory does not grow with n_steps
+_NOISE_BLOCK_STEPS = 256
+_NOISE_BLOCK_VALUES = 1 << 16
+
+
+class _NoiseBlocks:
+    """Increments amps[c, k] * dW_j, dW ~ N(0, h), of B trials, drawn a block
+    of steps at a time; trial b, channel c and mode k read the stream keyed
+    (seeds[b], c, k + 1) from first step to last, so every block length
+    gives the draws of one whole-run call."""
+
+    def __init__(self, seeds, amps: np.ndarray, n_steps: int, h: float):
+        self._streams = [
+            [[_mode_stream(seed, c, k + 1) for k in range(amps.shape[1])]
+             for c in range(len(amps))]
+            for seed in seeds
+        ]
+        n_values = len(seeds) * amps.size
+        length = min(n_steps, _NOISE_BLOCK_STEPS, max(1, _NOISE_BLOCK_VALUES // n_values))
+        self.length = length
+        self._buf = np.empty((len(seeds),) + amps.shape + (length,))
+        self._amps = amps[..., None]
+        self._scale = math.sqrt(h)
+
+    def block(self, n: int) -> np.ndarray:
+        """The next n <= block length steps, shaped (B, channels, n_modes, n)."""
+        buf = self._buf[..., :n]
+        for b, channels in enumerate(self._streams):
+            for c, streams in enumerate(channels):
+                for k, gen in enumerate(streams):
+                    gen.standard_normal(n, out=buf[b, c, k])
+        buf *= self._scale
+        buf *= self._amps
+        return buf
 
 
 def _noise_amp(noise_scale: float, lam: np.ndarray, gamma: float) -> np.ndarray:
@@ -187,12 +220,14 @@ def _snapshot_indices(n_steps: int, stride: int | None) -> np.ndarray | None:
     return np.asarray(idx)
 
 
-def _check_finite(x: np.ndarray, step: int):
-    """Raise BlowUpError naming the first non-finite mode; components are
-    scanned in order, so a coupled state reports v before w."""
-    if not np.all(np.isfinite(x)):
-        flat = int(np.flatnonzero(~np.isfinite(x))[0])
-        raise BlowUpError(step=step, mode=flat % x.shape[-1] + 1)
+def _blow_up(x: np.ndarray, step: int) -> BlowUpError | None:
+    """The BlowUpError naming the first non-finite mode of x, None when x is
+    finite; components are scanned in order, so a coupled state reports v
+    before w."""
+    bad = ~np.isfinite(x)
+    if not bad.any():
+        return None
+    return BlowUpError(step=step, mode=int(np.flatnonzero(bad)[0]) % x.shape[-1] + 1)
 
 
 def _validate_request(model: ModelSpec, req: EstimatorRequest):
@@ -231,26 +266,14 @@ def simulate_semilinear(
     recursion when the nonlinearity is ``none``; otherwise steps the
     semi-implicit scheme with pseudospectral drift evaluation.
     """
-    if model.nonlinearity.variant == "fhn":
-        raise ConfigurationError("use simulate_fhn for the coupled system")
-    _validate_request(model, est_req)
-    warn_if_inadmissible(est_req.alpha, model.gamma, model.operator.beta)
+    return _lone(_semilinear_trials(model, scheme, est_req, grid, (scheme.seed,)))
 
-    bias_nl = model.nonlinearity if est_req.bias_model is None else est_req.bias_model
-    if bias_nl.variant == "fhn":
-        raise ConfigurationError("fhn is not a valid bias model for scalar runs")
 
-    if scheme.backend == "ou_exact":
-        if model.nonlinearity.variant != "none" or bias_nl.variant != "none":
-            raise ConfigurationError(
-                "backend 'ou_exact' requires a drift-free model (nonlinearity none)"
-            )
-        return _linear_output(model, scheme, est_req, exact=True)
-
-    if model.nonlinearity.variant == "none" and bias_nl.variant == "none":
-        return _linear_output(model, scheme, est_req, exact=False)
-
-    return _semilinear_loop(model, scheme, est_req, bias_nl, grid)
+def _lone(outs: list) -> SimOutput:
+    (out,) = outs
+    if isinstance(out, BlowUpError):
+        raise out
+    return out
 
 
 def _linear_output(model, scheme, req, exact: bool) -> SimOutput:
@@ -262,14 +285,14 @@ def _linear_output(model, scheme, req, exact: bool) -> SimOutput:
     theta = model.theta_true
     x0 = model.initial_state()
 
+    draws = _standard_normals(scheme.seed, 0, n0, n_steps)
     if exact:
         decay, amp = _ou_transition(theta, lam, h, model.gamma, scheme.noise_scale)
-        draws = _standard_normals(scheme.seed, 0, n0, n_steps)
     else:
         decay = 1.0 / (1.0 + h * theta * lam)
         amp = decay  # noise enters the implicit step divided by (1 + h theta lam)
-        base = _noise_amp(scheme.noise_scale, lam, model.gamma)
-        draws = _scaled_noise(scheme.seed, base[None], n_steps, h)[:, 0]
+        draws *= math.sqrt(h)
+        draws *= _noise_amp(scheme.noise_scale, lam, model.gamma)
     path = np.empty((n_steps + 1, n0))
     path[0] = x0
     _ar1_filter(decay, amp, draws, path[1:])
@@ -277,7 +300,9 @@ def _linear_output(model, scheme, req, exact: bool) -> SimOutput:
         j = np.arange(1, n_steps + 1)[:, None]
         path[1:] += x0 * decay[None, :] ** j
 
-    _check_finite(path[-1], n_steps)
+    err = _blow_up(path[-1], n_steps)
+    if err is not None:
+        raise err
     acc = EstimatorAccumulator.from_linear_path(
         path, h, lam, scheme.t_final, model.gamma, req.n_list
     )
@@ -292,57 +317,112 @@ def _linear_output(model, scheme, req, exact: bool) -> SimOutput:
     )
 
 
-def _euler_loop(scheme, denom, noise, x0, drift, acc) -> SimOutput:
-    """Step the (components, n_modes) state x_{j+1} = (x_j + h F(x_j) +
-    noise[j]) / denom.
+def _euler_loop(scheme, seeds, denom, amps, x0, drift, acc) -> list:
+    """Step one trial per seed, x_{j+1} = (x_j + h F(x_j) + noise_j) / denom,
+    on a (trials, components, n_modes) state with noise amplitudes ``amps``
+    of shape (components, n_modes); x0 is every trial's start.
 
-    ``drift(x)`` hands the left endpoint to ``acc`` and returns F, or None
-    for F = 0.  Component 0 is the observed field; a second component is
-    reported as the recovery field w.
+    ``drift(x)`` hands the left endpoints to the batched ``acc`` and returns
+    F, or None for F = 0.  Component 0 is the observed field; a second
+    component is reported as the recovery field w.  Every operation acts on
+    each trial alone, so a trial's bits do not depend on the batch.  A trial
+    whose state turns non-finite gets its lone run's BlowUpError in place of
+    its output; its state is zeroed and stepped on unread.
     """
     h = scheme.dt
     n_steps = scheme.n_steps
     stride = scheme.snapshot_stride
     snaps = [] if stride is not None else None
+    n_trials = len(seeds)
+    noise = _NoiseBlocks(seeds, amps, n_steps, h)
+    length = noise.length
+    x0 = np.stack([x0] * n_trials)
     x = x0.copy()
-    # a blow-up surfaces as BlowUpError from _check_finite, not as warnings
+    failed = [None] * n_trials
+    # a blow-up surfaces as BlowUpError, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_steps):
+            if j % length == 0:
+                block = noise.block(min(length, n_steps - j))
             if snaps is not None and j % stride == 0:
                 snaps.append(x.copy())
             f = drift(x)
-            x_next = x + noise[j] if f is None else x + h * f + noise[j]
+            dw = block[..., j % length]
+            x_next = x + dw if f is None else x + h * f + dw
             x_next /= denom
-            _check_finite(x_next, j + 1)
-            acc.add_increment(x[0], x_next[0])
+            if not np.all(np.isfinite(x_next)):
+                _retire(x_next, j + 1, failed)
+                if all(err is not None for err in failed):
+                    break
+            acc.add_increment(x[:, 0], x_next[:, 0])
             x = x_next
 
-    acc.finalize(h, x0[0], x[0])
+    acc.finalize(h, x0[:, 0], x[:, 0])
     times = traj = None
     if snaps is not None:
         snaps.append(x.copy())
         times = _snapshot_indices(n_steps, stride) * h
         traj = np.asarray(snaps)
-    out = SimOutput(
-        x0=x0[0], xT=x[0], accumulators=acc, times=times,
-        trajectory=None if traj is None else traj[:, 0],
-    )
-    if len(x) == 2:
-        out.w0, out.wT = x0[1], x[1]
-        out.w_trajectory = None if traj is None else traj[:, 1]
-    return out
+    outs = []
+    for b, (err, trial_acc) in enumerate(zip(failed, acc.split())):
+        if err is not None:
+            outs.append(err)
+            continue
+        out = SimOutput(
+            x0=x0[b, 0], xT=x[b, 0], accumulators=trial_acc, times=times,
+            trajectory=None if traj is None else traj[:, b, 0],
+        )
+        if x.shape[1] == 2:
+            out.w0, out.wT = x0[b, 1], x[b, 1]
+            out.w_trajectory = None if traj is None else traj[:, b, 1]
+        outs.append(out)
+    return outs
 
 
-def _semilinear_loop(model, scheme, req, bias_nl, grid) -> SimOutput:
+def _retire(x, step: int, failed: list):
+    """Record the BlowUpError of each trial of x that is not finite, unless
+    it failed before, and zero its state."""
+    for b in range(len(x)):
+        err = _blow_up(x[b], step)
+        if err is not None:
+            if failed[b] is None:
+                failed[b] = err
+            x[b] = 0.0
+
+
+def _semilinear_trials(model, scheme, req, grid, seeds) -> list:
+    if model.nonlinearity.variant == "fhn":
+        raise ConfigurationError("use simulate_fhn for the coupled system")
+    _validate_request(model, req)
+    warn_if_inadmissible(req.alpha, model.gamma, model.operator.beta)
+
+    bias_nl = model.nonlinearity if req.bias_model is None else req.bias_model
+    if bias_nl.variant == "fhn":
+        raise ConfigurationError("fhn is not a valid bias model for scalar runs")
+
+    exact = scheme.backend == "ou_exact"
+    if exact and (model.nonlinearity.variant != "none" or bias_nl.variant != "none"):
+        raise ConfigurationError(
+            "backend 'ou_exact' requires a drift-free model (nonlinearity none)"
+        )
+    if model.nonlinearity.variant == "none" and bias_nl.variant == "none":
+        outs = []
+        for seed in seeds:  # one at a time: each holds its whole path
+            try:
+                outs.append(_linear_output(model, replace(scheme, seed=seed), req, exact))
+            except BlowUpError as exc:
+                outs.append(exc)
+        return outs
+
     n0 = model.n_sim
     h = scheme.dt
     op = model.operator
     lam = eigenvalues(op, n0)
     grid = _resolve_grid(model, bias_nl, grid)
+    n_trials = len(seeds)
 
     denom = (1.0 + h * model.theta_true * lam)[None]
-    amp = _noise_amp(scheme.noise_scale, lam, model.gamma)
-    noise = _scaled_noise(scheme.seed, amp[None], scheme.n_steps, h)
+    amp = _noise_amp(scheme.noise_scale, lam, model.gamma)[None]
 
     dyn_nl = model.nonlinearity
     same_bias = req.bias_model is None
@@ -350,31 +430,35 @@ def _semilinear_loop(model, scheme, req, bias_nl, grid) -> SimOutput:
     has_dyn = dyn_nl.variant != "none"
     need_rows = has_bias and req.wants_partial
     masks = _row_masks(req.n_list if need_rows else (), n0)
-    batch = np.empty_like(masks)
-    bias_eval = NemytskiiPlan(bias_nl, grid, op, len(masks), n0, n0) if has_bias else None
+    batch = np.empty((n_trials,) + masks.shape)
+    bias_eval = (
+        NemytskiiPlan(bias_nl, grid, op, batch.shape[:-1], n0, n0) if has_bias else None
+    )
     dyn_eval = (
-        NemytskiiPlan(dyn_nl, grid, op, 1, n0, n0) if has_dyn and not same_bias else None
+        NemytskiiPlan(dyn_nl, grid, op, (n_trials, 1), n0, n0)
+        if has_dyn and not same_bias else None
     )
 
-    acc = EstimatorAccumulator(
-        lam, scheme.t_final, model.gamma, req.n_list,
+    acc = EstimatorAccumulator.batched(
+        n_trials, lam, scheme.t_final, model.gamma, req.n_list,
         track_partial=(need_rows or not has_bias),
     )
 
     def drift(x):
-        f_full = f_rows = None
+        out = f_rows = None
         if has_bias:
-            np.multiply(x[0], masks, out=batch)
+            np.multiply(x, masks, out=batch)
             out = bias_eval(batch)
-            f_full = out[0]
             if need_rows:
-                f_rows = out[1:]
-        acc.add_state(x[0], f_full=f_full, f_part_rows=f_rows)
+                f_rows = out[:, 1:]
+        acc.add_state(
+            x[:, 0], f_full=None if out is None else out[:, 0], f_part_rows=f_rows
+        )
         if same_bias:
-            return f_full
+            return out[:, :1]
         return dyn_eval(x) if has_dyn else None
 
-    return _euler_loop(scheme, denom, noise, model.initial_state()[None], drift, acc)
+    return _euler_loop(scheme, seeds, denom, amp, model.initial_state()[None], drift, acc)
 
 
 def simulate_fhn(
@@ -390,6 +474,10 @@ def simulate_fhn(
     w_{j+1} = w_j + h eps (v_j - b w_j) + sigma_w lambda^{-gamma_w} dW^{(2)}.
     Accumulates the integrals for all four coupled-system estimators.
     """
+    return _lone(_fhn_trials(model, scheme, est_req, grid, (scheme.seed,)))
+
+
+def _fhn_trials(model, scheme, est_req, grid, seeds) -> list:
     nl = model.nonlinearity
     if nl.variant != "fhn":
         raise ConfigurationError("simulate_fhn requires an fhn nonlinearity")
@@ -413,6 +501,7 @@ def simulate_fhn(
     lam = eigenvalues(op, n0)
     cubic = NonlinearitySpec("polynomial", poly_coeffs=p.cubic_coeffs())
     grid = _resolve_grid(model, cubic, grid)
+    n_trials = len(seeds)
 
     denom = np.ones((2, n0))  # w is stepped explicitly
     denom[0] = 1.0 + h * model.theta_true * lam
@@ -420,27 +509,30 @@ def simulate_fhn(
         p.sigma * _noise_amp(scheme.noise_scale, lam, model.gamma),
         p.sigma_w * _noise_amp(scheme.noise_scale, lam, p.gamma_w),
     ])
-    noise = _scaled_noise(scheme.seed, amps, scheme.n_steps, h)
 
     need_rows = est_req.wants_partial
     masks = _row_masks(est_req.n_list if need_rows else (), n0)
-    batch = np.empty_like(masks)
-    cubic_eval = NemytskiiPlan(cubic, grid, op, len(masks), n0, n0)
-    acc = EstimatorAccumulator(
-        lam, scheme.t_final, model.gamma, est_req.n_list,
+    batch = np.empty((n_trials,) + masks.shape)
+    cubic_eval = NemytskiiPlan(cubic, grid, op, batch.shape[:-1], n0, n0)
+    acc = EstimatorAccumulator.batched(
+        n_trials, lam, scheme.t_final, model.gamma, est_req.n_list,
         coupled=True, track_partial=need_rows,
     )
-    f = np.empty((2, n0))
+    f = np.empty((n_trials, 2, n0))
+    f_parts = f.swapaxes(0, 1)  # (F_v, F_w) of every trial
 
     def drift(x):
-        v, w = x
-        np.multiply(v, masks, out=batch)
+        v, w = x[:, 0], x[:, 1]
+        np.multiply(x[:, :1], masks, out=batch)
         out = cubic_eval(batch)
-        acc.add_state(v, f_full=out[0], f_part_rows=out[1:] if need_rows else None, w=w)
-        return p.coupled_drift(out[0], v, w, f)
+        acc.add_state(
+            v, f_full=out[:, 0], f_part_rows=out[:, 1:] if need_rows else None, w=w
+        )
+        p.coupled_drift(out[:, 0], v, w, f_parts)
+        return f
 
     x0 = np.stack([model.initial_state(), model.initial_w_state()])
-    return _euler_loop(scheme, denom, noise, x0, drift, acc)
+    return _euler_loop(scheme, seeds, denom, amps, x0, drift, acc)
 
 
 def simulate_model(
@@ -450,9 +542,24 @@ def simulate_model(
     grid: GridSpec | None = None,
 ) -> SimOutput:
     """Dispatch to the scalar or coupled simulator based on the model."""
+    return _lone(simulate_trials(model, scheme, est_req, (scheme.seed,), grid))
+
+
+def simulate_trials(
+    model: ModelSpec,
+    scheme: SchemeSpec,
+    est_req: EstimatorRequest,
+    seeds,
+    grid: GridSpec | None = None,
+) -> list:
+    """One trajectory per seed (``scheme.seed`` is not used), stepped together
+    as one batch.  Entry b is what ``simulate_model`` returns for seed b, bit
+    for bit, or the ``BlowUpError`` that it raises."""
+    if len(seeds) == 0 or not all(0 <= int(s) < _MAX_SEED for s in seeds):
+        raise ConfigurationError("seeds must be a nonempty list of 64-bit seeds")
     if model.nonlinearity.variant == "fhn":
-        return simulate_fhn(model, scheme, est_req, grid)
-    return simulate_semilinear(model, scheme, est_req, grid)
+        return _fhn_trials(model, scheme, est_req, grid, seeds)
+    return _semilinear_trials(model, scheme, est_req, grid, seeds)
 
 
 def simulate_ou_exact(

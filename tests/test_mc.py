@@ -5,7 +5,8 @@ import pytest
 
 from spde_drift.errors import StudyError
 from spde_drift.estimate import EstimatorRequest
-from spde_drift.fields import NonlinearitySpec
+from spde_drift import mc
+from spde_drift.fields import ALLEN_CAHN, FHNParams, NonlinearitySpec
 from spde_drift.mc import (
     EstimateRow,
     StudySpec,
@@ -55,8 +56,31 @@ def test_single_trial_medians_equal_estimates():
         assert stats["p97_5"] == rows[(variant, n)]
 
 
-def test_report_reproducible_and_thread_independent():
-    spec = linear_study(n_trials=12)
+def stepping_study(name):
+    """A 5-trial study of a stepping model: one chunk of 5 trials on one
+    worker, chunks of 3 and 2 on two."""
+    scheme = SchemeSpec(dt=2e-3, t_final=0.2, seed=321)
+    if name == "fhn":
+        params = FHNParams(a=0.5, b=1.0, epsilon=0.1)
+        model = ModelSpec(OP, 0.02, 0.8, NonlinearitySpec("fhn", fhn_params=params),
+                          (0.5, 0.1), 16)
+        req = EstimatorRequest(alpha=0.8, n_list=(4, 16),
+                               variants=("full", "partial1", "partial2", "linear"))
+    else:
+        skewed_cubic = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 1.0, 0.5, -1.0))
+        nl, bias = {
+            "allen_cahn": (ALLEN_CAHN, None),
+            "burgers": (NonlinearitySpec("burgers"), None),
+            "quadratic_bias": (skewed_cubic,
+                               NonlinearitySpec("polynomial", poly_coeffs=(0.0, 0.5, -1.0))),
+        }[name]
+        model = ModelSpec(OP, 0.05, 0.6, nl, (0.7071,), 16)
+        req = EstimatorRequest(alpha=0.6, n_list=(4, 8, 16),
+                               variants=("full", "partial", "linear"), bias_model=bias)
+    return StudySpec(model=model, scheme=scheme, est_req=req, n_trials=5, histogram_n=16)
+
+
+def assert_reproducible_and_thread_independent(spec):
     r1 = run_study(spec, threads=1)
     r2 = run_study(spec, threads=2)
     j1 = json.dumps(r1.to_json_dict(), sort_keys=True)
@@ -64,6 +88,15 @@ def test_report_reproducible_and_thread_independent():
     assert j1 == j2
     r3 = run_study(spec, threads=1)
     assert json.dumps(r3.to_json_dict(), sort_keys=True) == j1
+
+
+def test_report_reproducible_and_thread_independent():
+    assert_reproducible_and_thread_independent(linear_study(n_trials=12))
+
+
+@pytest.mark.parametrize("name", ["allen_cahn", "fhn", "burgers", "quadratic_bias"])
+def test_stepping_report_reproducible_and_thread_independent(name):
+    assert_reproducible_and_thread_independent(stepping_study(name))
 
 
 def test_percentile_sanity_and_variant_agreement():
@@ -181,3 +214,34 @@ def test_histogram_outliers_clipped_into_edge_bins():
     assert counts[0] == 1 and counts[-1] == 1
     assert counts.sum() == 2
     assert len(report.bin_edges) == 26  # [-5, 5] at width 0.4
+
+class InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no
+    process and runs every task in the calling process."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_pool_never_exceeds_the_chunk_count(monkeypatch):
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", InProcessPool)
+    InProcessPool.created.clear()
+    spec = linear_study(n_trials=3)
+    report = run_study(spec, threads=64)
+    assert InProcessPool.created == [3]
+    reference = run_study(spec, threads=1)
+    assert InProcessPool.created == [3]  # one worker runs in-process
+    assert json.dumps(report.to_json_dict()) == json.dumps(reference.to_json_dict())
+    run_study(linear_study(n_trials=40), threads=2)  # chunks of 16, 16 and 8
+    assert InProcessPool.created == [3, 2]

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ from spde_drift.fields import ALLEN_CAHN, FHNParams, NonlinearitySpec
 from spde_drift.simulate import (
     ModelSpec,
     SchemeSpec,
+    _NoiseBlocks,
     _standard_normals,
     simulate_fhn,
     simulate_model,
     simulate_ou_exact,
     simulate_semilinear,
+    simulate_trials,
 )
 from spde_drift.spectrum import OperatorSpec, eigenvalues
 
@@ -396,3 +400,129 @@ def test_request_exceeding_mode_count_rejected():
             linear_model(), SchemeSpec(dt=0.1, t_final=1.0, seed=0),
             EstimatorRequest(alpha=1.0, n_list=(2,), variants=("linear",)),
         )
+
+
+QUADRATIC = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 0.5, -1.0))
+SKEWED_CUBIC = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 1.0, 0.5, -1.0))
+FHN = NonlinearitySpec("fhn", fhn_params=FHNParams(a=0.5, b=1.0, epsilon=0.1))
+
+
+def batch_case(name):
+    """(model, scheme, request) of a stepping model on 32 modes, the size at
+    which one BLAS product over all trials' rows would round differently from
+    a lone run's; snapshots every 7 steps."""
+    scheme = SchemeSpec(dt=1e-3, t_final=0.05, seed=0, snapshot_stride=7)
+    if name == "fhn":
+        model = ModelSpec(OP, 0.02, 0.8, FHN, (0.5, 0.1), 32, initial_w_modes=(0.2,))
+        return model, scheme, EstimatorRequest(
+            alpha=0.8, n_list=(4, 16), variants=("full", "partial1", "partial2", "linear")
+        )
+    nl, bias = {
+        "allen_cahn": (ALLEN_CAHN, None),
+        "burgers": (NonlinearitySpec("burgers"), None),
+        "quadratic_bias": (SKEWED_CUBIC, QUADRATIC),
+    }[name]
+    model = ModelSpec(OP, 0.05, 0.6, nl, (0.7071,), 32)
+    return model, scheme, EstimatorRequest(
+        alpha=0.6, n_list=(4, 8, 16, 20, 32), variants=("full", "partial", "linear"),
+        bias_model=bias,
+    )
+
+
+def output_arrays(out):
+    """Every array of a SimOutput and its accumulator, by name."""
+    acc = out.accumulators
+    arrays = {f"acc.{k}": getattr(acc, k)
+              for k in ("q", "ito", "bias_full", "bias_part", "bias_w", "x0", "xT")}
+    arrays.update({k: getattr(out, k) for k in
+                   ("x0", "xT", "times", "trajectory", "w0", "wT", "w_trajectory")})
+    return {k: None if v is None else np.ascontiguousarray(v) for k, v in arrays.items()}
+
+
+def assert_same_bits(a, b):
+    arrays_a, arrays_b = output_arrays(a), output_arrays(b)
+    for name, x in arrays_a.items():
+        y = arrays_b[name]
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.parametrize("name", ["allen_cahn", "fhn", "burgers", "quadratic_bias"])
+def test_trial_batches_are_bit_identical_to_lone_runs(name):
+    model, scheme, req = batch_case(name)
+    seeds = list(range(11, 27))
+    whole = simulate_trials(model, scheme, req, seeds)
+    split = simulate_trials(model, scheme, req, seeds[:5]) + simulate_trials(
+        model, scheme, req, seeds[5:]
+    )
+    assert len(whole) == len(split) == len(seeds)
+    for seed, a, b in zip(seeds, whole, split):
+        assert_same_bits(a, b)
+        lone = simulate_model(model, replace(scheme, seed=seed), req)
+        assert_same_bits(a, lone)
+    assert whole[0].xT.tobytes() != whole[1].xT.tobytes()
+
+
+def test_trial_batches_reject_bad_seed_lists():
+    model, scheme, req = batch_case("allen_cahn")
+    for seeds in ([], [1, -1], [2**64]):
+        with pytest.raises(ConfigurationError, match="seeds"):
+            simulate_trials(model, scheme, req, seeds)
+
+
+def test_blow_up_in_a_batch_is_the_lone_runs_error():
+    growth = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 0.0, 0.0, 1.0))
+    model = ModelSpec(OP, 0.05, 1.0, growth, (0.5,), 4)
+    scheme = SchemeSpec(dt=0.01, t_final=2.0, seed=0)
+    req = EstimatorRequest(alpha=1.0, n_list=(4,), variants=("full", "linear"))
+    seeds = [101, 102, 103, 104]
+    batch = simulate_trials(model, scheme, req, seeds)
+    failed = 0
+    for seed, out in zip(seeds, batch):
+        lone_scheme = replace(scheme, seed=seed)
+        if isinstance(out, BlowUpError):
+            failed += 1
+            with pytest.raises(BlowUpError) as exc:
+                simulate_model(model, lone_scheme, req)
+            assert (out.step, out.mode, str(out)) == (
+                exc.value.step, exc.value.mode, str(exc.value)
+            )
+        else:
+            assert_same_bits(out, simulate_model(model, lone_scheme, req))
+    assert 0 < failed < len(seeds)
+
+
+def test_noise_blocks_continue_the_whole_run_streams():
+    seeds, h, n_steps = [5, 6, 7], 1e-3, 700
+    amps = np.array([[1.0, 0.5, 0.25], [0.1, 0.2, 0.3]])
+    noise = _NoiseBlocks(seeds, amps, n_steps, h)
+    assert noise.length < n_steps
+    blocks = [noise.block(min(noise.length, n_steps - j)).copy()
+              for j in range(0, n_steps, noise.length)]
+    drawn = np.concatenate(blocks, axis=-1)
+    for b, seed in enumerate(seeds):
+        for c in range(len(amps)):
+            whole = _standard_normals(seed, c, amps.shape[1], n_steps)
+            whole *= math.sqrt(h)
+            whole *= amps[c]
+            assert drawn[b, c].T.tobytes() == whole.tobytes()
+
+
+def traced_peak(n_steps):
+    model = ModelSpec(OP, 0.05, 0.6, ALLEN_CAHN, (0.7071,), 4)
+    scheme = SchemeSpec(dt=1e-4, t_final=n_steps * 1e-4, seed=3)
+    req = EstimatorRequest(alpha=0.6, n_list=(4,), variants=("full", "linear"))
+    tracemalloc.start()
+    try:
+        simulate_model(model, scheme, req)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stepping_memory_does_not_grow_with_n_steps():
+    traced_peak(10)  # fill the caches outside the compared runs
+    short, long = traced_peak(500), traced_peak(4000)
+    # a whole-run noise array would add 8 * 4 * 3500 = 112 kB
+    assert long - short < 24_000
