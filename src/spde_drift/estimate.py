@@ -26,6 +26,7 @@ decomposition identities theta_full = theta_linear + bias hold bit for bit.
 from __future__ import annotations
 
 import copy
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -66,6 +67,8 @@ class EstimatorRequest:
     numerator_mode: str = "robust"
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ConfigurationError("alpha must be finite")
         n_list = tuple(int(n) for n in self.n_list)
         if len(n_list) == 0:
             raise ConfigurationError("n_list must be nonempty")
@@ -212,6 +215,19 @@ class EstimatorAccumulator:
     def add_increment(self, x, x_next):
         self.ito += x * (x_next - x)
 
+    def add_path(self, path, work):
+        """``add_state`` and ``add_increment`` for each step of a drift-free
+        segment, rows x_j .. x_{j+n}; ``work`` is a workspace shaped like it."""
+        # a cumulative sum from the running total adds in step order, where
+        # a plain sum over a single mode would go pairwise
+        work[0] = self.q
+        np.multiply(path[:-1], path[:-1], out=work[1:])
+        self.q[:] = np.cumsum(work, axis=0, out=work)[-1]
+        work[0] = self.ito
+        np.subtract(path[1:], path[:-1], out=work[1:])
+        work[1:] *= path[:-1]
+        self.ito[:] = np.cumsum(work, axis=0, out=work)[-1]
+
     def finalize(self, h: float, x0, xT):
         self.q *= h
         self.bias_full *= h
@@ -247,23 +263,6 @@ class EstimatorAccumulator:
                     setattr(acc, name, arr[b].copy())
             out.append(acc)
         return out
-
-    @classmethod
-    def from_linear_path(
-        cls, path: np.ndarray, h: float, lam, t_final, gamma, n_list
-    ) -> "EstimatorAccumulator":
-        """Accumulator for a drift-free (F = 0) path sampled on a uniform grid.
-
-        ``path`` has shape (n_steps + 1, n_modes); all bias integrals vanish.
-        """
-        acc = cls(lam, t_final, gamma, n_list, track_partial=True)
-        left = path[:-1]
-        acc.q = h * np.sum(left * left, axis=0)
-        acc.ito = np.sum(left * (path[1:] - left), axis=0)
-        acc.x0 = path[0].copy()
-        acc.xT = path[-1].copy()
-        acc._finalized = True
-        return acc
 
     # -- queries -----------------------------------------------------------
 

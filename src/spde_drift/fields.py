@@ -57,15 +57,12 @@ class FHNParams:
     def __post_init__(self):
         if not (0.0 < self.a < 1.0):
             raise ConfigurationError("fhn parameter a must lie in (0, 1)")
-        if self.b < 0:
-            raise ConfigurationError("fhn parameter b must be nonnegative")
-        if self.epsilon < 0:
-            # epsilon = 0 decouples the recovery equation, a useful limit
-            raise ConfigurationError("fhn parameter epsilon must be nonnegative")
-        if self.sigma < 0 or self.sigma_w < 0:
-            raise ConfigurationError("fhn noise amplitudes must be nonnegative")
-        if self.gamma_w < 0:
-            raise ConfigurationError("fhn parameter gamma_w must be nonnegative")
+        # epsilon = 0 decouples the recovery equation, a useful limit
+        for name in ("b", "epsilon", "sigma", "sigma_w", "gamma_w"):
+            if not (0 <= getattr(self, name) < math.inf):
+                raise ConfigurationError(
+                    f"fhn parameter {name} must be nonnegative and finite"
+                )
 
     def cubic_coeffs(self) -> tuple[float, ...]:
         """Ascending coefficients of v(1-v)(v-a) = -a v + (1+a) v^2 - v^3."""
@@ -103,6 +100,8 @@ class NonlinearitySpec:
                 raise ConfigurationError(
                     "polynomial nonlinearity needs coefficients c_0..c_m, m >= 1"
                 )
+            if not all(math.isfinite(c) for c in self.poly_coeffs):
+                raise ConfigurationError("poly_coeffs must be finite")
             if self.poly_coeffs[-1] == 0:
                 raise ConfigurationError(
                     "polynomial leading coefficient must be nonzero"

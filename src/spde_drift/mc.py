@@ -9,13 +9,15 @@ of parallelism.
 The trials are cut into contiguous chunks of min(CHUNK_TRIALS,
 ceil(n_trials / workers)) and each chunk is one task: its trials are stepped
 together as one batch by ``simulate.simulate_trials``, whose outputs are the
-bits of lone runs for any batch size.  At most one worker process is started
-per chunk, and a single worker runs every chunk in-process.
+bits of lone runs for any batch size; drift-free trials are filtered one at a
+time within their chunk.  At most one worker process is started per chunk,
+and a single worker runs every chunk in-process.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -70,11 +72,11 @@ class StudySpec:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ConfigurationError("n_trials must be >= 1")
-        if self.histogram_bin_width <= 0:
-            raise ConfigurationError("histogram_bin_width must be positive")
+        if not (0 < self.histogram_bin_width < math.inf):
+            raise ConfigurationError("histogram_bin_width must be positive and finite")
         lo, hi = self.histogram_range
-        if not lo < hi:
-            raise ConfigurationError("histogram_range must be an increasing pair")
+        if not (-math.inf < lo < hi < math.inf):
+            raise ConfigurationError("histogram_range must be a finite increasing pair")
 
 
 @dataclass

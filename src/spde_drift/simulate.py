@@ -18,11 +18,11 @@ BLAS call per trial), so a trial's output is the same bits in any batch.
 
 Noise increments are drawn from counter-based Philox streams keyed by
 (seed, channel, mode), so trajectories are bit-reproducible regardless of
-host parallelism.  The core draws them a block of steps at a time from
-streams that live for the whole run, so its memory does not grow with the
-step count.  The drift-free case bypasses the core with a vectorized
-per-mode recursion, implicit Euler or exact Ornstein-Uhlenbeck transitions,
-one trial at a time; it holds the whole path.
+host parallelism.  They are drawn a block of steps at a time from streams
+that live for the whole run, so memory does not grow with the step count.
+The drift-free case bypasses the core with a per-mode linear recursion,
+implicit Euler or exact Ornstein-Uhlenbeck transitions, filtered one block
+of steps and one trial at a time.
 
 Estimator integrals are accumulated online with left-endpoint Riemann sums at
 full step resolution; trajectories are only stored when snapshots are
@@ -61,10 +61,10 @@ class ModelSpec:
     initial_w_modes: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not (self.theta_true > 0):
-            raise ConfigurationError("theta_true must be positive")
-        if not (self.gamma > 0):
-            raise ConfigurationError("gamma must be positive")
+        if not (0 < self.theta_true < math.inf):
+            raise ConfigurationError("theta_true must be positive and finite")
+        if not (0 < self.gamma < math.inf):
+            raise ConfigurationError("gamma must be positive and finite")
         if self.n_sim < 1:
             raise ConfigurationError("n_sim must be >= 1")
         init = tuple(float(c) for c in self.initial_modes)
@@ -77,6 +77,8 @@ class ModelSpec:
             w = tuple(float(c) for c in self.initial_w_modes)
             if len(w) > self.n_sim:
                 raise ConfigurationError("initial_w_modes has more entries than n_sim")
+            if not all(math.isfinite(c) for c in w):
+                raise ConfigurationError("initial_w_modes must be finite")
             object.__setattr__(self, "initial_w_modes", w)
 
     def initial_state(self) -> np.ndarray:
@@ -104,12 +106,14 @@ class SchemeSpec:
     noise_scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise ConfigurationError("dt must be positive")
-        if not (self.t_final > 0):
-            raise ConfigurationError("t_final must be positive")
+        if not (0 < self.dt < math.inf):
+            raise ConfigurationError("dt must be positive and finite")
+        if not (0 < self.t_final < math.inf):
+            raise ConfigurationError("t_final must be positive and finite")
         if self.dt > self.t_final:
             raise ConfigurationError("dt must not exceed t_final")
+        if not math.isfinite(self.t_final / self.dt):
+            raise ConfigurationError("dt is too small: t_final / dt overflows")
         n = round(self.t_final / self.dt)
         if n < 1 or abs(n - self.t_final / self.dt) > 1e-9 * max(1.0, n):
             raise ConfigurationError("t_final must be an integer multiple of dt")
@@ -119,8 +123,8 @@ class SchemeSpec:
             raise ConfigurationError("snapshot_stride must be >= 1")
         if self.backend not in BACKENDS:
             raise ConfigurationError(f"backend must be one of {BACKENDS}")
-        if self.noise_scale < 0:
-            raise ConfigurationError("noise_scale must be nonnegative")
+        if not (0 <= self.noise_scale < math.inf):
+            raise ConfigurationError("noise_scale must be nonnegative and finite")
 
     @property
     def n_steps(self) -> int:
@@ -155,26 +159,28 @@ def _standard_normals(seed, channel, n_modes, n_draws) -> np.ndarray:
     return out
 
 
-#: a noise block holds at most this many steps and this many values, so the
-#: stepping models' memory does not grow with n_steps
-_NOISE_BLOCK_STEPS = 256
+#: a noise block holds at most this many values, so memory does not grow
+#: with n_steps; the step loop, which reads one step at a time, also caps
+#: its blocks at this many steps
 _NOISE_BLOCK_VALUES = 1 << 16
+_NOISE_BLOCK_STEPS = 256
 
 
 class _NoiseBlocks:
     """Increments amps[c, k] * dW_j, dW ~ N(0, h), of B trials, drawn a block
-    of steps at a time; trial b, channel c and mode k read the stream keyed
-    (seeds[b], c, k + 1) from first step to last, so every block length
-    gives the draws of one whole-run call."""
+    of at most ``max_steps`` steps at a time; trial b, channel c and mode k
+    read the stream keyed (seeds[b], c, k + 1) from first step to last, so
+    every block length gives the draws of one whole-run call."""
 
-    def __init__(self, seeds, amps: np.ndarray, n_steps: int, h: float):
+    def __init__(self, seeds, amps: np.ndarray, n_steps: int, h: float,
+                 max_steps: int = _NOISE_BLOCK_STEPS):
         self._streams = [
             [[_mode_stream(seed, c, k + 1) for k in range(amps.shape[1])]
              for c in range(len(amps))]
             for seed in seeds
         ]
         n_values = len(seeds) * amps.size
-        length = min(n_steps, _NOISE_BLOCK_STEPS, max(1, _NOISE_BLOCK_VALUES // n_values))
+        length = min(n_steps, max_steps, max(1, _NOISE_BLOCK_VALUES // n_values))
         self.length = length
         self._buf = np.empty((len(seeds),) + amps.shape + (length,))
         self._amps = amps[..., None]
@@ -205,10 +211,11 @@ def _ou_transition(theta, lam, d, gamma, noise_scale):
     return decay, amp
 
 
-def _ar1_filter(decay, amp, draws, out):
-    """Per mode k, out[j] = decay_k out[j-1] + amp_k draws[j] from a zero start."""
+def _ar1_filter(decay, amp, draws, out, zi):
+    """Per mode k, out[j] = decay_k out[j-1] + amp_k draws[j] from state zi[k]."""
+    # zi[k] is updated in place, so the next block continues the recursion
     for k in range(len(decay)):
-        out[:, k] = lfilter([amp[k]], [1.0, -decay[k]], draws[:, k])
+        out[:, k], zi[k] = lfilter([amp[k]], [1.0, -decay[k]], draws[:, k], zi=zi[k])
 
 
 def _snapshot_indices(n_steps: int, stride: int | None) -> np.ndarray | None:
@@ -277,43 +284,47 @@ def _lone(outs: list) -> SimOutput:
 
 
 def _linear_output(model, scheme, req, exact: bool) -> SimOutput:
-    """Drift-free trajectory via a per-mode linear recursion (vectorized)."""
+    """Drift-free trajectory, x_{j+1} = decay x_j + gain noise_j, in blocks."""
     n0 = model.n_sim
     h = scheme.dt
     n_steps = scheme.n_steps
     lam = eigenvalues(model.operator, n0)
-    theta = model.theta_true
     x0 = model.initial_state()
 
-    draws = _standard_normals(scheme.seed, 0, n0, n_steps)
-    if exact:
-        decay, amp = _ou_transition(theta, lam, h, model.gamma, scheme.noise_scale)
-    else:
-        decay = 1.0 / (1.0 + h * theta * lam)
-        amp = decay  # noise enters the implicit step divided by (1 + h theta lam)
-        draws *= math.sqrt(h)
-        draws *= _noise_amp(scheme.noise_scale, lam, model.gamma)
-    path = np.empty((n_steps + 1, n0))
-    path[0] = x0
-    _ar1_filter(decay, amp, draws, path[1:])
-    if np.any(x0 != 0.0):
-        j = np.arange(1, n_steps + 1)[:, None]
-        path[1:] += x0 * decay[None, :] ** j
+    if exact:  # gain scales plain N(0, 1) draws
+        decay, gain = _ou_transition(model.theta_true, lam, h, model.gamma, scheme.noise_scale)
+        amps, step = np.ones(n0), 1.0
+    else:  # noise enters the implicit step divided by (1 + h theta lam)
+        decay = gain = 1.0 / (1.0 + h * model.theta_true * lam)
+        amps, step = _noise_amp(scheme.noise_scale, lam, model.gamma), h
+    # blocks bounded by values alone: each costs one lfilter call per mode
+    noise = _NoiseBlocks((scheme.seed,), amps[None], n_steps, step, max_steps=n_steps)
+    acc = EstimatorAccumulator(lam, scheme.t_final, model.gamma, req.n_list)
+    idx = _snapshot_indices(n_steps, scheme.snapshot_stride)
+    snaps = [x0[None]]
+    seg, work = np.empty((2, noise.length + 1, n0))
+    seg[0] = x0
+    zi = np.zeros((n0, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j0 in range(0, n_steps, noise.length):
+            n = min(noise.length, n_steps - j0)
+            path = seg[: n + 1]  # x_{j0} .. x_{j0 + n}
+            _ar1_filter(decay, gain, noise.block(n)[0, 0].T, path[1:], zi)
+            if np.any(x0 != 0.0):
+                path[1:] += x0 * decay ** np.arange(j0 + 1, j0 + n + 1)[:, None]
+            acc.add_path(path, work[: n + 1])
+            if idx is not None:
+                snaps.append(path[idx[(idx > j0) & (idx <= j0 + n)] - j0])
+            seg[0] = path[-1]
 
-    err = _blow_up(path[-1], n_steps)
+    err = _blow_up(seg[0], n_steps)
     if err is not None:
         raise err
-    acc = EstimatorAccumulator.from_linear_path(
-        path, h, lam, scheme.t_final, model.gamma, req.n_list
-    )
-    idx = _snapshot_indices(n_steps, scheme.snapshot_stride)
-    times = trajectory = None
-    if idx is not None:
-        times = idx * h
-        trajectory = path[idx].copy()
+    acc.finalize(h, x0, seg[0])
     return SimOutput(
-        x0=path[0].copy(), xT=path[-1].copy(), accumulators=acc,
-        times=times, trajectory=trajectory,
+        x0=x0, xT=seg[0].copy(), accumulators=acc,
+        times=None if idx is None else idx * h,
+        trajectory=None if idx is None else np.concatenate(snaps),
     )
 
 
@@ -407,7 +418,7 @@ def _semilinear_trials(model, scheme, req, grid, seeds) -> list:
         )
     if model.nonlinearity.variant == "none" and bias_nl.variant == "none":
         outs = []
-        for seed in seeds:  # one at a time: each holds its whole path
+        for seed in seeds:  # one at a time: a batch would shrink the blocks
             try:
                 outs.append(_linear_output(model, replace(scheme, seed=seed), req, exact))
             except BlowUpError as exc:
@@ -598,7 +609,7 @@ def simulate_ou_exact(
         uniform = diffs[0] > 0 and np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0)
         if uniform:
             decay, amp = _ou_transition(theta, lam, diffs[0], gamma, noise_scale)
-            _ar1_filter(decay, amp, draws, path[1:])
+            _ar1_filter(decay, amp, draws, path[1:], np.zeros((n_modes, 1)))
         else:
             x = np.zeros(n_modes)
             for i, dt in enumerate(diffs):

@@ -40,8 +40,8 @@ class OperatorSpec:
                 f"unsupported operator kind {self.kind!r}; "
                 f"supported: {', '.join(_SUPPORTED_KINDS)}"
             )
-        if not (self.domain_length > 0):
-            raise ConfigurationError("domain_length must be positive")
+        if not (0 < self.domain_length < math.inf):
+            raise ConfigurationError("domain_length must be positive and finite")
         beta = 2.0
         lam_scale = (math.pi / self.domain_length) ** 2
         if self.beta is not None and self.beta != beta:

@@ -1,7 +1,9 @@
+import configparser
 import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -296,3 +298,99 @@ def test_mc_blow_up_exits_with_runtime_code_and_flushes_report(
         for f in summary["failures"]
     )
     assert (out / "estimates.csv").read_bytes() == b"trial,variant,N,alpha,theta_hat,z\r\n"
+
+
+FHN_CONFIG = """
+[model]
+theta_true = 0.02
+gamma = 0.8
+nonlinearity = fhn
+a = 0.5
+b = 1.0
+epsilon = 0.1
+initial_modes = 0.5
+initial_w_modes = 0.1
+n_sim = 4
+
+[scheme]
+dt = 0.01
+t_final = 0.1
+seed = 3
+
+[estimators]
+alpha = 0.8
+n_list = 4
+"""
+
+
+def with_value(text, section, key, value):
+    """The config ``text`` with ``key`` in ``section`` set to ``value``."""
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    parser[section][key] = value
+    out = io.StringIO()
+    parser.write(out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("base, section, key, value", [
+    ("linear", "study", "histogram_bin_width", "nan"),
+    ("linear", "study", "histogram_range", "0, inf"),
+    ("linear", "scheme", "dt", "1e-320"),
+    ("linear", "scheme", "noise_scale", "nan"),
+    ("linear", "scheme", "noise_scale", "inf"),
+    ("linear", "estimators", "alpha", "nan"),
+    ("linear", "estimators", "alpha", "inf"),
+    ("linear", "model", "theta_true", "inf"),
+    ("linear", "model", "gamma", "inf"),
+    ("fhn", "model", "initial_w_modes", "0.1, nan"),
+    ("fhn", "model", "b", "nan"),
+    ("fhn", "model", "epsilon", "inf"),
+    ("fhn", "model", "sigma", "nan"),
+    ("fhn", "model", "sigma_w", "inf"),
+    ("fhn", "model", "gamma_w", "nan"),
+])
+def test_non_finite_numbers_are_validation_errors(
+    base, section, key, value, tmp_path, capsys
+):
+    text = {"linear": LINEAR_CONFIG, "fhn": FHN_CONFIG}[base]
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(with_value(text, section, key, value))
+    assert main(["estimate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert re.search(rf"^error: .*\b{key}\b", captured.err)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, flag", [("simulate", "--out"), ("mc", "--out-dir")])
+def test_output_path_under_a_regular_file_is_io_error(
+    command, flag, linear_cfg, tmp_path, capsys
+):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    argv = [command, str(linear_cfg), flag, str(blocker / "out")]
+    assert main(argv + (["--threads", "1"] if command == "mc" else [])) == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
+
+
+def test_bad_thread_count_in_environment_is_validation_error(
+    linear_cfg, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv("SPDE_DRIFT_THREADS", "two")
+    assert main(["mc", str(linear_cfg), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: SPDE_DRIFT_THREADS must be an integer, got 'two'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_degenerate_trajectory_is_runtime_error(tmp_path, capsys):
+    # no initial condition and no noise: the path is zero and so is every D_N
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(with_value(LINEAR_CONFIG, "scheme", "noise_scale", "0"))
+    assert main(["estimate", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(
+        r"error: denominator D_2 = 0\.0 is numerically zero \(degenerate trajectory\)\n",
+        captured.err,
+    )
+    assert captured.out == ""

@@ -92,9 +92,9 @@ def test_deterministic_decay_recovers_theta_via_ito_sum():
     t = np.arange(n_steps + 1) * h
     path = np.exp(-theta * lam1 * t)[:, None]
     for alpha in (0.0, 0.7):
-        acc = EstimatorAccumulator.from_linear_path(
-            path, h, eigenvalues(OP, 1), t_final, gamma=0.5, n_list=(1,)
-        )
+        acc = EstimatorAccumulator(eigenvalues(OP, 1), t_final, gamma=0.5, n_list=(1,))
+        acc.add_path(path, np.empty_like(path))
+        acc.finalize(h, path[0], path[-1])
         req = EstimatorRequest(
             alpha=alpha, n_list=(1,), variants=("linear",), numerator_mode="ito_sum"
         )

@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 from scipy.special import ndtr
 
 from spde_drift.errors import BlowUpError, ConfigurationError
 from spde_drift.estimate import EstimatorRequest
 from spde_drift.fields import ALLEN_CAHN, FHNParams, NonlinearitySpec
+from spde_drift import simulate
 from spde_drift.simulate import (
     ModelSpec,
     SchemeSpec,
@@ -417,6 +419,11 @@ def batch_case(name):
         return model, scheme, EstimatorRequest(
             alpha=0.8, n_list=(4, 16), variants=("full", "partial1", "partial2", "linear")
         )
+    if name.startswith("drift_free_"):
+        model = ModelSpec(OP, 0.05, 0.6, NONE_NL, (0.7071, -0.2), 32)
+        return model, replace(scheme, backend=name[len("drift_free_"):]), EstimatorRequest(
+            alpha=0.6, n_list=(4, 32), variants=("full", "partial", "linear")
+        )
     nl, bias = {
         "allen_cahn": (ALLEN_CAHN, None),
         "burgers": (NonlinearitySpec("burgers"), None),
@@ -448,7 +455,10 @@ def assert_same_bits(a, b):
             assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
-@pytest.mark.parametrize("name", ["allen_cahn", "fhn", "burgers", "quadratic_bias"])
+@pytest.mark.parametrize("name", [
+    "allen_cahn", "fhn", "burgers", "quadratic_bias", "drift_free_euler",
+    "drift_free_ou_exact",
+])
 def test_trial_batches_are_bit_identical_to_lone_runs(name):
     model, scheme, req = batch_case(name)
     seeds = list(range(11, 27))
@@ -526,3 +536,114 @@ def test_stepping_memory_does_not_grow_with_n_steps():
     short, long = traced_peak(500), traced_peak(4000)
     # a whole-run noise array would add 8 * 4 * 3500 = 112 kB
     assert long - short < 24_000
+
+
+def drift_free_traced_peak(backend, n_steps):
+    model = linear_model(theta=0.1, gamma=0.5, x0=(0.5,), n_sim=64)
+    scheme = SchemeSpec(dt=1e-4, t_final=n_steps * 1e-4, seed=3, backend=backend)
+    req = EstimatorRequest(alpha=0.5, n_list=(8, 64))
+    tracemalloc.start()
+    try:
+        simulate_model(model, scheme, req)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("backend", ["euler", "ou_exact"])
+def test_drift_free_memory_does_not_grow_with_n_steps(backend):
+    drift_free_traced_peak(backend, 10)
+    short = drift_free_traced_peak(backend, 2048)
+    long = drift_free_traced_peak(backend, 16384)
+    # a whole-run path or draw array would add 8 * 64 * 14336 = 7.3 MB each
+    assert long - short < 1_000_000
+
+
+def reference_linear_output(model, scheme):
+    """The drift-free run as a whole path: every draw at once, one lfilter
+    call per mode over the whole run, and axis-0 sums over the path."""
+    n0, h, n_steps = model.n_sim, scheme.dt, scheme.n_steps
+    theta, gamma = model.theta_true, model.gamma
+    lam = eigenvalues(model.operator, n0)
+    x0 = model.initial_state()
+    draws = _standard_normals(scheme.seed, 0, n0, n_steps)
+    amp_noise = scheme.noise_scale * lam ** (-gamma)
+    if scheme.backend == "ou_exact":
+        decay = np.exp(-theta * lam * h)
+        amp = amp_noise * np.sqrt(-np.expm1(-2.0 * theta * lam * h) / (2.0 * theta * lam))
+    else:
+        decay = amp = 1.0 / (1.0 + h * theta * lam)
+        draws *= math.sqrt(h)
+        draws *= amp_noise
+    path = np.empty((n_steps + 1, n0))
+    path[0] = x0
+    for k in range(n0):
+        path[1:, k] = lfilter([amp[k]], [1.0, -decay[k]], draws[:, k])
+    if np.any(x0 != 0.0):
+        path[1:] += x0 * decay[None, :] ** np.arange(1, n_steps + 1)[:, None]
+    left = path[:-1]
+    steps = left * (path[1:] - left)
+    ref = {
+        "q": h * np.sum(left * left, axis=0), "ito": np.sum(steps, axis=0),
+        "x0": path[0], "xT": path[-1], "times": None, "trajectory": None,
+        "ito_scale": np.sum(np.abs(steps), axis=0),
+    }
+    if scheme.snapshot_stride is not None:
+        idx = list(range(0, n_steps + 1, scheme.snapshot_stride))
+        idx += [] if idx[-1] == n_steps else [n_steps]
+        ref["times"], ref["trajectory"] = np.asarray(idx) * h, path[idx]
+    return ref
+
+
+DRIFT_FREE_CASES = [
+    # (n_sim, x0, noise_scale, stride, n_steps, block values)
+    (2, (0.0,), 1.0, None, 1000, 2 * 64),
+    (5, (0.4, -0.1), 1.0, 7, 3001, 5 * 256),
+    (5, (0.4,), 0.0, 7, 1000, 5 * 3),
+    (20, (0.0,), 1.0, 7, 2500, None),
+    (20, (0.3,), 1.0, None, 7000, None),
+    (64, (0.7, 0.2), 1.0, 7, 2500, None),
+    (64, (0.0,), 0.0, None, 300, 64),
+]
+
+
+@pytest.mark.parametrize("backend", ["euler", "ou_exact"])
+@pytest.mark.parametrize(
+    "case", DRIFT_FREE_CASES, ids=[f"n{c[0]}-{c[4]}steps" for c in DRIFT_FREE_CASES]
+)
+def test_drift_free_blocks_reproduce_the_whole_path(backend, case, monkeypatch):
+    n_sim, x0, noise_scale, stride, n_steps, block_values = case
+    if block_values is not None:  # blocks of block_values // n_sim steps
+        monkeypatch.setattr(simulate, "_NOISE_BLOCK_VALUES", block_values)
+    model = linear_model(theta=0.1, gamma=0.5, x0=x0, n_sim=n_sim)
+    scheme = SchemeSpec(
+        dt=1e-4, t_final=n_steps * 1e-4, seed=40 + n_sim, snapshot_stride=stride,
+        backend=backend, noise_scale=noise_scale,
+    )
+    out = simulate_model(model, scheme, EstimatorRequest(alpha=0.5, n_list=(1, n_sim)))
+    ref = reference_linear_output(model, scheme)
+    acc = out.accumulators
+    got = {"q": acc.q, "ito": acc.ito, "x0": out.x0, "xT": out.xT, "times": out.times,
+           "trajectory": out.trajectory}
+    for name, x in got.items():
+        assert (x is None) == (ref[name] is None), name
+        if x is not None:
+            assert x.shape == ref[name].shape and x.tobytes() == ref[name].tobytes(), name
+    assert acc.x0.tobytes() == out.x0.tobytes() and acc.xT.tobytes() == out.xT.tobytes()
+    assert not acc.bias_full.any() and acc.bias_part.shape == (2, n_sim)
+    assert not acc.bias_part.any()
+
+
+@pytest.mark.parametrize("backend", ["euler", "ou_exact"])
+@pytest.mark.parametrize("x0", [(0.0,), (0.7,)])
+def test_single_mode_drift_free_sums_match_the_whole_path(backend, x0):
+    # with one mode the whole-path sum over an (n_steps, 1) array is pairwise,
+    # the running total sequential; they agree to round-off of the terms
+    model = linear_model(theta=0.1, gamma=0.5, x0=x0, n_sim=1)
+    scheme = SchemeSpec(dt=1e-4, t_final=0.03, seed=8, backend=backend, snapshot_stride=7)
+    out = simulate_model(model, scheme, REQ1)
+    ref = reference_linear_output(model, scheme)
+    assert abs(out.accumulators.q[0] - ref["q"][0]) <= 1e-15 * ref["q"][0]
+    assert abs(out.accumulators.ito[0] - ref["ito"][0]) <= 1e-15 * ref["ito_scale"][0]
+    for name in ("x0", "xT", "trajectory"):
+        assert getattr(out, name).tobytes() == ref[name].tobytes(), name
