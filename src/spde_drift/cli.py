@@ -28,7 +28,6 @@ from .mc import (
     MCReport,
     StudySpec,
     estimate_rows,
-    resolve_threads,
     run_study,
     standardize_rows,
     theoretical_variance,
@@ -141,9 +140,8 @@ def cmd_mc(args) -> int:
     if cfg.study is None:
         raise ConfigurationError("the mc subcommand needs a [study] section")
     out_dir = Path(args.out_dir)
-    threads = resolve_threads(args.threads)
     try:
-        report = run_study(cfg.study, threads=threads)
+        report = run_study(cfg.study, threads=args.threads)
     except StudyError as exc:
         if exc.report is not None:  # flush partial results before failing
             _write_report(exc.report, out_dir, cfg.study)

@@ -12,10 +12,10 @@ import configparser
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
-from .estimate import EstimatorRequest
-from .fields import FHNParams, NonlinearitySpec
+from .estimate import COUPLED_VARIANTS, NUMERATOR_MODES, SCALAR_VARIANTS, EstimatorRequest
+from .fields import VARIANTS, FHNParams, NonlinearitySpec
 from .mc import StudySpec
-from .simulate import ModelSpec, SchemeSpec
+from .simulate import BACKENDS, ModelSpec, SchemeSpec
 from .spectrum import DIRICHLET_LAPLACIAN_1D, OperatorSpec
 
 _MODEL_KEYS = {
@@ -112,10 +112,7 @@ class _Section:
 
 
 def _parse_nonlinearity(sec: _Section) -> NonlinearitySpec:
-    variant = sec.string(
-        "nonlinearity", default="none",
-        choices=("none", "polynomial", "burgers", "fhn"),
-    )
+    variant = sec.string("nonlinearity", default="none", choices=VARIANTS)
     if variant == "polynomial":
         coeffs = sec.float_list("poly_coeffs", required=True)
         return NonlinearitySpec("polynomial", poly_coeffs=coeffs)
@@ -154,16 +151,13 @@ def _parse_scheme(sec: _Section) -> SchemeSpec:
         t_final=sec.floatval("t_final", required=True),
         seed=sec.intval("seed", required=True),
         snapshot_stride=sec.intval("snapshot_stride", default=None),
-        backend=sec.string("backend", default="euler", choices=("euler", "ou_exact")),
+        backend=sec.string("backend", default="euler", choices=BACKENDS),
         noise_scale=sec.floatval("noise_scale", default=1.0),
     )
 
 
 def _parse_estimators(sec: _Section, coupled: bool) -> EstimatorRequest:
-    default_variants = (
-        ("full", "partial1", "partial2", "linear") if coupled
-        else ("full", "partial", "linear")
-    )
+    default_variants = COUPLED_VARIANTS if coupled else SCALAR_VARIANTS
     bias_kind = sec.string(
         "bias_model", default="model", choices=("model", "none", "polynomial")
     )
@@ -181,7 +175,7 @@ def _parse_estimators(sec: _Section, coupled: bool) -> EstimatorRequest:
         variants=sec.str_list("variants", default=default_variants),
         bias_model=bias,
         numerator_mode=sec.string(
-            "numerator_mode", default="robust", choices=("robust", "ito_sum")
+            "numerator_mode", default="robust", choices=NUMERATOR_MODES
         ),
     )
 

@@ -8,8 +8,13 @@ linear-implicit Euler core steps them all,
     x_{j+1} = (x_j + h F(x_j) + noise_j) / denom,
 
 implicit in theta A through denom^k = 1 + h theta lambda_k and explicit in
-the recovery component, whose denom is 1.  A model supplies denom, its noise
-amplitudes and a drift closure that also feeds the estimator accumulator.
+the recovery component, whose denom is 1.
+
+One builder, ``simulate_trials``, checks every request up front and sets
+every model up: denom, noise amplitudes, row masks, the pseudospectral plan,
+the accumulator and a drift closure that also feeds it.  The coupled system
+is the scalar setup for the activator v, with its cubic as the bias
+nonlinearity, plus an explicit recovery row w.
 
 The core steps a batch of trials, one per seed, as one ``(trials,
 components, n_modes)`` state; a single trajectory is a batch of one.  Each
@@ -38,7 +43,13 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import BlowUpError, ConfigurationError
-from .estimate import EstimatorAccumulator, EstimatorRequest, warn_if_inadmissible
+from .estimate import (
+    COUPLED_VARIANTS,
+    SCALAR_VARIANTS,
+    EstimatorAccumulator,
+    EstimatorRequest,
+    warn_if_inadmissible,
+)
 from .fields import GridSpec, NemytskiiPlan, NonlinearitySpec, default_grid
 from .spectrum import OperatorSpec, eigenvalues
 
@@ -237,20 +248,6 @@ def _blow_up(x: np.ndarray, step: int) -> BlowUpError | None:
     return BlowUpError(step=step, mode=int(np.flatnonzero(bad)[0]) % x.shape[-1] + 1)
 
 
-def _validate_request(model: ModelSpec, req: EstimatorRequest):
-    if max(req.n_list) > model.n_sim:
-        raise ConfigurationError(
-            f"requested truncation {max(req.n_list)} exceeds n_sim={model.n_sim}"
-        )
-
-
-def _resolve_grid(model: ModelSpec, bias_nl: NonlinearitySpec, grid: GridSpec | None):
-    degree = max(model.nonlinearity.degree, bias_nl.degree)
-    if grid is None:
-        return default_grid(model.n_sim, degree)
-    return grid
-
-
 def _row_masks(n_list, n_modes) -> np.ndarray:
     """Row 0 keeps the full state, row i the first n_list[i-1] modes."""
     masks = np.zeros((1 + len(n_list), n_modes))
@@ -258,29 +255,6 @@ def _row_masks(n_list, n_modes) -> np.ndarray:
     for i, n in enumerate(n_list, start=1):
         masks[i, :n] = 1.0
     return masks
-
-
-def simulate_semilinear(
-    model: ModelSpec,
-    scheme: SchemeSpec,
-    est_req: EstimatorRequest,
-    grid: GridSpec | None = None,
-) -> SimOutput:
-    """Simulate one trajectory and collect all requested estimator integrals.
-
-    Dispatches to exact transition sampling when ``scheme.backend`` is
-    ``"ou_exact"`` (drift-free models only) and to a vectorized implicit-Euler
-    recursion when the nonlinearity is ``none``; otherwise steps the
-    semi-implicit scheme with pseudospectral drift evaluation.
-    """
-    return _lone(_semilinear_trials(model, scheme, est_req, grid, (scheme.seed,)))
-
-
-def _lone(outs: list) -> SimOutput:
-    (out,) = outs
-    if isinstance(out, BlowUpError):
-        raise out
-    return out
 
 
 def _linear_output(model, scheme, req, exact: bool) -> SimOutput:
@@ -401,75 +375,19 @@ def _retire(x, step: int, failed: list):
             x[b] = 0.0
 
 
-def _semilinear_trials(model, scheme, req, grid, seeds) -> list:
+def simulate_semilinear(
+    model: ModelSpec,
+    scheme: SchemeSpec,
+    est_req: EstimatorRequest,
+    grid: GridSpec | None = None,
+) -> SimOutput:
+    """One trajectory of a scalar model: ``simulate_model`` for every
+    nonlinearity but ``fhn``.  Drift-free models take the per-mode linear
+    recursion (exact transitions on the ``ou_exact`` backend); the rest step
+    the linear-implicit scheme with pseudospectral drift evaluation."""
     if model.nonlinearity.variant == "fhn":
         raise ConfigurationError("use simulate_fhn for the coupled system")
-    _validate_request(model, req)
-    warn_if_inadmissible(req.alpha, model.gamma, model.operator.beta)
-
-    bias_nl = model.nonlinearity if req.bias_model is None else req.bias_model
-    if bias_nl.variant == "fhn":
-        raise ConfigurationError("fhn is not a valid bias model for scalar runs")
-
-    exact = scheme.backend == "ou_exact"
-    if exact and (model.nonlinearity.variant != "none" or bias_nl.variant != "none"):
-        raise ConfigurationError(
-            "backend 'ou_exact' requires a drift-free model (nonlinearity none)"
-        )
-    if model.nonlinearity.variant == "none" and bias_nl.variant == "none":
-        outs = []
-        for seed in seeds:  # one at a time: a batch would shrink the blocks
-            try:
-                outs.append(_linear_output(model, replace(scheme, seed=seed), req, exact))
-            except BlowUpError as exc:
-                outs.append(exc)
-        return outs
-
-    n0 = model.n_sim
-    h = scheme.dt
-    op = model.operator
-    lam = eigenvalues(op, n0)
-    grid = _resolve_grid(model, bias_nl, grid)
-    n_trials = len(seeds)
-
-    denom = (1.0 + h * model.theta_true * lam)[None]
-    amp = _noise_amp(scheme.noise_scale, lam, model.gamma)[None]
-
-    dyn_nl = model.nonlinearity
-    same_bias = req.bias_model is None
-    has_bias = bias_nl.variant != "none"
-    has_dyn = dyn_nl.variant != "none"
-    need_rows = has_bias and req.wants_partial
-    masks = _row_masks(req.n_list if need_rows else (), n0)
-    batch = np.empty((n_trials,) + masks.shape)
-    bias_eval = (
-        NemytskiiPlan(bias_nl, grid, op, batch.shape[:-1], n0, n0) if has_bias else None
-    )
-    dyn_eval = (
-        NemytskiiPlan(dyn_nl, grid, op, (n_trials, 1), n0, n0)
-        if has_dyn and not same_bias else None
-    )
-
-    acc = EstimatorAccumulator.batched(
-        n_trials, lam, scheme.t_final, model.gamma, req.n_list,
-        track_partial=(need_rows or not has_bias),
-    )
-
-    def drift(x):
-        out = f_rows = None
-        if has_bias:
-            np.multiply(x, masks, out=batch)
-            out = bias_eval(batch)
-            if need_rows:
-                f_rows = out[:, 1:]
-        acc.add_state(
-            x[:, 0], f_full=None if out is None else out[:, 0], f_part_rows=f_rows
-        )
-        if same_bias:
-            return out[:, :1]
-        return dyn_eval(x) if has_dyn else None
-
-    return _euler_loop(scheme, seeds, denom, amp, model.initial_state()[None], drift, acc)
+    return simulate_model(model, scheme, est_req, grid)
 
 
 def simulate_fhn(
@@ -478,72 +396,17 @@ def simulate_fhn(
     est_req: EstimatorRequest,
     grid: GridSpec | None = None,
 ) -> SimOutput:
-    """Coupled activator/recovery system.
+    """One trajectory of the coupled system: ``simulate_model`` for an
+    ``fhn`` nonlinearity.
 
-    The activator v is stepped linear-implicitly like the scalar equation;
-    the recovery component w is stepped explicitly,
+    The activator v is the scalar equation with the cubic v(1-v)(v-a); the
+    recovery component w is stepped explicitly,
     w_{j+1} = w_j + h eps (v_j - b w_j) + sigma_w lambda^{-gamma_w} dW^{(2)}.
     Accumulates the integrals for all four coupled-system estimators.
     """
-    return _lone(_fhn_trials(model, scheme, est_req, grid, (scheme.seed,)))
-
-
-def _fhn_trials(model, scheme, est_req, grid, seeds) -> list:
-    nl = model.nonlinearity
-    if nl.variant != "fhn":
+    if model.nonlinearity.variant != "fhn":
         raise ConfigurationError("simulate_fhn requires an fhn nonlinearity")
-    if est_req.bias_model is not None:
-        raise ConfigurationError(
-            "bias_model overrides are not supported for the coupled system"
-        )
-    if any(v == "partial" for v in est_req.variants):
-        raise ConfigurationError(
-            "coupled runs use variants full/partial1/partial2/linear"
-        )
-    if scheme.backend != "euler":
-        raise ConfigurationError("the coupled system only supports the euler backend")
-    _validate_request(model, est_req)
-    warn_if_inadmissible(est_req.alpha, model.gamma, model.operator.beta)
-
-    p = nl.fhn_params
-    n0 = model.n_sim
-    h = scheme.dt
-    op = model.operator
-    lam = eigenvalues(op, n0)
-    cubic = NonlinearitySpec("polynomial", poly_coeffs=p.cubic_coeffs())
-    grid = _resolve_grid(model, cubic, grid)
-    n_trials = len(seeds)
-
-    denom = np.ones((2, n0))  # w is stepped explicitly
-    denom[0] = 1.0 + h * model.theta_true * lam
-    amps = np.stack([
-        p.sigma * _noise_amp(scheme.noise_scale, lam, model.gamma),
-        p.sigma_w * _noise_amp(scheme.noise_scale, lam, p.gamma_w),
-    ])
-
-    need_rows = est_req.wants_partial
-    masks = _row_masks(est_req.n_list if need_rows else (), n0)
-    batch = np.empty((n_trials,) + masks.shape)
-    cubic_eval = NemytskiiPlan(cubic, grid, op, batch.shape[:-1], n0, n0)
-    acc = EstimatorAccumulator.batched(
-        n_trials, lam, scheme.t_final, model.gamma, est_req.n_list,
-        coupled=True, track_partial=need_rows,
-    )
-    f = np.empty((n_trials, 2, n0))
-    f_parts = f.swapaxes(0, 1)  # (F_v, F_w) of every trial
-
-    def drift(x):
-        v, w = x[:, 0], x[:, 1]
-        np.multiply(x[:, :1], masks, out=batch)
-        out = cubic_eval(batch)
-        acc.add_state(
-            v, f_full=out[:, 0], f_part_rows=out[:, 1:] if need_rows else None, w=w
-        )
-        p.coupled_drift(out[:, 0], v, w, f_parts)
-        return f
-
-    x0 = np.stack([model.initial_state(), model.initial_w_state()])
-    return _euler_loop(scheme, seeds, denom, amps, x0, drift, acc)
+    return simulate_model(model, scheme, est_req, grid)
 
 
 def simulate_model(
@@ -552,8 +415,40 @@ def simulate_model(
     est_req: EstimatorRequest,
     grid: GridSpec | None = None,
 ) -> SimOutput:
-    """Dispatch to the scalar or coupled simulator based on the model."""
-    return _lone(simulate_trials(model, scheme, est_req, (scheme.seed,), grid))
+    """One trajectory of any model: the batch of ``simulate_trials`` whose
+    only seed is ``scheme.seed``; a blow-up is raised."""
+    (out,) = simulate_trials(model, scheme, est_req, (scheme.seed,), grid)
+    if isinstance(out, BlowUpError):
+        raise out
+    return out
+
+
+def _check_request(model, scheme, req, seeds):
+    """Raise the ConfigurationError of the first rule that the run breaks."""
+    coupled = model.nonlinearity.variant == "fhn"
+    bias = req.bias_model
+    drifts = model.nonlinearity.variant != "none" or (
+        bias is not None and bias.variant != "none"
+    )
+    variants = COUPLED_VARIANTS if coupled else SCALAR_VARIANTS
+    for broken, message in [
+        (len(seeds) == 0 or not all(0 <= int(s) < _MAX_SEED for s in seeds),
+         "seeds must be a nonempty list of 64-bit seeds"),
+        (coupled and bias is not None,
+         "bias_model overrides are not supported for the coupled system"),
+        (not set(req.variants) <= set(variants),
+         f"{'coupled' if coupled else 'scalar'} runs use variants {'/'.join(variants)}"),
+        (coupled and scheme.backend != "euler",
+         "the coupled system only supports the euler backend"),
+        (max(req.n_list) > model.n_sim,
+         f"requested truncation {max(req.n_list)} exceeds n_sim={model.n_sim}"),
+        (not coupled and bias is not None and bias.variant == "fhn",
+         "fhn is not a valid bias model for scalar runs"),
+        (scheme.backend == "ou_exact" and drifts,
+         "backend 'ou_exact' requires a drift-free model (nonlinearity none)"),
+    ]:
+        if broken:
+            raise ConfigurationError(message)
 
 
 def simulate_trials(
@@ -565,12 +460,87 @@ def simulate_trials(
 ) -> list:
     """One trajectory per seed (``scheme.seed`` is not used), stepped together
     as one batch.  Entry b is what ``simulate_model`` returns for seed b, bit
-    for bit, or the ``BlowUpError`` that it raises."""
-    if len(seeds) == 0 or not all(0 <= int(s) < _MAX_SEED for s in seeds):
-        raise ConfigurationError("seeds must be a nonempty list of 64-bit seeds")
-    if model.nonlinearity.variant == "fhn":
-        return _fhn_trials(model, scheme, est_req, grid, seeds)
-    return _semilinear_trials(model, scheme, est_req, grid, seeds)
+    for bit, or the ``BlowUpError`` that it raises.
+
+    A coupled model is the scalar setup plus a recovery row w: its bias
+    nonlinearity is the activator's cubic, w has denom 1 and amplitude
+    sigma_w lambda^{-gamma_w}, and ``FHNParams.coupled_drift`` completes F.
+    """
+    _check_request(model, scheme, est_req, seeds)
+    warn_if_inadmissible(est_req.alpha, model.gamma, model.operator.beta)
+    nl = model.nonlinearity
+    coupled = nl.variant == "fhn"
+    if coupled:
+        p = nl.fhn_params
+        bias_nl = NonlinearitySpec("polynomial", poly_coeffs=p.cubic_coeffs())
+    else:
+        bias_nl = nl if est_req.bias_model is None else est_req.bias_model
+    if nl.variant == "none" and bias_nl.variant == "none":
+        exact = scheme.backend == "ou_exact"
+        outs = []
+        for seed in seeds:  # one at a time: a batch would shrink the blocks
+            try:
+                outs.append(_linear_output(model, replace(scheme, seed=seed), est_req, exact))
+            except BlowUpError as exc:
+                outs.append(exc)
+        return outs
+
+    n0 = model.n_sim
+    h = scheme.dt
+    op = model.operator
+    lam = eigenvalues(op, n0)
+    if grid is None:
+        grid = default_grid(n0, max(nl.degree, bias_nl.degree))
+    n_trials = len(seeds)
+
+    denom = np.ones((1 + coupled, n0))  # w is stepped explicitly
+    denom[0] = 1.0 + h * model.theta_true * lam
+    amps = _noise_amp(scheme.noise_scale, lam, model.gamma)[None]
+    if coupled:
+        amps = np.stack([
+            p.sigma * amps[0], p.sigma_w * _noise_amp(scheme.noise_scale, lam, p.gamma_w)
+        ])
+
+    same_bias = est_req.bias_model is None
+    has_bias = bias_nl.variant != "none"
+    has_dyn = nl.variant != "none"
+    need_rows = has_bias and est_req.wants_partial
+    masks = _row_masks(est_req.n_list if need_rows else (), n0)
+    batch = np.empty((n_trials,) + masks.shape)
+    bias_eval = (
+        NemytskiiPlan(bias_nl, grid, op, batch.shape[:-1], n0, n0) if has_bias else None
+    )
+    dyn_eval = (
+        NemytskiiPlan(nl, grid, op, (n_trials, 1), n0, n0)
+        if has_dyn and not same_bias else None
+    )
+    acc = EstimatorAccumulator.batched(
+        n_trials, lam, scheme.t_final, model.gamma, est_req.n_list,
+        coupled=coupled, track_partial=(need_rows or not has_bias),
+    )
+    f = np.empty((n_trials,) + denom.shape)
+    f_parts = f.swapaxes(0, 1)  # (F_v, F_w) of every coupled trial
+
+    def drift(x):
+        v, w = x[:, 0], x[:, 1] if coupled else None
+        out = f_rows = None
+        if has_bias:
+            np.multiply(x[:, :1], masks, out=batch)
+            out = bias_eval(batch)
+            if need_rows:
+                f_rows = out[:, 1:]
+        acc.add_state(
+            v, f_full=None if out is None else out[:, 0], f_part_rows=f_rows, w=w
+        )
+        if coupled:
+            p.coupled_drift(out[:, 0], v, w, f_parts)
+            return f
+        if same_bias:
+            return out[:, :1]
+        return dyn_eval(x) if has_dyn else None
+
+    x0 = np.stack([model.initial_state(), model.initial_w_state()][: len(denom)])
+    return _euler_loop(scheme, seeds, denom, amps, x0, drift, acc)
 
 
 def simulate_ou_exact(

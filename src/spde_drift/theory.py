@@ -199,6 +199,13 @@ def _not_covered_all() -> dict[str, EstimatorAdvice]:
     }
 
 
+def _variance(q: AdvisorQuery, beta: float) -> float:
+    """V of the full estimator, once the alpha hypothesis holds."""
+    return asymptotic_constants(
+        q.theta, q.t_final, q.lambda_scale, beta, q.gamma, q.alpha
+    ).variance
+
+
 def _advise_reaction_diffusion(q: AdvisorQuery) -> Advice:
     n = q.n
     beta = 2.0 / n
@@ -206,8 +213,10 @@ def _advise_reaction_diffusion(q: AdvisorQuery) -> Advice:
     hyp: list[tuple[str, bool]] = []
     notes = []
 
-    alpha_ok = q.alpha > q.gamma - (n + 2) / 16.0
-    hyp.append((f"alpha > gamma - (n+2)/16 = {q.gamma - (n + 2) / 16.0}", alpha_ok))
+    # (n+2)/16 as asymptotic_constants computes it, so _variance never refuses
+    threshold = q.gamma - (1.0 + 1.0 / beta) / 8.0
+    alpha_ok = q.alpha > threshold
+    hyp.append((f"alpha > gamma - (n+2)/16 = {threshold}", alpha_ok))
     hyp.append(
         (f"solution regularity rho > n/4 - 1/m_F = {n / 4.0 - 1.0 / q.m_f} (assumed)", True)
     )
@@ -218,10 +227,7 @@ def _advise_reaction_diffusion(q: AdvisorQuery) -> Advice:
     if not alpha_ok:
         return Advice(q.example, beta, hyp, _not_covered_all(), notes)
 
-    variance = (
-        2.0 * q.theta * (4 * q.alpha - 4 * q.gamma + n + 2) ** 2
-        / (q.t_final * q.lambda_scale * n * (8 * q.alpha - 8 * q.gamma + n + 2))
-    )
+    variance = _variance(q, beta)
     estimators = {"full": EstimatorAdvice(STATUS_NORMAL, rate_full, variance)}
 
     gamma_ok = q.gamma > n / 2.0 + 0.5
@@ -257,12 +263,8 @@ def _advise_burgers(q: AdvisorQuery) -> Advice:
     ]
     if not all(ok for _, ok in hyp):
         return Advice(q.example, beta, hyp, _not_covered_all())
-    variance = (
-        2.0 * q.theta * (4 * q.alpha - 4 * q.gamma + 3) ** 2
-        / (q.t_final * q.lambda_scale * (8 * q.alpha - 8 * q.gamma + 3))
-    )
     estimators = {
-        "full": EstimatorAdvice(STATUS_NORMAL, 1.5, variance),
+        "full": EstimatorAdvice(STATUS_NORMAL, 1.5, _variance(q, beta)),
         "partial": EstimatorAdvice(STATUS_RATE, 1.0),
         "linear": EstimatorAdvice(STATUS_RATE, 1.0),
     }
@@ -283,15 +285,11 @@ def _advise_cahn_hilliard(q: AdvisorQuery) -> Advice:
         hyp.append(("gamma > 10/24", q.gamma > 10.0 / 24.0))
     if not all(ok for _, ok in hyp):
         return Advice(q.example, beta, hyp, _not_covered_all())
-    variance = (
-        2.0 * q.theta * (8 * q.alpha - 8 * q.gamma + n + 4) ** 2
-        / (q.t_final * q.lambda_scale * n * (16 * q.alpha - 16 * q.gamma + n + 4))
-    )
     upgraded = q.gamma > n / 4.0  # regularity limit above n/8
     hyp.append((f"rho* > n/8 (i.e. gamma > n/4) for the upgraded partial rate", upgraded))
     partial_rate = 2.0 / n if upgraded else 4.0 / (3.0 * n)
     estimators = {
-        "full": EstimatorAdvice(STATUS_NORMAL, rate_full, variance),
+        "full": EstimatorAdvice(STATUS_NORMAL, rate_full, _variance(q, beta)),
         "partial": EstimatorAdvice(STATUS_RATE, partial_rate),
         "linear": EstimatorAdvice(STATUS_RATE, 4.0 / (3.0 * n)),
     }

@@ -481,6 +481,49 @@ def test_trial_batches_reject_bad_seed_lists():
             simulate_trials(model, scheme, req, seeds)
 
 
+def test_scalar_run_rejects_coupled_variants():
+    model, scheme, _ = batch_case("allen_cahn")
+    req = EstimatorRequest(alpha=0.6, n_list=(4,), variants=("full", "partial1"))
+    with pytest.raises(ConfigurationError, match="scalar runs use variants full/partial/linear"):
+        simulate_model(model, scheme, req)
+
+
+def rejected_case(name):
+    """(model, scheme, request) of a run that breaks one validation rule."""
+    fhn_model, scheme, fhn_req = batch_case("fhn")
+    model, _, req = batch_case("allen_cahn")
+    ou = replace(scheme, backend="ou_exact")
+    return {
+        "coupled_bias_override": (fhn_model, scheme, replace(fhn_req, bias_model=NONE_NL)),
+        "coupled_partial": (fhn_model, scheme, replace(req, n_list=(4,))),
+        "coupled_ou_exact": (fhn_model, ou, fhn_req),
+        "scalar_fhn_bias": (model, scheme, replace(req, bias_model=FHN)),
+        "ou_exact_with_drift": (model, ou, req),
+        "scalar_partial1": (model, scheme, replace(fhn_req, n_list=(4,))),
+        "n_list_above_n_sim": (model, scheme, replace(req, n_list=(4, 33))),
+    }[name]
+
+
+@pytest.mark.parametrize("name, message", [
+    ("coupled_bias_override", "bias_model overrides are not supported"),
+    ("coupled_partial", "coupled runs use variants full/partial1/partial2/linear"),
+    ("coupled_ou_exact", "the coupled system only supports the euler backend"),
+    ("scalar_fhn_bias", "fhn is not a valid bias model for scalar runs"),
+    ("ou_exact_with_drift", "backend 'ou_exact' requires a drift-free model"),
+    ("scalar_partial1", "scalar runs use variants full/partial/linear"),
+    ("n_list_above_n_sim", "requested truncation 33 exceeds n_sim=32"),
+])
+def test_invalid_runs_are_rejected_before_stepping(name, message, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an invalid run reached the stepping code")
+
+    for attr in ("_euler_loop", "_linear_output", "NemytskiiPlan"):
+        monkeypatch.setattr(simulate, attr, unreachable)
+    model, scheme, req = rejected_case(name)
+    with pytest.raises(ConfigurationError, match=message):
+        simulate_trials(model, scheme, req, [1, 2])
+
+
 def test_blow_up_in_a_batch_is_the_lone_runs_error():
     growth = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 0.0, 0.0, 1.0))
     model = ModelSpec(OP, 0.05, 1.0, growth, (0.5,), 4)
