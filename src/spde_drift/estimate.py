@@ -84,6 +84,8 @@ class EstimatorRequest:
             raise ConfigurationError(
                 f"variants must be a subset of {SCALAR_VARIANTS} or {COUPLED_VARIANTS}"
             )
+        if len(set(variants)) != len(variants):
+            raise ConfigurationError("variants must be distinct")
         object.__setattr__(self, "variants", variants)
         if self.numerator_mode not in NUMERATOR_MODES:
             raise ConfigurationError(
@@ -201,10 +203,11 @@ class EstimatorAccumulator:
         self.xT: np.ndarray | None = None
         self._finalized = False
 
-    # -- accumulation (called once per time step with the left endpoint) --
+    # -- accumulation (left endpoints at full step resolution) ------------
 
     def add_state(self, x, f_full=None, f_part_rows=None, w=None):
-        self.q += x * x
+        """The bias terms of one step's left endpoint x: the drift's values
+        on the full and on the truncated states, and the recovery field w."""
         if f_full is not None:
             self.bias_full += x * f_full
         if f_part_rows is not None:
@@ -212,14 +215,11 @@ class EstimatorAccumulator:
         if w is not None:
             self.bias_w += x * w
 
-    def add_increment(self, x, x_next):
-        self.ito += x * (x_next - x)
-
     def add_path(self, path, work):
-        """``add_state`` and ``add_increment`` for each step of a drift-free
-        segment, rows x_j .. x_{j+n}; ``work`` is a workspace shaped like it."""
-        # a cumulative sum from the running total adds in step order, where
-        # a plain sum over a single mode would go pairwise
+        """``q`` and ``ito`` of each step of a path segment, rows x_j ..
+        x_{j+n}; ``work`` is a workspace shaped like it."""
+        # a cumulative sum from the running total adds in step order, as one
+        # += per step would, where a plain sum over a single mode goes pairwise
         work[0] = self.q
         np.multiply(path[:-1], path[:-1], out=work[1:])
         self.q[:] = np.cumsum(work, axis=0, out=work)[-1]

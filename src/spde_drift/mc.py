@@ -9,9 +9,9 @@ of parallelism.
 The trials are cut into contiguous chunks of min(CHUNK_TRIALS,
 ceil(n_trials / workers)) and each chunk is one task: its trials are stepped
 together as one batch by ``simulate.simulate_trials``, whose outputs are the
-bits of lone runs for any batch size; drift-free trials are filtered one at a
-time within their chunk.  At most one worker process is started per chunk,
-and a single worker runs every chunk in-process.
+bits of lone runs for any batch size; drift-free trials run through the same
+block loop one at a time within their chunk.  At most one worker process is
+started per chunk, and a single worker runs every chunk in-process.
 """
 
 from __future__ import annotations

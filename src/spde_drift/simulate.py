@@ -2,13 +2,14 @@
 
 Every model is a semilinear equation dX = (theta A X + F(X)) dt + noise on a
 ``(components, n_modes)`` state: one component for a scalar equation, two
-(activator v, recovery w) for the FitzHugh-Nagumo system.  One
-linear-implicit Euler core steps them all,
+(activator v, recovery w) for the FitzHugh-Nagumo system.  A model with a
+drift is stepped by the linear-implicit Euler scheme
 
     x_{j+1} = (x_j + h F(x_j) + noise_j) / denom,
 
 implicit in theta A through denom^k = 1 + h theta lambda_k and explicit in
-the recovery component, whose denom is 1.
+the recovery component, whose denom is 1; a drift-free model is the same
+per-mode linear recursion, or its exact Ornstein-Uhlenbeck transitions.
 
 One builder, ``simulate_trials``, checks every request up front and sets
 every model up: denom, noise amplitudes, row masks, the pseudospectral plan,
@@ -16,28 +17,27 @@ the accumulator and a drift closure that also feeds it.  The coupled system
 is the scalar setup for the activator v, with its cubic as the bias
 nonlinearity, plus an explicit recovery row w.
 
-The core steps a batch of trials, one per seed, as one ``(trials,
-components, n_modes)`` state; a single trajectory is a batch of one.  Each
-operation acts on every trial alone (the drift's matrix products are one
-BLAS call per trial), so a trial's output is the same bits in any batch.
+Every trajectory runs through one block loop, ``_run_blocks``, on a batch
+of trials, one per seed, as one ``(trials, components, n_modes)`` state; a
+single trajectory is a batch of one.  Noise increments are drawn a block of
+steps at a time from counter-based Philox streams keyed by (seed, channel,
+mode) that live for the whole run, so trajectories are bit-reproducible
+regardless of host parallelism and memory does not grow with the step count.
+A per-model kernel fills the block's path: the stepped kernel one step at a
+time, the drift-free kernel with one linear filter call per mode.  Drift-free
+trials run one at a time, in blocks bounded by the value budget alone.
 
-Noise increments are drawn from counter-based Philox streams keyed by
-(seed, channel, mode), so trajectories are bit-reproducible regardless of
-host parallelism.  They are drawn a block of steps at a time from streams
-that live for the whole run, so memory does not grow with the step count.
-The drift-free case bypasses the core with a per-mode linear recursion,
-implicit Euler or exact Ornstein-Uhlenbeck transitions, filtered one block
-of steps and one trial at a time.
-
-Estimator integrals are accumulated online with left-endpoint Riemann sums at
-full step resolution; trajectories are only stored when snapshots are
-requested.
+Once per block, and the same way for every model, the loop adds the path's
+left-endpoint Riemann sums to the estimator integrals, takes the requested
+snapshots and checks for blow-ups.  Each operation acts on every trial alone
+(the drift's matrix products are one BLAS call per trial), so a trial's
+output is the same bits in any batch and for any block length.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
@@ -50,7 +50,7 @@ from .estimate import (
     EstimatorRequest,
     warn_if_inadmissible,
 )
-from .fields import GridSpec, NemytskiiPlan, NonlinearitySpec, default_grid
+from .fields import NemytskiiPlan, NonlinearitySpec, default_grid
 from .spectrum import OperatorSpec, eigenvalues
 
 BACKENDS = ("euler", "ou_exact")
@@ -171,8 +171,8 @@ def _standard_normals(seed, channel, n_modes, n_draws) -> np.ndarray:
 
 
 #: a noise block holds at most this many values, so memory does not grow
-#: with n_steps; the step loop, which reads one step at a time, also caps
-#: its blocks at this many steps
+#: with n_steps; the stepped kernel, which reads one step at a time, also
+#: caps its blocks at this many steps
 _NOISE_BLOCK_VALUES = 1 << 16
 _NOISE_BLOCK_STEPS = 256
 
@@ -238,16 +238,6 @@ def _snapshot_indices(n_steps: int, stride: int | None) -> np.ndarray | None:
     return np.asarray(idx)
 
 
-def _blow_up(x: np.ndarray, step: int) -> BlowUpError | None:
-    """The BlowUpError naming the first non-finite mode of x, None when x is
-    finite; components are scanned in order, so a coupled state reports v
-    before w."""
-    bad = ~np.isfinite(x)
-    if not bad.any():
-        return None
-    return BlowUpError(step=step, mode=int(np.flatnonzero(bad)[0]) % x.shape[-1] + 1)
-
-
 def _row_masks(n_list, n_modes) -> np.ndarray:
     """Row 0 keeps the full state, row i the first n_list[i-1] modes."""
     masks = np.zeros((1 + len(n_list), n_modes))
@@ -257,129 +247,116 @@ def _row_masks(n_list, n_modes) -> np.ndarray:
     return masks
 
 
-def _linear_output(model, scheme, req, exact: bool) -> SimOutput:
-    """Drift-free trajectory, x_{j+1} = decay x_j + gain noise_j, in blocks."""
-    n0 = model.n_sim
+def _euler_kernel(h: float, denom: np.ndarray, drift):
+    """Stepped kernel: x_{j+1} = (x_j + h F(x_j) + noise_j) / denom, one step
+    at a time; ``drift(x)`` returns F, or None for F = 0."""
+
+    def advance(seg, dw, j0):
+        for i in range(dw.shape[-1]):
+            x, nxt = seg[i], seg[i + 1]
+            f = drift(x)
+            if f is None:
+                np.add(x, dw[..., i], out=nxt)
+            else:  # the bits of x + h f + noise
+                np.multiply(f, h, out=nxt)
+                nxt += x
+                nxt += dw[..., i]
+            nxt /= denom
+
+    return advance
+
+
+def _ar1_kernel(decay: np.ndarray, gain: np.ndarray, x0: np.ndarray):
+    """Drift-free kernel of one trial from x0: x_{j+1} = decay x_j + gain
+    noise_j, a whole block per ``lfilter`` call and mode."""
+    zi = np.zeros((len(decay), 1))
+
+    def advance(seg, dw, j0):
+        n = dw.shape[-1]
+        path = seg[1 : n + 1, 0, 0]  # x_{j0+1} .. x_{j0+n}
+        _ar1_filter(decay, gain, dw[0, 0].T, path, zi)
+        if np.any(x0 != 0.0):
+            path += x0 * decay ** np.arange(j0 + 1, j0 + n + 1)[:, None]
+
+    return advance
+
+
+def _run_blocks(scheme, noise: _NoiseBlocks, start, advance, acc) -> list:
+    """Run every trial of ``noise`` from the (components, n_modes) ``start``,
+    a block of steps at a time: ``advance(seg, dw, j0)`` fills rows 1..n of
+    the (n + 1, trials, components, n_modes) path ``seg`` from its row 0,
+    x_{j0}, and the block's increments dw.
+
+    Per block the path's component 0, the observed field, goes to the
+    batched ``acc``, the block's snapshots are taken and its blow-ups are
+    recorded; a second component is reported as the recovery field w.
+    Entry b of the result is trial b's SimOutput, or the BlowUpError of its
+    lone run.
+    """
     h = scheme.dt
     n_steps = scheme.n_steps
-    lam = eigenvalues(model.operator, n0)
-    x0 = model.initial_state()
-
-    if exact:  # gain scales plain N(0, 1) draws
-        decay, gain = _ou_transition(model.theta_true, lam, h, model.gamma, scheme.noise_scale)
-        amps, step = np.ones(n0), 1.0
-    else:  # noise enters the implicit step divided by (1 + h theta lam)
-        decay = gain = 1.0 / (1.0 + h * model.theta_true * lam)
-        amps, step = _noise_amp(scheme.noise_scale, lam, model.gamma), h
-    # blocks bounded by values alone: each costs one lfilter call per mode
-    noise = _NoiseBlocks((scheme.seed,), amps[None], n_steps, step, max_steps=n_steps)
-    acc = EstimatorAccumulator(lam, scheme.t_final, model.gamma, req.n_list)
     idx = _snapshot_indices(n_steps, scheme.snapshot_stride)
+    seg = np.empty((noise.length + 1, len(acc.q)) + start.shape)
+    seg[0] = start
+    x0 = seg[0].copy()
     snaps = [x0[None]]
-    seg, work = np.empty((2, noise.length + 1, n0))
-    seg[0] = x0
-    zi = np.zeros((n0, 1))
+    work = np.empty(seg.shape[:2] + x0.shape[2:])
+    failed = [None] * len(x0)
+    # a blow-up surfaces as BlowUpError, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for j0 in range(0, n_steps, noise.length):
             n = min(noise.length, n_steps - j0)
             path = seg[: n + 1]  # x_{j0} .. x_{j0 + n}
-            _ar1_filter(decay, gain, noise.block(n)[0, 0].T, path[1:], zi)
-            if np.any(x0 != 0.0):
-                path[1:] += x0 * decay ** np.arange(j0 + 1, j0 + n + 1)[:, None]
-            acc.add_path(path, work[: n + 1])
+            advance(path, noise.block(n), j0)
+            acc.add_path(path[:, :, 0], work[: n + 1])
             if idx is not None:
                 snaps.append(path[idx[(idx > j0) & (idx <= j0 + n)] - j0])
+            _retire(path, j0, failed)
+            if all(err is not None for err in failed):
+                break
             seg[0] = path[-1]
 
-    err = _blow_up(seg[0], n_steps)
-    if err is not None:
-        raise err
-    acc.finalize(h, x0, seg[0])
-    return SimOutput(
-        x0=x0, xT=seg[0].copy(), accumulators=acc,
-        times=None if idx is None else idx * h,
-        trajectory=None if idx is None else np.concatenate(snaps),
-    )
-
-
-def _euler_loop(scheme, seeds, denom, amps, x0, drift, acc) -> list:
-    """Step one trial per seed, x_{j+1} = (x_j + h F(x_j) + noise_j) / denom,
-    on a (trials, components, n_modes) state with noise amplitudes ``amps``
-    of shape (components, n_modes); x0 is every trial's start.
-
-    ``drift(x)`` hands the left endpoints to the batched ``acc`` and returns
-    F, or None for F = 0.  Component 0 is the observed field; a second
-    component is reported as the recovery field w.  Every operation acts on
-    each trial alone, so a trial's bits do not depend on the batch.  A trial
-    whose state turns non-finite gets its lone run's BlowUpError in place of
-    its output; its state is zeroed and stepped on unread.
-    """
-    h = scheme.dt
-    n_steps = scheme.n_steps
-    stride = scheme.snapshot_stride
-    snaps = [] if stride is not None else None
-    n_trials = len(seeds)
-    noise = _NoiseBlocks(seeds, amps, n_steps, h)
-    length = noise.length
-    x0 = np.stack([x0] * n_trials)
-    x = x0.copy()
-    failed = [None] * n_trials
-    # a blow-up surfaces as BlowUpError, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_steps):
-            if j % length == 0:
-                block = noise.block(min(length, n_steps - j))
-            if snaps is not None and j % stride == 0:
-                snaps.append(x.copy())
-            f = drift(x)
-            dw = block[..., j % length]
-            x_next = x + dw if f is None else x + h * f + dw
-            x_next /= denom
-            if not np.all(np.isfinite(x_next)):
-                _retire(x_next, j + 1, failed)
-                if all(err is not None for err in failed):
-                    break
-            acc.add_increment(x[:, 0], x_next[:, 0])
-            x = x_next
-
-    acc.finalize(h, x0[:, 0], x[:, 0])
-    times = traj = None
-    if snaps is not None:
-        snaps.append(x.copy())
-        times = _snapshot_indices(n_steps, stride) * h
-        traj = np.asarray(snaps)
+    xT = seg[0].copy()
+    acc.finalize(h, x0[:, 0], xT[:, 0])
+    times = None if idx is None else idx * h
+    traj = None if idx is None else np.concatenate(snaps)
     outs = []
     for b, (err, trial_acc) in enumerate(zip(failed, acc.split())):
         if err is not None:
             outs.append(err)
             continue
         out = SimOutput(
-            x0=x0[b, 0], xT=x[b, 0], accumulators=trial_acc, times=times,
+            x0=x0[b, 0], xT=xT[b, 0], accumulators=trial_acc, times=times,
             trajectory=None if traj is None else traj[:, b, 0],
         )
-        if x.shape[1] == 2:
-            out.w0, out.wT = x0[b, 1], x[b, 1]
+        if x0.shape[1] == 2:
+            out.w0, out.wT = x0[b, 1], xT[b, 1]
             out.w_trajectory = None if traj is None else traj[:, b, 1]
         outs.append(out)
     return outs
 
 
-def _retire(x, step: int, failed: list):
-    """Record the BlowUpError of each trial of x that is not finite, unless
-    it failed before, and zero its state."""
-    for b in range(len(x)):
-        err = _blow_up(x[b], step)
-        if err is not None:
-            if failed[b] is None:
-                failed[b] = err
-            x[b] = 0.0
+def _retire(path, j0: int, failed: list):
+    """Zero the last state of each trial of ``path`` (rows x_{j0} ..) that is
+    not finite, recording the BlowUpError of its first non-finite step and
+    mode unless it failed before; components are scanned in order, so a
+    coupled state reports v before w.  A non-finite entry stays non-finite
+    under every update, so only the last row needs a test."""
+    last = path[-1]
+    flat = path.reshape(len(path), len(last), -1)
+    for b in np.flatnonzero(~np.isfinite(flat[-1]).all(axis=1)):
+        if failed[b] is None:
+            bad = ~np.isfinite(flat[1:, b])
+            i = int(np.flatnonzero(bad.any(axis=1))[0])
+            mode = int(np.flatnonzero(bad[i])[0]) % last.shape[-1] + 1
+            failed[b] = BlowUpError(step=j0 + i + 1, mode=mode)
+        last[b] = 0.0
 
 
 def simulate_semilinear(
     model: ModelSpec,
     scheme: SchemeSpec,
     est_req: EstimatorRequest,
-    grid: GridSpec | None = None,
 ) -> SimOutput:
     """One trajectory of a scalar model: ``simulate_model`` for every
     nonlinearity but ``fhn``.  Drift-free models take the per-mode linear
@@ -387,14 +364,13 @@ def simulate_semilinear(
     the linear-implicit scheme with pseudospectral drift evaluation."""
     if model.nonlinearity.variant == "fhn":
         raise ConfigurationError("use simulate_fhn for the coupled system")
-    return simulate_model(model, scheme, est_req, grid)
+    return simulate_model(model, scheme, est_req)
 
 
 def simulate_fhn(
     model: ModelSpec,
     scheme: SchemeSpec,
     est_req: EstimatorRequest,
-    grid: GridSpec | None = None,
 ) -> SimOutput:
     """One trajectory of the coupled system: ``simulate_model`` for an
     ``fhn`` nonlinearity.
@@ -406,18 +382,17 @@ def simulate_fhn(
     """
     if model.nonlinearity.variant != "fhn":
         raise ConfigurationError("simulate_fhn requires an fhn nonlinearity")
-    return simulate_model(model, scheme, est_req, grid)
+    return simulate_model(model, scheme, est_req)
 
 
 def simulate_model(
     model: ModelSpec,
     scheme: SchemeSpec,
     est_req: EstimatorRequest,
-    grid: GridSpec | None = None,
 ) -> SimOutput:
     """One trajectory of any model: the batch of ``simulate_trials`` whose
     only seed is ``scheme.seed``; a blow-up is raised."""
-    (out,) = simulate_trials(model, scheme, est_req, (scheme.seed,), grid)
+    (out,) = simulate_trials(model, scheme, est_req, (scheme.seed,))
     if isinstance(out, BlowUpError):
         raise out
     return out
@@ -456,7 +431,6 @@ def simulate_trials(
     scheme: SchemeSpec,
     est_req: EstimatorRequest,
     seeds,
-    grid: GridSpec | None = None,
 ) -> list:
     """One trajectory per seed (``scheme.seed`` is not used), stepped together
     as one batch.  Entry b is what ``simulate_model`` returns for seed b, bit
@@ -465,6 +439,7 @@ def simulate_trials(
     A coupled model is the scalar setup plus a recovery row w: its bias
     nonlinearity is the activator's cubic, w has denom 1 and amplitude
     sigma_w lambda^{-gamma_w}, and ``FHNParams.coupled_drift`` completes F.
+    A drift-free model runs its trials one at a time through the same block loop.
     """
     _check_request(model, scheme, est_req, seeds)
     warn_if_inadmissible(est_req.alpha, model.gamma, model.operator.beta)
@@ -475,22 +450,32 @@ def simulate_trials(
         bias_nl = NonlinearitySpec("polynomial", poly_coeffs=p.cubic_coeffs())
     else:
         bias_nl = nl if est_req.bias_model is None else est_req.bias_model
-    if nl.variant == "none" and bias_nl.variant == "none":
-        exact = scheme.backend == "ou_exact"
-        outs = []
-        for seed in seeds:  # one at a time: a batch would shrink the blocks
-            try:
-                outs.append(_linear_output(model, replace(scheme, seed=seed), est_req, exact))
-            except BlowUpError as exc:
-                outs.append(exc)
-        return outs
-
     n0 = model.n_sim
     h = scheme.dt
+    n_steps = scheme.n_steps
     op = model.operator
     lam = eigenvalues(op, n0)
-    if grid is None:
-        grid = default_grid(n0, max(nl.degree, bias_nl.degree))
+    x0 = np.stack([model.initial_state(), model.initial_w_state()][: 1 + coupled])
+    acc_args = (lam, scheme.t_final, model.gamma, est_req.n_list)
+
+    if nl.variant == "none" and bias_nl.variant == "none":
+        if scheme.backend == "ou_exact":  # gain scales plain N(0, 1) draws
+            decay, gain = _ou_transition(
+                model.theta_true, lam, h, model.gamma, scheme.noise_scale
+            )
+            amps, step = np.ones(n0), 1.0
+        else:  # noise enters the implicit step divided by (1 + h theta lam)
+            decay = gain = 1.0 / (1.0 + h * model.theta_true * lam)
+            amps, step = _noise_amp(scheme.noise_scale, lam, model.gamma), h
+        outs = []
+        for seed in seeds:  # one at a time: a batch would shrink the blocks
+            # blocks bounded by values alone: each costs one lfilter call per mode
+            noise = _NoiseBlocks((seed,), amps[None], n_steps, step, max_steps=n_steps)
+            acc = EstimatorAccumulator.batched(1, *acc_args)
+            outs += _run_blocks(scheme, noise, x0, _ar1_kernel(decay, gain, x0[0]), acc)
+        return outs
+
+    grid = default_grid(n0, max(nl.degree, bias_nl.degree))
     n_trials = len(seeds)
 
     denom = np.ones((1 + coupled, n0))  # w is stepped explicitly
@@ -515,8 +500,7 @@ def simulate_trials(
         if has_dyn and not same_bias else None
     )
     acc = EstimatorAccumulator.batched(
-        n_trials, lam, scheme.t_final, model.gamma, est_req.n_list,
-        coupled=coupled, track_partial=(need_rows or not has_bias),
+        n_trials, *acc_args, coupled=coupled, track_partial=(need_rows or not has_bias)
     )
     f = np.empty((n_trials,) + denom.shape)
     f_parts = f.swapaxes(0, 1)  # (F_v, F_w) of every coupled trial
@@ -539,8 +523,8 @@ def simulate_trials(
             return out[:, :1]
         return dyn_eval(x) if has_dyn else None
 
-    x0 = np.stack([model.initial_state(), model.initial_w_state()][: len(denom)])
-    return _euler_loop(scheme, seeds, denom, amps, x0, drift, acc)
+    noise = _NoiseBlocks(seeds, amps, n_steps, h)
+    return _run_blocks(scheme, noise, x0, _euler_kernel(h, denom, drift), acc)
 
 
 def simulate_ou_exact(

@@ -46,6 +46,13 @@ class AsymptoticConstants:
     rate_exponent: float
 
 
+def _check_finite(error, **values) -> None:
+    """Raise ``error`` naming the first of ``values`` that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise error(f"{name} must be finite, got {value}")
+
+
 def asymptotic_constants(
     theta: float,
     t_final: float,
@@ -54,6 +61,10 @@ def asymptotic_constants(
     gamma: float,
     alpha: float,
 ) -> AsymptoticConstants:
+    _check_finite(
+        DomainError, theta=theta, t_final=t_final, lambda_scale=lambda_scale,
+        beta=beta, gamma=gamma, alpha=alpha,
+    )
     if theta <= 0 or t_final <= 0 or lambda_scale <= 0 or beta <= 0:
         raise DomainError("theta, t_final, lambda_scale, beta must be positive")
     threshold = gamma - (1.0 + 1.0 / beta) / 8.0
@@ -140,6 +151,10 @@ class AdvisorQuery:
             raise ConfigurationError(
                 f"unknown example {self.example!r}; choose from {EXAMPLES}"
             )
+        _check_finite(
+            ConfigurationError, gamma=self.gamma, alpha=self.alpha, theta=self.theta,
+            t_final=self.t_final, lambda_scale=self.lambda_scale,
+        )
         if self.n < 1:
             raise ConfigurationError("spatial dimension n must be >= 1")
         if self.example == "burgers" and self.n != 1:

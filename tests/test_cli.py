@@ -201,6 +201,40 @@ def test_theory_inadmissible_alpha(capsys):
     assert "alpha > gamma - (1+1/beta)/8" in capsys.readouterr().err
 
 
+BASE_ARGS = {
+    "theory": ["theory", "--theta", "0.1", "--T", "1", "--Lambda", "9.87",
+               "--beta", "2", "--gamma", "0.5", "--alpha", "0.5"],
+    "advise": ["advise", "--example", "burgers", "--gamma", "0.8", "--alpha", "0.8"],
+}
+NON_FINITE_ARGS = [
+    ("theory", "--theta", "inf", "theta"),
+    ("theory", "--T", "nan", "t_final"),
+    ("theory", "--Lambda", "inf", "lambda_scale"),
+    ("theory", "--alpha", "nan", "alpha"),
+    ("advise", "--theta", "inf", "theta"),
+    ("advise", "--gamma", "nan", "gamma"),
+    ("advise", "--alpha", "inf", "alpha"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, name", NON_FINITE_ARGS,
+    ids=[f"{c}{f}={v}" for c, f, v, _ in NON_FINITE_ARGS],
+)
+def test_non_finite_theory_and_advise_arguments_are_validation_errors(
+    command, flag, value, name, capsys
+):
+    argv = list(BASE_ARGS[command])
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert re.search(rf"^error: .*\b{name}\b", captured.err)
+    assert captured.out == ""
+
+
 def test_bad_subcommand_is_validation_error(capsys):
     assert main(["frobnicate"]) == 1
 

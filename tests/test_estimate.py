@@ -328,3 +328,5 @@ def test_request_validation():
         EstimatorRequest(alpha=0.5, n_list=(2,), numerator_mode="midpoint")
     with pytest.raises(ConfigurationError):
         EstimatorRequest(alpha=0.5, n_list=(2,), variants=("partial", "partial1"))
+    with pytest.raises(ConfigurationError, match="variants"):
+        EstimatorRequest(alpha=0.5, n_list=(2,), variants=("full", "full", "linear"))

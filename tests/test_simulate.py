@@ -517,7 +517,7 @@ def test_invalid_runs_are_rejected_before_stepping(name, message, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("an invalid run reached the stepping code")
 
-    for attr in ("_euler_loop", "_linear_output", "NemytskiiPlan"):
+    for attr in ("_run_blocks", "NemytskiiPlan"):
         monkeypatch.setattr(simulate, attr, unreachable)
     model, scheme, req = rejected_case(name)
     with pytest.raises(ConfigurationError, match=message):
@@ -544,6 +544,37 @@ def test_blow_up_in_a_batch_is_the_lone_runs_error():
         else:
             assert_same_bits(out, simulate_model(model, lone_scheme, req))
     assert 0 < failed < len(seeds)
+
+
+@pytest.mark.parametrize("name", ["allen_cahn", "fhn", "burgers"])
+def test_stepped_outputs_are_bit_identical_for_any_block_length(name, monkeypatch):
+    model, scheme, req = batch_case(name)
+    # 302 steps: no block length below divides them, nor does the default 256
+    scheme = replace(scheme, t_final=0.302)
+    seeds = [31, 32, 33]
+    amps = np.ones((2 if name == "fhn" else 1, model.n_sim))
+    default = simulate_trials(model, scheme, req, seeds)
+    for length in (1, 3, 7):
+        monkeypatch.setattr(simulate, "_NOISE_BLOCK_VALUES", length * len(seeds) * amps.size)
+        assert _NoiseBlocks(seeds, amps, scheme.n_steps, scheme.dt).length == length
+        for a, b in zip(default, simulate_trials(model, scheme, req, seeds)):
+            assert_same_bits(a, b)
+
+
+@pytest.mark.parametrize("backend", ["euler", "ou_exact"])
+def test_drift_free_blow_up_names_its_first_non_finite_step_and_mode(backend):
+    # increments of amplitude 1e308 overflow at the first draw above ~1.8
+    model = linear_model(theta=1e-3, gamma=1e-9, x0=(0.0,), n_sim=2)
+    scheme = SchemeSpec(dt=1.0, t_final=100.0, seed=0, noise_scale=1e308, backend=backend)
+    req = EstimatorRequest(alpha=1.0, n_list=(2,), variants=("linear",))
+    seeds = [7, 8, 9]
+    expected = [(7, 1), (1, 2), (1, 1)]
+    batch = simulate_trials(model, scheme, req, seeds)
+    assert [(err.step, err.mode) for err in batch] == expected
+    for seed, (step, mode) in zip(seeds, expected):
+        with pytest.raises(BlowUpError) as exc:
+            simulate_model(model, replace(scheme, seed=seed), req)
+        assert (exc.value.step, exc.value.mode) == (step, mode)
 
 
 def test_noise_blocks_continue_the_whole_run_streams():
