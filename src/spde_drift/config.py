@@ -2,13 +2,16 @@
 
 Sections [model], [scheme], [estimators] and optionally [study] mirror the
 corresponding spec dataclasses field for field (snake_case).  Unknown
-sections or keys are rejected by name; value validation happens in the spec
-constructors and names the offending field.
+sections or keys, and keys that the chosen model does not read, are rejected
+by name; value validation happens in the spec constructors and names the
+offending field.  A file that is not UTF-8 INI syntax is rejected with its
+line number.
 """
 
 from __future__ import annotations
 
 import configparser
+import io
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -34,6 +37,8 @@ _SECTIONS = {
     "estimators": _EST_KEYS,
     "study": _STUDY_KEYS,
 }
+
+_FHN_KEYS = ("a", "b", "epsilon", "sigma", "sigma_w", "gamma_w", "initial_w_modes")
 
 
 @dataclass
@@ -111,8 +116,19 @@ class _Section:
         return tuple(tok for tok in val.replace(",", " ").split())
 
 
+def _reject_unread(sec: _Section, keys, reader: str):
+    """Fail on the first of ``keys`` that is set but only read by ``reader``."""
+    for key in keys:
+        if key in sec.raw:
+            _fail(sec.name, key, f"only read when {reader}")
+
+
 def _parse_nonlinearity(sec: _Section) -> NonlinearitySpec:
     variant = sec.string("nonlinearity", default="none", choices=VARIANTS)
+    if variant != "polynomial":
+        _reject_unread(sec, ("poly_coeffs",), "nonlinearity = polynomial")
+    if variant != "fhn":
+        _reject_unread(sec, _FHN_KEYS, "nonlinearity = fhn")
     if variant == "polynomial":
         coeffs = sec.float_list("poly_coeffs", required=True)
         return NonlinearitySpec("polynomial", poly_coeffs=coeffs)
@@ -161,6 +177,8 @@ def _parse_estimators(sec: _Section, coupled: bool) -> EstimatorRequest:
     bias_kind = sec.string(
         "bias_model", default="model", choices=("model", "none", "polynomial")
     )
+    if bias_kind != "polynomial":
+        _reject_unread(sec, ("bias_poly_coeffs",), "bias_model = polynomial")
     if bias_kind == "model":
         bias = None
     elif bias_kind == "none":
@@ -195,10 +213,49 @@ def _parse_study(sec: _Section, model, scheme, est_req) -> StudySpec:
     )
 
 
+def _read_ini(path) -> configparser.ConfigParser:
+    """Parse the file as UTF-8 INI text; a syntax error names the file and
+    the line.  Values are taken literally (no ``%`` interpolation)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigurationError(
+            f"{path}, line {line}: not UTF-8 text ({exc.reason})"
+        ) from None
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None
+    )
+    # newline=None reads \r\n and \r line ends as open() does
+    lines = io.StringIO(text, newline=None).readlines()
+    try:
+        parser.read_file(lines, source=str(path))
+    except configparser.MissingSectionHeaderError as exc:
+        raise ConfigurationError(
+            f"{path}, line {exc.lineno}: no [section] header before {exc.line.strip()!r}"
+        ) from None
+    except configparser.ParsingError as exc:
+        line = exc.errors[0][0]
+        content = lines[line - 1].strip()
+        raise ConfigurationError(
+            f"{path}, line {line}: not a 'key = value' line: {content!r}"
+        ) from None
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigurationError(
+            f"{path}, line {exc.lineno}: key {exc.option!r} repeated in "
+            f"section [{exc.section}]"
+        ) from None
+    except configparser.DuplicateSectionError as exc:
+        raise ConfigurationError(
+            f"{path}, line {exc.lineno}: section [{exc.section}] repeated"
+        ) from None
+    return parser
+
+
 def load_config(path) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    with open(path) as fh:
-        parser.read_file(fh)
+    parser = _read_ini(path)
 
     for section in parser.sections():
         if section not in _SECTIONS:

@@ -17,12 +17,24 @@ u^2 is the cosine series sum_l a_l cos(l pi x / L).  Since u vanishes at both
 ends, integration by parts gives (-(u^2)_x / 2, Phi_k) = (k pi / 4) sqrt(2/L)
 a_k, so squaring the field and scaling its cosine coefficients is exact.
 
-A polynomial of degree m applied to n modes has sine-degree m * n, so any grid
-with M_g >= m * n gives the same coefficients up to round-off.
-``default_grid`` takes the smallest such M_g of the form 2^p - 1, which puts
-every transform on a power-of-two FFT length.  Step loops evaluate f through a
-``NemytskiiPlan`` built once per batch of trajectories; ``nemytskii_modes``
-and ``burgers_modes`` are one-shot forms of the same kernel.
+An odd polynomial maps the odd extension of u to an odd function, so f(u)
+is a pure sine series with no cosine part to project.  Its plan evaluates f
+on the M_g interior points alone and takes the coefficients back with one
+type-I DST, as ``grid_to_modes`` does (J. P. Boyd, *Chebyshev and Fourier
+Spectral Methods*, 2nd ed., 2001, ch. 8).
+
+Dealiasing: a polynomial of degree m applied to n_in modes has sine-degree
+m * n_in.  The general stage, whose periodic grid has 2(M_g+1) points, is
+exact for the first n_out coefficients when M_g >= m * max(n_in, n_out).
+The odd stage's DST-I folds frequency l in (M_g+1, 2(M_g+1)) onto mode
+2(M_g+1) - l, so it is exact when M_g >= floor((m * n_in + n_out) / 2), and
+at least n_in to hold the input.  ``default_grid`` takes the smallest M_g of
+the form 2^p - 1 meeting the general bound, which puts every transform on a
+power-of-two FFT length; a run whose plans are all odd takes the smallest
+such grid meeting the odd bound (255 points for 100 cubic modes, against 511).
+Step loops evaluate f through a ``NemytskiiPlan`` built once per batch of
+trajectories; ``nemytskii_modes`` and ``burgers_modes`` are one-shot forms of
+the same kernel.
 """
 
 from __future__ import annotations
@@ -152,19 +164,43 @@ class GridSpec:
             raise ConfigurationError("need 1 <= n_modes_keep <= n_grid")
 
 
-def default_grid(n_modes: int, degree: int) -> GridSpec:
-    """Smallest grid of size 2^p - 1 that meets the dealiasing bound
-    degree * n_modes, so transforms land on power-of-two FFT lengths
-    (511 points for 100 cubic modes, 127 for 32)."""
-    bound = max(degree, 1) * n_modes
+def _dealiasing_bound(degree: int, n_in: int, n_out: int, odd: bool = False) -> int:
+    """Fewest interior points for which a plan of this degree and parity
+    gives the first n_out coefficients of f applied to n_in modes exactly."""
+    if odd:
+        return max(n_in, (degree * n_in + n_out) // 2)
+    return degree * max(n_in, n_out)
+
+
+def _pow2_grid(bound: int, n_modes: int) -> GridSpec:
+    """Smallest grid of size 2^p - 1 >= bound."""
     return GridSpec(n_grid=(1 << bound.bit_length()) - 1, n_modes_keep=n_modes)
 
 
-def _check_dealiasing(n_in: int, degree: int, grid: GridSpec, n_out: int):
-    bound = degree * max(n_in, n_out)
+def default_grid(n_modes: int, degree: int) -> GridSpec:
+    """Smallest grid of size 2^p - 1 that meets the general dealiasing bound
+    degree * n_modes, so transforms land on power-of-two FFT lengths
+    (511 points for 100 cubic modes, 127 for 32)."""
+    return _pow2_grid(_dealiasing_bound(max(degree, 1), n_modes, n_modes), n_modes)
+
+
+def _plans_grid(nls, n_modes: int) -> GridSpec:
+    """Smallest 2^p - 1 grid for plans of every nonlinearity of ``nls``, each
+    mapping n_modes modes to n_modes: the odd bound when every one is an odd
+    polynomial, else the general bound of ``default_grid``."""
+    odd = all(nl.is_odd_polynomial for nl in nls)
+    degree = max(nl.degree for nl in nls)
+    return _pow2_grid(_dealiasing_bound(degree, n_modes, n_modes, odd), n_modes)
+
+
+def _check_dealiasing(nl: NonlinearitySpec, grid: GridSpec, n_in: int, n_out: int):
+    odd = nl.is_odd_polynomial
+    bound = _dealiasing_bound(nl.degree, n_in, n_out, odd)
     if grid.n_grid < bound:
+        rule = ("max(n_in, (degree*n_in + n_out) // 2)" if odd
+                else "degree*max(n_in, n_out)")
         raise ConfigurationError(
-            f"dealiasing violated: n_grid={grid.n_grid} < degree*max(modes)={bound}"
+            f"dealiasing violated: n_grid={grid.n_grid} < {rule}={bound}"
         )
 
 
@@ -236,24 +272,28 @@ class NemytskiiPlan:
     drift: a polynomial f(u) or the Burgers transport term -u u_x.
 
     Built once for a batch of ``n_rows`` states with ``n_in`` modes each: the
-    dealiasing check, the zero-padded mode buffer, the odd-extension and
-    polynomial buffers and the cosine->sine projection are set up here, so a
-    call allocates only the outputs of the two transforms.  ``n_rows`` may
+    dealiasing check and every buffer of the chosen stage are set up here,
+    so a call allocates only the outputs of its transforms.  ``n_rows`` may
     also be a shape such as (trials, rows) for a stack of batches.
 
-    A call maps an (n_rows, n_in) array to (n_rows, n_out) coefficients:
-    type-I DST to the grid, odd extension to the periodic grid of 2(M_g+1)
-    points, Horner evaluation in ``polyval``'s operation order, rfft split
-    into sine and cosine parts, and closed-form projection of the cosine part
-    onto the sine modes.  The transforms and the polynomial act on each row
-    alone and the projection is one matrix product per batch of the stack,
-    with that batch's own shape, so a batch gets the same bits whatever is
-    stacked with it.  Burgers runs the same steps with f(u) = u^2 and
-    replaces the output stage by -(u^2)_x / 2, which maps the cosine
-    coefficient a_k to (k pi / 4) sqrt(2/L) a_k; the sine part of the even
-    u^2 is zero.  The returned array belongs to the plan and is
-    overwritten by its next call; a plan must not be shared between
-    concurrent callers.
+    A call maps an (n_rows, n_in) array to (n_rows, n_out) coefficients and
+    starts with a type-I DST to the M_g interior points.  For an odd
+    polynomial (``NonlinearitySpec.is_odd_polynomial``) it then evaluates f
+    there by Horner's rule in ``polyval``'s operation order and takes f(u)
+    back with one type-I DST scaled as in ``grid_to_modes``; the grid must
+    hold max(n_in, floor((m n_in + n_out) / 2)) points, and every row is
+    computed alone.  Every other drift takes the general stage on a grid of
+    m max(n_in, n_out) points: odd extension to the periodic grid of
+    2(M_g+1) points, the same Horner evaluation there, rfft split into sine
+    and cosine parts, and closed-form projection of the cosine part onto the
+    sine modes.  The projection is one matrix product per batch of the
+    stack, with that batch's own shape, so a batch gets the same bits
+    whatever is stacked with it.  Burgers runs the general stage with
+    f(u) = u^2 and replaces the output stage by -(u^2)_x / 2, which maps the
+    cosine coefficient a_k to (k pi / 4) sqrt(2/L) a_k; the sine part of the
+    even u^2 is zero.  Coefficients above the sine-degree m n_in are zero.
+    The returned array belongs to the plan and is overwritten by its next
+    call; a plan must not be shared between concurrent callers.
     """
 
     def __init__(
@@ -272,7 +312,7 @@ class NemytskiiPlan:
             )
         burgers = nl.variant == "burgers"
         degree = nl.degree
-        _check_dealiasing(n_in, degree, grid, n_out)
+        _check_dealiasing(nl, grid, n_in, n_out)
         m_g = grid.n_grid
         L = spec.domain_length
         n_freq = min(degree * n_in, m_g)
@@ -280,6 +320,7 @@ class NemytskiiPlan:
         n_rows = math.prod(lead)
         self.shape = lead + (n_in,)
         self._coeffs = (0.0, 0.0, 1.0) if burgers else nl.poly_coeffs
+        self._odd = nl.is_odd_polynomial
         self._L = L
         self._n_s = min(n_out, n_freq)
         # 0.5 * DST(x sqrt(2/L)) with the exact factor 0.5 folded into the scale
@@ -288,6 +329,11 @@ class NemytskiiPlan:
         # projection see them through views shaped like the batch stack
         self._modes = np.zeros((n_rows, m_g))
         self._modes_in = self._modes.reshape(lead + (m_g,))[..., :n_in]
+        self._out = np.empty((n_rows, n_out))
+        self._out_stack = self._out.reshape(lead + (n_out,))
+        if self._odd:
+            self._poly = np.empty((n_rows, m_g))
+            return
         self._ext = np.zeros((n_rows, 2 * (m_g + 1)))
         self._poly = np.empty_like(self._ext)
         self._cos = np.empty((n_rows, n_freq + 1))
@@ -297,8 +343,17 @@ class NemytskiiPlan:
             self._deriv = np.arange(1, self._n_s + 1) * (math.pi / 4 * math.sqrt(2 / L))
         else:
             self._proj_t = _cos_to_sine_projection(n_out, n_freq + 1, L).T
-        self._out = np.empty((n_rows, n_out))
-        self._out_stack = self._out.reshape(lead + (n_out,))
+
+    def _horner(self, u) -> np.ndarray:
+        """f(u) into the polynomial buffer, in ``polyval``'s operation order."""
+        c = self._coeffs
+        w = self._poly
+        np.multiply(u, c[-1], out=w)
+        w += c[-2]
+        for coeff in c[-3::-1]:
+            w *= u
+            w += coeff
+        return w
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -309,19 +364,21 @@ class NemytskiiPlan:
         m_g = self._modes.shape[-1]
         np.multiply(x, self._in_scale, out=self._modes_in)
         u = scipy.fft.dst(self._modes, type=1, axis=-1)
+        n_s = self._n_s
+        out = self._out
+        out[:, n_s:] = 0.0
+
+        if self._odd:  # f(u) is a sine series: back by DST as grid_to_modes
+            coeffs = scipy.fft.dst(self._horner(u), type=1, axis=-1, overwrite_x=True)
+            scale = math.sqrt(self._L / 2.0) / (m_g + 1)
+            np.multiply(coeffs[:, :n_s], scale, out=out[:, :n_s])
+            return self._out_stack
 
         # periodic samples over [0, 2L): [0, u_1..u_M, 0, -u_M..-u_1]
         ext = self._ext
         ext[:, 1 : m_g + 1] = u
         np.negative(u[:, ::-1], out=ext[:, m_g + 2 :])
-
-        c = self._coeffs
-        w = self._poly
-        np.multiply(ext, c[-1], out=w)
-        w += c[-2]
-        for coeff in c[-3::-1]:
-            w *= ext
-            w += coeff
+        w = self._horner(ext)
 
         # w = a_0/2 + sum_l (a_l cos + s_l sin); a indexed from l = 0 with the
         # 1/2 folded in, s from l = 1, both truncated at n_freq
@@ -332,9 +389,6 @@ class NemytskiiPlan:
         a /= n_points
         a[:, 0] *= 0.5
 
-        n_s = self._n_s
-        out = self._out
-        out[:, n_s:] = 0.0
         if self._deriv is not None:
             np.multiply(a[:, 1 : n_s + 1], self._deriv, out=out[:, :n_s])
             return self._out_stack

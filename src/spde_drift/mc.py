@@ -77,6 +77,14 @@ class StudySpec:
         lo, hi = self.histogram_range
         if not (-math.inf < lo < hi < math.inf):
             raise ConfigurationError("histogram_range must be a finite increasing pair")
+        # summarize's bin edges stop at lo + width * n_bins, so they must reach hi
+        bins = (hi - lo) / self.histogram_bin_width
+        n = round(bins) if math.isfinite(bins) else 0
+        if n < 1 or abs(n - bins) > 1e-9 * max(1.0, n):
+            raise ConfigurationError(
+                "histogram_bin_width must divide histogram_range into a whole "
+                "number >= 1 of bins"
+            )
 
 
 @dataclass
@@ -367,7 +375,8 @@ def summarize(
         if len(zs) == 0:
             continue
         ks[variant] = normal_ks_distance(zs)
-        clipped = np.clip(zs, lo, hi)  # outliers land in the edge bins
+        # outliers land in the edge bins
+        clipped = np.clip(zs, bin_edges[0], bin_edges[-1])
         counts, _ = np.histogram(clipped, bins=bin_edges)
         histograms[variant] = counts
 

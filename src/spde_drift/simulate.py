@@ -50,7 +50,7 @@ from .estimate import (
     EstimatorRequest,
     warn_if_inadmissible,
 )
-from .fields import NemytskiiPlan, NonlinearitySpec, default_grid
+from .fields import NemytskiiPlan, NonlinearitySpec, _plans_grid
 from .spectrum import OperatorSpec, eigenvalues
 
 BACKENDS = ("euler", "ou_exact")
@@ -475,7 +475,6 @@ def simulate_trials(
             outs += _run_blocks(scheme, noise, x0, _ar1_kernel(decay, gain, x0[0]), acc)
         return outs
 
-    grid = default_grid(n0, max(nl.degree, bias_nl.degree))
     n_trials = len(seeds)
 
     denom = np.ones((1 + coupled, n0))  # w is stepped explicitly
@@ -492,6 +491,8 @@ def simulate_trials(
     need_rows = has_bias and est_req.wants_partial
     masks = _row_masks(est_req.n_list if need_rows else (), n0)
     batch = np.empty((n_trials,) + masks.shape)
+    plan_nls = [bias_nl] * has_bias + [nl] * (has_dyn and not same_bias)
+    grid = _plans_grid(plan_nls, n0)  # the odd bound when every plan is odd
     bias_eval = (
         NemytskiiPlan(bias_nl, grid, op, batch.shape[:-1], n0, n0) if has_bias else None
     )

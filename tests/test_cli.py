@@ -428,3 +428,83 @@ def test_degenerate_trajectory_is_runtime_error(tmp_path, capsys):
         captured.err,
     )
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("width, lo_hi", [("0.3", "-0.5, 0.5"), ("20", "-5, 5"),
+                                          ("0.4", "-5, 4.9")],
+                         ids=["partial_last_bin", "wider_than_range", "short_range"])
+def test_bin_width_that_does_not_divide_the_range_is_validation_error(
+    width, lo_hi, linear_cfg, tmp_path, capsys
+):
+    # bins that stop short of the range would drop the clipped outliers
+    bad = tmp_path / "bad.cfg"
+    text = with_value(LINEAR_CONFIG, "study", "histogram_bin_width", width)
+    bad.write_text(with_value(text, "study", "histogram_range", lo_hi))
+    out = tmp_path / "study"
+    assert main(["mc", str(bad), "--out-dir", str(out), "--threads", "1"]) == 1
+    captured = capsys.readouterr()
+    assert re.search(r"^error: .*\bhistogram_bin_width\b", captured.err)
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_bin_width_that_divides_the_range_keeps_every_outlier(tmp_path):
+    # the last edge, -0.3 + 3 * 0.3, rounds to just below 0.6, so a z score
+    # clipped to the range itself would miss every bin
+    cfg = tmp_path / "narrow.cfg"
+    text = with_value(LINEAR_CONFIG, "study", "histogram_bin_width", "0.3")
+    cfg.write_text(with_value(text, "study", "histogram_range", "-0.3, 0.6"))
+    out = tmp_path / "study"
+    assert main(["mc", str(cfg), "--out-dir", str(out), "--threads", "1"]) == 0
+    with open(out / "estimates.csv", newline="") as fh:
+        z = [float(row["z"]) for row in csv.DictReader(fh) if row["N"] == "8"]
+    assert max(z) > 0.6  # some scores are clipped to the top of the range
+    hist = json.loads((out / "summary.json").read_text())["histogram"]
+    assert len(hist["bin_edges"]) == 4
+    for counts in hist["counts"].values():
+        assert sum(counts) == 6
+
+
+MALFORMED_INI = {
+    "line without '='": (b"[model]\ntheta_true 0.1\n", 2),
+    "no section header": (b"theta_true = 0.1\n[model]\n", 1),
+    "repeated section": (b"[model]\ngamma = 1\n[scheme]\ndt = 1\n[model]\n", 5),
+    "repeated key": (b"[model]\ngamma = 1\ngamma = 2\n", 3),
+    "non-UTF-8 bytes": (b"[model]\ngamma = 1\nkind = \xff\xfe\n", 3),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_INI))
+def test_malformed_ini_is_validation_error_naming_the_line(name, tmp_path, capsys):
+    content, line = MALFORMED_INI[name]
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(content)
+    assert main(["estimate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert re.fullmatch(rf"error: {re.escape(str(bad))}, line {line}: .+\n", captured.err)
+    assert captured.out == ""
+
+
+def test_percent_sign_in_a_value_is_read_literally(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(LINEAR_CONFIG.replace("theta_true = 0.1", "theta_true = 10%"))
+    assert main(["estimate", str(bad)]) == 1
+    assert capsys.readouterr().err == "error: [model] theta_true: not a number: '10%'\n"
+
+
+@pytest.mark.parametrize("base, section, key, value, reader", [
+    ("linear", "model", "poly_coeffs", "0, 1, 0, -1", "nonlinearity = polynomial"),
+    ("cubic", "model", "epsilon", "0.3", "nonlinearity = fhn"),
+    ("cubic", "model", "initial_w_modes", "0.2", "nonlinearity = fhn"),
+    ("cubic", "estimators", "bias_poly_coeffs", "0, 2", "bias_model = polynomial"),
+], ids=["poly_coeffs", "epsilon", "initial_w_modes", "bias_poly_coeffs"])
+def test_keys_the_model_does_not_read_are_validation_errors(
+    base, section, key, value, reader, tmp_path, capsys
+):
+    text = {"linear": LINEAR_CONFIG, "cubic": ALLEN_CAHN_CONFIG}[base]
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(with_value(text, section, key, value))
+    assert main(["estimate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [{section}] {key}: only read when {reader}\n"
+    assert captured.out == ""

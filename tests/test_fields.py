@@ -13,6 +13,7 @@ from spde_drift.fields import (
     NemytskiiPlan,
     NonlinearitySpec,
     _cos_to_sine_projection,
+    _plans_grid,
     burgers_modes,
     default_grid,
     fhn_drift,
@@ -359,13 +360,29 @@ def test_burgers_plan_matches_reference(n, L):
         assert np.max(np.abs(out - reference_burgers(x, grid, spec, n))) <= 1e-12
 
 
+def reference_odd_nemytskii(x, nl, grid, spec, n_out):
+    """The odd stage as allocating steps: padded DST, ``polyval`` on the
+    interior points, DST back scaled as in ``grid_to_modes``."""
+    L = spec.domain_length
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    m_g = grid.n_grid
+    padded = np.pad(x, [(0, 0), (0, m_g - x.shape[-1])])
+    u = 0.5 * scipy.fft.dst(padded * math.sqrt(2.0 / L), type=1, axis=-1)
+    w = np.polynomial.polynomial.polyval(u, np.asarray(nl.poly_coeffs), tensor=False)
+    coeffs = math.sqrt(L / 2.0) / (m_g + 1) * scipy.fft.dst(w, type=1, axis=-1)
+    out = np.zeros((x.shape[0], n_out))
+    n_s = min(n_out, nl.degree * x.shape[-1], m_g)
+    out[:, :n_s] = coeffs[:, :n_s]
+    return out
+
+
 @pytest.mark.parametrize("m_g", [31, 63, 127])
 @pytest.mark.parametrize("L", [1.0, 2.0])
 def test_nemytskii_plan_matches_reference_bitwise(m_g, L):
     # same arithmetic in the same order, only without temporaries
     rng = np.random.default_rng(m_g)
     spec = OperatorSpec(domain_length=L)
-    for coeffs in [(0.0, 1.0, 0.0, -1.0), (0.1, -0.3, 0.8, -1.0), (0.5, 2.0)]:
+    for coeffs in [(0.1, -0.3, 0.8, -1.0), (0.5, 2.0)]:
         nl = NonlinearitySpec("polynomial", poly_coeffs=coeffs)
         n = m_g // nl.degree
         x = rng.standard_normal((4, n))
@@ -373,6 +390,67 @@ def test_nemytskii_plan_matches_reference_bitwise(m_g, L):
             nemytskii_modes(x, nl, GridSpec(m_g, n), spec, n),
             reference_nemytskii(x, nl, GridSpec(m_g, n), spec, n),
         )
+
+
+@pytest.mark.parametrize("m_g", [31, 63, 127])
+@pytest.mark.parametrize("L", [1.0, 2.0])
+def test_odd_nemytskii_plan_matches_odd_reference_bitwise(m_g, L):
+    rng = np.random.default_rng(m_g)
+    spec = OperatorSpec(domain_length=L)
+    for n in (m_g // 3, m_g // 2):  # the general and the odd bound
+        x = rng.standard_normal((4, n))
+        assert np.array_equal(
+            nemytskii_modes(x, ALLEN_CAHN, GridSpec(m_g, n), spec, n),
+            reference_odd_nemytskii(x, ALLEN_CAHN, GridSpec(m_g, n), spec, n),
+        )
+
+
+ODD_QUINTIC = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 0.3, 0.0, -1.2, 0.0, 0.5))
+
+
+@pytest.mark.parametrize("n", [8, 32, 100])
+@pytest.mark.parametrize("L", [1.0, 2.0])
+@pytest.mark.parametrize("nl", [ALLEN_CAHN, ODD_QUINTIC], ids=["cubic", "quintic"])
+def test_odd_stage_matches_general_stage(nl, L, n):
+    # the sine-only stage drops cosine coefficients that are exactly zero for
+    # odd f, so it agrees with the general pipeline up to round-off, on the
+    # odd bound itself and on larger grids
+    rng = np.random.default_rng(n)
+    spec = OperatorSpec(domain_length=L)
+    x = np.stack([_random_state(rng, n) for _ in range(6)])
+    general = reference_nemytskii(x, nl, default_grid(n, nl.degree), spec, n)
+    bound = (nl.degree * n + n) // 2
+    for m_g in (bound, bound + 1, default_grid(n, nl.degree).n_grid, 4 * bound + 3):
+        out = nemytskii_modes(x, nl, GridSpec(m_g, n), spec, n)
+        assert np.max(np.abs(out - general)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_in, n_out", [(8, 8), (100, 100), (10, 4), (5, 40)])
+@pytest.mark.parametrize("nl", [ALLEN_CAHN, ODD_QUINTIC], ids=["cubic", "quintic"])
+def test_odd_dealiasing_bound(nl, n_in, n_out):
+    # an odd f needs max(n_in, (m n_in + n_out) // 2) points; a general one
+    # keeps m max(n_in, n_out)
+    bound = max(n_in, (nl.degree * n_in + n_out) // 2)
+    with pytest.raises(ConfigurationError, match="dealiasing violated"):
+        NemytskiiPlan(nl, GridSpec(bound - 1, n_in), SPEC, 1, n_in, n_out)
+    NemytskiiPlan(nl, GridSpec(bound, n_in), SPEC, 1, n_in, n_out)
+    skewed = NonlinearitySpec("polynomial", poly_coeffs=(1.0,) + nl.poly_coeffs[1:])
+    if nl.degree * max(n_in, n_out) > bound:
+        with pytest.raises(ConfigurationError, match="dealiasing violated"):
+            NemytskiiPlan(skewed, GridSpec(bound, n_in), SPEC, 1, n_in, n_out)
+
+
+def test_run_grid_is_odd_only_when_every_plan_is_odd():
+    quadratic = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 0.5, -1.0))
+    fhn_cubic = NonlinearitySpec(
+        "polynomial", poly_coeffs=FHNParams(a=0.5, b=1.0, epsilon=0.1).cubic_coeffs()
+    )
+    assert _plans_grid([ALLEN_CAHN], 100).n_grid == 255  # bound 200
+    assert _plans_grid([ALLEN_CAHN, ALLEN_CAHN], 32).n_grid == 127  # bound 64
+    assert _plans_grid([ODD_QUINTIC], 100).n_grid == 511  # bound 300
+    for nls in ([ALLEN_CAHN, quadratic], [fhn_cubic], [NonlinearitySpec("burgers")]):
+        degree = max(nl.degree for nl in nls)
+        assert _plans_grid(nls, 100) == default_grid(100, degree)
 
 
 def test_nemytskii_plan_reuse_matches_fresh_calls():

@@ -8,7 +8,7 @@ from scipy.signal import lfilter
 from scipy.special import ndtr
 
 from spde_drift.errors import BlowUpError, ConfigurationError
-from spde_drift.estimate import EstimatorRequest
+from spde_drift.estimate import EstimatorRequest, estimate_theta
 from spde_drift.fields import ALLEN_CAHN, FHNParams, NonlinearitySpec
 from spde_drift import simulate
 from spde_drift.simulate import (
@@ -472,6 +472,25 @@ def test_trial_batches_are_bit_identical_to_lone_runs(name):
         lone = simulate_model(model, replace(scheme, seed=seed), req)
         assert_same_bits(a, lone)
     assert whole[0].xT.tobytes() != whole[1].xT.tobytes()
+
+
+@pytest.mark.parametrize("n_sim", [32, 100])
+def test_odd_drift_outputs_do_not_depend_on_partial_variants(n_sim):
+    # an odd f takes the sine-only stage, whose rows share no matrix product,
+    # so the full field's drift has the same bits with or without partial rows
+    model, scheme, req = batch_case("allen_cahn")
+    model = replace(model, n_sim=n_sim)
+    lean = replace(req, variants=("full", "linear"))
+    seeds = [3, 4, 5]
+    with_rows = simulate_trials(model, scheme, req, seeds)
+    without = simulate_trials(model, scheme, lean, seeds)
+    for a, b in zip(with_rows, without):
+        for name in ("x0", "xT", "trajectory"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        for variant in ("full", "linear"):
+            for n in req.n_list:
+                assert (estimate_theta(a.accumulators, req, variant, n).theta_hat.hex()
+                        == estimate_theta(b.accumulators, lean, variant, n).theta_hat.hex())
 
 
 def test_trial_batches_reject_bad_seed_lists():
