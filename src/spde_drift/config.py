@@ -214,14 +214,16 @@ def _parse_study(sec: _Section, model, scheme, est_req) -> StudySpec:
 
 
 def _read_ini(path) -> configparser.ConfigParser:
-    """Parse the file as UTF-8 INI text; a syntax error names the file and
-    the line.  Values are taken literally (no ``%`` interpolation)."""
+    """Parse the file as UTF-8 INI text, after a byte-order mark if it has
+    one; a syntax error names the file and the line.  Values are taken
+    literally (no ``%`` interpolation)."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # exc.start indexes exc.object, the bytes after any byte-order mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ConfigurationError(
             f"{path}, line {line}: not UTF-8 text ({exc.reason})"
         ) from None

@@ -11,7 +11,9 @@ ceil(n_trials / workers)) and each chunk is one task: its trials are stepped
 together as one batch by ``simulate.simulate_trials``, whose outputs are the
 bits of lone runs for any batch size; drift-free trials run through the same
 block loop one at a time within their chunk.  At most one worker process is
-started per chunk, and a single worker runs every chunk in-process.
+started per chunk, and a single worker runs every chunk in-process.  A
+drift-free study with several workers imports ``scipy.signal`` before it
+starts them, so that forked workers share the parent's copy.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import (
     StudyError,
 )
 from .estimate import EstimatorRequest, estimate_theta, z_score
-from .simulate import ModelSpec, SchemeSpec, SimOutput, simulate_trials
+from .simulate import ModelSpec, SchemeSpec, SimOutput, _drifts, simulate_trials
 from .theory import asymptotic_constants
 
 THREADS_ENV_VAR = "SPDE_DRIFT_THREADS"
@@ -241,6 +243,10 @@ def run_study(spec: StudySpec, threads: int | None = None) -> MCReport:
     if n_workers == 1 or len(chunks) == 1:
         parts = [_run_chunk(spec, chunk) for chunk in chunks]
     else:
+        if not _drifts(spec.model, spec.est_req):
+            # the drift-free filter's module, loaded once here and inherited
+            # by the forked workers instead of imported again in each
+            import scipy.signal  # noqa: F401
         with ProcessPoolExecutor(max_workers=min(n_workers, len(chunks))) as pool:
             parts = list(pool.map(_run_chunk, [spec] * len(chunks), chunks))
     results = [r for part in parts for r in part]  # chunks come back in trial order

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import BlowUpError, ConfigurationError
 from .estimate import (
@@ -224,6 +223,10 @@ def _ou_transition(theta, lam, d, gamma, noise_scale):
 
 def _ar1_filter(decay, amp, draws, out, zi):
     """Per mode k, out[j] = decay_k out[j-1] + amp_k draws[j] from state zi[k]."""
+    # imported here: scipy.signal is most of the package's import time, and
+    # only drift-free runs use it
+    from scipy.signal import lfilter
+
     # zi[k] is updated in place, so the next block continues the recursion
     for k in range(len(decay)):
         out[:, k], zi[k] = lfilter([amp[k]], [1.0, -decay[k]], draws[:, k], zi=zi[k])
@@ -398,13 +401,20 @@ def simulate_model(
     return out
 
 
+def _drifts(model: ModelSpec, req: EstimatorRequest) -> bool:
+    """Whether the run steps a drift: the model's nonlinearity or the bias
+    model it is estimated with.  A run without one is the per-mode linear
+    filter of the drift-free models."""
+    bias = req.bias_model
+    return model.nonlinearity.variant != "none" or (
+        bias is not None and bias.variant != "none"
+    )
+
+
 def _check_request(model, scheme, req, seeds):
     """Raise the ConfigurationError of the first rule that the run breaks."""
     coupled = model.nonlinearity.variant == "fhn"
     bias = req.bias_model
-    drifts = model.nonlinearity.variant != "none" or (
-        bias is not None and bias.variant != "none"
-    )
     variants = COUPLED_VARIANTS if coupled else SCALAR_VARIANTS
     for broken, message in [
         (len(seeds) == 0 or not all(0 <= int(s) < _MAX_SEED for s in seeds),
@@ -419,7 +429,7 @@ def _check_request(model, scheme, req, seeds):
          f"requested truncation {max(req.n_list)} exceeds n_sim={model.n_sim}"),
         (not coupled and bias is not None and bias.variant == "fhn",
          "fhn is not a valid bias model for scalar runs"),
-        (scheme.backend == "ou_exact" and drifts,
+        (scheme.backend == "ou_exact" and _drifts(model, req),
          "backend 'ou_exact' requires a drift-free model (nonlinearity none)"),
     ]:
         if broken:
@@ -458,7 +468,7 @@ def simulate_trials(
     x0 = np.stack([model.initial_state(), model.initial_w_state()][: 1 + coupled])
     acc_args = (lam, scheme.t_final, model.gamma, est_req.n_list)
 
-    if nl.variant == "none" and bias_nl.variant == "none":
+    if not _drifts(model, est_req):
         if scheme.backend == "ou_exact":  # gain scales plain N(0, 1) draws
             decay, gain = _ou_transition(
                 model.theta_true, lam, h, model.gamma, scheme.noise_scale

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from spde_drift.cli import _write_trajectory_csv, main
+from spde_drift.config import load_config
 from spde_drift.theory import asymptotic_constants
 
 LINEAR_CONFIG = """
@@ -508,3 +509,37 @@ def test_keys_the_model_does_not_read_are_validation_errors(
     captured = capsys.readouterr()
     assert captured.err == f"error: [{section}] {key}: only read when {reader}\n"
     assert captured.out == ""
+
+
+def test_byte_order_mark_is_ignored(linear_cfg, tmp_path, capsys):
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + linear_cfg.read_bytes())
+    assert load_config(bom) == load_config(linear_cfg)
+    for name in ("repeated key", "non-UTF-8 bytes"):  # bad line 3, in the parser and the decoder
+        content, line = MALFORMED_INI[name]
+        bom.write_bytes(b"\xef\xbb\xbf" + content)
+        assert main(["estimate", str(bom)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {re.escape(str(bom))}, line 3: .+\n", err), err
+
+
+SIMULATE_IN_A_FRESH_INTERPRETER = """
+import sys
+import spde_drift
+from spde_drift.cli import main
+from spde_drift.config import load_config
+load_config(sys.argv[1])
+loaded = "scipy.signal" in sys.modules
+code = main(["simulate", sys.argv[1], "--out", sys.argv[2]])
+print(code, loaded, "scipy.signal" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("config, loaded", [("cubic_cfg", "False"), ("linear_cfg", "True")])
+def test_only_drift_free_runs_load_scipy_signal(config, loaded, request, tmp_path,
+                                                fresh_python):
+    cfg = request.getfixturevalue(config)
+    out = fresh_python(SIMULATE_IN_A_FRESH_INTERPRETER, cfg, tmp_path / "run")
+    # neither the import nor the config loads it; the drift-free filter does
+    assert out.splitlines()[-1].split() == ["0", "False", loaded]
+    assert (tmp_path / "run" / "estimates.csv").is_file()

@@ -245,3 +245,48 @@ def test_pool_never_exceeds_the_chunk_count(monkeypatch):
     assert json.dumps(report.to_json_dict()) == json.dumps(reference.to_json_dict())
     run_study(linear_study(n_trials=40), threads=2)  # chunks of 16, 16 and 8
     assert InProcessPool.created == [3, 2]
+
+
+POOL_PROBE = """
+import json, sys
+from dataclasses import replace
+from spde_drift import mc
+from spde_drift.fields import NonlinearitySpec
+from test_mc import InProcessPool, linear_study, stepping_study
+
+class SignalProbe(InProcessPool):
+    loaded = []
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers)
+        self.loaded.append("scipy.signal" in sys.modules)
+
+mc.ProcessPoolExecutor = SignalProbe
+spec = {
+    "ou_exact": linear_study(),
+    "euler": linear_study(backend="euler"),
+    "quadratic_bias": linear_study(backend="euler"),
+    "allen_cahn": stepping_study("allen_cahn"),
+}[sys.argv[1]]
+if sys.argv[1] == "quadratic_bias":  # a drift-free model estimated with a drift
+    bias = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 0.5, -1.0))
+    spec = replace(spec, est_req=replace(spec.est_req, bias_model=bias))
+report = mc.run_study(spec, threads=2)
+reference = mc.run_study(spec, threads=1)
+same = json.dumps(report.to_json_dict()) == json.dumps(reference.to_json_dict())
+print(json.dumps([SignalProbe.loaded, same, "scipy.signal" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("name, drift_free", [
+    ("ou_exact", True), ("euler", True), ("quadratic_bias", False), ("allen_cahn", False),
+])
+def test_drift_free_study_imports_scipy_signal_before_its_pool(name, drift_free,
+                                                               fresh_python):
+    """Forked workers inherit the parent's scipy.signal, so a multi-worker
+    drift-free study loads it before it starts them; a study with a drift
+    never loads it."""
+    loaded, same, loaded_at_end = json.loads(fresh_python(POOL_PROBE, name))
+    assert loaded == [drift_free]
+    assert same
+    assert loaded_at_end == drift_free
