@@ -23,6 +23,13 @@ on the M_g interior points alone and takes the coefficients back with one
 type-I DST, as ``grid_to_modes`` does (J. P. Boyd, *Chebyshev and Fourier
 Spectral Methods*, 2nd ed., 2001, ch. 8).
 
+Every other drift takes the general stage.  Around the pointwise f it is
+two fixed linear maps: modes to samples of the odd extension, and samples to
+sine coefficients.  At small sizes (FitzHugh-Nagumo's 32 modes on 127
+points) the fixed cost of each FFT call dominates, so the plan multiplies by
+the two maps as precomputed matrices instead, the matrix-multiplication
+transform (Boyd, ch. 10), and keeps the FFTs for larger tables.
+
 Dealiasing: a polynomial of degree m applied to n_in modes has sine-degree
 m * n_in.  The general stage, whose periodic grid has 2(M_g+1) points, is
 exact for the first n_out coefficients when M_g >= m * max(n_in, n_out).
@@ -34,7 +41,10 @@ power-of-two FFT length; a run whose plans are all odd takes the smallest
 such grid meeting the odd bound (255 points for 100 cubic modes, against 511).
 Step loops evaluate f through a ``NemytskiiPlan`` built once per batch of
 trajectories; ``nemytskii_modes`` and ``burgers_modes`` are one-shot forms of
-the same kernel.
+the same kernel.  The odd and table stages treat every row alone, matrix
+products included, so a row's coefficients have the same bits whatever
+rows share its batch; the FFT stage projects with one matrix product per
+batch of a stack, so a batch keeps its bits whatever is stacked with it.
 """
 
 from __future__ import annotations
@@ -267,34 +277,54 @@ def _cos_to_sine_projection(n_out: int, n_cos: int, L: float) -> np.ndarray:
     return out
 
 
+#: the general stage multiplies by two tables instead of running FFTs when
+#: each table holds at most this many entries (64 KiB).  The bound is an
+#: estimate from direct plan-call timings at 16 trials of 3 and 6 rows on a
+#: 2-core host, where the tables lost at 43 modes on 255 points and at 63 on
+#: 127; no benchmark workload runs a general plan above it.
+_TABLE_ENTRIES = 1 << 13
+
+
 class NemytskiiPlan:
     """Reusable workspace for the exact sine-mode coefficients of a scalar
     drift: a polynomial f(u) or the Burgers transport term -u u_x.
 
     Built once for a batch of ``n_rows`` states with ``n_in`` modes each: the
-    dealiasing check and every buffer of the chosen stage are set up here,
-    so a call allocates only the outputs of its transforms.  ``n_rows`` may
-    also be a shape such as (trials, rows) for a stack of batches.
+    dealiasing check, the choice of stage and every buffer of that stage are
+    set up here, so a call allocates at most the outputs of its transforms.
+    ``n_rows`` may also be a shape such as (trials, rows) for a stack of
+    batches.  ``stage`` names the chosen stage; it depends on the
+    nonlinearity, n_in, n_out and the grid, never on the rows.
 
-    A call maps an (n_rows, n_in) array to (n_rows, n_out) coefficients and
-    starts with a type-I DST to the M_g interior points.  For an odd
-    polynomial (``NonlinearitySpec.is_odd_polynomial``) it then evaluates f
-    there by Horner's rule in ``polyval``'s operation order and takes f(u)
-    back with one type-I DST scaled as in ``grid_to_modes``; the grid must
-    hold max(n_in, floor((m n_in + n_out) / 2)) points, and every row is
-    computed alone.  Every other drift takes the general stage on a grid of
-    m max(n_in, n_out) points: odd extension to the periodic grid of
-    2(M_g+1) points, the same Horner evaluation there, rfft split into sine
-    and cosine parts, and closed-form projection of the cosine part onto the
-    sine modes.  The projection is one matrix product per batch of the
+    A call maps an (n_rows, n_in) array to (n_rows, n_out) coefficients.  For
+    an odd polynomial (``NonlinearitySpec.is_odd_polynomial``) the ``odd``
+    stage takes a type-I DST to the M_g interior points, evaluates f there by
+    Horner's rule in ``polyval``'s operation order and takes f(u) back with
+    one type-I DST scaled as in ``grid_to_modes``; the grid must hold
+    max(n_in, floor((m n_in + n_out) / 2)) points.
+
+    Every other drift is evaluated on a grid of m max(n_in, n_out) points as
+    samples of the odd extension on the periodic grid of 2(M_g+1) points,
+    the same Horner evaluation there, an rfft split into sine and cosine
+    parts, and closed-form projection of the cosine part onto the sine
+    modes.  Burgers evaluates f(u) = u^2 and replaces the output stage by
+    -(u^2)_x / 2, which maps the cosine coefficient a_k to
+    (k pi / 4) sqrt(2/L) a_k; the sine part of the even u^2 is zero.  Both
+    linear maps around Horner are fixed: when each fits in
+    ``_TABLE_ENTRIES`` entries the ``tables`` stage applies them as two
+    matrix products (the matrix-multiplication transform, which beats the
+    FFT at small sizes: Boyd, ch. 10), one per row, so each row has the
+    bits of its lone call.  Else the ``fft`` stage runs the DST, rfft and
+    projection; the projection is one matrix product per batch of the
     stack, with that batch's own shape, so a batch gets the same bits
-    whatever is stacked with it.  Burgers runs the general stage with
-    f(u) = u^2 and replaces the output stage by -(u^2)_x / 2, which maps the
-    cosine coefficient a_k to (k pi / 4) sqrt(2/L) a_k; the sine part of the
-    even u^2 is zero.  Coefficients above the sine-degree m n_in are zero.
+    whatever is stacked with it.  Coefficients above the sine-degree m n_in
+    are zero.
+
     The returned array belongs to the plan and is overwritten by its next
     call; a plan must not be shared between concurrent callers.
     """
+
+    _table_entries = _TABLE_ENTRIES
 
     def __init__(
         self,
@@ -316,25 +346,35 @@ class NemytskiiPlan:
         m_g = grid.n_grid
         L = spec.domain_length
         n_freq = min(degree * n_in, m_g)
+        n_points = 2 * (m_g + 1)
         lead = (n_rows,) if np.ndim(n_rows) == 0 else tuple(n_rows)
         n_rows = math.prod(lead)
         self.shape = lead + (n_in,)
         self._coeffs = (0.0, 0.0, 1.0) if burgers else nl.poly_coeffs
-        self._odd = nl.is_odd_polynomial
         self._L = L
         self._n_s = min(n_out, n_freq)
-        # 0.5 * DST(x sqrt(2/L)) with the exact factor 0.5 folded into the scale
-        self._in_scale = 0.5 * math.sqrt(2.0 / L)
-        # every stage runs on (rows, .) buffers; the input and the
-        # projection see them through views shaped like the batch stack
-        self._modes = np.zeros((n_rows, m_g))
-        self._modes_in = self._modes.reshape(lead + (m_g,))[..., :n_in]
+        # every stage writes (rows, .) buffers; the input and the output
+        # see them through views shaped like the batch stack
         self._out = np.empty((n_rows, n_out))
         self._out_stack = self._out.reshape(lead + (n_out,))
-        if self._odd:
+        tables = max(n_in, n_out) * n_points <= self._table_entries
+        self.stage = "odd" if nl.is_odd_polynomial else "tables" if tables else "fft"
+        if self.stage == "tables":
+            self._ext = np.empty((n_rows, n_points))
+            self._ext_rows = self._ext.reshape(lead + (1, n_points))
+            self._poly = np.empty_like(self._ext)
+            self._poly_rows = self._poly[:, None]
+            self._out_rows = self._out[:, None]
+            self._to_ext, self._to_out = _general_tables(burgers, degree, m_g, L, n_in, n_out)
+            return
+        # 0.5 * DST(x sqrt(2/L)) with the exact factor 0.5 folded into the scale
+        self._in_scale = 0.5 * math.sqrt(2.0 / L)
+        self._modes = np.zeros((n_rows, m_g))
+        self._modes_in = self._modes.reshape(lead + (m_g,))[..., :n_in]
+        if self.stage == "odd":
             self._poly = np.empty((n_rows, m_g))
             return
-        self._ext = np.zeros((n_rows, 2 * (m_g + 1)))
+        self._ext = np.zeros((n_rows, n_points))
         self._poly = np.empty_like(self._ext)
         self._cos = np.empty((n_rows, n_freq + 1))
         self._cos_stack = self._cos.reshape(lead + (n_freq + 1,))
@@ -355,34 +395,31 @@ class NemytskiiPlan:
             w += coeff
         return w
 
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != self.shape:
-            raise ConfigurationError(
-                f"batch shape {x.shape} does not match the plan's {self.shape}"
-            )
-        m_g = self._modes.shape[-1]
+    def _interior(self, x) -> np.ndarray:
+        """The field at the M_g interior points, by type-I DST."""
         np.multiply(x, self._in_scale, out=self._modes_in)
-        u = scipy.fft.dst(self._modes, type=1, axis=-1)
-        n_s = self._n_s
-        out = self._out
-        out[:, n_s:] = 0.0
+        return scipy.fft.dst(self._modes, type=1, axis=-1)
 
-        if self._odd:  # f(u) is a sine series: back by DST as grid_to_modes
-            coeffs = scipy.fft.dst(self._horner(u), type=1, axis=-1, overwrite_x=True)
-            scale = math.sqrt(self._L / 2.0) / (m_g + 1)
-            np.multiply(coeffs[:, :n_s], scale, out=out[:, :n_s])
-            return self._out_stack
-
-        # periodic samples over [0, 2L): [0, u_1..u_M, 0, -u_M..-u_1]
+    def _extend(self, x) -> np.ndarray:
+        """The field's odd extension sampled on the periodic grid over
+        [0, 2L): [0, u_1..u_M, 0, -u_M..-u_1]."""
+        u = self._interior(x)
+        m_g = u.shape[-1]
         ext = self._ext
         ext[:, 1 : m_g + 1] = u
         np.negative(u[:, ::-1], out=ext[:, m_g + 2 :])
-        w = self._horner(ext)
+        return ext
 
+    def _project(self, w) -> np.ndarray:
+        """Sine coefficients of the periodic samples w of f(u) (overwritten):
+        the sine part as it is, the cosine part projected onto the sine
+        modes, or for Burgers the cosine part differentiated."""
+        n_s = self._n_s
+        out = self._out
+        out[:, n_s:] = 0.0
         # w = a_0/2 + sum_l (a_l cos + s_l sin); a indexed from l = 0 with the
         # 1/2 folded in, s from l = 1, both truncated at n_freq
-        n_points = ext.shape[-1]
+        n_points = w.shape[-1]
         spectrum = scipy.fft.rfft(w, axis=-1, overwrite_x=True)
         a = self._cos
         np.multiply(spectrum.real[:, : a.shape[-1]], 2.0, out=a)
@@ -401,6 +438,60 @@ class NemytskiiPlan:
         self._out_stack += self._cos_stack @ self._proj_t
         out *= math.sqrt(2.0 / self._L)
         return self._out_stack
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != self.shape:
+            raise ConfigurationError(
+                f"batch shape {x.shape} does not match the plan's {self.shape}"
+            )
+        if self.stage == "tables":  # one (1, n) product per row
+            np.matmul(x[..., None, :], self._to_ext, out=self._ext_rows)
+            self._horner(self._ext)
+            np.matmul(self._poly_rows, self._to_out, out=self._out_rows)
+            return self._out_stack
+        if self.stage == "fft":
+            return self._project(self._horner(self._extend(x)))
+
+        # odd: f(u) is a sine series, back by DST as grid_to_modes
+        u = self._interior(x)
+        n_s = self._n_s
+        out = self._out
+        out[:, n_s:] = 0.0
+        coeffs = scipy.fft.dst(self._horner(u), type=1, axis=-1, overwrite_x=True)
+        scale = math.sqrt(self._L / 2.0) / (u.shape[-1] + 1)
+        np.multiply(coeffs[:, :n_s], scale, out=out[:, :n_s])
+        return self._out_stack
+
+
+class _FFTStagePlan(NemytskiiPlan):
+    """A general plan held to the ``fft`` stage at any size: the builder of
+    the ``tables`` stage's matrices."""
+
+    _table_entries = 0
+
+
+@functools.lru_cache(maxsize=32)
+def _general_tables(
+    burgers: bool, degree: int, m_g: int, L: float, n_in: int, n_out: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``tables`` stage's matrices: row k of the (n_in, 2(M_g+1)) first
+    is the ``fft`` stage's odd extension of mode k + 1, row j of the
+    (2(M_g+1), n_out) second its output for a unit sample at point j, so the
+    two stages share every constant.  Each unit sample is its own batch of
+    one row, so every row is projected alone.  Read-only, shared through the
+    cache."""
+    nl = (NonlinearitySpec("burgers") if burgers
+          else NonlinearitySpec("polynomial", poly_coeffs=(1.0,) * (degree + 1)))
+    n_points = 2 * (m_g + 1)
+    fft = _FFTStagePlan(nl, GridSpec(m_g, m_g), OperatorSpec(domain_length=L),
+                        (n_points, 1), n_in, n_out)
+    eye = np.eye(n_points)[:, None]
+    to_ext = fft._extend(eye[..., :n_in])[:n_in].copy()
+    to_out = fft._project(eye[:, 0]).reshape(n_points, n_out).copy()
+    for table in (to_ext, to_out):
+        table.setflags(write=False)
+    return to_ext, to_out
 
 
 def nemytskii_modes(

@@ -30,8 +30,8 @@ trials run one at a time, in blocks bounded by the value budget alone.
 Once per block, and the same way for every model, the loop adds the path's
 left-endpoint Riemann sums to the estimator integrals, takes the requested
 snapshots and checks for blow-ups.  Each operation acts on every trial alone
-(the drift's matrix products are one BLAS call per trial), so a trial's
-output is the same bits in any batch and for any block length.
+(the drift's matrix products are one BLAS call per row or per trial), so a
+trial's output is the same bits in any batch and for any block length.
 """
 
 from __future__ import annotations
@@ -235,10 +235,10 @@ def _ar1_filter(decay, amp, draws, out, zi):
 def _snapshot_indices(n_steps: int, stride: int | None) -> np.ndarray | None:
     if stride is None:
         return None
-    idx = list(range(0, n_steps + 1, stride))
+    idx = np.arange(0, n_steps + 1, stride)
     if idx[-1] != n_steps:
-        idx.append(n_steps)
-    return np.asarray(idx)
+        idx = np.append(idx, n_steps)
+    return idx
 
 
 def _row_masks(n_list, n_modes) -> np.ndarray:

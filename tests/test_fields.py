@@ -13,6 +13,7 @@ from spde_drift.fields import (
     NemytskiiPlan,
     NonlinearitySpec,
     _cos_to_sine_projection,
+    _general_tables,
     _plans_grid,
     burgers_modes,
     default_grid,
@@ -330,6 +331,21 @@ def reference_nemytskii(x, nl, grid, spec, n_out):
     return out
 
 
+def reference_table_nemytskii(x, nl, grid, spec, n_out):
+    """The ``tables`` stage as allocating steps, one row at a time: the
+    cached tables' products around ``polyval`` (u^2 for Burgers)."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    burgers = nl.variant == "burgers"
+    coeffs = np.asarray((0.0, 0.0, 1.0) if burgers else nl.poly_coeffs)
+    to_ext, to_out = _general_tables(
+        burgers, nl.degree, grid.n_grid, spec.domain_length, x.shape[-1], n_out
+    )
+    return np.stack([
+        np.polynomial.polynomial.polyval(row @ to_ext, coeffs, tensor=False) @ to_out
+        for row in x
+    ])
+
+
 def reference_burgers(x, grid, spec, n_out):
     """The three-transform pipeline the plan replaces: u by DST, u_x by a
     DCT-I of the differentiated cosine series, -u u_x back by DST."""
@@ -376,20 +392,132 @@ def reference_odd_nemytskii(x, nl, grid, spec, n_out):
     return out
 
 
-@pytest.mark.parametrize("m_g", [31, 63, 127])
+@pytest.mark.parametrize("m_g", [31, 63, 127, 255])
 @pytest.mark.parametrize("L", [1.0, 2.0])
 def test_nemytskii_plan_matches_reference_bitwise(m_g, L):
-    # same arithmetic in the same order, only without temporaries
+    # same arithmetic in the same order, only without temporaries: the fft
+    # stage against the FFT pipeline on the sizes that select it (127 and
+    # 255 points), the tables stage against its products on the smaller ones
     rng = np.random.default_rng(m_g)
     spec = OperatorSpec(domain_length=L)
     for coeffs in [(0.1, -0.3, 0.8, -1.0), (0.5, 2.0)]:
         nl = NonlinearitySpec("polynomial", poly_coeffs=coeffs)
         n = m_g // nl.degree
         x = rng.standard_normal((4, n))
+        grid = GridSpec(m_g, n)
+        stage = NemytskiiPlan(nl, grid, spec, 4, n, n).stage
+        assert stage == ("fft" if m_g >= 127 else "tables")
+        reference = reference_nemytskii if stage == "fft" else reference_table_nemytskii
         assert np.array_equal(
-            nemytskii_modes(x, nl, GridSpec(m_g, n), spec, n),
-            reference_nemytskii(x, nl, GridSpec(m_g, n), spec, n),
+            nemytskii_modes(x, nl, grid, spec, n), reference(x, nl, grid, spec, n)
         )
+
+
+FHN_CUBIC = NonlinearitySpec(
+    "polynomial", poly_coeffs=FHNParams(a=0.5, b=1.0, epsilon=0.1).cubic_coeffs()
+)
+QUADRATIC = NonlinearitySpec("polynomial", poly_coeffs=(0.2, 0.5, -1.0))
+
+
+def table_cases(m_g):
+    """(nl, n) of the tables stage on m_g points: FHN's cubic, a quadratic
+    and Burgers, each at the most modes whose tables fit."""
+    K = 2 * (m_g + 1)
+    return [(nl, min(m_g // nl.degree, (1 << 13) // K))
+            for nl in (FHN_CUBIC, QUADRATIC, NonlinearitySpec("burgers"))]
+
+
+def closed_form_tables(nl, m_g, L, n_in, n_out):
+    """The tables stage's two matrices from their formulas, without a
+    transform.  Mode k is sqrt(2/L) sin(k pi x / L) at the periodic points
+    x_j = 2 L j / N.  A unit sample at x_j has the interpolant
+    a_0/2 + sum_l (a_l cos + s_l sin)(l pi x / L) with a_l = (2/N) cos(2 pi l j / N),
+    s_l = (2/N) sin(2 pi l j / N), l <= n_freq; its sine coefficients are
+    (L/2) s_k plus a_l times the integral of cos(l pi x/L) sin(k pi x/L)
+    over [0, L], or for Burgers -(w)_x / 2 = sum_l a_l (l pi / 2L) sin."""
+    N = 2 * (m_g + 1)
+    n_freq = min(nl.degree * n_in, m_g)
+    n_s = min(n_out, n_freq)
+    j = np.arange(N)[:, None]
+
+    def wave(fn, k):  # fn(2 pi k j / N), the phase reduced exactly mod N
+        return fn(2 * math.pi * ((j * k) % N) / N)
+
+    to_ext = math.sqrt(2 / L) * wave(np.sin, np.arange(1, n_in + 1)).T
+    l = np.arange(n_freq + 1)
+    a = 2 / N * wave(np.cos, l)
+    a[:, 0] /= 2
+    k = np.arange(1, n_out + 1)[:, None]
+    sine_norm = math.sqrt(2 / L) * L / 2  # (sin(k pi x / L), Phi_k)
+    to_out = np.zeros((N, n_out))
+    if nl.variant == "burgers":
+        to_out[:, :n_s] = a[:, 1 : n_s + 1] * (k[:n_s, 0] * math.pi / (2 * L)) * sine_norm
+        return to_ext, to_out
+    to_out[:, :n_s] = 2 / N * wave(np.sin, np.arange(1, n_s + 1)) * sine_norm
+
+    def sine_integral(m):  # integral of sin(m pi x / L) over [0, L]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(m == 0, 0.0, L * (1 - np.cos(math.pi * (m % 2))) / (math.pi * m))
+
+    cos_sin = (sine_integral(k + l) + sine_integral(k - l)) / 2  # product to sum
+    to_out += math.sqrt(2 / L) * a @ cos_sin.T
+    return to_ext, to_out
+
+
+@pytest.mark.parametrize("m_g", [31, 63, 127])
+@pytest.mark.parametrize("L", [1.0, 2.0])
+def test_table_stage_matches_table_reference_bitwise(m_g, L):
+    # per-row products over the cached tables, as allocating steps; a
+    # (16, 6) stack of rows gets the bits of each row alone.  The tables
+    # themselves match their closed forms to round-off.
+    rng = np.random.default_rng(m_g)
+    spec = OperatorSpec(domain_length=L)
+    for nl, n in table_cases(m_g):
+        grid = GridSpec(m_g, n)
+        tables = _general_tables(nl.variant == "burgers", nl.degree, m_g, L, n, n)
+        for table, closed in zip(tables, closed_form_tables(nl, m_g, L, n, n)):
+            assert np.max(np.abs(table - closed)) <= 1e-14 * np.max(np.abs(closed))
+        plan = NemytskiiPlan(nl, grid, spec, (16, 6), n, n)
+        assert plan.stage == "tables"
+        x = rng.standard_normal((16, 6, n)) / np.arange(1, n + 1)
+        out = plan(x).reshape(-1, n)
+        assert np.array_equal(out, reference_table_nemytskii(x.reshape(-1, n), nl, grid, spec, n))
+        assert np.array_equal(out[:1], nemytskii_modes(x[0, :1], nl, grid, spec, n))
+
+
+@pytest.mark.parametrize("m_g", [31, 63, 127])
+@pytest.mark.parametrize("L", [1.0, 2.0])
+def test_table_stage_matches_fft_references(m_g, L):
+    # the two stages differ in summation order only
+    rng = np.random.default_rng(m_g)
+    spec = OperatorSpec(domain_length=L)
+    for nl, n in table_cases(m_g):
+        grid = GridSpec(m_g, n)
+        x = np.stack([_random_state(rng, n) for _ in range(6)])
+        out = nemytskii_modes(x, nl, grid, spec, n)
+        if nl.variant == "burgers":
+            reference = reference_burgers(x, grid, spec, n)
+        else:
+            reference = reference_nemytskii(x, nl, grid, spec, n)
+        assert np.max(np.abs(out - reference)) <= 1e-12
+
+
+def test_general_stage_is_chosen_by_table_size():
+    # the stage depends on the nonlinearity, n_in, n_out and the grid only,
+    # so a trial keeps its stage, and its bits, in any batch
+    def stage(nl, n_in, m_g, lead=1, n_out=None):
+        return NemytskiiPlan(nl, GridSpec(m_g, n_in), SPEC, lead, n_in, n_out or n_in).stage
+
+    burgers = NonlinearitySpec("burgers")
+    for nl in (FHN_CUBIC, QUADRATIC, burgers):
+        assert stage(nl, 32, 127, (1, 1)) == stage(nl, 32, 127, (16, 6)) == "tables"
+        assert stage(nl, 43, 255, (1, 1)) == stage(nl, 43, 255, (16, 6)) == "fft"
+    assert stage(FHN_CUBIC, 32, default_grid(32, 3).n_grid) == "tables"  # FitzHugh-Nagumo
+    assert stage(FHN_CUBIC, 33, 127) == "fft"  # 33 * 256 entries
+    assert stage(FHN_CUBIC, 8, 127, n_out=40) == "fft"  # a wide output table
+    for nl in (ALLEN_CAHN, ODD_QUINTIC):
+        for n, m_g in [(4, 31), (32, 127), (100, 511)]:
+            assert stage(nl, n, m_g) == "odd"
 
 
 @pytest.mark.parametrize("m_g", [31, 63, 127])

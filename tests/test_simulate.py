@@ -247,6 +247,27 @@ def test_coupled_blow_up_in_recovery_names_its_mode():
     assert (exc.value.step, exc.value.mode) == (1, 3)
 
 
+@pytest.mark.parametrize("n_steps, stride", [(12, 3), (12, 5), (12, 20)])
+def test_snapshot_indices_take_every_stride_and_the_last_step(n_steps, stride):
+    listed = list(range(0, n_steps + 1, stride))
+    if listed[-1] != n_steps:
+        listed.append(n_steps)
+    assert simulate._snapshot_indices(n_steps, stride).tolist() == listed
+    assert simulate._snapshot_indices(n_steps, None) is None
+
+
+def test_snapshot_indices_of_a_million_steps_stay_small():
+    # one int64 array: 8 MB, where a list of Python ints took 48 MB
+    tracemalloc.start()
+    try:
+        idx = simulate._snapshot_indices(10**6, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(idx) == 10**6 + 1 and idx[-1] == 10**6
+    assert peak < 10_000_000
+
+
 def test_snapshot_times_and_shape():
     model = linear_model(x0=(1.0, 0.5), n_sim=2)
     scheme = SchemeSpec(dt=0.1, t_final=1.0, seed=4, snapshot_stride=3)
@@ -474,23 +495,49 @@ def test_trial_batches_are_bit_identical_to_lone_runs(name):
     assert whole[0].xT.tobytes() != whole[1].xT.tobytes()
 
 
-@pytest.mark.parametrize("n_sim", [32, 100])
-def test_odd_drift_outputs_do_not_depend_on_partial_variants(n_sim):
-    # an odd f takes the sine-only stage, whose rows share no matrix product,
-    # so the full field's drift has the same bits with or without partial rows
-    model, scheme, req = batch_case("allen_cahn")
+@pytest.mark.parametrize("name, n_sim", [
+    ("allen_cahn", 32), ("allen_cahn", 100), ("fhn", 32),
+], ids=["32", "100", "fhn-32"])
+def test_odd_drift_outputs_do_not_depend_on_partial_variants(name, n_sim):
+    # the odd stage (Allen-Cahn) and the tables stage (FitzHugh-Nagumo on
+    # 127 points) treat each row alone, their matrix products included, so
+    # the full field's drift has the same bits with or without partial rows
+    model, scheme, req = batch_case(name)
     model = replace(model, n_sim=n_sim)
     lean = replace(req, variants=("full", "linear"))
     seeds = [3, 4, 5]
     with_rows = simulate_trials(model, scheme, req, seeds)
     without = simulate_trials(model, scheme, lean, seeds)
     for a, b in zip(with_rows, without):
-        for name in ("x0", "xT", "trajectory"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        for field in ("x0", "xT", "trajectory", "wT"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x is None) == (y is None), field
+            assert x is None or x.tobytes() == y.tobytes(), field
         for variant in ("full", "linear"):
             for n in req.n_list:
                 assert (estimate_theta(a.accumulators, req, variant, n).theta_hat.hex()
                         == estimate_theta(b.accumulators, lean, variant, n).theta_hat.hex())
+
+
+FHN_IN_A_FRESH_INTERPRETER = """
+import os, sys
+os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = sys.argv[1]
+from test_simulate import batch_case, estimate_theta, simulate_model
+model, scheme, req = batch_case("fhn")
+out = simulate_model(model, scheme, req)
+print(out.xT.tobytes().hex(), out.wT.tobytes().hex())
+for variant in req.variants:
+    for n in req.n_list:
+        print(variant, n, estimate_theta(out.accumulators, req, variant, n).theta_hat.hex())
+"""
+
+
+def test_fhn_outputs_do_not_depend_on_blas_threads(fresh_python):
+    # BLAS is loaded with the thread count of its environment, so each count
+    # needs a fresh interpreter
+    one, two = (fresh_python(FHN_IN_A_FRESH_INTERPRETER, n) for n in (1, 2))
+    assert len(one.splitlines()) == 1 + 4 * 2
+    assert one == two
 
 
 def test_trial_batches_reject_bad_seed_lists():
