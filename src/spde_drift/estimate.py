@@ -161,14 +161,22 @@ def robust_numerator(
     return _robust_terms(x0, xT, t_final, alpha, gamma, n, lam)
 
 
+def _fold(total, terms):
+    """Add the rows of ``terms`` (overwritten) to ``total`` in order, as one
+    += per row would, where a plain sum over a single mode goes pairwise."""
+    terms[0] += total
+    total[...] = np.cumsum(terms, axis=0, out=terms)[-1]
+
+
 class EstimatorAccumulator:
     """Running per-mode time integrals collected along one trajectory.
 
     Raw integrals are alpha-independent; the lambda weights are applied at
-    query time.  ``q[k]`` holds int (x^k)^2 dt, ``bias_full[k]`` holds
-    int x^k F^k(full state) dt, ``bias_part[i, k]`` the same with the state
-    truncated to n_list[i] modes, and for the coupled system ``bias_w[k]``
-    holds int v^k w^k dt.  Left-endpoint Riemann sums at full step resolution.
+    query time.  ``q[k]`` holds int (x^k)^2 dt, ``ito[k]`` the Ito sum of
+    x^k dx^k, ``bias_full[k]`` int x^k F^k(full state) dt, ``bias_part[i, k]``
+    the same with the state truncated to n_list[i] modes, and for the coupled
+    system ``bias_w[k]`` holds int v^k w^k dt.  Left-endpoint Riemann sums at
+    full step resolution.
 
     ``batched`` gives every integral a leading trial axis, so trajectories
     stepped together accumulate in one object; ``split`` then hands out one
@@ -215,36 +223,32 @@ class EstimatorAccumulator:
         if w is not None:
             self.bias_w += x * w
 
-    def add_path(self, path, work):
-        """``q`` and ``ito`` of each step of a path segment, rows x_j ..
-        x_{j+n}; ``work`` is a workspace shaped like it."""
-        # a cumulative sum from the running total adds in step order, as one
-        # += per step would, where a plain sum over a single mode goes pairwise
-        work[0] = self.q
-        np.multiply(path[:-1], path[:-1], out=work[1:])
-        self.q[:] = np.cumsum(work, axis=0, out=work)[-1]
-        work[0] = self.ito
-        np.subtract(path[1:], path[:-1], out=work[1:])
-        work[1:] *= path[:-1]
-        self.ito[:] = np.cumsum(work, axis=0, out=work)[-1]
+    def add_path(self, path):
+        """``q`` and ``ito`` of each step of path rows x_j .. x_{j+n}."""
+        left = path[:-1]
+        _fold(self.q, left * left)
+        if self.ito is not None:
+            steps = path[1:] - left
+            steps *= left
+            _fold(self.ito, steps)
 
     def finalize(self, h: float, x0, xT):
-        self.q *= h
-        self.bias_full *= h
-        if self.bias_part is not None:
-            self.bias_part *= h
-        if self.bias_w is not None:
-            self.bias_w *= h
+        for arr in (self.q, self.bias_full, self.bias_part, self.bias_w):
+            if arr is not None:
+                arr *= h
         self.x0 = np.array(x0, dtype=np.float64)
         self.xT = np.array(xT, dtype=np.float64)
         self._finalized = True
 
     @classmethod
-    def batched(cls, n_trials: int, *args, **kwargs) -> "EstimatorAccumulator":
-        """Accumulator of ``n_trials`` trajectories stepped together: the
-        constructor's arguments, with every integral and endpoint carrying a
-        leading trial axis."""
-        acc = cls(*args, **kwargs)
+    def batched(cls, n_trials, lam, t_final, gamma, req, coupled=False):
+        """Accumulator of ``n_trials`` trajectories stepped together, every
+        integral and endpoint with a leading trial axis, that holds only what
+        ``req`` reads: ``bias_part`` for a partial variant, ``ito`` under
+        ``numerator_mode = ito_sum``."""
+        acc = cls(lam, t_final, gamma, req.n_list, coupled, req.wants_partial)
+        if req.numerator_mode != "ito_sum":
+            acc.ito = None
         for name in ("q", "ito", "bias_full", "bias_part", "bias_w"):
             arr = getattr(acc, name)
             if arr is not None:
@@ -291,6 +295,8 @@ class EstimatorAccumulator:
                 self.x0, self.xT, self.t_final, alpha, self.gamma, n, self.lam
             )
         if mode == "ito_sum":
+            if self.ito is None:
+                raise ConfigurationError("the Itô sum needs numerator_mode = 'ito_sum'")
             w = self.lam[:n] ** (1.0 + 2.0 * alpha)
             return float(np.sum(w * self.ito[:n]))
         raise ConfigurationError(f"unknown numerator mode {mode!r}")

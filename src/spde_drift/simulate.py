@@ -303,7 +303,6 @@ def _run_blocks(scheme, noise: _NoiseBlocks, start, advance, acc) -> list:
     seg[0] = start
     x0 = seg[0].copy()
     snaps = [x0[None]]
-    work = np.empty(seg.shape[:2] + x0.shape[2:])
     failed = [None] * len(x0)
     # a blow-up surfaces as BlowUpError, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -311,7 +310,7 @@ def _run_blocks(scheme, noise: _NoiseBlocks, start, advance, acc) -> list:
             n = min(noise.length, n_steps - j0)
             path = seg[: n + 1]  # x_{j0} .. x_{j0 + n}
             advance(path, noise.block(n), j0)
-            acc.add_path(path[:, :, 0], work[: n + 1])
+            acc.add_path(path[:, :, 0])
             if idx is not None:
                 snaps.append(path[idx[(idx > j0) & (idx <= j0 + n)] - j0])
             _retire(path, j0, failed)
@@ -466,7 +465,7 @@ def simulate_trials(
     op = model.operator
     lam = eigenvalues(op, n0)
     x0 = np.stack([model.initial_state(), model.initial_w_state()][: 1 + coupled])
-    acc_args = (lam, scheme.t_final, model.gamma, est_req.n_list)
+    acc_args = (lam, scheme.t_final, model.gamma, est_req, coupled)
 
     if not _drifts(model, est_req):
         if scheme.backend == "ou_exact":  # gain scales plain N(0, 1) draws
@@ -510,23 +509,17 @@ def simulate_trials(
         NemytskiiPlan(nl, grid, op, (n_trials, 1), n0, n0)
         if has_dyn and not same_bias else None
     )
-    acc = EstimatorAccumulator.batched(
-        n_trials, *acc_args, coupled=coupled, track_partial=(need_rows or not has_bias)
-    )
+    acc = EstimatorAccumulator.batched(n_trials, *acc_args)
     f = np.empty((n_trials,) + denom.shape)
     f_parts = f.swapaxes(0, 1)  # (F_v, F_w) of every coupled trial
 
     def drift(x):
+        if not has_bias:  # estimated with bias model none: nothing to add
+            return dyn_eval(x)
         v, w = x[:, 0], x[:, 1] if coupled else None
-        out = f_rows = None
-        if has_bias:
-            np.multiply(x[:, :1], masks, out=batch)
-            out = bias_eval(batch)
-            if need_rows:
-                f_rows = out[:, 1:]
-        acc.add_state(
-            v, f_full=None if out is None else out[:, 0], f_part_rows=f_rows, w=w
-        )
+        np.multiply(x[:, :1], masks, out=batch)
+        out = bias_eval(batch)
+        acc.add_state(v, out[:, 0], out[:, 1:] if need_rows else None, w)
         if coupled:
             p.coupled_drift(out[:, 0], v, w, f_parts)
             return f

@@ -93,13 +93,34 @@ def test_deterministic_decay_recovers_theta_via_ito_sum():
     path = np.exp(-theta * lam1 * t)[:, None]
     for alpha in (0.0, 0.7):
         acc = EstimatorAccumulator(eigenvalues(OP, 1), t_final, gamma=0.5, n_list=(1,))
-        acc.add_path(path, np.empty_like(path))
+        acc.add_path(path)
         acc.finalize(h, path[0], path[-1])
         req = EstimatorRequest(
             alpha=alpha, n_list=(1,), variants=("linear",), numerator_mode="ito_sum"
         )
         res = estimate_theta(acc, req, "linear", 1)
         assert abs(res.theta_hat - theta) / theta < 1e-3
+
+
+@pytest.mark.parametrize("n_trials, n_modes", [(1, 1), (3, 5)])
+def test_add_path_adds_in_step_order(n_trials, n_modes):
+    # terms spread over six decades, so any other order of additions would
+    # round differently; a plain sum over one mode goes pairwise
+    rng = np.random.default_rng(23)
+    n = 100
+    path = rng.standard_normal((n + 1, n_trials, n_modes))
+    path *= 10.0 ** rng.uniform(-3, 3, size=path.shape)
+    q, ito = np.zeros((2, n_trials, n_modes))
+    for j in range(n):
+        q += path[j] * path[j]
+        ito += path[j] * (path[j + 1] - path[j])
+    req = EstimatorRequest(alpha=0.5, n_list=(n_modes,), numerator_mode="ito_sum")
+    for block in (1, 3, 7, n):
+        acc = EstimatorAccumulator.batched(n_trials, eigenvalues(OP, n_modes), 1.0, 0.5, req)
+        for j0 in range(0, n, block):
+            acc.add_path(path[j0 : min(j0 + block, n) + 1])
+        assert acc.q.tobytes() == q.tobytes(), block
+        assert acc.ito.tobytes() == ito.tobytes(), block
 
 
 def test_exact_ou_sample_mean_consistent():
@@ -137,7 +158,9 @@ def _numerator_gaps(theta, gamma, h, n_modes, n_paths, seed0):
         operator=OP, theta_true=theta, gamma=gamma, nonlinearity=NONE_NL,
         initial_modes=(0.0,), n_sim=n_modes,
     )
-    req = EstimatorRequest(alpha=gamma, n_list=(n_modes,), variants=("linear",))
+    req = EstimatorRequest(
+        alpha=gamma, n_list=(n_modes,), variants=("linear",), numerator_mode="ito_sum"
+    )
     diffs = np.empty(n_paths)
     for i in range(n_paths):
         scheme = SchemeSpec(dt=h, t_final=1.0, seed=seed0 + i, backend="ou_exact")

@@ -23,14 +23,14 @@ NONE_NL = NonlinearitySpec("none")
 
 
 def linear_study(n_trials=16, seed=123, n_sim=8, backend="ou_exact", variants=None,
-                 histogram_n=8):
+                 histogram_n=8, numerator_mode="robust"):
     model = ModelSpec(
         operator=OP, theta_true=0.1, gamma=0.5, nonlinearity=NONE_NL,
         initial_modes=(0.0,), n_sim=n_sim,
     )
     req = EstimatorRequest(
         alpha=0.5, n_list=(2, 4, 8),
-        variants=variants or ("full", "partial", "linear"),
+        variants=variants or ("full", "partial", "linear"), numerator_mode=numerator_mode,
     )
     scheme = SchemeSpec(dt=1e-2, t_final=0.5, seed=seed, backend=backend)
     return StudySpec(model=model, scheme=scheme, est_req=req, n_trials=n_trials,
@@ -91,7 +91,9 @@ def assert_reproducible_and_thread_independent(spec):
 
 
 def test_report_reproducible_and_thread_independent():
-    assert_reproducible_and_thread_independent(linear_study(n_trials=12))
+    for mode in ("robust", "ito_sum"):
+        spec = linear_study(n_trials=12, numerator_mode=mode)
+        assert_reproducible_and_thread_independent(spec)
 
 
 @pytest.mark.parametrize("name", ["allen_cahn", "fhn", "burgers", "quadratic_bias"])

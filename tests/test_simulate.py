@@ -8,7 +8,7 @@ from scipy.signal import lfilter
 from scipy.special import ndtr
 
 from spde_drift.errors import BlowUpError, ConfigurationError
-from spde_drift.estimate import EstimatorRequest, estimate_theta
+from spde_drift.estimate import NUMERATOR_MODES, EstimatorRequest, estimate_theta
 from spde_drift.fields import ALLEN_CAHN, FHNParams, NonlinearitySpec
 from spde_drift import simulate
 from spde_drift.simulate import (
@@ -132,7 +132,7 @@ def test_determinism_bitwise():
         operator=OP, theta_true=0.05, gamma=0.4, nonlinearity=ALLEN_CAHN,
         initial_modes=(0.7, -0.2), n_sim=16,
     )
-    req = EstimatorRequest(alpha=0.4, n_list=(4, 16))
+    req = EstimatorRequest(alpha=0.4, n_list=(4, 16), numerator_mode="ito_sum")
     scheme = SchemeSpec(dt=1e-3, t_final=0.2, seed=987, snapshot_stride=50)
     a = simulate_semilinear(model, scheme, req)
     b = simulate_semilinear(model, scheme, req)
@@ -430,20 +430,27 @@ SKEWED_CUBIC = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 1.0, 0.5, -1.0))
 FHN = NonlinearitySpec("fhn", fhn_params=FHNParams(a=0.5, b=1.0, epsilon=0.1))
 
 
+#: batch cases whose request sums the Ito numerator, so that ``ito`` is compared
+ITO_SUM_CASES = ("fhn", "burgers", "drift_free_ou_exact")
+
+
 def batch_case(name):
     """(model, scheme, request) of a stepping model on 32 modes, the size at
     which one BLAS product over all trials' rows would round differently from
     a lone run's; snapshots every 7 steps."""
     scheme = SchemeSpec(dt=1e-3, t_final=0.05, seed=0, snapshot_stride=7)
+    mode = "ito_sum" if name in ITO_SUM_CASES else "robust"
     if name == "fhn":
         model = ModelSpec(OP, 0.02, 0.8, FHN, (0.5, 0.1), 32, initial_w_modes=(0.2,))
         return model, scheme, EstimatorRequest(
-            alpha=0.8, n_list=(4, 16), variants=("full", "partial1", "partial2", "linear")
+            alpha=0.8, n_list=(4, 16), variants=("full", "partial1", "partial2", "linear"),
+            numerator_mode=mode,
         )
     if name.startswith("drift_free_"):
         model = ModelSpec(OP, 0.05, 0.6, NONE_NL, (0.7071, -0.2), 32)
         return model, replace(scheme, backend=name[len("drift_free_"):]), EstimatorRequest(
-            alpha=0.6, n_list=(4, 32), variants=("full", "partial", "linear")
+            alpha=0.6, n_list=(4, 32), variants=("full", "partial", "linear"),
+            numerator_mode=mode,
         )
     nl, bias = {
         "allen_cahn": (ALLEN_CAHN, None),
@@ -453,7 +460,7 @@ def batch_case(name):
     model = ModelSpec(OP, 0.05, 0.6, nl, (0.7071,), 32)
     return model, scheme, EstimatorRequest(
         alpha=0.6, n_list=(4, 8, 16, 20, 32), variants=("full", "partial", "linear"),
-        bias_model=bias,
+        bias_model=bias, numerator_mode=mode,
     )
 
 
@@ -498,7 +505,7 @@ def test_trial_batches_are_bit_identical_to_lone_runs(name):
 @pytest.mark.parametrize("name, n_sim", [
     ("allen_cahn", 32), ("allen_cahn", 100), ("fhn", 32),
 ], ids=["32", "100", "fhn-32"])
-def test_odd_drift_outputs_do_not_depend_on_partial_variants(name, n_sim):
+def test_drift_outputs_do_not_depend_on_partial_variants(name, n_sim):
     # the odd stage (Allen-Cahn) and the tables stage (FitzHugh-Nagumo on
     # 127 points) treat each row alone, their matrix products included, so
     # the full field's drift has the same bits with or without partial rows
@@ -517,6 +524,30 @@ def test_odd_drift_outputs_do_not_depend_on_partial_variants(name, n_sim):
             for n in req.n_list:
                 assert (estimate_theta(a.accumulators, req, variant, n).theta_hat.hex()
                         == estimate_theta(b.accumulators, lean, variant, n).theta_hat.hex())
+
+
+@pytest.mark.parametrize("name", ["drift_free_euler", "drift_free_ou_exact", "allen_cahn",
+                                  "fhn"])
+def test_accumulator_holds_only_the_integrals_its_request_reads(name):
+    model, scheme, req = batch_case(name)
+    scheme = replace(scheme, t_final=0.01)
+    lean = tuple(v for v in req.variants if not v.startswith("partial"))
+    robust = {}
+    for mode in NUMERATOR_MODES:
+        for variants in (req.variants, lean):
+            run_req = replace(req, variants=variants, numerator_mode=mode)
+            acc = simulate_model(model, scheme, run_req).accumulators
+            assert (acc.ito is None) == (mode == "robust")
+            assert (acc.bias_part is None) == (variants == lean)
+            assert (acc.bias_w is None) == (name != "fhn")
+            # what the accumulator holds does not move what it reads
+            thetas = [estimate_theta(acc, replace(run_req, numerator_mode="robust"), v, n)
+                      .theta_hat.hex() for v in variants for n in req.n_list]
+            assert robust.setdefault(variants, thetas) == thetas
+            if mode == "robust":
+                with pytest.raises(ConfigurationError, match="Itô sum.*numerator_mode"):
+                    estimate_theta(acc, replace(run_req, numerator_mode="ito_sum"),
+                                   "linear", req.n_list[0])
 
 
 FHN_IN_A_FRESH_INTERPRETER = """
@@ -760,7 +791,8 @@ def test_drift_free_blocks_reproduce_the_whole_path(backend, case, monkeypatch):
         dt=1e-4, t_final=n_steps * 1e-4, seed=40 + n_sim, snapshot_stride=stride,
         backend=backend, noise_scale=noise_scale,
     )
-    out = simulate_model(model, scheme, EstimatorRequest(alpha=0.5, n_list=(1, n_sim)))
+    req = EstimatorRequest(alpha=0.5, n_list=(1, n_sim), numerator_mode="ito_sum")
+    out = simulate_model(model, scheme, req)
     ref = reference_linear_output(model, scheme)
     acc = out.accumulators
     got = {"q": acc.q, "ito": acc.ito, "x0": out.x0, "xT": out.xT, "times": out.times,
@@ -781,7 +813,7 @@ def test_single_mode_drift_free_sums_match_the_whole_path(backend, x0):
     # the running total sequential; they agree to round-off of the terms
     model = linear_model(theta=0.1, gamma=0.5, x0=x0, n_sim=1)
     scheme = SchemeSpec(dt=1e-4, t_final=0.03, seed=8, backend=backend, snapshot_stride=7)
-    out = simulate_model(model, scheme, REQ1)
+    out = simulate_model(model, scheme, replace(REQ1, numerator_mode="ito_sum"))
     ref = reference_linear_output(model, scheme)
     assert abs(out.accumulators.q[0] - ref["q"][0]) <= 1e-15 * ref["q"][0]
     assert abs(out.accumulators.ito[0] - ref["ito"][0]) <= 1e-15 * ref["ito_scale"][0]
