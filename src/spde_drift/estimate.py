@@ -190,7 +190,6 @@ class EstimatorAccumulator:
         gamma: float,
         n_list: tuple[int, ...],
         coupled: bool = False,
-        track_partial: bool = True,
     ):
         n_modes = len(lam)
         if max(n_list) > n_modes:
@@ -205,7 +204,7 @@ class EstimatorAccumulator:
         self.q = np.zeros(n_modes)
         self.ito = np.zeros(n_modes)
         self.bias_full = np.zeros(n_modes)
-        self.bias_part = np.zeros((len(n_list), n_modes)) if track_partial else None
+        self.bias_part = np.zeros((len(n_list), n_modes))
         self.bias_w = np.zeros(n_modes) if coupled else None
         self.x0: np.ndarray | None = None
         self.xT: np.ndarray | None = None
@@ -213,15 +212,15 @@ class EstimatorAccumulator:
 
     # -- accumulation (left endpoints at full step resolution) ------------
 
-    def add_state(self, x, f_full=None, f_part_rows=None, w=None):
-        """The bias terms of one step's left endpoint x: the drift's values
-        on the full and on the truncated states, and the recovery field w."""
-        if f_full is not None:
-            self.bias_full += x * f_full
-        if f_part_rows is not None:
-            self.bias_part += x[..., None, :] * f_part_rows
-        if w is not None:
-            self.bias_w += x * w
+    def add_state(self, x, rows):
+        """The bias terms of one step's (components, n_modes) left state x,
+        given the bias model's ``rows`` on the full field and truncations."""
+        v = x[..., 0, :]
+        self.bias_full += v * rows[..., 0, :]
+        if self.bias_part is not None:
+            self.bias_part += v[..., None, :] * rows[..., 1:, :]
+        if self.bias_w is not None:
+            self.bias_w += v * x[..., 1, :]
 
     def add_path(self, path):
         """``q`` and ``ito`` of each step of path rows x_j .. x_{j+n}."""
@@ -246,7 +245,9 @@ class EstimatorAccumulator:
         integral and endpoint with a leading trial axis, that holds only what
         ``req`` reads: ``bias_part`` for a partial variant, ``ito`` under
         ``numerator_mode = ito_sum``."""
-        acc = cls(lam, t_final, gamma, req.n_list, coupled, req.wants_partial)
+        acc = cls(lam, t_final, gamma, req.n_list, coupled)
+        if not req.wants_partial:
+            acc.bias_part = None
         if req.numerator_mode != "ito_sum":
             acc.ito = None
         for name in ("q", "ito", "bias_full", "bias_part", "bias_w"):

@@ -37,8 +37,8 @@ The odd stage's DST-I folds frequency l in (M_g+1, 2(M_g+1)) onto mode
 2(M_g+1) - l, so it is exact when M_g >= floor((m * n_in + n_out) / 2), and
 at least n_in to hold the input.  ``default_grid`` takes the smallest M_g of
 the form 2^p - 1 meeting the general bound, which puts every transform on a
-power-of-two FFT length; a run whose plans are all odd takes the smallest
-such grid meeting the odd bound (255 points for 100 cubic modes, against 511).
+power-of-two FFT length; a plan of an odd polynomial takes the smallest such
+grid meeting the odd bound (255 points for 100 cubic modes, against 511).
 Step loops evaluate f through a ``NemytskiiPlan`` built once per batch of
 trajectories; ``nemytskii_modes`` and ``burgers_modes`` are one-shot forms of
 the same kernel.  The odd and table stages treat every row alone, matrix
@@ -194,13 +194,11 @@ def default_grid(n_modes: int, degree: int) -> GridSpec:
     return _pow2_grid(_dealiasing_bound(max(degree, 1), n_modes, n_modes), n_modes)
 
 
-def _plans_grid(nls, n_modes: int) -> GridSpec:
-    """Smallest 2^p - 1 grid for plans of every nonlinearity of ``nls``, each
-    mapping n_modes modes to n_modes: the odd bound when every one is an odd
-    polynomial, else the general bound of ``default_grid``."""
-    odd = all(nl.is_odd_polynomial for nl in nls)
-    degree = max(nl.degree for nl in nls)
-    return _pow2_grid(_dealiasing_bound(degree, n_modes, n_modes, odd), n_modes)
+def _plans_grid(nl: NonlinearitySpec, n_modes: int) -> GridSpec:
+    """Smallest 2^p - 1 grid for a plan of ``nl`` on n_modes modes: the odd
+    bound for an odd polynomial, else the general one of ``default_grid``."""
+    bound = _dealiasing_bound(nl.degree, n_modes, n_modes, nl.is_odd_polynomial)
+    return _pow2_grid(bound, n_modes)
 
 
 def _check_dealiasing(nl: NonlinearitySpec, grid: GridSpec, n_in: int, n_out: int):

@@ -9,11 +9,11 @@ of parallelism.
 The trials are cut into contiguous chunks of min(CHUNK_TRIALS,
 ceil(n_trials / workers)) and each chunk is one task: its trials are stepped
 together as one batch by ``simulate.simulate_trials``, whose outputs are the
-bits of lone runs for any batch size; drift-free trials run through the same
-block loop one at a time within their chunk.  At most one worker process is
-started per chunk, and a single worker runs every chunk in-process.  A
-drift-free study with several workers imports ``scipy.signal`` before it
-starts them, so that forked workers share the parent's copy.
+bits of lone runs for any batch size; drift-free trials run one at a time
+within their chunk unless a bias model observes them.  At most one worker
+process is started per chunk, and a single worker runs every chunk
+in-process.  A drift-free study with several workers imports ``scipy.signal``
+before it starts them, so that forked workers share the parent's copy.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ def run_study(spec: StudySpec, threads: int | None = None) -> MCReport:
     if n_workers == 1 or len(chunks) == 1:
         parts = [_run_chunk(spec, chunk) for chunk in chunks]
     else:
-        if not _drifts(spec.model, spec.est_req):
+        if not _drifts(spec.model):
             # the drift-free filter's module, loaded once here and inherited
             # by the forked workers instead of imported again in each
             import scipy.signal  # noqa: F401

@@ -12,10 +12,11 @@ the recovery component, whose denom is 1; a drift-free model is the same
 per-mode linear recursion, or its exact Ornstein-Uhlenbeck transitions.
 
 One builder, ``simulate_trials``, checks every request up front and sets
-every model up: denom, noise amplitudes, row masks, the pseudospectral plan,
-the accumulator and a drift closure that also feeds it.  The coupled system
-is the scalar setup for the activator v, with its cubic as the bias
-nonlinearity, plus an explicit recovery row w.
+every model up: denom, noise amplitudes, the kernel, the accumulator and the
+rows of the bias model, which only observe the path (the default's row 0 is
+the drift the Euler step takes).  The coupled system is the scalar setup for
+the activator v, with its cubic as the bias nonlinearity, plus an explicit
+recovery row w.
 
 Every trajectory runs through one block loop, ``_run_blocks``, on a batch
 of trials, one per seed, as one ``(trials, components, n_modes)`` state; a
@@ -24,14 +25,16 @@ steps at a time from counter-based Philox streams keyed by (seed, channel,
 mode) that live for the whole run, so trajectories are bit-reproducible
 regardless of host parallelism and memory does not grow with the step count.
 A per-model kernel fills the block's path: the stepped kernel one step at a
-time, the drift-free kernel with one linear filter call per mode.  Drift-free
-trials run one at a time, in blocks bounded by the value budget alone.
+time, the drift-free kernel with one linear filter call per trial and mode.
+Drift-free trials run one at a time, in blocks bounded by the value budget
+alone, unless a bias model observes them.
 
-Once per block, and the same way for every model, the loop adds the path's
-left-endpoint Riemann sums to the estimator integrals, takes the requested
-snapshots and checks for blow-ups.  Each operation acts on every trial alone
-(the drift's matrix products are one BLAS call per row or per trial), so a
-trial's output is the same bits in any batch and for any block length.
+Once per block, and the same way for every model, the loop shows the bias
+observer each left state, adds the path's left-endpoint Riemann sums to the
+estimator integrals, takes the requested snapshots and checks for blow-ups.
+Each operation acts on every trial alone (the drift's matrix products are
+one BLAS call per row or per trial), so a trial's output is the same bits in
+any batch and for any block length.
 """
 
 from __future__ import annotations
@@ -241,58 +244,46 @@ def _snapshot_indices(n_steps: int, stride: int | None) -> np.ndarray | None:
     return idx
 
 
-def _row_masks(n_list, n_modes) -> np.ndarray:
-    """Row 0 keeps the full state, row i the first n_list[i-1] modes."""
-    masks = np.zeros((1 + len(n_list), n_modes))
-    masks[0] = 1.0
-    for i, n in enumerate(n_list, start=1):
-        masks[i, :n] = 1.0
-    return masks
-
-
 def _euler_kernel(h: float, denom: np.ndarray, drift):
     """Stepped kernel: x_{j+1} = (x_j + h F(x_j) + noise_j) / denom, one step
-    at a time; ``drift(x)`` returns F, or None for F = 0."""
+    at a time, where ``drift(x)`` returns F."""
 
     def advance(seg, dw, j0):
         for i in range(dw.shape[-1]):
             x, nxt = seg[i], seg[i + 1]
-            f = drift(x)
-            if f is None:
-                np.add(x, dw[..., i], out=nxt)
-            else:  # the bits of x + h f + noise
-                np.multiply(f, h, out=nxt)
-                nxt += x
-                nxt += dw[..., i]
+            np.multiply(drift(x), h, out=nxt)  # the bits of x + h f + noise
+            nxt += x
+            nxt += dw[..., i]
             nxt /= denom
 
     return advance
 
 
-def _ar1_kernel(decay: np.ndarray, gain: np.ndarray, x0: np.ndarray):
-    """Drift-free kernel of one trial from x0: x_{j+1} = decay x_j + gain
-    noise_j, a whole block per ``lfilter`` call and mode."""
-    zi = np.zeros((len(decay), 1))
+def _ar1_kernel(decay: np.ndarray, gain: np.ndarray, x0: np.ndarray, n_trials: int):
+    """Drift-free kernel from x0: x_{j+1} = decay x_j + gain noise_j, a whole
+    block per ``lfilter`` call, trial and mode."""
+    zi = np.zeros((n_trials, len(decay), 1))
 
     def advance(seg, dw, j0):
         n = dw.shape[-1]
-        path = seg[1 : n + 1, 0, 0]  # x_{j0+1} .. x_{j0+n}
-        _ar1_filter(decay, gain, dw[0, 0].T, path, zi)
+        path = seg[1 : n + 1, :, 0]  # x_{j0+1} .. x_{j0+n} of every trial
+        for b in range(n_trials):
+            _ar1_filter(decay, gain, dw[b, 0].T, path[:, b], zi[b])
         if np.any(x0 != 0.0):
-            path += x0 * decay ** np.arange(j0 + 1, j0 + n + 1)[:, None]
+            path += x0 * decay ** np.arange(j0 + 1, j0 + n + 1)[:, None, None]
 
     return advance
 
 
-def _run_blocks(scheme, noise: _NoiseBlocks, start, advance, acc) -> list:
+def _run_blocks(scheme, noise: _NoiseBlocks, start, advance, acc, observe=None) -> list:
     """Run every trial of ``noise`` from the (components, n_modes) ``start``,
     a block of steps at a time: ``advance(seg, dw, j0)`` fills rows 1..n of
     the (n + 1, trials, components, n_modes) path ``seg`` from its row 0,
     x_{j0}, and the block's increments dw.
 
-    Per block the path's component 0, the observed field, goes to the
-    batched ``acc``, the block's snapshots are taken and its blow-ups are
-    recorded; a second component is reported as the recovery field w.
+    Per block ``observe`` sees each left state x_{j0} .. x_{j0+n-1}, the
+    observed field (component 0) goes to the batched ``acc``, snapshots are
+    taken and blow-ups recorded; a component 1 is the recovery field w.
     Entry b of the result is trial b's SimOutput, or the BlowUpError of its
     lone run.
     """
@@ -310,6 +301,9 @@ def _run_blocks(scheme, noise: _NoiseBlocks, start, advance, acc) -> list:
             n = min(noise.length, n_steps - j0)
             path = seg[: n + 1]  # x_{j0} .. x_{j0 + n}
             advance(path, noise.block(n), j0)
+            if observe is not None:
+                for x in path[:-1]:
+                    observe(x)
             acc.add_path(path[:, :, 0])
             if idx is not None:
                 snaps.append(path[idx[(idx > j0) & (idx <= j0 + n)] - j0])
@@ -400,14 +394,10 @@ def simulate_model(
     return out
 
 
-def _drifts(model: ModelSpec, req: EstimatorRequest) -> bool:
-    """Whether the run steps a drift: the model's nonlinearity or the bias
-    model it is estimated with.  A run without one is the per-mode linear
-    filter of the drift-free models."""
-    bias = req.bias_model
-    return model.nonlinearity.variant != "none" or (
-        bias is not None and bias.variant != "none"
-    )
+def _drifts(model: ModelSpec) -> bool:
+    """Whether the model steps a drift.  A drift-free model is the per-mode
+    linear filter, whatever bias model it is estimated with."""
+    return model.nonlinearity.variant != "none"
 
 
 def _check_request(model, scheme, req, seeds):
@@ -428,11 +418,31 @@ def _check_request(model, scheme, req, seeds):
          f"requested truncation {max(req.n_list)} exceeds n_sim={model.n_sim}"),
         (not coupled and bias is not None and bias.variant == "fhn",
          "fhn is not a valid bias model for scalar runs"),
-        (scheme.backend == "ou_exact" and _drifts(model, req),
+        (scheme.backend == "ou_exact" and _drifts(model),
          "backend 'ou_exact' requires a drift-free model (nonlinearity none)"),
     ]:
         if broken:
             raise ConfigurationError(message)
+
+
+def _bias_rows(bias_nl: NonlinearitySpec, op: OperatorSpec, req, acc):
+    """A closure that evaluates ``bias_nl`` on a left state x of every trial
+    of ``acc``, row 0 on the full field and the partial variants' truncations
+    after it, adds them (and a coupled x's w) to ``acc`` and returns them."""
+    n0 = len(acc.lam)
+    # row 0 keeps the full state, row i the first n_list[i-1] modes
+    cuts = np.array((n0,) + (req.n_list if req.wants_partial else ()))
+    masks = (np.arange(n0) < cuts[:, None]).astype(np.float64)
+    batch = np.empty((len(acc.q),) + masks.shape)
+    plan = NemytskiiPlan(bias_nl, _plans_grid(bias_nl, n0), op, batch.shape[:-1], n0, n0)
+
+    def bias(x):
+        np.multiply(x[:, :1], masks, out=batch)
+        out = plan(batch)
+        acc.add_state(x, out)
+        return out
+
+    return bias
 
 
 def simulate_trials(
@@ -445,10 +455,11 @@ def simulate_trials(
     as one batch.  Entry b is what ``simulate_model`` returns for seed b, bit
     for bit, or the ``BlowUpError`` that it raises.
 
-    A coupled model is the scalar setup plus a recovery row w: its bias
+    The model alone picks the kernel, and the bias model only observes.  A
+    coupled model is the scalar setup plus a recovery row w: its bias
     nonlinearity is the activator's cubic, w has denom 1 and amplitude
     sigma_w lambda^{-gamma_w}, and ``FHNParams.coupled_drift`` completes F.
-    A drift-free model runs its trials one at a time through the same block loop.
+    Drift-free trials run one at a time unless a bias model observes them.
     """
     _check_request(model, scheme, est_req, seeds)
     warn_if_inadmissible(est_req.alpha, model.gamma, model.operator.beta)
@@ -459,6 +470,7 @@ def simulate_trials(
         bias_nl = NonlinearitySpec("polynomial", poly_coeffs=p.cubic_coeffs())
     else:
         bias_nl = nl if est_req.bias_model is None else est_req.bias_model
+    observed = bias_nl.variant != "none"
     n0 = model.n_sim
     h = scheme.dt
     n_steps = scheme.n_steps
@@ -467,7 +479,7 @@ def simulate_trials(
     x0 = np.stack([model.initial_state(), model.initial_w_state()][: 1 + coupled])
     acc_args = (lam, scheme.t_final, model.gamma, est_req, coupled)
 
-    if not _drifts(model, est_req):
+    if not _drifts(model):
         if scheme.backend == "ou_exact":  # gain scales plain N(0, 1) draws
             decay, gain = _ou_transition(
                 model.theta_true, lam, h, model.gamma, scheme.noise_scale
@@ -477,15 +489,17 @@ def simulate_trials(
             decay = gain = 1.0 / (1.0 + h * model.theta_true * lam)
             amps, step = _noise_amp(scheme.noise_scale, lam, model.gamma), h
         outs = []
-        for seed in seeds:  # one at a time: a batch would shrink the blocks
-            # blocks bounded by values alone: each costs one lfilter call per mode
-            noise = _NoiseBlocks((seed,), amps[None], n_steps, step, max_steps=n_steps)
-            acc = EstimatorAccumulator.batched(1, *acc_args)
-            outs += _run_blocks(scheme, noise, x0, _ar1_kernel(decay, gain, x0[0]), acc)
+        # blocks bounded by values alone, each one lfilter call per trial and
+        # mode; a batch shrinks them, but saves plan calls when observed
+        for group in [seeds] if observed else [[seed] for seed in seeds]:
+            noise = _NoiseBlocks(group, amps[None], n_steps, step, max_steps=n_steps)
+            acc = EstimatorAccumulator.batched(len(group), *acc_args)
+            observe = _bias_rows(bias_nl, op, est_req, acc) if observed else None
+            kernel = _ar1_kernel(decay, gain, x0[0], len(group))
+            outs += _run_blocks(scheme, noise, x0, kernel, acc, observe)
         return outs
 
     n_trials = len(seeds)
-
     denom = np.ones((1 + coupled, n0))  # w is stepped explicitly
     denom[0] = 1.0 + h * model.theta_true * lam
     amps = _noise_amp(scheme.noise_scale, lam, model.gamma)[None]
@@ -493,42 +507,24 @@ def simulate_trials(
         amps = np.stack([
             p.sigma * amps[0], p.sigma_w * _noise_amp(scheme.noise_scale, lam, p.gamma_w)
         ])
-
-    same_bias = est_req.bias_model is None
-    has_bias = bias_nl.variant != "none"
-    has_dyn = nl.variant != "none"
-    need_rows = has_bias and est_req.wants_partial
-    masks = _row_masks(est_req.n_list if need_rows else (), n0)
-    batch = np.empty((n_trials,) + masks.shape)
-    plan_nls = [bias_nl] * has_bias + [nl] * (has_dyn and not same_bias)
-    grid = _plans_grid(plan_nls, n0)  # the odd bound when every plan is odd
-    bias_eval = (
-        NemytskiiPlan(bias_nl, grid, op, batch.shape[:-1], n0, n0) if has_bias else None
-    )
-    dyn_eval = (
-        NemytskiiPlan(nl, grid, op, (n_trials, 1), n0, n0)
-        if has_dyn and not same_bias else None
-    )
     acc = EstimatorAccumulator.batched(n_trials, *acc_args)
-    f = np.empty((n_trials,) + denom.shape)
-    f_parts = f.swapaxes(0, 1)  # (F_v, F_w) of every coupled trial
+    observe = _bias_rows(bias_nl, op, est_req, acc) if observed else None
+    if est_req.bias_model is not None:  # the model's own plan steps the path
+        drift = NemytskiiPlan(nl, _plans_grid(nl, n0), op, (n_trials, 1), n0, n0)
+    else:  # the default bias model is the drift: the step evaluates its rows
+        bias, observe = observe, None
+        f = np.empty((n_trials,) + denom.shape)
+        f_parts = f.swapaxes(0, 1)  # (F_v, F_w) of every coupled trial
 
-    def drift(x):
-        if not has_bias:  # estimated with bias model none: nothing to add
-            return dyn_eval(x)
-        v, w = x[:, 0], x[:, 1] if coupled else None
-        np.multiply(x[:, :1], masks, out=batch)
-        out = bias_eval(batch)
-        acc.add_state(v, out[:, 0], out[:, 1:] if need_rows else None, w)
-        if coupled:
-            p.coupled_drift(out[:, 0], v, w, f_parts)
+        def drift(x):
+            out = bias(x)
+            if not coupled:
+                return out[:, :1]
+            p.coupled_drift(out[:, 0], x[:, 0], x[:, 1], f_parts)
             return f
-        if same_bias:
-            return out[:, :1]
-        return dyn_eval(x) if has_dyn else None
 
     noise = _NoiseBlocks(seeds, amps, n_steps, h)
-    return _run_blocks(scheme, noise, x0, _euler_kernel(h, denom, drift), acc)
+    return _run_blocks(scheme, noise, x0, _euler_kernel(h, denom, drift), acc, observe)
 
 
 def simulate_ou_exact(
@@ -547,13 +543,16 @@ def simulate_ou_exact(
     + lam^{-gamma} sqrt((1 - e^{-2 theta lam d}) / (2 theta lam)) xi.
     Returns an array of shape (len(times), n_modes).
     """
-    if not (theta > 0 and gamma > 0):
-        raise ConfigurationError("theta and gamma must be positive")
+    for name, value in (("theta", theta), ("gamma", gamma)):
+        if not 0 < value < math.inf:
+            raise ConfigurationError(f"{name} must be positive and finite")
+    if not 0 <= noise_scale < math.inf:
+        raise ConfigurationError("noise_scale must be nonnegative and finite")
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size < 1:
         raise ConfigurationError("times must be a 1-D nonempty sequence")
-    if times[0] < 0 or np.any(np.diff(times) < 0):
-        raise ConfigurationError("times must be nondecreasing and start at >= 0")
+    if not (np.all(np.isfinite(times)) and times[0] >= 0 and np.all(np.diff(times) >= 0)):
+        raise ConfigurationError("times must be finite, nondecreasing and start at >= 0")
 
     lam = eigenvalues(spec, n_modes)
     prepend = times[0] > 0

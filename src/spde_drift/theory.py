@@ -106,6 +106,7 @@ class OUMomentOracle:
 def ou_moment_oracle(
     theta: float, gamma: float, lam: float, t_final: float
 ) -> OUMomentOracle:
+    _check_finite(DomainError, theta=theta, gamma=gamma, lam=lam, t_final=t_final)
     if theta <= 0 or gamma <= 0 or lam <= 0 or t_final <= 0:
         raise DomainError("all oracle inputs must be positive")
     stationary = lam ** (-(2.0 * gamma + 1.0)) / (2.0 * theta)

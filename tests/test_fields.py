@@ -568,17 +568,16 @@ def test_odd_dealiasing_bound(nl, n_in, n_out):
             NemytskiiPlan(skewed, GridSpec(bound, n_in), SPEC, 1, n_in, n_out)
 
 
-def test_run_grid_is_odd_only_when_every_plan_is_odd():
+def test_plan_grid_is_odd_only_for_an_odd_polynomial():
     quadratic = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 0.5, -1.0))
     fhn_cubic = NonlinearitySpec(
         "polynomial", poly_coeffs=FHNParams(a=0.5, b=1.0, epsilon=0.1).cubic_coeffs()
     )
-    assert _plans_grid([ALLEN_CAHN], 100).n_grid == 255  # bound 200
-    assert _plans_grid([ALLEN_CAHN, ALLEN_CAHN], 32).n_grid == 127  # bound 64
-    assert _plans_grid([ODD_QUINTIC], 100).n_grid == 511  # bound 300
-    for nls in ([ALLEN_CAHN, quadratic], [fhn_cubic], [NonlinearitySpec("burgers")]):
-        degree = max(nl.degree for nl in nls)
-        assert _plans_grid(nls, 100) == default_grid(100, degree)
+    assert _plans_grid(ALLEN_CAHN, 100).n_grid == 255  # bound 200
+    assert _plans_grid(ALLEN_CAHN, 32).n_grid == 127  # bound 64
+    assert _plans_grid(ODD_QUINTIC, 100).n_grid == 511  # bound 300
+    for nl in (quadratic, fhn_cubic, NonlinearitySpec("burgers")):
+        assert _plans_grid(nl, 100) == default_grid(100, nl.degree)
 
 
 def test_nemytskii_plan_reuse_matches_fresh_calls():

@@ -121,6 +121,19 @@ def test_ou_exact_time_grid_validation():
         simulate_ou_exact(0.5, 0.5, OP, 2, [-0.1, 0.2], seed=0)
 
 
+@pytest.mark.parametrize("argument, value", [
+    ("times", [0.1, math.nan, 0.3]), ("times", [0.1, math.inf]),
+    ("noise_scale", math.nan), ("noise_scale", -1.0), ("noise_scale", math.inf),
+    ("theta", math.inf), ("theta", math.nan), ("theta", 0.0),
+    ("gamma", math.inf), ("gamma", -0.5),
+])
+def test_ou_exact_rejects_bad_arguments_by_name(argument, value):
+    args = dict(theta=0.5, gamma=0.5, spec=OP, n_modes=2, times=[0.1, 0.2], seed=0)
+    args[argument] = value
+    with pytest.raises(ConfigurationError, match=f"^{argument} must be"):
+        simulate_ou_exact(**args)
+
+
 def test_ou_exact_starts_at_zero_at_time_zero():
     path = simulate_ou_exact(0.5, 0.5, OP, 2, [0.0, 0.5], seed=9)
     assert np.array_equal(path[0], np.zeros(2))
@@ -446,6 +459,9 @@ def batch_case(name):
             alpha=0.8, n_list=(4, 16), variants=("full", "partial1", "partial2", "linear"),
             numerator_mode=mode,
         )
+    if name == "drift_free_bias":  # drift-free trials observed by a cubic bias model
+        model, scheme, req = batch_case("drift_free_euler")
+        return model, scheme, replace(req, bias_model=SKEWED_CUBIC)
     if name.startswith("drift_free_"):
         model = ModelSpec(OP, 0.05, 0.6, NONE_NL, (0.7071, -0.2), 32)
         return model, replace(scheme, backend=name[len("drift_free_"):]), EstimatorRequest(
@@ -485,7 +501,7 @@ def assert_same_bits(a, b):
 
 @pytest.mark.parametrize("name", [
     "allen_cahn", "fhn", "burgers", "quadratic_bias", "drift_free_euler",
-    "drift_free_ou_exact",
+    "drift_free_ou_exact", "drift_free_bias",
 ])
 def test_trial_batches_are_bit_identical_to_lone_runs(name):
     model, scheme, req = batch_case(name)
@@ -500,6 +516,37 @@ def test_trial_batches_are_bit_identical_to_lone_runs(name):
         lone = simulate_model(model, replace(scheme, seed=seed), req)
         assert_same_bits(a, lone)
     assert whole[0].xT.tobytes() != whole[1].xT.tobytes()
+
+
+@pytest.mark.parametrize("model_nl, bias, backend", [
+    (ALLEN_CAHN, QUADRATIC, "euler"),
+    (ALLEN_CAHN, NONE_NL, "euler"),
+    (NONE_NL, SKEWED_CUBIC, "euler"),
+    (NONE_NL, SKEWED_CUBIC, "ou_exact"),
+], ids=["allen_cahn-quadratic", "allen_cahn-none", "drift_free-cubic-euler",
+        "drift_free-cubic-ou_exact"])
+def test_paths_do_not_depend_on_the_bias_model(model_nl, bias, backend):
+    # the bias model only observes the path: the model alone picks the kernel
+    # and the grid of its drift, so a misspecified estimator sees the data of
+    # the correct one
+    n_sim = 100 if model_nl is ALLEN_CAHN else 32
+    model = ModelSpec(OP, 0.05, 0.6, model_nl, (0.7071, -0.2), n_sim)
+    scheme = SchemeSpec(dt=1e-3, t_final=0.05, seed=0, snapshot_stride=7, backend=backend)
+    req = EstimatorRequest(alpha=0.6, n_list=(4, 32), variants=("full", "partial", "linear"),
+                           numerator_mode="ito_sum")
+    seeds = [3, 4, 5]
+    default = simulate_trials(model, scheme, req, seeds)
+    misspecified = simulate_trials(model, scheme, replace(req, bias_model=bias), seeds)
+    for a, b in zip(default, misspecified):
+        for x, y in [(a.x0, b.x0), (a.xT, b.xT), (a.trajectory, b.trajectory),
+                     (a.accumulators.q, b.accumulators.q),
+                     (a.accumulators.ito, b.accumulators.ito)]:
+            assert x.tobytes() == y.tobytes()
+        observed = bias.variant != "none"
+        assert np.any(b.accumulators.bias_full != 0.0) == observed
+        for variant in ("linear", "full"):
+            theta = estimate_theta(b.accumulators, replace(req, bias_model=bias), variant, 32)
+            assert math.isfinite(theta.theta_hat)
 
 
 @pytest.mark.parametrize("name, n_sim", [

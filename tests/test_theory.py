@@ -74,6 +74,11 @@ def test_ou_oracle_against_quadrature():
     assert err < 1e-12
     assert oracle.mean_integral == pytest.approx(val, rel=1e-10)
     assert oracle.mean_integral == pytest.approx(0.02893812, abs=2e-7)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="theta must be finite"):
+            ou_moment_oracle(bad, gamma, lam, t_final)
+        with pytest.raises(DomainError, match="t_final must be finite"):
+            ou_moment_oracle(theta, gamma, lam, bad)
 
 
 def test_ou_oracle_stationary_limits():
