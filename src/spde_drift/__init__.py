@@ -44,10 +44,8 @@ from .simulate import (
     ModelSpec,
     SchemeSpec,
     SimOutput,
-    simulate_fhn,
     simulate_model,
     simulate_ou_exact,
-    simulate_semilinear,
 )
 from .theory import (
     AdvisorQuery,
@@ -93,10 +91,8 @@ __all__ = [
     "ModelSpec",
     "SchemeSpec",
     "SimOutput",
-    "simulate_fhn",
     "simulate_model",
     "simulate_ou_exact",
-    "simulate_semilinear",
     "AdvisorQuery",
     "AsymptoticConstants",
     "advise",

@@ -1,44 +1,76 @@
 """Flat INI-style run configuration.
 
 Sections [model], [scheme], [estimators] and optionally [study] mirror the
-corresponding spec dataclasses field for field (snake_case).  Unknown
-sections or keys, and keys that the chosen model does not read, are rejected
-by name; value validation happens in the spec constructors and names the
-offending field.  A file that is not UTF-8 INI syntax is rejected with its
-line number.
+corresponding spec dataclasses field for field (snake_case); a key left out
+takes its field's default.  One table per section names each key's
+converter.  Unknown sections or keys, and keys that the chosen model does
+not read, are rejected by name; value validation happens in the spec
+constructors and names the offending field.  A file that is not UTF-8 INI
+syntax is rejected with its line number.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import ConfigurationError
 from .estimate import COUPLED_VARIANTS, NUMERATOR_MODES, SCALAR_VARIANTS, EstimatorRequest
 from .fields import VARIANTS, FHNParams, NonlinearitySpec
 from .mc import StudySpec
 from .simulate import BACKENDS, ModelSpec, SchemeSpec
-from .spectrum import DIRICHLET_LAPLACIAN_1D, OperatorSpec
+from .spectrum import OperatorSpec
 
-_MODEL_KEYS = {
-    "kind", "domain_length", "theta_true", "gamma", "nonlinearity",
-    "poly_coeffs", "initial_modes", "initial_w_modes", "n_sim",
-    "a", "b", "epsilon", "sigma", "sigma_w", "gamma_w",
-}
-_SCHEME_KEYS = {"dt", "t_final", "seed", "snapshot_stride", "backend", "noise_scale"}
-_EST_KEYS = {"alpha", "n_list", "variants", "bias_model", "bias_poly_coeffs",
-             "numerator_mode"}
-_STUDY_KEYS = {"n_trials", "histogram_n", "histogram_bin_width", "histogram_range"}
+
+def _items(convert):
+    """A converter of a comma- or space-separated list."""
+    return lambda text: tuple(convert(tok) for tok in text.replace(",", " ").split())
+
+
+def _choice(choices):
+    """A converter that passes only one of ``choices``."""
+
+    def convert(text):
+        if text not in choices:
+            raise ValueError(text)
+        return text
+
+    return convert, f"must be one of {', '.join(choices)}; got "
+
+
+# each key's converter and the message, before the value, for one it rejects
+_NUMBER = (float, "not a number: ")
+_INTEGER = (int, "not an integer: ")
+_NUMBERS = (_items(float), "not a list of numbers: ")
+_INTEGERS = (_items(int), "not a list of integers: ")
+_TEXT = (str, None)
+_WORDS = (_items(str), None)
 
 _SECTIONS = {
-    "model": _MODEL_KEYS,
-    "scheme": _SCHEME_KEYS,
-    "estimators": _EST_KEYS,
-    "study": _STUDY_KEYS,
+    "model": {
+        "kind": _TEXT, "domain_length": _NUMBER, "theta_true": _NUMBER,
+        "gamma": _NUMBER, "nonlinearity": _choice(VARIANTS), "poly_coeffs": _NUMBERS,
+        "initial_modes": _NUMBERS, "initial_w_modes": _NUMBERS, "n_sim": _INTEGER,
+        "a": _NUMBER, "b": _NUMBER, "epsilon": _NUMBER, "sigma": _NUMBER,
+        "sigma_w": _NUMBER, "gamma_w": _NUMBER,
+    },
+    "scheme": {
+        "dt": _NUMBER, "t_final": _NUMBER, "seed": _INTEGER, "snapshot_stride": _INTEGER,
+        "backend": _choice(BACKENDS), "noise_scale": _NUMBER,
+    },
+    "estimators": {
+        "alpha": _NUMBER, "n_list": _INTEGERS, "variants": _WORDS,
+        "bias_model": _choice(("model", "none", "polynomial")),
+        "bias_poly_coeffs": _NUMBERS, "numerator_mode": _choice(NUMERATOR_MODES),
+    },
+    "study": {
+        "n_trials": _INTEGER, "histogram_n": _INTEGER, "histogram_bin_width": _NUMBER,
+        "histogram_range": _NUMBERS,
+    },
 }
 
-_FHN_KEYS = ("a", "b", "epsilon", "sigma", "sigma_w", "gamma_w", "initial_w_modes")
+_FHN_KEYS = tuple(f.name for f in fields(FHNParams)) + ("initial_w_modes",)
 
 
 @dataclass
@@ -53,163 +85,71 @@ def _fail(section: str, key: str, message: str):
     raise ConfigurationError(f"[{section}] {key}: {message}")
 
 
-class _Section:
-    def __init__(self, name: str, raw):
-        self.name = name
-        self.raw = dict(raw)
-
-    def _get(self, key, required=False):
-        if key not in self.raw:
-            if required:
-                _fail(self.name, key, "required key missing")
-            return None
-        return self.raw[key].strip()
-
-    def string(self, key, default=None, required=False, choices=None):
-        val = self._get(key, required)
-        if val is None:
-            return default
-        if choices is not None and val not in choices:
-            _fail(self.name, key, f"must be one of {', '.join(choices)}; got {val!r}")
-        return val
-
-    def floatval(self, key, default=None, required=False):
-        val = self._get(key, required)
-        if val is None:
-            return default
+def _values(section: str, raw) -> dict:
+    """The keys set in ``raw``, each converted by its entry in the table."""
+    values = {}
+    for key, text in raw.items():
+        convert, bad = _SECTIONS[section][key]
+        text = text.strip()
         try:
-            return float(val)
+            values[key] = convert(text)
         except ValueError:
-            _fail(self.name, key, f"not a number: {val!r}")
-
-    def intval(self, key, default=None, required=False):
-        val = self._get(key, required)
-        if val is None:
-            return default
-        try:
-            return int(val)
-        except ValueError:
-            _fail(self.name, key, f"not an integer: {val!r}")
-
-    def float_list(self, key, default=None, required=False):
-        val = self._get(key, required)
-        if val is None:
-            return default
-        try:
-            return tuple(float(tok) for tok in val.replace(",", " ").split())
-        except ValueError:
-            _fail(self.name, key, f"not a list of numbers: {val!r}")
-
-    def int_list(self, key, default=None, required=False):
-        val = self._get(key, required)
-        if val is None:
-            return default
-        try:
-            return tuple(int(tok) for tok in val.replace(",", " ").split())
-        except ValueError:
-            _fail(self.name, key, f"not a list of integers: {val!r}")
-
-    def str_list(self, key, default=None):
-        val = self._get(key)
-        if val is None:
-            return default
-        return tuple(tok for tok in val.replace(",", " ").split())
+            _fail(section, key, f"{bad}{text!r}")
+    return values
 
 
-def _reject_unread(sec: _Section, keys, reader: str):
+def _required(section: str, values: dict, key: str):
+    if key not in values:
+        _fail(section, key, "required key missing")
+    return values[key]
+
+
+def _spec(cls, section: str, values: dict, **given):
+    """``cls`` from ``given`` and the ``values`` named like its other fields;
+    a field that neither sets takes its default, or is a required key."""
+    for f in fields(cls):
+        if f.name not in given and (f.name in values or f.default is MISSING):
+            given[f.name] = _required(section, values, f.name)
+    return cls(**given)
+
+
+def _reject_unread(section: str, values: dict, keys, reader: str):
     """Fail on the first of ``keys`` that is set but only read by ``reader``."""
     for key in keys:
-        if key in sec.raw:
-            _fail(sec.name, key, f"only read when {reader}")
+        if key in values:
+            _fail(section, key, f"only read when {reader}")
 
 
-def _parse_nonlinearity(sec: _Section) -> NonlinearitySpec:
-    variant = sec.string("nonlinearity", default="none", choices=VARIANTS)
+def _model(values: dict) -> ModelSpec:
+    variant = values.get("nonlinearity", NonlinearitySpec.variant)
     if variant != "polynomial":
-        _reject_unread(sec, ("poly_coeffs",), "nonlinearity = polynomial")
-    if variant != "fhn":
-        _reject_unread(sec, _FHN_KEYS, "nonlinearity = fhn")
-    if variant == "polynomial":
-        coeffs = sec.float_list("poly_coeffs", required=True)
-        return NonlinearitySpec("polynomial", poly_coeffs=coeffs)
-    if variant == "fhn":
-        params = FHNParams(
-            a=sec.floatval("a", required=True),
-            b=sec.floatval("b", required=True),
-            epsilon=sec.floatval("epsilon", required=True),
-            sigma=sec.floatval("sigma", default=1.0),
-            sigma_w=sec.floatval("sigma_w", default=0.05),
-            gamma_w=sec.floatval("gamma_w", default=1.0),
-        )
-        return NonlinearitySpec("fhn", fhn_params=params)
-    return NonlinearitySpec(variant)
-
-
-def _parse_model(sec: _Section) -> ModelSpec:
-    operator = OperatorSpec(
-        kind=sec.string("kind", default=DIRICHLET_LAPLACIAN_1D),
-        domain_length=sec.floatval("domain_length", default=1.0),
-    )
-    return ModelSpec(
-        operator=operator,
-        theta_true=sec.floatval("theta_true", required=True),
-        gamma=sec.floatval("gamma", required=True),
-        nonlinearity=_parse_nonlinearity(sec),
-        initial_modes=sec.float_list("initial_modes", default=(0.0,)),
-        n_sim=sec.intval("n_sim", required=True),
-        initial_w_modes=sec.float_list("initial_w_modes", default=None),
-    )
-
-
-def _parse_scheme(sec: _Section) -> SchemeSpec:
-    return SchemeSpec(
-        dt=sec.floatval("dt", required=True),
-        t_final=sec.floatval("t_final", required=True),
-        seed=sec.intval("seed", required=True),
-        snapshot_stride=sec.intval("snapshot_stride", default=None),
-        backend=sec.string("backend", default="euler", choices=BACKENDS),
-        noise_scale=sec.floatval("noise_scale", default=1.0),
-    )
-
-
-def _parse_estimators(sec: _Section, coupled: bool) -> EstimatorRequest:
-    default_variants = COUPLED_VARIANTS if coupled else SCALAR_VARIANTS
-    bias_kind = sec.string(
-        "bias_model", default="model", choices=("model", "none", "polynomial")
-    )
-    if bias_kind != "polynomial":
-        _reject_unread(sec, ("bias_poly_coeffs",), "bias_model = polynomial")
-    if bias_kind == "model":
-        bias = None
-    elif bias_kind == "none":
-        bias = NonlinearitySpec("none")
+        _reject_unread("model", values, ("poly_coeffs",), "nonlinearity = polynomial")
     else:
-        bias = NonlinearitySpec(
-            "polynomial", poly_coeffs=sec.float_list("bias_poly_coeffs", required=True)
-        )
-    return EstimatorRequest(
-        alpha=sec.floatval("alpha", required=True),
-        n_list=sec.int_list("n_list", required=True),
-        variants=sec.str_list("variants", default=default_variants),
-        bias_model=bias,
-        numerator_mode=sec.string(
-            "numerator_mode", default="robust", choices=NUMERATOR_MODES
-        ),
+        _required("model", values, "poly_coeffs")
+    if variant != "fhn":
+        _reject_unread("model", values, _FHN_KEYS, "nonlinearity = fhn")
+    fhn = _spec(FHNParams, "model", values) if variant == "fhn" else None
+    return _spec(
+        ModelSpec, "model", {"initial_modes": (0.0,), **values},
+        operator=_spec(OperatorSpec, "model", values),
+        nonlinearity=NonlinearitySpec(variant, values.get("poly_coeffs"), fhn),
     )
 
 
-def _parse_study(sec: _Section, model, scheme, est_req) -> StudySpec:
-    hist_range = sec.float_list("histogram_range", default=(-5.0, 5.0))
-    if len(hist_range) != 2:
-        _fail("study", "histogram_range", "needs exactly two numbers")
-    return StudySpec(
-        model=model,
-        scheme=scheme,
-        est_req=est_req,
-        n_trials=sec.intval("n_trials", required=True),
-        histogram_n=sec.intval("histogram_n", default=20),
-        histogram_bin_width=sec.floatval("histogram_bin_width", default=0.4),
-        histogram_range=(hist_range[0], hist_range[1]),
+def _estimators(values: dict, coupled: bool) -> EstimatorRequest:
+    bias = values.get("bias_model", "model")
+    if bias != "polynomial":
+        _reject_unread(
+            "estimators", values, ("bias_poly_coeffs",), "bias_model = polynomial"
+        )
+    else:
+        _required("estimators", values, "bias_poly_coeffs")
+    default_variants = COUPLED_VARIANTS if coupled else SCALAR_VARIANTS
+    return _spec(
+        EstimatorRequest, "estimators", {"variants": default_variants, **values},
+        bias_model=None if bias == "model" else NonlinearitySpec(
+            bias, values.get("bias_poly_coeffs")
+        ),
     )
 
 
@@ -262,21 +202,25 @@ def load_config(path) -> RunConfig:
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigurationError(f"unknown config section [{section}]")
-        allowed = _SECTIONS[section]
         for key in parser[section]:
-            if key not in allowed:
+            if key not in _SECTIONS[section]:
                 raise ConfigurationError(f"unknown key {key!r} in section [{section}]")
     for required in ("model", "scheme", "estimators"):
         if required not in parser:
             raise ConfigurationError(f"missing config section [{required}]")
 
-    model = _parse_model(_Section("model", parser["model"]))
-    scheme = _parse_scheme(_Section("scheme", parser["scheme"]))
-    est_req = _parse_estimators(
-        _Section("estimators", parser["estimators"]),
+    model = _model(_values("model", parser["model"]))
+    scheme = _spec(SchemeSpec, "scheme", _values("scheme", parser["scheme"]))
+    est_req = _estimators(
+        _values("estimators", parser["estimators"]),
         coupled=model.nonlinearity.variant == "fhn",
     )
     study = None
     if "study" in parser:
-        study = _parse_study(_Section("study", parser["study"]), model, scheme, est_req)
+        values = _values("study", parser["study"])
+        if "histogram_range" in values and len(values["histogram_range"]) != 2:
+            _fail("study", "histogram_range", "needs exactly two numbers")
+        study = _spec(
+            StudySpec, "study", values, model=model, scheme=scheme, est_req=est_req
+        )
     return RunConfig(model=model, scheme=scheme, est_req=est_req, study=study)

@@ -155,8 +155,6 @@ class NonlinearitySpec:
         )
 
 
-NONE = NonlinearitySpec("none")
-
 ALLEN_CAHN = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 1.0, 0.0, -1.0))
 
 

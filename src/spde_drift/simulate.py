@@ -25,7 +25,8 @@ steps at a time from counter-based Philox streams keyed by (seed, channel,
 mode) that live for the whole run, so trajectories are bit-reproducible
 regardless of host parallelism and memory does not grow with the step count.
 A per-model kernel fills the block's path: the stepped kernel one step at a
-time, the drift-free kernel with one linear filter call per trial and mode.
+time, the drift-free kernel with one linear filter call per mode for every
+trial of a block.
 Drift-free trials run one at a time, in blocks bounded by the value budget
 alone, unless a bias model observes them.
 
@@ -225,14 +226,17 @@ def _ou_transition(theta, lam, d, gamma, noise_scale):
 
 
 def _ar1_filter(decay, amp, draws, out, zi):
-    """Per mode k, out[j] = decay_k out[j-1] + amp_k draws[j] from state zi[k]."""
+    """Per mode k, out[j, ..., k] = decay_k out[j-1, ..., k] + amp_k draws[k, ..., j]
+    from state zi[k], one call per mode for every row of draws[k]: draws is
+    (modes, steps) or (modes, trials, steps), out (steps, [trials,] modes)."""
     # imported here: scipy.signal is most of the package's import time, and
     # only drift-free runs use it
     from scipy.signal import lfilter
 
     # zi[k] is updated in place, so the next block continues the recursion
     for k in range(len(decay)):
-        out[:, k], zi[k] = lfilter([amp[k]], [1.0, -decay[k]], draws[:, k], zi=zi[k])
+        path, zi[k] = lfilter([amp[k]], [1.0, -decay[k]], draws[k], axis=-1, zi=zi[k])
+        out[..., k] = path.T  # np.moveaxis would add about 5 us a call
 
 
 def _snapshot_indices(n_steps: int, stride: int | None) -> np.ndarray | None:
@@ -261,14 +265,13 @@ def _euler_kernel(h: float, denom: np.ndarray, drift):
 
 def _ar1_kernel(decay: np.ndarray, gain: np.ndarray, x0: np.ndarray, n_trials: int):
     """Drift-free kernel from x0: x_{j+1} = decay x_j + gain noise_j, a whole
-    block per ``lfilter`` call, trial and mode."""
-    zi = np.zeros((n_trials, len(decay), 1))
+    block of every trial per ``lfilter`` call and mode."""
+    zi = np.zeros((len(decay), n_trials, 1))
 
     def advance(seg, dw, j0):
         n = dw.shape[-1]
         path = seg[1 : n + 1, :, 0]  # x_{j0+1} .. x_{j0+n} of every trial
-        for b in range(n_trials):
-            _ar1_filter(decay, gain, dw[b, 0].T, path[:, b], zi[b])
+        _ar1_filter(decay, gain, dw[:, 0].swapaxes(0, 1), path, zi)
         if np.any(x0 != 0.0):
             path += x0 * decay ** np.arange(j0 + 1, j0 + n + 1)[:, None, None]
 
@@ -347,38 +350,6 @@ def _retire(path, j0: int, failed: list):
             mode = int(np.flatnonzero(bad[i])[0]) % last.shape[-1] + 1
             failed[b] = BlowUpError(step=j0 + i + 1, mode=mode)
         last[b] = 0.0
-
-
-def simulate_semilinear(
-    model: ModelSpec,
-    scheme: SchemeSpec,
-    est_req: EstimatorRequest,
-) -> SimOutput:
-    """One trajectory of a scalar model: ``simulate_model`` for every
-    nonlinearity but ``fhn``.  Drift-free models take the per-mode linear
-    recursion (exact transitions on the ``ou_exact`` backend); the rest step
-    the linear-implicit scheme with pseudospectral drift evaluation."""
-    if model.nonlinearity.variant == "fhn":
-        raise ConfigurationError("use simulate_fhn for the coupled system")
-    return simulate_model(model, scheme, est_req)
-
-
-def simulate_fhn(
-    model: ModelSpec,
-    scheme: SchemeSpec,
-    est_req: EstimatorRequest,
-) -> SimOutput:
-    """One trajectory of the coupled system: ``simulate_model`` for an
-    ``fhn`` nonlinearity.
-
-    The activator v is the scalar equation with the cubic v(1-v)(v-a); the
-    recovery component w is stepped explicitly,
-    w_{j+1} = w_j + h eps (v_j - b w_j) + sigma_w lambda^{-gamma_w} dW^{(2)}.
-    Accumulates the integrals for all four coupled-system estimators.
-    """
-    if model.nonlinearity.variant != "fhn":
-        raise ConfigurationError("simulate_fhn requires an fhn nonlinearity")
-    return simulate_model(model, scheme, est_req)
 
 
 def simulate_model(
@@ -489,8 +460,9 @@ def simulate_trials(
             decay = gain = 1.0 / (1.0 + h * model.theta_true * lam)
             amps, step = _noise_amp(scheme.noise_scale, lam, model.gamma), h
         outs = []
-        # blocks bounded by values alone, each one lfilter call per trial and
-        # mode; a batch shrinks them, but saves plan calls when observed
+        # blocks bounded by values alone, each one lfilter call per mode for
+        # the whole group; a batch shrinks them, but saves plan calls when
+        # observed
         for group in [seeds] if observed else [[seed] for seed in seeds]:
             noise = _NoiseBlocks(group, amps[None], n_steps, step, max_steps=n_steps)
             acc = EstimatorAccumulator.batched(len(group), *acc_args)
@@ -566,7 +538,7 @@ def simulate_ou_exact(
         uniform = diffs[0] > 0 and np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0)
         if uniform:
             decay, amp = _ou_transition(theta, lam, diffs[0], gamma, noise_scale)
-            _ar1_filter(decay, amp, draws, path[1:], np.zeros((n_modes, 1)))
+            _ar1_filter(decay, amp, draws.T, path[1:], np.zeros((n_modes, 1)))
         else:
             x = np.zeros(n_modes)
             for i, dt in enumerate(diffs):

@@ -8,7 +8,7 @@ All operations here are pure and stateless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +25,11 @@ class OperatorSpec:
 
     For the 1-D Dirichlet Laplacian on [0, L] the eigenvalues of -A are
     lambda_k = (pi k / L)^2 exactly, so the growth law lambda_k = Lambda k^beta
-    holds with beta = 2 and Lambda = (pi / L)^2.  ``beta`` and ``lambda_scale``
-    are derived in ``__post_init__`` and may not be overridden inconsistently.
+    holds with beta = 2 and Lambda = (pi / L)^2, read-only properties.
     """
 
     kind: str = DIRICHLET_LAPLACIAN_1D
     domain_length: float = 1.0
-    beta: float = field(default=None)  # type: ignore[assignment]
-    lambda_scale: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.kind not in _SUPPORTED_KINDS:
@@ -42,20 +39,14 @@ class OperatorSpec:
             )
         if not (0 < self.domain_length < math.inf):
             raise ConfigurationError("domain_length must be positive and finite")
-        beta = 2.0
-        lam_scale = (math.pi / self.domain_length) ** 2
-        if self.beta is not None and self.beta != beta:
-            raise ConfigurationError(
-                f"beta must be {beta} for {self.kind}, got {self.beta}"
-            )
-        if self.lambda_scale is not None and not math.isclose(
-            self.lambda_scale, lam_scale, rel_tol=1e-12
-        ):
-            raise ConfigurationError(
-                f"lambda_scale must be (pi/L)^2 = {lam_scale!r} for {self.kind}"
-            )
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "lambda_scale", lam_scale)
+
+    @property
+    def beta(self) -> float:
+        return 2.0
+
+    @property
+    def lambda_scale(self) -> float:
+        return (math.pi / self.domain_length) ** 2
 
 
 def eigenvalues(spec: OperatorSpec, count: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from spde_drift.fields import (
     nemytskii_modes,
 )
 from spde_drift.mc import StudySpec, run_study
-from spde_drift.simulate import ModelSpec, SchemeSpec, simulate_semilinear
+from spde_drift.simulate import ModelSpec, SchemeSpec, simulate_model
 from spde_drift.spectrum import OperatorSpec
 from spde_drift.theory import AdvisorQuery, advise, asymptotic_constants, ou_moment_oracle
 
@@ -134,7 +134,7 @@ def test_criterion_4_ou_moment_oracle():
     for i in range(m_trials):
         scheme = SchemeSpec(dt=h, t_final=t_final, seed=40_000 + i,
                             backend="ou_exact")
-        mean_q += simulate_semilinear(model, scheme, req).accumulators.q
+        mean_q += simulate_model(model, scheme, req).accumulators.q
     mean_q /= m_trials
     rel_errors = {}
     for k in (1, 5, 20):
@@ -160,7 +160,7 @@ def test_criterion_5_decomposition_identities():
         )
         scheme = SchemeSpec(dt=2e-3, t_final=0.2, seed=int(rng.integers(2**63)))
         req = EstimatorRequest(alpha=gamma, n_list=n_list)
-        acc = simulate_semilinear(model, scheme, req).accumulators
+        acc = simulate_model(model, scheme, req).accumulators
         for n in n_list:
             dec = decompose(acc, req, n)
             assert dec.theta_full == dec.theta_linear + dec.bias_full

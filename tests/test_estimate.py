@@ -21,7 +21,7 @@ from spde_drift.estimate import (
     warn_if_inadmissible,
 )
 from spde_drift.fields import ALLEN_CAHN, FHNParams, NonlinearitySpec
-from spde_drift.simulate import ModelSpec, SchemeSpec, simulate_fhn, simulate_semilinear
+from spde_drift.simulate import ModelSpec, SchemeSpec, simulate_model
 from spde_drift.spectrum import OperatorSpec, eigenvalues
 
 PI = math.pi
@@ -60,7 +60,7 @@ def linear_run(seed=0, n_sim=16, h=1e-3, t_final=0.5, theta=0.1, gamma=0.5):
         initial_modes=(0.0,), n_sim=n_sim,
     )
     req = EstimatorRequest(alpha=gamma, n_list=(2, 4, 8, 16))
-    out = simulate_semilinear(model, SchemeSpec(dt=h, t_final=t_final, seed=seed), req)
+    out = simulate_model(model, SchemeSpec(dt=h, t_final=t_final, seed=seed), req)
     return out.accumulators, req
 
 
@@ -134,7 +134,7 @@ def test_exact_ou_sample_mean_consistent():
     estimates = np.empty(500)
     for i in range(500):
         scheme = SchemeSpec(dt=1e-4, t_final=1.0, seed=50_000 + i, backend="ou_exact")
-        out = simulate_semilinear(model, scheme, req)
+        out = simulate_model(model, scheme, req)
         estimates[i] = estimate_theta(out.accumulators, req, "linear", 64).theta_hat
     stderr = estimates.std(ddof=1) / math.sqrt(len(estimates))
     assert abs(estimates.mean() - theta) < 3 * stderr
@@ -164,7 +164,7 @@ def _numerator_gaps(theta, gamma, h, n_modes, n_paths, seed0):
     diffs = np.empty(n_paths)
     for i in range(n_paths):
         scheme = SchemeSpec(dt=h, t_final=1.0, seed=seed0 + i, backend="ou_exact")
-        acc = simulate_semilinear(model, scheme, req).accumulators
+        acc = simulate_model(model, scheme, req).accumulators
         diffs[i] = acc.numerator(n_modes, gamma, "robust") - acc.numerator(
             n_modes, gamma, "ito_sum"
         )
@@ -198,7 +198,7 @@ def allen_cahn_run(seed, n_sim=16, h=1e-3, t_final=0.3, theta=0.05, gamma=0.6,
         initial_modes=(1 / math.sqrt(2),), n_sim=n_sim,
     )
     req = EstimatorRequest(alpha=gamma, n_list=(4, 8, 16), bias_model=bias_model)
-    out = simulate_semilinear(model, SchemeSpec(dt=h, t_final=t_final, seed=seed), req)
+    out = simulate_model(model, SchemeSpec(dt=h, t_final=t_final, seed=seed), req)
     return out.accumulators, req
 
 
@@ -232,7 +232,7 @@ def test_partial_requires_accumulated_rows():
         initial_modes=(0.5,), n_sim=8,
     )
     req = EstimatorRequest(alpha=0.6, n_list=(4, 8), variants=("full", "linear"))
-    out = simulate_semilinear(model, SchemeSpec(dt=1e-2, t_final=0.1, seed=0), req)
+    out = simulate_model(model, SchemeSpec(dt=1e-2, t_final=0.1, seed=0), req)
     with pytest.raises(ConfigurationError):
         out.accumulators.bias_numerator("partial", 4, 0.6)
     # partial only exists at requested truncation levels
@@ -248,7 +248,7 @@ def test_degenerate_trajectory_raises():
     )
     scheme = SchemeSpec(dt=0.1, t_final=1.0, seed=0, noise_scale=0.0)
     req = EstimatorRequest(alpha=0.5, n_list=(4,), variants=("linear",))
-    out = simulate_semilinear(model, scheme, req)
+    out = simulate_model(model, scheme, req)
     with pytest.raises(DegenerateTrajectoryError):
         estimate_theta(out.accumulators, req, "linear", 4)
 
@@ -264,7 +264,7 @@ def fhn_run(epsilon, sigma_w, w0=None, seed=3, n_sim=8):
         alpha=0.8, n_list=(2, 4, 8),
         variants=("full", "partial1", "partial2", "linear"),
     )
-    out = simulate_fhn(model, SchemeSpec(dt=1e-3, t_final=0.3, seed=seed), req)
+    out = simulate_model(model, SchemeSpec(dt=1e-3, t_final=0.3, seed=seed), req)
     return out.accumulators, req
 
 
@@ -337,7 +337,7 @@ def test_simulate_warns_on_inadmissible_alpha():
     )
     req = EstimatorRequest(alpha=0.3, n_list=(2,), variants=("linear",))
     with pytest.warns(AdmissibilityWarning):
-        simulate_semilinear(model, SchemeSpec(dt=0.1, t_final=1.0, seed=0), req)
+        simulate_model(model, SchemeSpec(dt=0.1, t_final=1.0, seed=0), req)
 
 
 def test_request_validation():

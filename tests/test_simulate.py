@@ -16,10 +16,8 @@ from spde_drift.simulate import (
     SchemeSpec,
     _NoiseBlocks,
     _standard_normals,
-    simulate_fhn,
     simulate_model,
     simulate_ou_exact,
-    simulate_semilinear,
     simulate_trials,
 )
 from spde_drift.spectrum import OperatorSpec, eigenvalues
@@ -52,7 +50,7 @@ def test_zero_noise_decay_matches_scalar_recursion():
     h = 1e-3
     model = linear_model(theta=1.0, gamma=1.0)
     scheme = SchemeSpec(dt=h, t_final=1.0, seed=0, noise_scale=0.0)
-    out = simulate_semilinear(model, scheme, REQ1)
+    out = simulate_model(model, scheme, REQ1)
     lam1 = PI**2
     # independent oracle: the scalar recursion x <- x / (1 + h theta lam)
     x = 1.0
@@ -71,7 +69,7 @@ def test_euler_endpoint_matches_ou_law_ks():
     endpoints = np.empty(2000)
     for i in range(2000):
         scheme = SchemeSpec(dt=h, t_final=t_final, seed=i)
-        endpoints[i] = simulate_semilinear(model, scheme, REQ1).xT[0]
+        endpoints[i] = simulate_model(model, scheme, REQ1).xT[0]
     lam = PI**2
     var = lam ** (-2 * gamma) * -np.expm1(-2 * theta * lam * t_final) / (2 * theta * lam)
     d = ks_distance(endpoints, lambda v: ndtr(v / math.sqrt(var)))
@@ -147,8 +145,8 @@ def test_determinism_bitwise():
     )
     req = EstimatorRequest(alpha=0.4, n_list=(4, 16), numerator_mode="ito_sum")
     scheme = SchemeSpec(dt=1e-3, t_final=0.2, seed=987, snapshot_stride=50)
-    a = simulate_semilinear(model, scheme, req)
-    b = simulate_semilinear(model, scheme, req)
+    a = simulate_model(model, scheme, req)
+    b = simulate_model(model, scheme, req)
     assert np.array_equal(a.xT, b.xT)
     assert np.array_equal(a.trajectory, b.trajectory)
     assert np.array_equal(a.accumulators.q, b.accumulators.q)
@@ -175,7 +173,7 @@ def test_linear_weak_accuracy_of_time_integrals():
     acc_q = np.zeros(20)
     for i in range(m_trials):
         scheme = SchemeSpec(dt=h, t_final=t_final, seed=10_000 + i)
-        out = simulate_semilinear(model, scheme, req)
+        out = simulate_model(model, scheme, req)
         acc_q += out.accumulators.q
     acc_q /= m_trials
     lam = eigenvalues(OP, 20)
@@ -196,7 +194,7 @@ def test_unconditional_stability_contraction():
         scheme = SchemeSpec(
             dt=h, t_final=10 * h, seed=0, noise_scale=0.0, snapshot_stride=1
         )
-        out = simulate_semilinear(
+        out = simulate_model(
             model, scheme, EstimatorRequest(alpha=1.0, n_list=(4,), variants=("linear",))
         )
         traj = out.trajectory
@@ -211,7 +209,7 @@ def test_allen_cahn_reference_setup_runs():
     )
     req = EstimatorRequest(alpha=0.4, n_list=(20,), variants=("full", "linear"))
     scheme = SchemeSpec(dt=1e-3, t_final=1.0, seed=42)
-    out = simulate_semilinear(model, scheme, req)
+    out = simulate_model(model, scheme, req)
     assert np.all(np.isfinite(out.xT))
     assert np.all(np.isfinite(out.accumulators.q))
     assert out.accumulators.q[0] > 0
@@ -225,8 +223,8 @@ def test_burgers_drift_runs_and_is_deterministic():
     )
     req = EstimatorRequest(alpha=0.8, n_list=(8, 32))
     scheme = SchemeSpec(dt=1e-3, t_final=0.5, seed=606)
-    a = simulate_semilinear(model, scheme, req)
-    b = simulate_semilinear(model, scheme, req)
+    a = simulate_model(model, scheme, req)
+    b = simulate_model(model, scheme, req)
     assert np.all(np.isfinite(a.xT))
     assert np.array_equal(a.xT, b.xT)
     assert np.array_equal(a.accumulators.bias_full, b.accumulators.bias_full)
@@ -241,7 +239,7 @@ def test_blow_up_raises_with_step_and_mode():
     )
     scheme = SchemeSpec(dt=0.1, t_final=10.0, seed=1, noise_scale=0.0)
     with pytest.raises(BlowUpError) as exc:
-        simulate_semilinear(model, scheme, EstimatorRequest(alpha=1.0, n_list=(4,)))
+        simulate_model(model, scheme, EstimatorRequest(alpha=1.0, n_list=(4,)))
     assert (exc.value.step, exc.value.mode) == (6, 1)
 
 
@@ -256,7 +254,7 @@ def test_coupled_blow_up_in_recovery_names_its_mode():
     scheme = SchemeSpec(dt=0.1, t_final=100, seed=1)
     req = EstimatorRequest(alpha=0.8, n_list=(4,), variants=("full", "linear"))
     with pytest.raises(BlowUpError) as exc:
-        simulate_fhn(model, scheme, req)
+        simulate_model(model, scheme, req)
     assert (exc.value.step, exc.value.mode) == (1, 3)
 
 
@@ -284,13 +282,13 @@ def test_snapshot_indices_of_a_million_steps_stay_small():
 def test_snapshot_times_and_shape():
     model = linear_model(x0=(1.0, 0.5), n_sim=2)
     scheme = SchemeSpec(dt=0.1, t_final=1.0, seed=4, snapshot_stride=3)
-    out = simulate_semilinear(model, scheme, REQ1)
+    out = simulate_model(model, scheme, REQ1)
     assert out.times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
     assert out.trajectory.shape == (5, 2)
     assert np.array_equal(out.trajectory[0], out.x0)
     assert np.array_equal(out.trajectory[-1], out.xT)
 
-    coupled = simulate_fhn(
+    coupled = simulate_model(
         fhn_model(w0=(0.2, -0.1)), scheme,
         EstimatorRequest(alpha=0.8, n_list=(2,), variants=("full", "linear")),
     )
@@ -310,15 +308,15 @@ def test_ou_backend_requires_drift_free_model():
     )
     scheme = SchemeSpec(dt=1e-2, t_final=1.0, seed=0, backend="ou_exact")
     with pytest.raises(ConfigurationError):
-        simulate_semilinear(model, scheme, EstimatorRequest(alpha=0.5, n_list=(8,)))
+        simulate_model(model, scheme, EstimatorRequest(alpha=0.5, n_list=(8,)))
 
 
 def test_ou_backend_deterministic_and_finite():
     model = linear_model(theta=0.1, gamma=0.5, x0=(0.0,), n_sim=8)
     scheme = SchemeSpec(dt=1e-3, t_final=1.0, seed=77, backend="ou_exact")
     req = EstimatorRequest(alpha=0.5, n_list=(8,))
-    a = simulate_semilinear(model, scheme, req)
-    b = simulate_semilinear(model, scheme, req)
+    a = simulate_model(model, scheme, req)
+    b = simulate_model(model, scheme, req)
     assert np.array_equal(a.xT, b.xT)
     assert np.array_equal(a.accumulators.q, b.accumulators.q)
     assert np.all(np.isfinite(a.xT))
@@ -352,8 +350,8 @@ def test_fhn_decoupled_limit_matches_scalar_bitwise():
         alpha=0.8, n_list=(4, 8), variants=("full", "partial1", "partial2", "linear")
     )
     req_s = EstimatorRequest(alpha=0.8, n_list=(4, 8))
-    out_c = simulate_fhn(coupled, scheme, req_c)
-    out_s = simulate_semilinear(scalar, scheme, req_s)
+    out_c = simulate_model(coupled, scheme, req_c)
+    out_s = simulate_model(scalar, scheme, req_s)
     assert np.array_equal(out_c.xT, out_s.xT)
     assert np.array_equal(out_c.accumulators.q, out_s.accumulators.q)
     assert np.array_equal(out_c.accumulators.bias_full, out_s.accumulators.bias_full)
@@ -369,7 +367,7 @@ def test_fhn_zero_initial_zero_noise_stays_zero():
         initial_modes=(0.0,), n_sim=4,
     )
     scheme = SchemeSpec(dt=1e-2, t_final=0.5, seed=0)
-    out = simulate_fhn(
+    out = simulate_model(
         model, scheme,
         EstimatorRequest(alpha=0.8, n_list=(4,), variants=("linear",)),
     )
@@ -389,7 +387,7 @@ def test_fhn_desk_run_bounded():
     req = EstimatorRequest(
         alpha=0.8, n_list=(4, 16), variants=("full", "partial1", "partial2", "linear")
     )
-    out = simulate_fhn(model, scheme, req)
+    out = simulate_model(model, scheme, req)
     assert np.all(np.isfinite(out.trajectory))
     assert np.max(np.abs(out.trajectory)) < 50.0
     assert np.all(np.isfinite(out.w_trajectory))
@@ -432,7 +430,7 @@ def test_model_validation():
 
 def test_request_exceeding_mode_count_rejected():
     with pytest.raises(ConfigurationError):
-        simulate_semilinear(
+        simulate_model(
             linear_model(), SchemeSpec(dt=0.1, t_final=1.0, seed=0),
             EstimatorRequest(alpha=1.0, n_list=(2,), variants=("linear",)),
         )

@@ -45,12 +45,11 @@ def test_unsupported_kind_rejected():
         OperatorSpec(kind="neumann_laplacian_1d")
 
 
-def test_inconsistent_growth_constants_rejected():
-    with pytest.raises(ConfigurationError):
-        OperatorSpec(beta=1.5)
-    # consistent explicit values are accepted
-    spec = OperatorSpec(beta=2.0, lambda_scale=PI**2)
-    assert spec.lambda_scale == pytest.approx(PI**2)
+def test_growth_constants_are_derived_from_the_domain():
+    for length in (1.0, 2.0):
+        spec = OperatorSpec(domain_length=length)
+        assert spec.beta == 2.0
+        assert spec.lambda_scale == pytest.approx((PI / length) ** 2, rel=1e-15)
 
 
 def test_frac_power_identity():
