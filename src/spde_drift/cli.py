@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -152,19 +151,10 @@ def cmd_mc(args) -> int:
 
 
 def cmd_advise(args) -> int:
-    query = AdvisorQuery(
-        example=args.example.replace("-", "_"),
-        gamma=args.gamma,
-        alpha=args.alpha,
-        n=args.n,
-        m_f=args.mf,
-        leading_coeff_negative=args.neg_leading,
-        m_f_odd=args.odd,
-        theta=args.theta,
-        t_final=args.t_final,
-        lambda_scale=args.lambda_scale,
-    )
-    advice = advise(query)
+    # every flag left out is absent from args, so its field keeps its default
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    given["example"] = given["example"].replace("-", "_")
+    advice = advise(AdvisorQuery(**given))
     print(json.dumps(advice.to_json_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -218,18 +208,18 @@ def build_parser() -> argparse.ArgumentParser:
                       help="worker processes (default: $SPDE_DRIFT_THREADS or 1)")
     p_mc.set_defaults(func=cmd_mc)
 
-    p_adv = sub.add_parser("advise", help="asymptotic guarantees per example class")
+    p_adv = sub.add_parser("advise", help="asymptotic guarantees per example class",
+                           argument_default=argparse.SUPPRESS)
     p_adv.add_argument("--example", required=True)
-    p_adv.add_argument("--n", type=int, default=1)
-    p_adv.add_argument("--mf", type=int, default=None)
+    p_adv.add_argument("--n", type=int)
+    p_adv.add_argument("--mf", dest="m_f", type=int)
     p_adv.add_argument("--gamma", type=float, required=True)
     p_adv.add_argument("--alpha", type=float, required=True)
-    p_adv.add_argument("--odd", action="store_true")
-    p_adv.add_argument("--neg-leading", action="store_true")
-    p_adv.add_argument("--theta", type=float, default=1.0)
-    p_adv.add_argument("--t-final", type=float, default=1.0)
-    p_adv.add_argument("--lambda", dest="lambda_scale", type=float,
-                       default=math.pi**2)
+    p_adv.add_argument("--odd", dest="m_f_odd", action="store_true")
+    p_adv.add_argument("--neg-leading", dest="leading_coeff_negative", action="store_true")
+    p_adv.add_argument("--theta", type=float)
+    p_adv.add_argument("--t-final", type=float)
+    p_adv.add_argument("--lambda", dest="lambda_scale", type=float)
     p_adv.set_defaults(func=cmd_advise)
 
     p_th = sub.add_parser("theory", help="asymptotic constants and variance")

@@ -69,6 +69,7 @@ class EstimatorRequest:
     def __post_init__(self):
         if not math.isfinite(self.alpha):
             raise ConfigurationError("alpha must be finite")
+        object.__setattr__(self, "alpha", float(self.alpha))
         n_list = tuple(int(n) for n in self.n_list)
         if len(n_list) == 0:
             raise ConfigurationError("n_list must be nonempty")
@@ -169,7 +170,7 @@ def _fold(total, terms):
 
 
 class EstimatorAccumulator:
-    """Running per-mode time integrals collected along one trajectory.
+    """Running per-mode time integrals of trajectories stepped together.
 
     Raw integrals are alpha-independent; the lambda weights are applied at
     query time.  ``q[k]`` holds int (x^k)^2 dt, ``ito[k]`` the Ito sum of
@@ -178,34 +179,41 @@ class EstimatorAccumulator:
     system ``bias_w[k]`` holds int v^k w^k dt.  Left-endpoint Riemann sums at
     full step resolution.
 
-    ``batched`` gives every integral a leading trial axis, so trajectories
-    stepped together accumulate in one object; ``split`` then hands out one
-    accumulator per trial, with the bits that trial accumulates alone.
+    Every integral and endpoint has a leading axis of ``n_trials``;
+    ``split`` then hands out one accumulator per trial, with the bits that
+    trial accumulates alone.  It holds only what ``req`` reads:
+    ``bias_part`` for a partial variant, ``ito`` under
+    ``numerator_mode = ito_sum``.
     """
 
     def __init__(
         self,
+        n_trials: int,
         lam: np.ndarray,
         t_final: float,
         gamma: float,
-        n_list: tuple[int, ...],
+        req: EstimatorRequest,
         coupled: bool = False,
     ):
         n_modes = len(lam)
-        if max(n_list) > n_modes:
+        if max(req.n_list) > n_modes:
             raise ConfigurationError(
-                f"truncation level {max(n_list)} exceeds simulated mode count {n_modes}"
+                f"truncation level {max(req.n_list)} exceeds simulated mode count {n_modes}"
             )
         self.lam = np.asarray(lam, dtype=np.float64)
         self.t_final = float(t_final)
         self.gamma = float(gamma)
-        self.n_list = tuple(n_list)
+        self.n_list = req.n_list
         self.coupled = coupled
-        self.q = np.zeros(n_modes)
-        self.ito = np.zeros(n_modes)
-        self.bias_full = np.zeros(n_modes)
-        self.bias_part = np.zeros((len(n_list), n_modes))
-        self.bias_w = np.zeros(n_modes) if coupled else None
+
+        def zeros(*shape):
+            return np.zeros((n_trials,) + shape)
+
+        self.q = zeros(n_modes)
+        self.ito = zeros(n_modes) if req.numerator_mode == "ito_sum" else None
+        self.bias_full = zeros(n_modes)
+        self.bias_part = zeros(len(req.n_list), n_modes) if req.wants_partial else None
+        self.bias_w = zeros(n_modes) if coupled else None
         self.x0: np.ndarray | None = None
         self.xT: np.ndarray | None = None
         self._finalized = False
@@ -239,25 +247,8 @@ class EstimatorAccumulator:
         self.xT = np.array(xT, dtype=np.float64)
         self._finalized = True
 
-    @classmethod
-    def batched(cls, n_trials, lam, t_final, gamma, req, coupled=False):
-        """Accumulator of ``n_trials`` trajectories stepped together, every
-        integral and endpoint with a leading trial axis, that holds only what
-        ``req`` reads: ``bias_part`` for a partial variant, ``ito`` under
-        ``numerator_mode = ito_sum``."""
-        acc = cls(lam, t_final, gamma, req.n_list, coupled)
-        if not req.wants_partial:
-            acc.bias_part = None
-        if req.numerator_mode != "ito_sum":
-            acc.ito = None
-        for name in ("q", "ito", "bias_full", "bias_part", "bias_w"):
-            arr = getattr(acc, name)
-            if arr is not None:
-                setattr(acc, name, np.zeros((n_trials,) + arr.shape))
-        return acc
-
     def split(self) -> list["EstimatorAccumulator"]:
-        """One finalized accumulator per trial of a ``batched`` one."""
+        """One finalized accumulator per trial."""
         names = ("q", "ito", "bias_full", "bias_part", "bias_w", "x0", "xT")
         out = []
         for b in range(len(self.q)):

@@ -18,17 +18,11 @@ ends, integration by parts gives (-(u^2)_x / 2, Phi_k) = (k pi / 4) sqrt(2/L)
 a_k, so squaring the field and scaling its cosine coefficients is exact.
 
 An odd polynomial maps the odd extension of u to an odd function, so f(u)
-is a pure sine series with no cosine part to project.  Its plan evaluates f
-on the M_g interior points alone and takes the coefficients back with one
-type-I DST, as ``grid_to_modes`` does (J. P. Boyd, *Chebyshev and Fourier
-Spectral Methods*, 2nd ed., 2001, ch. 8).
-
-Every other drift takes the general stage.  Around the pointwise f it is
-two fixed linear maps: modes to samples of the odd extension, and samples to
-sine coefficients.  At small sizes (FitzHugh-Nagumo's 32 modes on 127
-points) the fixed cost of each FFT call dominates, so the plan multiplies by
-the two maps as precomputed matrices instead, the matrix-multiplication
-transform (Boyd, ch. 10), and keeps the FFTs for larger tables.
+is a pure sine series with no cosine part to project.  ``NemytskiiPlan``
+evaluates every drift as modes to samples, f at the samples, and samples to
+sine coefficients; its docstring names the three stages that supply the two
+linear maps (J. P. Boyd, *Chebyshev and Fourier Spectral Methods*, 2nd ed.,
+2001).
 
 Dealiasing: a polynomial of degree m applied to n_in modes has sine-degree
 m * n_in.  The general stage, whose periodic grid has 2(M_g+1) points, is
@@ -41,10 +35,7 @@ power-of-two FFT length; a plan of an odd polynomial takes the smallest such
 grid meeting the odd bound (255 points for 100 cubic modes, against 511).
 Step loops evaluate f through a ``NemytskiiPlan`` built once per batch of
 trajectories; ``nemytskii_modes`` and ``burgers_modes`` are one-shot forms of
-the same kernel.  The odd and table stages treat every row alone, matrix
-products included, so a row's coefficients have the same bits whatever
-rows share its batch; the FFT stage projects with one matrix product per
-batch of a stack, so a batch keeps its bits whatever is stacked with it.
+the same kernel.
 """
 
 from __future__ import annotations
@@ -225,6 +216,15 @@ def _fit_modes(x: np.ndarray, n: int) -> np.ndarray:
     return np.pad(x, pad)
 
 
+def _interior(x, L: float, padded: np.ndarray) -> np.ndarray:
+    """The field at the interior points, 0.5 DST-I(x sqrt(2/L)) with the
+    exact 0.5 folded into the scale.  ``x`` is written into the first
+    columns of ``padded``, shaped like x with one column per interior point,
+    whose other columns must be zero."""
+    np.multiply(x, 0.5 * math.sqrt(2.0 / L), out=padded[..., : x.shape[-1]])
+    return scipy.fft.dst(padded, type=1, axis=-1)
+
+
 def modes_to_grid(x, grid: GridSpec, spec: OperatorSpec) -> np.ndarray:
     """Field values u(x_j) = sum_k x^k Phi_k(x_j) at the interior points.
 
@@ -233,9 +233,7 @@ def modes_to_grid(x, grid: GridSpec, spec: OperatorSpec) -> np.ndarray:
     """
     arr = np.asarray(x, dtype=np.float64)
     _check_mode_count(arr.shape[-1], grid)
-    L = spec.domain_length
-    scaled = arr * math.sqrt(2.0 / L)
-    return 0.5 * scipy.fft.dst(scaled, type=1, n=grid.n_grid, axis=-1)
+    return _interior(arr, spec.domain_length, np.zeros(arr.shape[:-1] + (grid.n_grid,)))
 
 
 def grid_to_modes(u, grid: GridSpec, spec: OperatorSpec) -> np.ndarray:
@@ -292,35 +290,37 @@ class NemytskiiPlan:
     batches.  ``stage`` names the chosen stage; it depends on the
     nonlinearity, n_in, n_out and the grid, never on the rows.
 
-    A call maps an (n_rows, n_in) array to (n_rows, n_out) coefficients.  For
-    an odd polynomial (``NonlinearitySpec.is_odd_polynomial``) the ``odd``
-    stage takes a type-I DST to the M_g interior points, evaluates f there by
-    Horner's rule in ``polyval``'s operation order and takes f(u) back with
-    one type-I DST scaled as in ``grid_to_modes``; the grid must hold
-    max(n_in, floor((m n_in + n_out) / 2)) points.
+    A call maps an (n_rows, n_in) array to (n_rows, n_out) coefficients in
+    three steps: a linear map from the modes to samples of the field, f at
+    the samples by Horner's rule in ``polyval``'s operation order (u^2 for
+    Burgers), and a linear map from the samples to sine coefficients.  The
+    stage picks the two maps:
 
-    Every other drift is evaluated on a grid of m max(n_in, n_out) points as
-    samples of the odd extension on the periodic grid of 2(M_g+1) points,
-    the same Horner evaluation there, an rfft split into sine and cosine
-    parts, and closed-form projection of the cosine part onto the sine
-    modes.  Burgers evaluates f(u) = u^2 and replaces the output stage by
-    -(u^2)_x / 2, which maps the cosine coefficient a_k to
-    (k pi / 4) sqrt(2/L) a_k; the sine part of the even u^2 is zero.  Both
-    linear maps around Horner are fixed: when each fits in
-    ``_TABLE_ENTRIES`` entries the ``tables`` stage applies them as two
-    matrix products (the matrix-multiplication transform, which beats the
-    FFT at small sizes: Boyd, ch. 10), one per row, so each row has the
-    bits of its lone call.  Else the ``fft`` stage runs the DST, rfft and
-    projection; the projection is one matrix product per batch of the
-    stack, with that batch's own shape, so a batch gets the same bits
-    whatever is stacked with it.  Coefficients above the sine-degree m n_in
-    are zero.
+    - ``odd``, for an odd polynomial (``NonlinearitySpec.is_odd_polynomial``):
+      f(u) is a pure sine series, so the samples are the M_g interior points,
+      by type-I DST, and one type-I DST scaled as in ``grid_to_modes`` takes
+      f(u) back (Boyd, ch. 8).  The grid must hold
+      max(n_in, floor((m n_in + n_out) / 2)) points.
+    - ``fft``: the samples are the odd extension on the periodic grid of
+      2(M_g+1) points, with M_g >= m max(n_in, n_out); an rfft splits f(u)
+      into sine and cosine parts and the cosine part is projected onto the
+      sine modes in closed form.  Burgers takes -(u^2)_x / 2 instead, which
+      maps the cosine coefficient a_k to (k pi / 4) sqrt(2/L) a_k; the sine
+      part of the even u^2 is zero.  The projection is one matrix product per
+      batch of the stack, with that batch's own shape, so a batch gets the
+      same bits whatever is stacked with it.
+    - ``tables``: the ``fft`` stage's two maps as precomputed matrices when
+      each fits in ``_TABLE_ENTRIES`` entries (the matrix-multiplication
+      transform, which beats the FFT at small sizes: Boyd, ch. 10), one
+      product per row, so each row has the bits of its lone call.
+
+    Coefficients above min(m n_in, M_g) are zero for an odd polynomial and
+    for Burgers; the cosine part of any other polynomial projects onto every
+    sine mode.
 
     The returned array belongs to the plan and is overwritten by its next
     call; a plan must not be shared between concurrent callers.
     """
-
-    _table_entries = _TABLE_ENTRIES
 
     def __init__(
         self,
@@ -337,48 +337,17 @@ class NemytskiiPlan:
                 f"got {nl.variant!r}"
             )
         burgers = nl.variant == "burgers"
-        degree = nl.degree
         _check_dealiasing(nl, grid, n_in, n_out)
         m_g = grid.n_grid
-        L = spec.domain_length
-        n_freq = min(degree * n_in, m_g)
-        n_points = 2 * (m_g + 1)
         lead = (n_rows,) if np.ndim(n_rows) == 0 else tuple(n_rows)
-        n_rows = math.prod(lead)
         self.shape = lead + (n_in,)
         self._coeffs = (0.0, 0.0, 1.0) if burgers else nl.poly_coeffs
-        self._L = L
-        self._n_s = min(n_out, n_freq)
-        # every stage writes (rows, .) buffers; the input and the output
-        # see them through views shaped like the batch stack
-        self._out = np.empty((n_rows, n_out))
-        self._out_stack = self._out.reshape(lead + (n_out,))
-        tables = max(n_in, n_out) * n_points <= self._table_entries
+        tables = max(n_in, n_out) * 2 * (m_g + 1) <= _TABLE_ENTRIES
         self.stage = "odd" if nl.is_odd_polynomial else "tables" if tables else "fft"
-        if self.stage == "tables":
-            self._ext = np.empty((n_rows, n_points))
-            self._ext_rows = self._ext.reshape(lead + (1, n_points))
-            self._poly = np.empty_like(self._ext)
-            self._poly_rows = self._poly[:, None]
-            self._out_rows = self._out[:, None]
-            self._to_ext, self._to_out = _general_tables(burgers, degree, m_g, L, n_in, n_out)
-            return
-        # 0.5 * DST(x sqrt(2/L)) with the exact factor 0.5 folded into the scale
-        self._in_scale = 0.5 * math.sqrt(2.0 / L)
-        self._modes = np.zeros((n_rows, m_g))
-        self._modes_in = self._modes.reshape(lead + (m_g,))[..., :n_in]
-        if self.stage == "odd":
-            self._poly = np.empty((n_rows, m_g))
-            return
-        self._ext = np.zeros((n_rows, n_points))
-        self._poly = np.empty_like(self._ext)
-        self._cos = np.empty((n_rows, n_freq + 1))
-        self._cos_stack = self._cos.reshape(lead + (n_freq + 1,))
-        self._deriv = self._proj_t = None
-        if burgers:  # (-(u^2)_x / 2, Phi_k) = (k pi / 4) sqrt(2/L) a_k
-            self._deriv = np.arange(1, self._n_s + 1) * (math.pi / 4 * math.sqrt(2 / L))
-        else:
-            self._proj_t = _cos_to_sine_projection(n_out, n_freq + 1, L).T
+        build = {"odd": _odd_stage, "tables": _table_stage, "fft": _fft_stage}[self.stage]
+        self._samples, self._poly, self._coefficients = build(
+            burgers, nl.degree, m_g, spec.domain_length, lead, n_in, n_out
+        )
 
     def _horner(self, u) -> np.ndarray:
         """f(u) into the polynomial buffer, in ``polyval``'s operation order."""
@@ -391,80 +360,99 @@ class NemytskiiPlan:
             w += coeff
         return w
 
-    def _interior(self, x) -> np.ndarray:
-        """The field at the M_g interior points, by type-I DST."""
-        np.multiply(x, self._in_scale, out=self._modes_in)
-        return scipy.fft.dst(self._modes, type=1, axis=-1)
-
-    def _extend(self, x) -> np.ndarray:
-        """The field's odd extension sampled on the periodic grid over
-        [0, 2L): [0, u_1..u_M, 0, -u_M..-u_1]."""
-        u = self._interior(x)
-        m_g = u.shape[-1]
-        ext = self._ext
-        ext[:, 1 : m_g + 1] = u
-        np.negative(u[:, ::-1], out=ext[:, m_g + 2 :])
-        return ext
-
-    def _project(self, w) -> np.ndarray:
-        """Sine coefficients of the periodic samples w of f(u) (overwritten):
-        the sine part as it is, the cosine part projected onto the sine
-        modes, or for Burgers the cosine part differentiated."""
-        n_s = self._n_s
-        out = self._out
-        out[:, n_s:] = 0.0
-        # w = a_0/2 + sum_l (a_l cos + s_l sin); a indexed from l = 0 with the
-        # 1/2 folded in, s from l = 1, both truncated at n_freq
-        n_points = w.shape[-1]
-        spectrum = scipy.fft.rfft(w, axis=-1, overwrite_x=True)
-        a = self._cos
-        np.multiply(spectrum.real[:, : a.shape[-1]], 2.0, out=a)
-        a /= n_points
-        a[:, 0] *= 0.5
-
-        if self._deriv is not None:
-            np.multiply(a[:, 1 : n_s + 1], self._deriv, out=out[:, :n_s])
-            return self._out_stack
-        s = out[:, :n_s]
-        np.multiply(spectrum.imag[:, 1 : n_s + 1], -2.0, out=s)
-        s /= n_points
-        s *= self._L / 2.0
-        # a stacked matmul makes one BLAS call per batch, each with the lone
-        # batch's shape; a (trials * rows)-row product would round differently
-        self._out_stack += self._cos_stack @ self._proj_t
-        out *= math.sqrt(2.0 / self._L)
-        return self._out_stack
-
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != self.shape:
             raise ConfigurationError(
                 f"batch shape {x.shape} does not match the plan's {self.shape}"
             )
-        if self.stage == "tables":  # one (1, n) product per row
-            np.matmul(x[..., None, :], self._to_ext, out=self._ext_rows)
-            self._horner(self._ext)
-            np.matmul(self._poly_rows, self._to_out, out=self._out_rows)
-            return self._out_stack
-        if self.stage == "fft":
-            return self._project(self._horner(self._extend(x)))
-
-        # odd: f(u) is a sine series, back by DST as grid_to_modes
-        u = self._interior(x)
-        n_s = self._n_s
-        out = self._out
-        out[:, n_s:] = 0.0
-        coeffs = scipy.fft.dst(self._horner(u), type=1, axis=-1, overwrite_x=True)
-        scale = math.sqrt(self._L / 2.0) / (u.shape[-1] + 1)
-        np.multiply(coeffs[:, :n_s], scale, out=out[:, :n_s])
-        return self._out_stack
+        return self._coefficients(self._horner(self._samples(x)))
 
 
-class _FFTStagePlan(NemytskiiPlan):
-    """A general plan held to the ``fft`` stage at any size: the builder of
-    the ``tables`` stage's matrices."""
+# Each stage builder returns a plan's samples map, its Horner buffer and its
+# coefficients map, with every buffer shaped like the batch stack ``lead``.
 
-    _table_entries = 0
+def _odd_stage(burgers, degree, m_g, L, lead, n_in, n_out):
+    """Samples at the M_g interior points; f(u) back by DST as
+    ``grid_to_modes``."""
+    n_s = min(n_out, degree * n_in, m_g)
+    modes = np.zeros(lead + (m_g,))
+    out = np.zeros(lead + (n_out,))  # only the first n_s columns are written
+    scale = math.sqrt(L / 2.0) / (m_g + 1)
+
+    def coefficients(w):
+        c = scipy.fft.dst(w, type=1, axis=-1, overwrite_x=True)
+        np.multiply(c[..., :n_s], scale, out=out[..., :n_s])
+        return out
+
+    return lambda x: _interior(x, L, modes), np.empty_like(modes), coefficients
+
+
+def _fft_stage(burgers, degree, m_g, L, lead, n_in, n_out):
+    """Samples of the odd extension on the periodic grid; sine coefficients
+    by rfft and closed-form projection of the cosine part, or for Burgers
+    the cosine part differentiated."""
+    n_freq = min(degree * n_in, m_g)
+    n_s = min(n_out, n_freq)
+    n_points = 2 * (m_g + 1)
+    modes = np.zeros(lead + (m_g,))
+    ext = np.zeros(lead + (n_points,))
+    a = np.empty(lead + (n_freq + 1,))
+    out = np.empty(lead + (n_out,))
+    if burgers:  # (-(u^2)_x / 2, Phi_k) = (k pi / 4) sqrt(2/L) a_k
+        deriv = np.arange(1, n_s + 1) * (math.pi / 4 * math.sqrt(2 / L))
+    else:
+        proj_t = _cos_to_sine_projection(n_out, n_freq + 1, L).T
+
+    def samples(x):
+        """[0, u_1..u_M, 0, -u_M..-u_1] over [0, 2L)."""
+        u = _interior(x, L, modes)
+        ext[..., 1 : m_g + 1] = u
+        np.negative(u[..., ::-1], out=ext[..., m_g + 2 :])
+        return ext
+
+    def coefficients(w):
+        """Sine coefficients of the periodic samples w (overwritten)."""
+        out[..., n_s:] = 0.0
+        # w = a_0/2 + sum_l (a_l cos + s_l sin); a indexed from l = 0 with the
+        # 1/2 folded in, s from l = 1, both truncated at n_freq
+        spectrum = scipy.fft.rfft(w, axis=-1, overwrite_x=True)
+        np.multiply(spectrum.real[..., : n_freq + 1], 2.0, out=a)
+        np.divide(a, n_points, out=a)
+        a[..., 0] *= 0.5
+        if burgers:
+            np.multiply(a[..., 1 : n_s + 1], deriv, out=out[..., :n_s])
+            return out
+        s = out[..., :n_s]
+        np.multiply(spectrum.imag[..., 1 : n_s + 1], -2.0, out=s)
+        s /= n_points
+        s *= L / 2.0
+        # a stacked matmul makes one BLAS call per batch, each with the lone
+        # batch's shape; a (trials * rows)-row product would round differently
+        np.add(out, a @ proj_t, out=out)
+        np.multiply(out, math.sqrt(2.0 / L), out=out)
+        return out
+
+    return samples, np.empty_like(ext), coefficients
+
+
+def _table_stage(burgers, degree, m_g, L, lead, n_in, n_out):
+    """The ``fft`` stage's two maps as matrix products, one (1, n) product
+    per row."""
+    to_ext, to_out = _general_tables(burgers, degree, m_g, L, n_in, n_out)
+    ext = np.empty(lead + (1, to_ext.shape[-1]))
+    out = np.empty(lead + (1, n_out))
+    out_rows = out[..., 0, :]
+
+    def samples(x):
+        np.matmul(x[..., None, :], to_ext, out=ext)
+        return ext
+
+    def coefficients(w):
+        np.matmul(w, to_out, out=out)
+        return out_rows
+
+    return samples, np.empty_like(ext), coefficients
 
 
 @functools.lru_cache(maxsize=32)
@@ -477,14 +465,13 @@ def _general_tables(
     two stages share every constant.  Each unit sample is its own batch of
     one row, so every row is projected alone.  Read-only, shared through the
     cache."""
-    nl = (NonlinearitySpec("burgers") if burgers
-          else NonlinearitySpec("polynomial", poly_coeffs=(1.0,) * (degree + 1)))
     n_points = 2 * (m_g + 1)
-    fft = _FFTStagePlan(nl, GridSpec(m_g, m_g), OperatorSpec(domain_length=L),
-                        (n_points, 1), n_in, n_out)
+    samples, _, coefficients = _fft_stage(
+        burgers, degree, m_g, L, (n_points, 1), n_in, n_out
+    )
     eye = np.eye(n_points)[:, None]
-    to_ext = fft._extend(eye[..., :n_in])[:n_in].copy()
-    to_out = fft._project(eye[:, 0]).reshape(n_points, n_out).copy()
+    to_ext = samples(eye[..., :n_in])[:n_in, 0].copy()
+    to_out = coefficients(eye)[:, 0].copy()
     for table in (to_ext, to_out):
         table.setflags(write=False)
     return to_ext, to_out

@@ -465,7 +465,7 @@ def simulate_trials(
         # observed
         for group in [seeds] if observed else [[seed] for seed in seeds]:
             noise = _NoiseBlocks(group, amps[None], n_steps, step, max_steps=n_steps)
-            acc = EstimatorAccumulator.batched(len(group), *acc_args)
+            acc = EstimatorAccumulator(len(group), *acc_args)
             observe = _bias_rows(bias_nl, op, est_req, acc) if observed else None
             kernel = _ar1_kernel(decay, gain, x0[0], len(group))
             outs += _run_blocks(scheme, noise, x0, kernel, acc, observe)
@@ -479,7 +479,7 @@ def simulate_trials(
         amps = np.stack([
             p.sigma * amps[0], p.sigma_w * _noise_amp(scheme.noise_scale, lam, p.gamma_w)
         ])
-    acc = EstimatorAccumulator.batched(n_trials, *acc_args)
+    acc = EstimatorAccumulator(n_trials, *acc_args)
     observe = _bias_rows(bias_nl, op, est_req, acc) if observed else None
     if est_req.bias_model is not None:  # the model's own plan steps the path
         drift = NemytskiiPlan(nl, _plans_grid(nl, n0), op, (n_trials, 1), n0, n0)

@@ -10,7 +10,7 @@ import pytest
 
 from spde_drift.cli import _write_trajectory_csv, main
 from spde_drift.config import load_config
-from spde_drift.theory import asymptotic_constants
+from spde_drift.theory import AdvisorQuery, advise, asymptotic_constants
 
 LINEAR_CONFIG = """
 [model]
@@ -183,6 +183,22 @@ def test_advise_inconsistent_query_rejected(capsys):
     assert main(["advise", "--example", "burgers", "--n", "2", "--gamma", "0.8",
                  "--alpha", "0.8"]) == 1
     assert "one-dimensional" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, query", [
+    ([], AdvisorQuery("burgers", 0.8, 0.9)),
+    (["--n", "2", "--mf", "3", "--odd", "--neg-leading", "--theta", "0.5",
+      "--t-final", "2", "--lambda", "3"],
+     AdvisorQuery("reaction_diffusion", 0.8, 0.9, n=2, m_f=3, leading_coeff_negative=True,
+                  m_f_odd=True, theta=0.5, t_final=2.0, lambda_scale=3.0)),
+], ids=["required-only", "every-flag"])
+def test_advise_prints_the_advice_of_its_query(capsys, flags, query):
+    # a flag left out takes the AdvisorQuery field's default
+    example = query.example.replace("_", "-")
+    assert main(["advise", "--example", example, "--gamma", "0.8", "--alpha", "0.9"]
+                + flags) == 0
+    expected = json.dumps(advise(query).to_json_dict(), indent=2, sort_keys=True)
+    assert capsys.readouterr().out == expected + "\n"
 
 
 def test_theory_outputs_constants(capsys):

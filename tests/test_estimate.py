@@ -92,13 +92,13 @@ def test_deterministic_decay_recovers_theta_via_ito_sum():
     t = np.arange(n_steps + 1) * h
     path = np.exp(-theta * lam1 * t)[:, None]
     for alpha in (0.0, 0.7):
-        acc = EstimatorAccumulator(eigenvalues(OP, 1), t_final, gamma=0.5, n_list=(1,))
-        acc.add_path(path)
-        acc.finalize(h, path[0], path[-1])
         req = EstimatorRequest(
             alpha=alpha, n_list=(1,), variants=("linear",), numerator_mode="ito_sum"
         )
-        res = estimate_theta(acc, req, "linear", 1)
+        acc = EstimatorAccumulator(1, eigenvalues(OP, 1), t_final, 0.5, req)
+        acc.add_path(path[:, None])
+        acc.finalize(h, path[:1], path[-1:])
+        res = estimate_theta(acc.split()[0], req, "linear", 1)
         assert abs(res.theta_hat - theta) / theta < 1e-3
 
 
@@ -116,7 +116,7 @@ def test_add_path_adds_in_step_order(n_trials, n_modes):
         ito += path[j] * (path[j + 1] - path[j])
     req = EstimatorRequest(alpha=0.5, n_list=(n_modes,), numerator_mode="ito_sum")
     for block in (1, 3, 7, n):
-        acc = EstimatorAccumulator.batched(n_trials, eigenvalues(OP, n_modes), 1.0, 0.5, req)
+        acc = EstimatorAccumulator(n_trials, eigenvalues(OP, n_modes), 1.0, 0.5, req)
         for j0 in range(0, n, block):
             acc.add_path(path[j0 : min(j0 + block, n) + 1])
         assert acc.q.tobytes() == q.tobytes(), block

@@ -581,19 +581,30 @@ def test_plan_grid_is_odd_only_for_an_odd_polynomial():
 
 
 def test_nemytskii_plan_reuse_matches_fresh_calls():
+    # every stage: tables (a cubic and Burgers at 32 modes), odd (Allen-Cahn
+    # on its plan grid, and 4 modes to 20 coefficients, whose columns from
+    # 3 n_in up are never written) and fft (the cubic at 43 modes)
     rng = np.random.default_rng(21)
     cubic = NonlinearitySpec("polynomial", poly_coeffs=(0.0, -0.5, 1.5, -1.0))
-    n = 32
-    grid = default_grid(n, 3)
-    for nl in (cubic, NonlinearitySpec("burgers")):
-        plan = NemytskiiPlan(nl, grid, SPEC, 3, n, n)
+    cases = [
+        (cubic, default_grid(32, 3), 32, 32, "tables"),
+        (NonlinearitySpec("burgers"), default_grid(32, 3), 32, 32, "tables"),
+        (ALLEN_CAHN, _plans_grid(ALLEN_CAHN, 100), 100, 100, "odd"),
+        (cubic, GridSpec(255, 43), 43, 43, "fft"),
+        (ALLEN_CAHN, GridSpec(31, 4), 4, 20, "odd"),
+    ]
+    for nl, grid, n, n_out, stage in cases:
+        plan = NemytskiiPlan(nl, grid, SPEC, 3, n, n_out)
+        assert plan.stage == stage
         for i in range(25):
             x = rng.standard_normal((3, n)) * rng.uniform(0.1, 3.0)
             x[:, rng.integers(1, n + 1):] = 0.0  # vary the populated mode count
             out = plan(x)
-            assert np.array_equal(out, nemytskii_modes(x, nl, grid, SPEC, n))
+            assert np.array_equal(out, nemytskii_modes(x, nl, grid, SPEC, n_out))
+            if stage == "odd":
+                assert np.array_equal(out[:, 3 * n:], np.zeros((3, max(n_out - 3 * n, 0))))
         # nothing of the previous input survives in the buffers
-        assert np.array_equal(plan(np.zeros((3, n))), np.zeros((3, n)))
+        assert np.array_equal(plan(np.zeros((3, n))), np.zeros((3, n_out)))
 
 
 def test_nemytskii_plan_rejects_other_shapes():

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +38,18 @@ def linear_study(n_trials=16, seed=123, n_sim=8, backend="ou_exact", variants=No
     scheme = SchemeSpec(dt=1e-2, t_final=0.5, seed=seed, backend=backend)
     return StudySpec(model=model, scheme=scheme, est_req=req, n_trials=n_trials,
                      histogram_n=histogram_n)
+
+
+@pytest.mark.parametrize("alpha, text", [(np.float64(0.5), "0.5"), (1, "1.0")])
+def test_estimates_csv_writes_alpha_as_a_float(alpha, text):
+    # the request stores float(alpha), so the column never reads
+    # "np.float64(0.5)" or "1"
+    spec = linear_study(n_trials=1, variants=("linear",))
+    spec = replace(spec, est_req=replace(spec.est_req, alpha=alpha))
+    fh = io.StringIO()
+    mc.write_estimate_rows(fh, run_study(spec).estimates)
+    rows = list(csv.DictReader(io.StringIO(fh.getvalue())))
+    assert rows and all(row["alpha"] == text for row in rows)
 
 
 def test_mix_seed_is_deterministic_and_spread():
