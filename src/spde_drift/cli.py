@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: simulate | estimate | mc | advise | theory.  Exit codes:
-0 success, 1 validation error, 2 runtime/blow-up error, 3 I/O error.
+0 success, 1 validation error, 2 runtime error (blow-up, out of memory), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -244,8 +244,8 @@ def main(argv=None) -> int:
     except (ConfigurationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (BlowUpError, DegenerateTrajectoryError, StudyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BlowUpError, DegenerateTrajectoryError, StudyError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RUNTIME
     except SpdeDriftError as exc:
         print(f"error: {exc}", file=sys.stderr)

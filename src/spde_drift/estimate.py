@@ -26,7 +26,6 @@ decomposition identities theta_full = theta_linear + bias hold bit for bit.
 from __future__ import annotations
 
 import copy
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -38,6 +37,8 @@ from .errors import (
     ConfigurationError,
     DegenerateTrajectoryError,
     DomainError,
+    check_fields,
+    spec_field,
 )
 from .fields import NonlinearitySpec
 from .spectrum import OperatorSpec, eigenvalues
@@ -60,24 +61,18 @@ class EstimatorRequest:
     estimator for robustness studies.
     """
 
-    alpha: float
-    n_list: tuple[int, ...]
+    alpha: float = spec_field("finite")
+    n_list: tuple[int, ...] = spec_field(("count",))
     variants: tuple[str, ...] = SCALAR_VARIANTS
     bias_model: NonlinearitySpec | None = None
     numerator_mode: str = "robust"
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise ConfigurationError("alpha must be finite")
-        object.__setattr__(self, "alpha", float(self.alpha))
-        n_list = tuple(int(n) for n in self.n_list)
-        if len(n_list) == 0:
+        check_fields(self)
+        if len(self.n_list) == 0:
             raise ConfigurationError("n_list must be nonempty")
-        if any(n < 1 for n in n_list):
-            raise ConfigurationError("truncation levels must be >= 1")
-        if list(n_list) != sorted(set(n_list)):
+        if list(self.n_list) != sorted(set(self.n_list)):
             raise ConfigurationError("n_list must be strictly ascending")
-        object.__setattr__(self, "n_list", n_list)
         variants = tuple(self.variants)
         scalar = all(v in SCALAR_VARIANTS for v in variants)
         coupled = all(v in COUPLED_VARIANTS for v in variants)
@@ -107,7 +102,6 @@ class EstimateResult:
     numerator: float
     denominator: float
     bias: float
-    z: float | None = None
 
 
 @dataclass

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_fields, spec_field
 from .spectrum import OperatorSpec
 
 
@@ -60,22 +60,16 @@ class FHNParams:
     recovery equation a small smooth noise of its own.
     """
 
-    a: float
-    b: float
-    epsilon: float
-    sigma: float = 1.0
-    sigma_w: float = 0.05
-    gamma_w: float = 1.0
+    a: float = spec_field("unit")
+    b: float = spec_field("nonnegative")
+    # epsilon = 0 decouples the recovery equation, a useful limit
+    epsilon: float = spec_field("nonnegative")
+    sigma: float = spec_field("nonnegative", 1.0)
+    sigma_w: float = spec_field("nonnegative", 0.05)
+    gamma_w: float = spec_field("nonnegative", 1.0)
 
     def __post_init__(self):
-        if not (0.0 < self.a < 1.0):
-            raise ConfigurationError("fhn parameter a must lie in (0, 1)")
-        # epsilon = 0 decouples the recovery equation, a useful limit
-        for name in ("b", "epsilon", "sigma", "sigma_w", "gamma_w"):
-            if not (0 <= getattr(self, name) < math.inf):
-                raise ConfigurationError(
-                    f"fhn parameter {name} must be nonnegative and finite"
-                )
+        check_fields(self)
 
     def cubic_coeffs(self) -> tuple[float, ...]:
         """Ascending coefficients of v(1-v)(v-a) = -a v + (1+a) v^2 - v^3."""
@@ -100,10 +94,11 @@ class NonlinearitySpec:
     the transport term -u u_x, or the coupled activator/recovery drift."""
 
     variant: str = "none"
-    poly_coeffs: tuple[float, ...] | None = None
+    poly_coeffs: tuple[float, ...] | None = spec_field(("finite",), None)
     fhn_params: FHNParams | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.variant not in VARIANTS:
             raise ConfigurationError(
                 f"unknown nonlinearity variant {self.variant!r}"
@@ -113,13 +108,10 @@ class NonlinearitySpec:
                 raise ConfigurationError(
                     "polynomial nonlinearity needs coefficients c_0..c_m, m >= 1"
                 )
-            if not all(math.isfinite(c) for c in self.poly_coeffs):
-                raise ConfigurationError("poly_coeffs must be finite")
             if self.poly_coeffs[-1] == 0:
                 raise ConfigurationError(
                     "polynomial leading coefficient must be nonzero"
                 )
-            object.__setattr__(self, "poly_coeffs", tuple(float(c) for c in self.poly_coeffs))
         elif self.poly_coeffs is not None:
             raise ConfigurationError("poly_coeffs only valid for variant='polynomial'")
         if self.variant == "fhn":
@@ -153,14 +145,13 @@ ALLEN_CAHN = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 1.0, 0.0, -1.0))
 class GridSpec:
     """Interior collocation grid: M_g points, keeping n_modes_keep modes."""
 
-    n_grid: int
-    n_modes_keep: int
+    n_grid: int = spec_field("count")
+    n_modes_keep: int = spec_field("count")
 
     def __post_init__(self):
-        if self.n_grid < 1:
-            raise ConfigurationError("n_grid must be >= 1")
-        if not (1 <= self.n_modes_keep <= self.n_grid):
-            raise ConfigurationError("need 1 <= n_modes_keep <= n_grid")
+        check_fields(self)
+        if self.n_modes_keep > self.n_grid:
+            raise ConfigurationError("need n_modes_keep <= n_grid")
 
 
 def _dealiasing_bound(degree: int, n_in: int, n_out: int, odd: bool = False) -> int:

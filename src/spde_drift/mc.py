@@ -34,6 +34,8 @@ from .errors import (
     DegenerateTrajectoryError,
     DomainError,
     StudyError,
+    check_fields,
+    spec_field,
 )
 from .estimate import EstimatorRequest, estimate_theta, z_score
 from .simulate import ModelSpec, SchemeSpec, SimOutput, _drifts, simulate_trials
@@ -66,19 +68,21 @@ class StudySpec:
     model: ModelSpec
     scheme: SchemeSpec
     est_req: EstimatorRequest
-    n_trials: int
-    histogram_n: int = 20
-    histogram_bin_width: float = 0.4
-    histogram_range: tuple[float, float] = (-5.0, 5.0)
+    n_trials: int = spec_field("count")
+    histogram_n: int | None = spec_field("count", None)
+    histogram_bin_width: float = spec_field("positive", 0.4)
+    histogram_range: tuple[float, float] = spec_field(("finite",), (-5.0, 5.0))
 
     def __post_init__(self):
-        if self.n_trials < 1:
-            raise ConfigurationError("n_trials must be >= 1")
-        if not (0 < self.histogram_bin_width < math.inf):
-            raise ConfigurationError("histogram_bin_width must be positive and finite")
-        lo, hi = self.histogram_range
-        if not (-math.inf < lo < hi < math.inf):
+        check_fields(self)
+        n_list = self.est_req.n_list
+        if self.histogram_n is None:  # the largest N, nearest the asymptotic regime
+            object.__setattr__(self, "histogram_n", n_list[-1])
+        elif self.histogram_n not in n_list:
+            raise ConfigurationError(f"histogram_n must be one of n_list {n_list}")
+        if len(self.histogram_range) != 2 or not self.histogram_range[0] < self.histogram_range[1]:
             raise ConfigurationError("histogram_range must be a finite increasing pair")
+        lo, hi = self.histogram_range
         # summarize's bin edges stop at lo + width * n_bins, so they must reach hi
         bins = (hi - lo) / self.histogram_bin_width
         n = round(bins) if math.isfinite(bins) else 0

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigurationError
+from .errors import BlowUpError, ConfigurationError, check_fields, checked, spec_field
 from .estimate import (
     COUPLED_VARIANTS,
     SCALAR_VARIANTS,
@@ -58,8 +58,6 @@ from .spectrum import OperatorSpec, eigenvalues
 
 BACKENDS = ("euler", "ou_exact")
 
-_MAX_SEED = 2**64
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -67,33 +65,18 @@ class ModelSpec:
     nonlinearity, initial condition, and the simulated mode count."""
 
     operator: OperatorSpec
-    theta_true: float
-    gamma: float
+    theta_true: float = spec_field("positive")
+    gamma: float = spec_field("positive")
     nonlinearity: NonlinearitySpec
-    initial_modes: tuple[float, ...]
-    n_sim: int
-    initial_w_modes: tuple[float, ...] | None = None
+    initial_modes: tuple[float, ...] = spec_field(("finite",))
+    n_sim: int = spec_field("count")
+    initial_w_modes: tuple[float, ...] | None = spec_field(("finite",), None)
 
     def __post_init__(self):
-        if not (0 < self.theta_true < math.inf):
-            raise ConfigurationError("theta_true must be positive and finite")
-        if not (0 < self.gamma < math.inf):
-            raise ConfigurationError("gamma must be positive and finite")
-        if self.n_sim < 1:
-            raise ConfigurationError("n_sim must be >= 1")
-        init = tuple(float(c) for c in self.initial_modes)
-        if len(init) > self.n_sim:
-            raise ConfigurationError("initial_modes has more entries than n_sim")
-        if not all(math.isfinite(c) for c in init):
-            raise ConfigurationError("initial_modes must be finite")
-        object.__setattr__(self, "initial_modes", init)
-        if self.initial_w_modes is not None:
-            w = tuple(float(c) for c in self.initial_w_modes)
-            if len(w) > self.n_sim:
-                raise ConfigurationError("initial_w_modes has more entries than n_sim")
-            if not all(math.isfinite(c) for c in w):
-                raise ConfigurationError("initial_w_modes must be finite")
-            object.__setattr__(self, "initial_w_modes", w)
+        check_fields(self)
+        for name in ("initial_modes", "initial_w_modes"):
+            if len(getattr(self, name) or ()) > self.n_sim:
+                raise ConfigurationError(f"{name} has more entries than n_sim")
 
     def initial_state(self) -> np.ndarray:
         x = np.zeros(self.n_sim)
@@ -112,18 +95,15 @@ class SchemeSpec:
     """Time discretization: step size, horizon, seed, optional trajectory
     thinning.  ``noise_scale`` is a test hook (0 disables the noise)."""
 
-    dt: float
-    t_final: float
-    seed: int
-    snapshot_stride: int | None = None
+    dt: float = spec_field("positive")
+    t_final: float = spec_field("positive")
+    seed: int = spec_field("seed")
+    snapshot_stride: int | None = spec_field("count", None)
     backend: str = "euler"
-    noise_scale: float = 1.0
+    noise_scale: float = spec_field("nonnegative", 1.0)
 
     def __post_init__(self):
-        if not (0 < self.dt < math.inf):
-            raise ConfigurationError("dt must be positive and finite")
-        if not (0 < self.t_final < math.inf):
-            raise ConfigurationError("t_final must be positive and finite")
+        check_fields(self)
         if self.dt > self.t_final:
             raise ConfigurationError("dt must not exceed t_final")
         if not math.isfinite(self.t_final / self.dt):
@@ -131,14 +111,8 @@ class SchemeSpec:
         n = round(self.t_final / self.dt)
         if n < 1 or abs(n - self.t_final / self.dt) > 1e-9 * max(1.0, n):
             raise ConfigurationError("t_final must be an integer multiple of dt")
-        if not (0 <= int(self.seed) < _MAX_SEED):
-            raise ConfigurationError("seed must fit in 64 bits")
-        if self.snapshot_stride is not None and self.snapshot_stride < 1:
-            raise ConfigurationError("snapshot_stride must be >= 1")
         if self.backend not in BACKENDS:
             raise ConfigurationError(f"backend must be one of {BACKENDS}")
-        if not (0 <= self.noise_scale < math.inf):
-            raise ConfigurationError("noise_scale must be nonnegative and finite")
 
     @property
     def n_steps(self) -> int:
@@ -377,7 +351,7 @@ def _check_request(model, scheme, req, seeds):
     bias = req.bias_model
     variants = COUPLED_VARIANTS if coupled else SCALAR_VARIANTS
     for broken, message in [
-        (len(seeds) == 0 or not all(0 <= int(s) < _MAX_SEED for s in seeds),
+        (not checked("seeds", seeds, ("seed",)),
          "seeds must be a nonempty list of 64-bit seeds"),
         (coupled and bias is not None,
          "bias_model overrides are not supported for the coupled system"),
@@ -515,11 +489,11 @@ def simulate_ou_exact(
     + lam^{-gamma} sqrt((1 - e^{-2 theta lam d}) / (2 theta lam)) xi.
     Returns an array of shape (len(times), n_modes).
     """
-    for name, value in (("theta", theta), ("gamma", gamma)):
-        if not 0 < value < math.inf:
-            raise ConfigurationError(f"{name} must be positive and finite")
-    if not 0 <= noise_scale < math.inf:
-        raise ConfigurationError("noise_scale must be nonnegative and finite")
+    checked("theta", theta, "positive")
+    checked("gamma", gamma, "positive")
+    checked("noise_scale", noise_scale, "nonnegative")
+    n_modes = checked("n_modes", n_modes, "count")
+    checked("seed", seed, "seed")
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size < 1:
         raise ConfigurationError("times must be a 1-D nonempty sequence")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, check_fields, checked, spec_field
 
 DIRICHLET_LAPLACIAN_1D = "dirichlet_laplacian_1d"
 
@@ -29,16 +29,15 @@ class OperatorSpec:
     """
 
     kind: str = DIRICHLET_LAPLACIAN_1D
-    domain_length: float = 1.0
+    domain_length: float = spec_field("positive", 1.0)
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in _SUPPORTED_KINDS:
             raise ConfigurationError(
                 f"unsupported operator kind {self.kind!r}; "
                 f"supported: {', '.join(_SUPPORTED_KINDS)}"
             )
-        if not (0 < self.domain_length < math.inf):
-            raise ConfigurationError("domain_length must be positive and finite")
 
     @property
     def beta(self) -> float:
@@ -51,9 +50,7 @@ class OperatorSpec:
 
 def eigenvalues(spec: OperatorSpec, count: int) -> np.ndarray:
     """Eigenvalues lambda_1 .. lambda_count of -A, strictly increasing."""
-    if count < 1:
-        raise ConfigurationError("count must be >= 1")
-    k = np.arange(1, count + 1, dtype=np.float64)
+    k = np.arange(1, checked("count", count, "count") + 1, dtype=np.float64)
     return spec.lambda_scale * k**2
 
 
@@ -81,6 +78,5 @@ def sobolev_norm(x, rho: float, spec: OperatorSpec) -> float:
 
 def regularity_limit(gamma: float, beta: float) -> float:
     """Regularity limit rho* = gamma - 1/(2 beta) of the solution scale."""
-    if beta <= 0:
-        raise DomainError("beta must be positive")
+    checked("beta", beta, "positive", DomainError)
     return gamma - 1.0 / (2.0 * beta)

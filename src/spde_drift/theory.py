@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, check_fields, checked, spec_field
 
 EXAMPLES = ("reaction_diffusion", "burgers", "cahn_hilliard")
 
@@ -46,13 +46,6 @@ class AsymptoticConstants:
     rate_exponent: float
 
 
-def _check_finite(error, **values) -> None:
-    """Raise ``error`` naming the first of ``values`` that is not finite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise error(f"{name} must be finite, got {value}")
-
-
 def asymptotic_constants(
     theta: float,
     t_final: float,
@@ -61,12 +54,9 @@ def asymptotic_constants(
     gamma: float,
     alpha: float,
 ) -> AsymptoticConstants:
-    _check_finite(
-        DomainError, theta=theta, t_final=t_final, lambda_scale=lambda_scale,
-        beta=beta, gamma=gamma, alpha=alpha,
-    )
-    if theta <= 0 or t_final <= 0 or lambda_scale <= 0 or beta <= 0:
-        raise DomainError("theta, t_final, lambda_scale, beta must be positive")
+    positive = {"theta": theta, "t_final": t_final, "lambda_scale": lambda_scale, "beta": beta}
+    for name, value in {**positive, "gamma": gamma, "alpha": alpha}.items():
+        checked(name, value, "positive" if name in positive else "finite", DomainError)
     threshold = gamma - (1.0 + 1.0 / beta) / 8.0
     if not alpha > threshold:
         raise DomainError(
@@ -106,9 +96,8 @@ class OUMomentOracle:
 def ou_moment_oracle(
     theta: float, gamma: float, lam: float, t_final: float
 ) -> OUMomentOracle:
-    _check_finite(DomainError, theta=theta, gamma=gamma, lam=lam, t_final=t_final)
-    if theta <= 0 or gamma <= 0 or lam <= 0 or t_final <= 0:
-        raise DomainError("all oracle inputs must be positive")
+    for name, value in (("theta", theta), ("gamma", gamma), ("lam", lam), ("t_final", t_final)):
+        checked(name, value, "positive", DomainError)
     stationary = lam ** (-(2.0 * gamma + 1.0)) / (2.0 * theta)
 
     def cov(s: float, t: float) -> float:
@@ -137,27 +126,22 @@ class AdvisorQuery:
     """
 
     example: str
-    gamma: float
-    alpha: float
-    n: int = 1
-    m_f: int | None = None
+    gamma: float = spec_field("finite")
+    alpha: float = spec_field("finite")
+    n: int = spec_field("count", 1)
+    m_f: int | None = spec_field("count", None)
     leading_coeff_negative: bool = False
     m_f_odd: bool = False
-    theta: float = 1.0
-    t_final: float = 1.0
-    lambda_scale: float = math.pi**2
+    theta: float = spec_field("positive", 1.0)
+    t_final: float = spec_field("positive", 1.0)
+    lambda_scale: float = spec_field("positive", math.pi**2)
 
     def __post_init__(self):
         if self.example not in EXAMPLES:
             raise ConfigurationError(
                 f"unknown example {self.example!r}; choose from {EXAMPLES}"
             )
-        _check_finite(
-            ConfigurationError, gamma=self.gamma, alpha=self.alpha, theta=self.theta,
-            t_final=self.t_final, lambda_scale=self.lambda_scale,
-        )
-        if self.n < 1:
-            raise ConfigurationError("spatial dimension n must be >= 1")
+        check_fields(self)
         if self.example == "burgers" and self.n != 1:
             raise ConfigurationError("the transport example is one-dimensional (n=1)")
         if self.example == "cahn_hilliard" and self.n > 3:
@@ -167,8 +151,6 @@ class AdvisorQuery:
                 raise ConfigurationError(
                     "reaction_diffusion needs the polynomial degree m_f >= 2"
                 )
-        if self.theta <= 0 or self.t_final <= 0 or self.lambda_scale <= 0:
-            raise ConfigurationError("theta, t_final, lambda_scale must be positive")
 
 
 @dataclass

@@ -5,11 +5,15 @@ import json
 import math
 import re
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from spde_drift import cli
 from spde_drift.cli import _write_trajectory_csv, main
 from spde_drift.config import load_config
+from spde_drift.simulate import simulate_model
 from spde_drift.theory import AdvisorQuery, advise, asymptotic_constants
 
 LINEAR_CONFIG = """
@@ -86,6 +90,27 @@ def test_estimate_prints_csv(cubic_cfg, capsys):
     assert lines[0] == "trial,variant,N,alpha,theta_hat,z"
     # full + partial + linear at two truncation levels
     assert len(lines) == 1 + 6
+
+
+def test_estimate_out_writes_the_bytes_it_prints(cubic_cfg, tmp_path, capsys):
+    assert main(["estimate", str(cubic_cfg)]) == 0
+    printed = capsys.readouterr().out
+    path = tmp_path / "estimates.csv"
+    assert main(["estimate", str(cubic_cfg), "--out", str(path)]) == 0
+    assert capsys.readouterr().out == f"wrote {path}\n"
+    assert path.read_bytes() == printed.encode()
+
+
+def test_simulate_writes_the_recovery_trajectory_of_a_coupled_model(tmp_path):
+    cfg = tmp_path / "fhn.cfg"
+    cfg.write_text(FHN_CONFIG)
+    out = tmp_path / "run"
+    assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+    run = load_config(cfg)
+    # 10 steps, so the command keeps every one
+    sim = simulate_model(run.model, replace(run.scheme, snapshot_stride=1), run.est_req)
+    _write_trajectory_csv(tmp_path / "w.csv", sim.times, sim.w_trajectory)
+    assert (out / "trajectory_w.csv").read_bytes() == (tmp_path / "w.csv").read_bytes()
 
 
 def test_invalid_theta_names_key(tmp_path, capsys):
@@ -445,6 +470,33 @@ def test_degenerate_trajectory_is_runtime_error(tmp_path, capsys):
         captured.err,
     )
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(), "error: out of memory\n"),
+    (MemoryError("Unable to allocate 8.00 GiB"), "error: Unable to allocate 8.00 GiB\n"),
+])
+def test_out_of_memory_is_runtime_error(exc, message, cubic_cfg, monkeypatch, capsys):
+    def exhausted(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "simulate_model", exhausted)
+    assert main(["estimate", str(cubic_cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+
+
+def test_histogram_n_defaults_to_the_largest_truncation_level(tmp_path):
+    # a histogram_n outside n_list would leave the histogram empty
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(LINEAR_CONFIG.replace("histogram_n = 8\n", ""))
+    out = tmp_path / "study"
+    assert main(["mc", str(cfg), "--out-dir", str(out), "--threads", "1"]) == 0
+    histogram = json.loads((out / "summary.json").read_text())["histogram"]
+    assert histogram["N"] == 8
+    assert set(histogram["counts"]) == {"full", "partial", "linear"}
+    assert (out / "histogram.svg").exists()
 
 
 @pytest.mark.parametrize("width, lo_hi", [("0.3", "-0.5, 0.5"), ("20", "-5, 5"),

@@ -1,15 +1,18 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 from scipy.special import ndtr
 
-from spde_drift.errors import BlowUpError, ConfigurationError
+from spde_drift.errors import BlowUpError, ConfigurationError, DomainError
 from spde_drift.estimate import NUMERATOR_MODES, EstimatorRequest, estimate_theta
-from spde_drift.fields import ALLEN_CAHN, FHNParams, NonlinearitySpec
+from spde_drift.fields import ALLEN_CAHN, FHNParams, GridSpec, NonlinearitySpec
+from spde_drift.mc import StudySpec
 from spde_drift import simulate
 from spde_drift.simulate import (
     ModelSpec,
@@ -21,6 +24,7 @@ from spde_drift.simulate import (
     simulate_trials,
 )
 from spde_drift.spectrum import OperatorSpec, eigenvalues
+from spde_drift.theory import AdvisorQuery, asymptotic_constants, ou_moment_oracle
 
 PI = math.pi
 OP = OperatorSpec()
@@ -119,17 +123,93 @@ def test_ou_exact_time_grid_validation():
         simulate_ou_exact(0.5, 0.5, OP, 2, [-0.1, 0.2], seed=0)
 
 
-@pytest.mark.parametrize("argument, value", [
-    ("times", [0.1, math.nan, 0.3]), ("times", [0.1, math.inf]),
-    ("noise_scale", math.nan), ("noise_scale", -1.0), ("noise_scale", math.inf),
-    ("theta", math.inf), ("theta", math.nan), ("theta", 0.0),
-    ("gamma", math.inf), ("gamma", -0.5),
-])
+#: every spec, and every function, whose numeric fields or arguments are
+#: checked against a domain; a field is numeric by its annotation
+DOMAIN_SWEEP = (
+    ModelSpec, SchemeSpec, StudySpec, EstimatorRequest, FHNParams, NonlinearitySpec,
+    GridSpec, OperatorSpec, AdvisorQuery, simulate_ou_exact, asymptotic_constants,
+    ou_moment_oracle,
+)
+#: fields whose domain (or whose entries' domain) holds -1
+SIGNED = {
+    "ModelSpec.initial_modes", "ModelSpec.initial_w_modes", "StudySpec.histogram_range",
+    "EstimatorRequest.alpha", "NonlinearitySpec.poly_coeffs", "AdvisorQuery.gamma",
+    "AdvisorQuery.alpha", "asymptotic_constants.gamma", "asymptotic_constants.alpha",
+}
+
+
+def numeric_type(hint):
+    """int, float, or (tuple, int or float) of a numeric annotation, else None."""
+    if get_origin(hint) in (Union, UnionType):
+        (hint,) = [a for a in get_args(hint) if a is not type(None)]
+    if hint in (int, float):
+        return hint
+    if get_origin(hint) is tuple and get_args(hint)[0] in (int, float):
+        return tuple, get_args(hint)[0]
+    return None
+
+
+def out_of_domain(argument, kind):
+    """Values of a field of ``kind`` that no domain of that kind holds."""
+    if isinstance(kind, tuple):  # the bare values, and each entry's as the only entry
+        return [True, math.nan, math.inf, -1, "1"] + [
+            (v,) for v in out_of_domain(argument, kind[1])
+        ]
+    signed = argument in SIGNED
+    return [2.5] * (kind is int) + [True, math.nan, math.inf, "1"] + [-1] * (not signed)
+
+
+def domain_cases():
+    """(argument, value) of every out-of-domain case; an argument of
+    ``simulate_ou_exact`` goes unqualified, any other is "Owner.field"."""
+    cases = [
+        ("times", [0.1, math.nan, 0.3]), ("times", [0.1, math.inf]), ("theta", 0.0),
+        ("gamma", -0.5), ("noise_scale", -1.0), ("seed", 1.5), ("SchemeSpec.seed", 1.7),
+        ("EstimatorRequest.n_list", (2.7,)), ("GridSpec.n_grid", 7.5), ("FHNParams.a", "0.5"),
+        ("StudySpec.histogram_n", 5), ("simulate_trials.seeds", [1.5]),
+        ("simulate_trials.seeds", [True]), ("simulate_trials.seeds", ["1"]),
+    ]
+    for target in DOMAIN_SWEEP:
+        owner = "" if target is simulate_ou_exact else target.__name__ + "."
+        for name, hint in get_type_hints(target).items():
+            kind = numeric_type(hint)
+            if kind is not None:
+                cases += [(owner + name, v) for v in out_of_domain(owner + name, kind)]
+    return cases
+
+
+def domain_sweep_base(owner):
+    """The callable named ``owner`` and valid keyword arguments of it."""
+    model, scheme, req = batch_case("allen_cahn")
+    bases = {
+        "simulate_ou_exact": (simulate_ou_exact, dict(
+            theta=0.5, gamma=0.5, spec=OP, n_modes=2, times=[0.1, 0.2], seed=0)),
+        "simulate_trials": (simulate_trials, dict(
+            model=model, scheme=scheme, est_req=req, seeds=[1])),
+        "asymptotic_constants": (asymptotic_constants, dict(
+            theta=1.0, t_final=1.0, lambda_scale=PI**2, beta=2.0, gamma=0.5, alpha=0.5)),
+        "ou_moment_oracle": (ou_moment_oracle, dict(
+            theta=0.1, gamma=0.5, lam=PI**2, t_final=1.0)),
+        "AdvisorQuery": (AdvisorQuery, dict(
+            example="reaction_diffusion", gamma=1.0, alpha=1.0, m_f=3)),
+    }
+    for spec in (model, scheme, req, StudySpec(model, scheme, req, n_trials=2),
+                 FHN.fhn_params, ALLEN_CAHN, GridSpec(7, 3), OP):
+        kwargs = {f.name: getattr(spec, f.name) for f in fields(spec)}
+        bases[type(spec).__name__] = type(spec), kwargs
+    return bases[owner]
+
+
+@pytest.mark.parametrize("argument, value", domain_cases())
 def test_ou_exact_rejects_bad_arguments_by_name(argument, value):
-    args = dict(theta=0.5, gamma=0.5, spec=OP, n_modes=2, times=[0.1, 0.2], seed=0)
-    args[argument] = value
-    with pytest.raises(ConfigurationError, match=f"^{argument} must be"):
-        simulate_ou_exact(**args)
+    # every numeric spec field and checked function argument rejects a bool,
+    # a string, a non-finite or out-of-range number, and a non-integral one
+    # where an integer is due, by name
+    owner, _, name = argument.rpartition(".")
+    target, args = domain_sweep_base(owner or "simulate_ou_exact")
+    args[name] = value
+    with pytest.raises((ConfigurationError, DomainError), match=f"^{name} must be"):
+        target(**args)
 
 
 def test_ou_exact_starts_at_zero_at_time_zero():
