@@ -169,7 +169,8 @@ class EstimatorAccumulator:
     Raw integrals are alpha-independent; the lambda weights are applied at
     query time.  ``q[k]`` holds int (x^k)^2 dt, ``ito[k]`` the Ito sum of
     x^k dx^k, ``bias_full[k]`` int x^k F^k(full state) dt, ``bias_part[i, k]``
-    the same with the state truncated to n_list[i] modes, and for the coupled
+    the same with the state truncated to n_list[i] modes for k <= n_list[i]
+    (zero above: no estimator reads it), and for the coupled
     system ``bias_w[k]`` holds int v^k w^k dt.  Left-endpoint Riemann sums at
     full step resolution.
 
@@ -214,15 +215,18 @@ class EstimatorAccumulator:
 
     # -- accumulation (left endpoints at full step resolution) ------------
 
-    def add_state(self, x, rows):
-        """The bias terms of one step's (components, n_modes) left state x,
-        given the bias model's ``rows`` on the full field and truncations."""
-        v = x[..., 0, :]
-        self.bias_full += v * rows[..., 0, :]
-        if self.bias_part is not None:
-            self.bias_part += v[..., None, :] * rows[..., 1:, :]
+    def add_bias(self, left, rows):
+        """The bias terms of left states ``left`` (steps, trials, components,
+        n_modes) in step order, given per step the bias model's ``rows``:
+        rows[0] on the full field, rows[1 + i] the first n_list[i]
+        coefficients on the field truncated to that many modes.  The columns
+        of ``bias_part[:, i]`` above n_list[i] stay zero."""
+        v = left[:, :, 0]
+        _fold(self.bias_full, v * rows[0])
+        for i, (n, f) in enumerate(zip(self.n_list, rows[1:])):
+            _fold(self.bias_part[:, i, :n], v[..., :n] * f)
         if self.bias_w is not None:
-            self.bias_w += v * x[..., 1, :]
+            _fold(self.bias_w, v * left[:, :, 1])
 
     def add_path(self, path):
         """``q`` and ``ito`` of each step of path rows x_j .. x_{j+n}."""

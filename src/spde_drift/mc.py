@@ -35,6 +35,7 @@ from .errors import (
     DomainError,
     StudyError,
     check_fields,
+    checked,
     spec_field,
 )
 from .estimate import EstimatorRequest, estimate_theta, z_score
@@ -223,17 +224,18 @@ def _run_chunk(spec: StudySpec, trials: range) -> list:
 
 
 def resolve_threads(threads: int | None) -> int:
+    """The worker count: ``threads``, else $SPDE_DRIFT_THREADS, else 1; a
+    count below 1 or not integral is rejected by name."""
     if threads is not None:
-        return max(1, int(threads))
+        return checked("threads", threads, "count")
     env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"{THREADS_ENV_VAR} must be an integer, got {env!r}"
-            ) from exc
-    return 1
+    if not env:
+        return 1
+    try:
+        count = int(env)
+    except ValueError as exc:
+        raise ConfigurationError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from exc
+    return checked(THREADS_ENV_VAR, count, "count")
 
 
 def run_study(spec: StudySpec, threads: int | None = None) -> MCReport:
@@ -302,14 +304,15 @@ def standardize_rows(rows, theta_true: float, variance, beta: float) -> None:
 
 
 def _as_rows(estimates) -> list[EstimateRow]:
+    """Rows and (trial, variant, N, theta_hat) tuples as rows, each N checked
+    to be an integer >= 1."""
     rows = []
     for e in estimates:
-        if isinstance(e, EstimateRow):
-            rows.append(e)
-        else:
+        if not isinstance(e, EstimateRow):
             trial, variant, n, theta_hat = e
-            rows.append(EstimateRow(int(trial), str(variant), int(n), float("nan"),
-                                    float(theta_hat)))
+            e = EstimateRow(int(trial), str(variant), n, float("nan"), float(theta_hat))
+        e.N = checked("N", e.N, "count")
+        rows.append(e)
     return rows
 
 
@@ -319,7 +322,7 @@ def summarize(
     variance,
     beta: float,
     *,
-    histogram_n: int = 20,
+    histogram_n: int | None = None,
     histogram_bin_width: float = 0.4,
     histogram_range: tuple[float, float] = (-5.0, 5.0),
     failures=(),
@@ -332,11 +335,16 @@ def summarize(
     (1/M) sum (theta_hat - theta)^2, and residual moments use the population
     convention (so MSE = var(theta_hat) + bias^2 exactly).  ``variance`` is
     the asymptotic variance V shared by every N, or None to skip
-    standardization.
+    standardization.  The histograms and KS distances are taken at
+    ``histogram_n``, by default the largest N present.
     """
     rows_in = _as_rows(estimates)
     if not rows_in and not failures:
         raise ConfigurationError("no estimates to summarize")
+    if histogram_n is None:
+        histogram_n = max((r.N for r in rows_in), default=None)
+    else:
+        histogram_n = checked("histogram_n", histogram_n, "count")
     rows_in.sort(key=lambda r: (r.trial, r.variant, r.N))
 
     standardize_rows(rows_in, theta_true, variance, beta)

@@ -13,10 +13,11 @@ per-mode linear recursion, or its exact Ornstein-Uhlenbeck transitions.
 
 One builder, ``simulate_trials``, checks every request up front and sets
 every model up: denom, noise amplitudes, the kernel, the accumulator and the
-rows of the bias model, which only observe the path (the default's row 0 is
-the drift the Euler step takes).  The coupled system is the scalar setup for
-the activator v, with its cubic as the bias nonlinearity, plus an explicit
-recovery row w.
+observer of the bias model, which only observes the path.  An Euler step
+evaluates only the drift's own f on the full state; when the bias model is
+the drift, the step keeps that row for the observer.  The coupled system is
+the scalar setup for the activator v, with its cubic as the bias
+nonlinearity, plus an explicit recovery row w.
 
 Every trajectory runs through one block loop, ``_run_blocks``, on a batch
 of trials, one per seed, as one ``(trials, components, n_modes)`` state; a
@@ -30,12 +31,15 @@ trial of a block.
 Drift-free trials run one at a time, in blocks bounded by the value budget
 alone, unless a bias model observes them.
 
-Once per block, and the same way for every model, the loop shows the bias
-observer each left state, adds the path's left-endpoint Riemann sums to the
-estimator integrals, takes the requested snapshots and checks for blow-ups.
-Each operation acts on every trial alone (the drift's matrix products are
-one BLAS call per row or per trial), so a trial's output is the same bits in
-any batch and for any block length.
+Once per block, and the same way for every model, the loop runs the bias
+observer on the block's path, adds the path's left-endpoint Riemann sums to
+the estimator integrals, takes the requested snapshots and checks for
+blow-ups.  The observer evaluates the rows the request reads (the bias
+model's full row unless the step kept it, and each partial truncation N on
+its own grid, exact for N modes) and folds them in step order.  Each
+operation acts on every trial alone (each drift row is its own matrix
+product), so a trial's output is the same bits in any batch and for any
+block length.
 """
 
 from __future__ import annotations
@@ -224,12 +228,12 @@ def _snapshot_indices(n_steps: int, stride: int | None) -> np.ndarray | None:
 
 def _euler_kernel(h: float, denom: np.ndarray, drift):
     """Stepped kernel: x_{j+1} = (x_j + h F(x_j) + noise_j) / denom, one step
-    at a time, where ``drift(x)`` returns F."""
+    at a time, where ``drift(x, i)`` returns F of the block's left state i."""
 
     def advance(seg, dw, j0):
         for i in range(dw.shape[-1]):
             x, nxt = seg[i], seg[i + 1]
-            np.multiply(drift(x), h, out=nxt)  # the bits of x + h f + noise
+            np.multiply(drift(x, i), h, out=nxt)  # the bits of x + h f + noise
             nxt += x
             nxt += dw[..., i]
             nxt /= denom
@@ -258,9 +262,9 @@ def _run_blocks(scheme, noise: _NoiseBlocks, start, advance, acc, observe=None) 
     the (n + 1, trials, components, n_modes) path ``seg`` from its row 0,
     x_{j0}, and the block's increments dw.
 
-    Per block ``observe`` sees each left state x_{j0} .. x_{j0+n-1}, the
-    observed field (component 0) goes to the batched ``acc``, snapshots are
-    taken and blow-ups recorded; a component 1 is the recovery field w.
+    Per block ``observe`` sees the block's path once, the observed field
+    (component 0) goes to the batched ``acc``, snapshots are taken and
+    blow-ups recorded; a component 1 is the recovery field w.
     Entry b of the result is trial b's SimOutput, or the BlowUpError of its
     lone run.
     """
@@ -279,8 +283,7 @@ def _run_blocks(scheme, noise: _NoiseBlocks, start, advance, acc, observe=None) 
             path = seg[: n + 1]  # x_{j0} .. x_{j0 + n}
             advance(path, noise.block(n), j0)
             if observe is not None:
-                for x in path[:-1]:
-                    observe(x)
+                observe(path)
             acc.add_path(path[:, :, 0])
             if idx is not None:
                 snaps.append(path[idx[(idx > j0) & (idx <= j0 + n)] - j0])
@@ -370,24 +373,43 @@ def _check_request(model, scheme, req, seeds):
             raise ConfigurationError(message)
 
 
-def _bias_rows(bias_nl: NonlinearitySpec, op: OperatorSpec, req, acc):
-    """A closure that evaluates ``bias_nl`` on a left state x of every trial
-    of ``acc``, row 0 on the full field and the partial variants' truncations
-    after it, adds them (and a coupled x's w) to ``acc`` and returns them."""
-    n0 = len(acc.lam)
-    # row 0 keeps the full state, row i the first n_list[i-1] modes
-    cuts = np.array((n0,) + (req.n_list if req.wants_partial else ()))
-    masks = (np.arange(n0) < cuts[:, None]).astype(np.float64)
-    batch = np.empty((len(acc.q),) + masks.shape)
-    plan = NemytskiiPlan(bias_nl, _plans_grid(bias_nl, n0), op, batch.shape[:-1], n0, n0)
+def _observer(bias_nl: NonlinearitySpec, op: OperatorSpec, req, acc, block: int,
+              f_full=None):
+    """A closure that adds to ``acc`` the bias terms of the left states of a
+    (n + 1, trials, components, n_modes) block path, n <= ``block``, in step
+    order.  Row 0 is ``bias_nl`` on the full field: the drift step's own,
+    (block, trials, 1, n_modes) ``f_full``, when the bias model is the drift,
+    else evaluated here on its ``_plans_grid``.  Each partial truncation N is
+    evaluated on its own grid, exact for N modes in and out, since only the
+    first N coefficients are read.
 
-    def bias(x):
-        np.multiply(x[:, :1], masks, out=batch)
-        out = plan(batch)
-        acc.add_state(x, out)
-        return out
+    The left states go through the plans in sub-blocks of s steps, each plan
+    with lead (s, trials, 1), so every row is its own product.  Per left
+    state the observer holds the field and at most two full rows of
+    products (row 0, and v w of a coupled state), and per plan row the plan
+    (at most three buffers of its samples and one of its coefficients) and
+    the row's products: s states of them fit in ``_NOISE_BLOCK_VALUES``
+    values."""
+    n_trials, n0 = acc.q.shape
+    cuts = (() if f_full is not None else (n0,)) + (req.n_list if req.wants_partial else ())
+    grids = [_plans_grid(bias_nl, n) for n in cuts]
+    samples = [g.n_grid if bias_nl.is_odd_polynomial else 2 * (g.n_grid + 1) for g in grids]
+    per_step = n_trials * (3 * n0 + sum(3 * m + 2 * n for m, n in zip(samples, cuts)))
+    s = min(block, max(1, _NOISE_BLOCK_VALUES // per_step))
+    left = np.zeros((s, n_trials, 1, n0)) if cuts else None  # stale past a short sub-block
+    plans = [(n, NemytskiiPlan(bias_nl, g, op, left.shape[:-1], n, n))
+             for n, g in zip(cuts, grids)]
 
-    return bias
+    def observe(path):
+        for j in range(0, len(path) - 1, s):
+            r = min(s, len(path) - 1 - j)
+            if plans:
+                left[:r] = path[j : j + r, :, :1]
+            rows = [] if f_full is None else [f_full[j : j + r, :, 0]]
+            rows += [plan(left[..., :n])[:r, :, 0] for n, plan in plans]
+            acc.add_bias(path[j : j + r], rows)
+
+    return observe
 
 
 def simulate_trials(
@@ -400,10 +422,12 @@ def simulate_trials(
     as one batch.  Entry b is what ``simulate_model`` returns for seed b, bit
     for bit, or the ``BlowUpError`` that it raises.
 
-    The model alone picks the kernel, and the bias model only observes.  A
-    coupled model is the scalar setup plus a recovery row w: its bias
-    nonlinearity is the activator's cubic, w has denom 1 and amplitude
-    sigma_w lambda^{-gamma_w}, and ``FHNParams.coupled_drift`` completes F.
+    The model alone picks the kernel, and the bias model only observes: an
+    Euler step evaluates only the drift, and the observer evaluates the bias
+    rows once per block.  A coupled model is the scalar setup plus a
+    recovery row w: its bias nonlinearity is the activator's cubic, w has
+    denom 1 and amplitude sigma_w lambda^{-gamma_w}, and
+    ``FHNParams.coupled_drift`` completes F.
     Drift-free trials run one at a time unless a bias model observes them.
     """
     _check_request(model, scheme, est_req, seeds)
@@ -440,7 +464,7 @@ def simulate_trials(
         for group in [seeds] if observed else [[seed] for seed in seeds]:
             noise = _NoiseBlocks(group, amps[None], n_steps, step, max_steps=n_steps)
             acc = EstimatorAccumulator(len(group), *acc_args)
-            observe = _bias_rows(bias_nl, op, est_req, acc) if observed else None
+            observe = _observer(bias_nl, op, est_req, acc, noise.length) if observed else None
             kernel = _ar1_kernel(decay, gain, x0[0], len(group))
             outs += _run_blocks(scheme, noise, x0, kernel, acc, observe)
         return outs
@@ -454,22 +478,26 @@ def simulate_trials(
             p.sigma * amps[0], p.sigma_w * _noise_amp(scheme.noise_scale, lam, p.gamma_w)
         ])
     acc = EstimatorAccumulator(n_trials, *acc_args)
-    observe = _bias_rows(bias_nl, op, est_req, acc) if observed else None
-    if est_req.bias_model is not None:  # the model's own plan steps the path
-        drift = NemytskiiPlan(nl, _plans_grid(nl, n0), op, (n_trials, 1), n0, n0)
-    else:  # the default bias model is the drift: the step evaluates its rows
-        bias, observe = observe, None
-        f = np.empty((n_trials,) + denom.shape)
-        f_parts = f.swapaxes(0, 1)  # (F_v, F_w) of every coupled trial
-
-        def drift(x):
-            out = bias(x)
-            if not coupled:
-                return out[:, :1]
-            p.coupled_drift(out[:, 0], x[:, 0], x[:, 1], f_parts)
-            return f
-
     noise = _NoiseBlocks(seeds, amps, n_steps, h)
+    step_nl = bias_nl if coupled else nl  # the activator's cubic steps v
+    plan = NemytskiiPlan(step_nl, _plans_grid(step_nl, n0), op, (n_trials, 1), n0, n0)
+    # the default bias model is the drift: the step keeps its row for the observer
+    f_full = None if est_req.bias_model is not None else np.empty(
+        (noise.length, n_trials, 1, n0)
+    )
+    observe = _observer(bias_nl, op, est_req, acc, noise.length, f_full) if observed else None
+    f = np.empty((n_trials,) + denom.shape)
+    f_parts = f.swapaxes(0, 1)  # (F_v, F_w) of every coupled trial
+
+    def drift(x, i):
+        out = plan(x[:, :1])
+        if f_full is not None:
+            f_full[i] = out
+        if not coupled:
+            return out
+        p.coupled_drift(out[:, 0], x[:, 0], x[:, 1], f_parts)
+        return f
+
     return _run_blocks(scheme, noise, x0, _euler_kernel(h, denom, drift), acc, observe)
 
 

@@ -459,6 +459,25 @@ def test_bad_thread_count_in_environment_is_validation_error(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, env, message", [
+    ("0", None, "threads must be an integer >= 1, got 0"),
+    ("-3", None, "threads must be an integer >= 1, got -3"),
+    (None, "-4", "SPDE_DRIFT_THREADS must be an integer >= 1, got -4"),
+    (None, "0", "SPDE_DRIFT_THREADS must be an integer >= 1, got 0"),
+], ids=["flag-0", "flag-negative", "env-negative", "env-0"])
+def test_thread_count_below_one_is_validation_error_naming_its_source(
+    flag, env, message, linear_cfg, tmp_path, monkeypatch, capsys
+):
+    if env is None:
+        monkeypatch.delenv("SPDE_DRIFT_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SPDE_DRIFT_THREADS", env)
+    argv = ["mc", str(linear_cfg), "--out-dir", str(tmp_path / "out")]
+    assert main(argv + ([] if flag is None else ["--threads", flag])) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_degenerate_trajectory_is_runtime_error(tmp_path, capsys):
     # no initial condition and no noise: the path is zero and so is every D_N
     cfg = tmp_path / "zero.cfg"

@@ -123,6 +123,36 @@ def test_add_path_adds_in_step_order(n_trials, n_modes):
         assert acc.ito.tobytes() == ito.tobytes(), block
 
 
+@pytest.mark.parametrize("n_trials, n_modes", [(1, 4), (3, 8)])
+def test_add_bias_adds_in_step_order(n_trials, n_modes):
+    # the products of each step, added in step order as one += per step
+    # would, whatever the block; truncation n_list[i] fills only the first
+    # n_list[i] columns of its row
+    rng = np.random.default_rng(29)
+    n, n_list = 60, (2, n_modes)
+
+    def spread(*shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+
+    left = spread(n, n_trials, 2, n_modes)
+    rows = [spread(n, n_trials, k) for k in (n_modes,) + n_list]
+    full, w = np.zeros((2, n_trials, n_modes))
+    part = np.zeros((n_trials, len(n_list), n_modes))
+    for j in range(n):
+        v = left[j, :, 0]
+        full += v * rows[0][j]
+        for i, k in enumerate(n_list):
+            part[:, i, :k] += v[:, :k] * rows[1 + i][j]
+        w += v * left[j, :, 1]
+    req = EstimatorRequest(alpha=0.5, n_list=n_list, variants=("full", "partial1", "linear"))
+    for block in (1, 3, 7, n):
+        acc = EstimatorAccumulator(n_trials, eigenvalues(OP, n_modes), 1.0, 0.5, req, True)
+        for j0 in range(0, n, block):
+            acc.add_bias(left[j0 : j0 + block], [r[j0 : j0 + block] for r in rows])
+        for got, want in [(acc.bias_full, full), (acc.bias_part, part), (acc.bias_w, w)]:
+            assert got.tobytes() == want.tobytes(), block
+
+
 def test_exact_ou_sample_mean_consistent():
     # mean of theta_linear over exact transition paths within 3 stderr
     theta, gamma = 0.1, 0.5

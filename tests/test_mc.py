@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spde_drift.errors import StudyError
+from spde_drift.errors import ConfigurationError, StudyError
 from spde_drift.estimate import EstimatorRequest
 from spde_drift import mc
 from spde_drift.fields import ALLEN_CAHN, FHNParams, NonlinearitySpec
@@ -15,6 +15,7 @@ from spde_drift.mc import (
     StudySpec,
     mix_seed,
     normal_ks_distance,
+    resolve_threads,
     run_study,
     summarize,
 )
@@ -185,6 +186,42 @@ def test_summarize_accepts_plain_tuples():
         theta_true=0.2, variance=None, beta=2.0,
     )
     assert report.rows[("full", 2)]["median"] == pytest.approx(0.2)
+
+
+def test_summarize_histograms_the_largest_n_by_default():
+    rows = [(t, "full", n, 0.02 + 0.001 * t) for t in range(5) for n in (4, 8)]
+    report = summarize(rows, 0.02, 0.01, 2.0)
+    assert report.histogram_n == 8
+    assert set(report.histograms) == set(report.ks) == {"full"}
+    assert report.histograms["full"].sum() == 5
+    at_4 = summarize(rows, 0.02, 0.01, 2.0, histogram_n=4)
+    assert at_4.histogram_n == 4 and at_4.histograms["full"].sum() == 5
+
+
+@pytest.mark.parametrize("rows, keyword, message", [
+    ([(0, "full", 2.7, 0.1)], {}, "N must be an integer >= 1, got 2.7"),
+    ([(0, "full", 0, 0.1)], {}, "N must be an integer >= 1, got 0"),
+    ([EstimateRow(0, "full", 2.7, 0.5, 0.1)], {}, "N must be an integer >= 1, got 2.7"),
+    ([(0, "full", 2, 0.1)], {"histogram_n": 2.5}, "histogram_n must be an integer >= 1"),
+], ids=["fractional-N", "zero-N", "fractional-row-N", "fractional-histogram_n"])
+def test_summarize_rejects_a_non_integral_n_by_name(rows, keyword, message):
+    with pytest.raises(ConfigurationError, match=message):
+        summarize(rows, 0.1, None, 2.0, **keyword)
+
+
+@pytest.mark.parametrize("threads, env, message", [
+    (2.5, None, "threads must be an integer >= 1, got 2.5"),
+    (0, None, "threads must be an integer >= 1, got 0"),
+    (True, None, "threads must be a number, got True"),
+    (None, "-4", "SPDE_DRIFT_THREADS must be an integer >= 1, got -4"),
+], ids=["fractional", "zero", "bool", "env-negative"])
+def test_resolve_threads_rejects_counts_below_one_by_name(threads, env, message, monkeypatch):
+    if env is None:
+        monkeypatch.delenv("SPDE_DRIFT_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SPDE_DRIFT_THREADS", env)
+    with pytest.raises(ConfigurationError, match=message):
+        resolve_threads(threads)
 
 
 def test_summarize_warns_on_missing_variant():

@@ -11,7 +11,15 @@ from scipy.special import ndtr
 
 from spde_drift.errors import BlowUpError, ConfigurationError, DomainError
 from spde_drift.estimate import NUMERATOR_MODES, EstimatorRequest, estimate_theta
-from spde_drift.fields import ALLEN_CAHN, FHNParams, GridSpec, NonlinearitySpec
+from spde_drift.fields import (
+    ALLEN_CAHN,
+    FHNParams,
+    GridSpec,
+    NemytskiiPlan,
+    NonlinearitySpec,
+    _plans_grid,
+    nemytskii_modes,
+)
 from spde_drift.mc import StudySpec
 from spde_drift import simulate
 from spde_drift.simulate import (
@@ -550,6 +558,7 @@ def batch_case(name):
         "allen_cahn": (ALLEN_CAHN, None),
         "burgers": (NonlinearitySpec("burgers"), None),
         "quadratic_bias": (SKEWED_CUBIC, QUADRATIC),
+        "skewed_cubic": (SKEWED_CUBIC, None),
     }[name]
     model = ModelSpec(OP, 0.05, 0.6, nl, (0.7071,), 32)
     return model, scheme, EstimatorRequest(
@@ -627,15 +636,21 @@ def test_paths_do_not_depend_on_the_bias_model(model_nl, bias, backend):
             assert math.isfinite(theta.theta_hat)
 
 
-@pytest.mark.parametrize("name, n_sim", [
-    ("allen_cahn", 32), ("allen_cahn", 100), ("fhn", 32),
-], ids=["32", "100", "fhn-32"])
-def test_drift_outputs_do_not_depend_on_partial_variants(name, n_sim):
-    # the odd stage (Allen-Cahn) and the tables stage (FitzHugh-Nagumo on
-    # 127 points) treat each row alone, their matrix products included, so
-    # the full field's drift has the same bits with or without partial rows
+@pytest.mark.parametrize("name, n_sim, stage", [
+    ("allen_cahn", 32, "odd"), ("allen_cahn", 100, "odd"), ("fhn", 32, "tables"),
+    ("skewed_cubic", 33, "fft"),
+], ids=["32", "100", "fhn-32", "skewed_cubic-33"])
+def test_drift_outputs_do_not_depend_on_partial_variants(name, n_sim, stage):
+    # the step evaluates the drift's own row alone and the partial rows are
+    # evaluated apart from it, so the full field's drift has the same bits
+    # with or without them, on every stage (the fft stage projects each batch
+    # of its stack in one product, and the drift's batch is its row alone)
     model, scheme, req = batch_case(name)
     model = replace(model, n_sim=n_sim)
+    nl = model.nonlinearity
+    if nl.variant == "fhn":  # the step evaluates the activator's cubic
+        nl = NonlinearitySpec("polynomial", poly_coeffs=nl.fhn_params.cubic_coeffs())
+    assert NemytskiiPlan(nl, _plans_grid(nl, n_sim), OP, 1, n_sim, n_sim).stage == stage
     lean = replace(req, variants=("full", "linear"))
     seeds = [3, 4, 5]
     with_rows = simulate_trials(model, scheme, req, seeds)
@@ -649,6 +664,64 @@ def test_drift_outputs_do_not_depend_on_partial_variants(name, n_sim):
             for n in req.n_list:
                 assert (estimate_theta(a.accumulators, req, variant, n).theta_hat.hex()
                         == estimate_theta(b.accumulators, lean, variant, n).theta_hat.hex())
+
+
+@pytest.mark.parametrize("model_nl, bias, n_sim, n_list, stages", [
+    (ALLEN_CAHN, None, 100, (4, 8, 16, 20, 32), {"odd"}),
+    (SKEWED_CUBIC, None, 32, (4, 8, 16, 32), {"tables"}),
+    (SKEWED_CUBIC, None, 100, (8, 40, 100), {"tables", "fft"}),
+    (NONE_NL, SKEWED_CUBIC, 48, (8, 40), {"tables", "fft"}),
+], ids=["odd", "tables", "fft", "drift_free-fft"])
+def test_partial_rows_on_their_own_grid_match_the_shared_grid(
+    model_nl, bias, n_sim, n_list, stages
+):
+    # each truncation N is evaluated on its own grid, exact for N modes in
+    # and out; the run's grid, exact for every truncation of its n_sim modes,
+    # gives the same first N coefficients up to round-off, and the columns
+    # from N on, which no estimator reads, stay zero
+    model = ModelSpec(OP, 0.05, 0.6, model_nl, (0.7071, -0.2), n_sim)
+    scheme = SchemeSpec(dt=1e-3, t_final=0.03, seed=0, snapshot_stride=1)
+    req = EstimatorRequest(alpha=0.6, n_list=n_list, variants=("full", "partial", "linear"),
+                           bias_model=bias)
+    bias_nl = bias or model_nl
+    assert {NemytskiiPlan(bias_nl, _plans_grid(bias_nl, n), OP, 1, n, n).stage
+            for n in n_list} == stages
+    shared = _plans_grid(bias_nl, n_sim)
+    for out in simulate_trials(model, scheme, req, [3, 4]):
+        left = out.trajectory[:-1]
+        acc = out.accumulators
+        full = scheme.dt * np.sum(left * nemytskii_modes(left, bias_nl, shared, OP, n_sim), axis=0)
+        assert np.max(np.abs(acc.bias_full - full)) <= 1e-12 * np.max(np.abs(full))
+        for i, n in enumerate(n_list):
+            cut = left.copy()
+            cut[:, n:] = 0.0
+            f = nemytskii_modes(cut, bias_nl, shared, OP, n_sim)
+            ref = scheme.dt * np.sum(left[:, :n] * f[:, :n], axis=0)
+            assert np.max(np.abs(acc.bias_part[i, :n] - ref)) <= 1e-12 * np.max(np.abs(ref)), n
+            assert np.all(acc.bias_part[i, n:] == 0.0), n
+
+
+def observer_traced_peak(variants):
+    model = ModelSpec(OP, 0.05, 0.6, ALLEN_CAHN, (0.7071,), 100)
+    scheme = SchemeSpec(dt=1e-4, t_final=0.01, seed=3)
+    req = EstimatorRequest(alpha=0.6, n_list=(4, 8, 16, 20, 32), variants=variants)
+    tracemalloc.start()
+    try:
+        simulate_trials(model, scheme, req, list(range(16)))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_partial_rows_stay_within_the_block_value_budget():
+    # the observer's partial plans, the left states they read and the rows'
+    # products hold at most _NOISE_BLOCK_VALUES values (plans counted at
+    # three buffers of their samples, which also covers a call's transform
+    # outputs): 0.38 MB, where one plan call per 40-step block took 4.2 MB
+    lean, rows = ("full", "linear"), ("full", "partial", "linear")
+    observer_traced_peak(rows)  # fill the caches outside the compared runs
+    extra = observer_traced_peak(rows) - observer_traced_peak(lean)
+    assert 0 < extra <= 8 * simulate._NOISE_BLOCK_VALUES
 
 
 @pytest.mark.parametrize("name", ["drift_free_euler", "drift_free_ou_exact", "allen_cahn",
