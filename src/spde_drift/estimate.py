@@ -38,13 +38,23 @@ from .errors import (
     DegenerateTrajectoryError,
     DomainError,
     check_fields,
+    checked,
     spec_field,
 )
 from .fields import NonlinearitySpec
 from .spectrum import OperatorSpec, eigenvalues
 
-SCALAR_VARIANTS = ("full", "partial", "linear")
-COUPLED_VARIANTS = ("full", "partial1", "partial2", "linear")
+#: per run kind, each variant's bias integral (``bias_full`` on the full
+#: field, ``bias_part`` on the field truncated to N modes, or None for no
+#: bias term) and whether int v w dt is subtracted from it
+BIAS_TERMS = {
+    "scalar": {"full": ("bias_full", False), "partial": ("bias_part", False),
+               "linear": (None, False)},
+    "coupled": {"full": ("bias_full", True), "partial1": ("bias_part", True),
+                "partial2": ("bias_part", False), "linear": (None, False)},
+}
+SCALAR_VARIANTS = tuple(BIAS_TERMS["scalar"])
+COUPLED_VARIANTS = tuple(BIAS_TERMS["coupled"])
 NUMERATOR_MODES = ("robust", "ito_sum")
 
 #: denominators below this threshold are treated as exactly zero
@@ -74,9 +84,7 @@ class EstimatorRequest:
         if list(self.n_list) != sorted(set(self.n_list)):
             raise ConfigurationError("n_list must be strictly ascending")
         variants = tuple(self.variants)
-        scalar = all(v in SCALAR_VARIANTS for v in variants)
-        coupled = all(v in COUPLED_VARIANTS for v in variants)
-        if not variants or not (scalar or coupled):
+        if not variants or not any(set(variants) <= t.keys() for t in BIAS_TERMS.values()):
             raise ConfigurationError(
                 f"variants must be a subset of {SCALAR_VARIANTS} or {COUPLED_VARIANTS}"
             )
@@ -90,7 +98,10 @@ class EstimatorRequest:
 
     @property
     def wants_partial(self) -> bool:
-        return any(v.startswith("partial") for v in self.variants)
+        return any(
+            terms[v][0] == "bias_part"
+            for terms in BIAS_TERMS.values() for v in self.variants if v in terms
+        )
 
 
 @dataclass
@@ -260,13 +271,16 @@ class EstimatorAccumulator:
 
     # -- queries -----------------------------------------------------------
 
-    def _check_ready(self, n: int):
+    def _check_ready(self, n: int) -> int:
+        """``n`` as a checked mode count within 1..n_modes."""
         if not self._finalized:
             raise ConfigurationError("accumulator has not been finalized")
-        if not (1 <= n <= len(self.lam)):
+        n = checked("N", n, "count")
+        if n > len(self.lam):
             raise ConfigurationError(
                 f"N={n} outside simulated mode range 1..{len(self.lam)}"
             )
+        return n
 
     def denominator(self, n: int, alpha: float) -> float:
         """D_N = int sum_{k<=N} lambda_k^{2+2a} (x^k)^2 dt.
@@ -274,12 +288,12 @@ class EstimatorAccumulator:
         Computed as a sequential prefix sum so D_N is exactly nondecreasing
         in N.
         """
-        self._check_ready(n)
+        n = self._check_ready(n)
         w = self.lam[:n] ** (2.0 + 2.0 * alpha)
         return float(np.cumsum(w * self.q[:n])[-1])
 
     def numerator(self, n: int, alpha: float, mode: str = "robust") -> float:
-        self._check_ready(n)
+        n = self._check_ready(n)
         if mode == "robust":
             return _robust_terms(
                 self.x0, self.xT, self.t_final, alpha, self.gamma, n, self.lam
@@ -292,21 +306,21 @@ class EstimatorAccumulator:
         raise ConfigurationError(f"unknown numerator mode {mode!r}")
 
     def bias_numerator(self, variant: str, n: int, alpha: float) -> float:
-        self._check_ready(n)
-        if variant == "linear":
+        """sum_{k<=N} lambda_k^{1+2a} times the variant's bias integral, as
+        ``BIAS_TERMS`` names it for this accumulator's run kind."""
+        n = self._check_ready(n)
+        kind = "coupled" if self.coupled else "scalar"
+        if variant not in BIAS_TERMS[kind]:
+            raise ConfigurationError(
+                f"variant {variant!r} is not one of the {kind} variants "
+                f"{'/'.join(BIAS_TERMS[kind])}"
+            )
+        integral, minus_w = BIAS_TERMS[kind][variant]
+        if integral is None:
             return 0.0
-        w = self.lam[:n] ** (1.0 + 2.0 * alpha)
-        if variant == "full":
-            base = self.bias_full[:n]
-            if self.coupled:
-                base = base - self.bias_w[:n]
-            return float(np.sum(w * base))
-        if variant in ("partial", "partial1", "partial2"):
-            if (variant == "partial") == self.coupled:
-                raise ConfigurationError(
-                    f"variant {variant!r} does not match accumulator kind"
-                )
-            if self.bias_part is None:
+        row = getattr(self, integral)
+        if integral == "bias_part":
+            if row is None:
                 raise ConfigurationError(
                     "partial bias integrals were not accumulated for this run"
                 )
@@ -314,14 +328,17 @@ class EstimatorAccumulator:
                 raise ConfigurationError(
                     f"partial bias only available at N in {self.n_list}, got {n}"
                 )
-            row = self.bias_part[self.n_list.index(n), :n]
-            if variant == "partial1":
-                row = row - self.bias_w[:n]
-            return float(np.sum(w * row))
-        raise ConfigurationError(f"unknown variant {variant!r}")
+            row = row[self.n_list.index(n)]
+        row = row[:n] - self.bias_w[:n] if minus_w else row[:n]
+        w = self.lam[:n] ** (1.0 + 2.0 * alpha)
+        return float(np.sum(w * row))
 
 
-def _theta_parts(acc, req, variant, n):
+def estimate_theta(
+    acc: EstimatorAccumulator, req: EstimatorRequest, variant: str, n: int
+) -> EstimateResult:
+    """One estimator value theta_hat = -(numerator)/D_N + bias."""
+    n = acc._check_ready(n)
     d = acc.denominator(n, req.alpha)
     if not np.isfinite(d):
         raise BlowUpError(
@@ -333,39 +350,21 @@ def _theta_parts(acc, req, variant, n):
         )
     num = acc.numerator(n, req.alpha, req.numerator_mode)
     bias = acc.bias_numerator(variant, n, req.alpha) / d
-    theta_lin = -num / d
-    return d, num, bias, theta_lin
-
-
-def estimate_theta(
-    acc: EstimatorAccumulator, req: EstimatorRequest, variant: str, n: int
-) -> EstimateResult:
-    """One estimator value theta_hat = -(numerator)/D_N + bias."""
-    d, num, bias, theta_lin = _theta_parts(acc, req, variant, n)
-    return EstimateResult(
-        variant=variant,
-        N=n,
-        alpha=req.alpha,
-        theta_hat=theta_lin + bias,
-        numerator=num,
-        denominator=d,
-        bias=bias,
-    )
+    return EstimateResult(variant, n, req.alpha, -num / d + bias, num, d, bias)
 
 
 def decompose(acc: EstimatorAccumulator, req: EstimatorRequest, n: int) -> Decomposition:
     """All scalar variants at once with exact decomposition identities."""
     if acc.coupled:
         raise ConfigurationError("decompose applies to scalar runs; use coupled_estimates")
-    d, num, bias_full, theta_lin = _theta_parts(acc, req, "full", n)
-    bias_partial = acc.bias_numerator("partial", n, req.alpha) / d
+    full, partial = (estimate_theta(acc, req, v, n) for v in ("full", "partial"))
     return Decomposition(
-        N=n,
-        theta_full=theta_lin + bias_full,
-        theta_partial=theta_lin + bias_partial,
-        theta_linear=theta_lin,
-        bias_full=bias_full,
-        bias_partial=bias_partial,
+        N=full.N,
+        theta_full=full.theta_hat,
+        theta_partial=partial.theta_hat,
+        theta_linear=-full.numerator / full.denominator,
+        bias_full=full.bias,
+        bias_partial=partial.bias,
     )
 
 
@@ -373,17 +372,11 @@ def coupled_estimates(
     acc: EstimatorAccumulator, req: EstimatorRequest, n: int
 ) -> dict[str, EstimateResult]:
     """The four coupled-system estimators sharing one numerator/denominator."""
-    if not acc.coupled:
-        raise ConfigurationError("accumulator does not come from a coupled run")
-    out = {}
-    for variant in COUPLED_VARIANTS:
-        out[variant] = estimate_theta(acc, req, variant, n)
-    return out
+    return {v: estimate_theta(acc, req, v, n) for v in COUPLED_VARIANTS}
 
 
 def z_score(theta_hat: float, n: int, theta_true: float, variance: float, beta: float) -> float:
-    if variance <= 0:
-        raise DomainError("asymptotic variance must be positive")
+    variance = checked("variance", variance, "positive", DomainError)
     return float(n ** ((beta + 1.0) / 2.0) * (theta_hat - theta_true) / np.sqrt(variance))
 
 

@@ -81,17 +81,27 @@ class StudySpec:
             object.__setattr__(self, "histogram_n", n_list[-1])
         elif self.histogram_n not in n_list:
             raise ConfigurationError(f"histogram_n must be one of n_list {n_list}")
-        if len(self.histogram_range) != 2 or not self.histogram_range[0] < self.histogram_range[1]:
-            raise ConfigurationError("histogram_range must be a finite increasing pair")
-        lo, hi = self.histogram_range
-        # summarize's bin edges stop at lo + width * n_bins, so they must reach hi
-        bins = (hi - lo) / self.histogram_bin_width
-        n = round(bins) if math.isfinite(bins) else 0
-        if n < 1 or abs(n - bins) > 1e-9 * max(1.0, n):
-            raise ConfigurationError(
-                "histogram_bin_width must divide histogram_range into a whole "
-                "number >= 1 of bins"
-            )
+        _bin_edges(self.histogram_bin_width, self.histogram_range)
+
+
+def _bin_edges(width: float, value_range) -> np.ndarray:
+    """The histogram's bin edges lo + width * i, i = 0 .. n, whose last edge
+    is hi to round-off; a width or range that cannot give them is rejected
+    by the name of its ``StudySpec`` field."""
+    width = checked("histogram_bin_width", width, "positive")
+    value_range = checked("histogram_range", value_range, ("finite",))
+    if len(value_range) != 2 or not value_range[0] < value_range[1]:
+        raise ConfigurationError("histogram_range must be a finite increasing pair")
+    lo, hi = value_range
+    # the edges stop at lo + width * n, so they must reach hi
+    bins = (hi - lo) / width
+    n = round(bins) if math.isfinite(bins) else 0
+    if n < 1 or abs(n - bins) > 1e-9 * max(1.0, n):
+        raise ConfigurationError(
+            "histogram_bin_width must divide histogram_range into a whole "
+            "number >= 1 of bins"
+        )
+    return lo + width * np.arange(n + 1)
 
 
 @dataclass
@@ -323,8 +333,8 @@ def summarize(
     beta: float,
     *,
     histogram_n: int | None = None,
-    histogram_bin_width: float = 0.4,
-    histogram_range: tuple[float, float] = (-5.0, 5.0),
+    histogram_bin_width: float = StudySpec.histogram_bin_width,
+    histogram_range: tuple[float, float] = StudySpec.histogram_range,
     failures=(),
     n_trials: int | None = None,
     expected_variants=None,
@@ -380,9 +390,7 @@ def summarize(
             if variant not in variants_seen:
                 warnings.warn(f"variant {variant!r} produced no estimates; omitted")
 
-    lo, hi = histogram_range
-    n_bins = int(round((hi - lo) / histogram_bin_width))
-    bin_edges = lo + histogram_bin_width * np.arange(n_bins + 1)
+    bin_edges = _bin_edges(histogram_bin_width, histogram_range)
     ks: dict[str, float] = {}
     histograms: dict[str, np.ndarray] = {}
     for variant in variants_seen:

@@ -143,14 +143,6 @@ def _mode_stream(seed: int, channel: int, mode: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _standard_normals(seed, channel, n_modes, n_draws) -> np.ndarray:
-    """(n_draws, n_modes) independent N(0,1) draws, one stream per mode."""
-    out = np.empty((n_draws, n_modes))
-    for k in range(n_modes):
-        out[:, k] = _mode_stream(seed, channel, k + 1).standard_normal(n_draws)
-    return out
-
-
 #: a noise block holds at most this many values, so memory does not grow
 #: with n_steps; the stepped kernel, which reads one step at a time, also
 #: caps its blocks at this many steps
@@ -172,7 +164,7 @@ class _NoiseBlocks:
             for seed in seeds
         ]
         n_values = len(seeds) * amps.size
-        length = min(n_steps, max_steps, max(1, _NOISE_BLOCK_VALUES // n_values))
+        length = max(1, min(n_steps, max_steps, _NOISE_BLOCK_VALUES // n_values))
         self.length = length
         self._buf = np.empty((len(seeds),) + amps.shape + (length,))
         self._amps = amps[..., None]
@@ -515,7 +507,8 @@ def simulate_ou_exact(
     Starting from zero at time zero, each mode follows the Gaussian
     transition x_{t+d} = e^{-theta lam d} x_t
     + lam^{-gamma} sqrt((1 - e^{-2 theta lam d}) / (2 theta lam)) xi.
-    Returns an array of shape (len(times), n_modes).
+    Returns an array of shape (len(times), n_modes); the draws are taken a
+    noise block at a time, so nothing else grows with len(times).
     """
     checked("theta", theta, "positive")
     checked("gamma", gamma, "positive")
@@ -535,17 +528,22 @@ def simulate_ou_exact(
     n_int = len(diffs)
 
     path = np.zeros((len(full), n_modes))
-    if n_int > 0:
-        draws = _standard_normals(seed, 0, n_modes, n_int)
-        uniform = diffs[0] > 0 and np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0)
+    uniform = n_int > 0 and diffs[0] > 0 and np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0)
+    if uniform:
+        decay, amp = _ou_transition(theta, lam, diffs[0], gamma, noise_scale)
+        zi = np.zeros((n_modes, 1))
+    x = np.zeros(n_modes)
+    # xi of interval i and mode k is draw i of the stream keyed (seed, 0, k + 1)
+    noise = _NoiseBlocks([seed], np.ones((1, n_modes)), n_int, 1.0, max_steps=n_int)
+    for j0 in range(0, n_int, noise.length):
+        n = min(noise.length, n_int - j0)
+        draws = noise.block(n)[0, 0]  # (n_modes, n)
         if uniform:
-            decay, amp = _ou_transition(theta, lam, diffs[0], gamma, noise_scale)
-            _ar1_filter(decay, amp, draws.T, path[1:], np.zeros((n_modes, 1)))
+            _ar1_filter(decay, amp, draws, path[j0 + 1 : j0 + n + 1], zi)
         else:
-            x = np.zeros(n_modes)
-            for i, dt in enumerate(diffs):
+            for i, dt in enumerate(diffs[j0 : j0 + n]):
                 if dt > 0:
                     decay, amp = _ou_transition(theta, lam, dt, gamma, noise_scale)
-                    x = decay * x + amp * draws[i]
-                path[i + 1] = x
+                    x = decay * x + amp * draws[:, i]
+                path[j0 + i + 1] = x
     return path[1:] if prepend else path

@@ -61,8 +61,6 @@ def frac_power_apply(x, rho: float, spec: OperatorSpec) -> np.ndarray:
     """
     arr = np.asarray(x, dtype=np.float64)
     lam = eigenvalues(spec, arr.shape[-1])
-    if rho == 0.0:
-        return arr.copy()
     return lam**rho * arr
 
 

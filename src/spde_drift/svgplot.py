@@ -110,7 +110,7 @@ class _Panel:
         y_bot = self.y0 + self.height - _MARGIN_B
         x_left = self.x0 + _MARGIN_L
         for v in self._tick_values(self.xlim, self.log_x):
-            px = self._tx(v if not self.log_x else v)
+            px = self._tx(v)
             self.elements.append(
                 f'<line x1="{px:.1f}" y1="{y_bot:.1f}" x2="{px:.1f}" '
                 f'y2="{y_bot + 4:.1f}" stroke="#333"/>'
@@ -118,7 +118,7 @@ class _Panel:
                 f'font-size="10">{self._fmt(v)}</text>'
             )
         for v in self._tick_values(self.ylim, self.log_y):
-            py = self._ty(v if not self.log_y else v)
+            py = self._ty(v)
             self.elements.append(
                 f'<line x1="{x_left - 4:.1f}" y1="{py:.1f}" x2="{x_left:.1f}" '
                 f'y2="{py:.1f}" stroke="#333"/>'

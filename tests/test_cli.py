@@ -13,7 +13,9 @@ import pytest
 from spde_drift import cli
 from spde_drift.cli import _write_trajectory_csv, main
 from spde_drift.config import load_config
+from spde_drift.errors import AdmissibilityWarning
 from spde_drift.simulate import simulate_model
+from spde_drift.svgplot import render_mse_plot
 from spde_drift.theory import AdvisorQuery, advise, asymptotic_constants
 
 LINEAR_CONFIG = """
@@ -146,6 +148,35 @@ def test_mc_writes_all_artifacts(linear_cfg, tmp_path, capsys):
     assert {"variant", "N", "median", "p2_5", "p97_5", "mse"} <= row_keys
     svg = (out / "median_band.svg").read_text()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_mc_with_inadmissible_alpha_writes_unstandardized_artifacts(tmp_path):
+    # alpha = 0.1 is not above gamma - (1 + 1/beta)/8 = 0.3125: no variance
+    cfg = tmp_path / "inadmissible.cfg"
+    cfg.write_text(with_value(LINEAR_CONFIG, "estimators", "alpha", "0.1"))
+    out = tmp_path / "study"
+    with pytest.warns(AdmissibilityWarning):
+        assert main(["mc", str(cfg), "--out-dir", str(out), "--threads", "1"]) == 0
+    with open(out / "estimates.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6 * 3 * 3 and all(row["z"] == "" for row in rows)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["variance"] is None and summary["ks"] == {}
+    assert summary["histogram"]["counts"] == {}
+    assert not (out / "histogram.svg").exists()
+    # the rate reference is anchored at the first variant's MSE at the first N
+    n_values, beta = [2, 4, 8], summary["beta"]
+    mse = {v: [r["mse"] for r in summary["rows"] if r["variant"] == v]
+           for v in ("full", "partial", "linear")}
+    reference = [mse["full"][0] * (n / 2) ** (-(beta + 1.0)) for n in n_values]
+    assert (out / "mse.svg").read_text() == render_mse_plot(n_values, mse, reference)
+
+
+def test_mc_without_a_study_section_is_validation_error(cubic_cfg, tmp_path, capsys):
+    out = tmp_path / "study"
+    assert main(["mc", str(cubic_cfg), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: the mc subcommand needs a [study] section\n"
+    assert not out.exists()
 
 
 def test_mc_thread_count_does_not_change_output(linear_cfg, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from spde_drift.errors import (
     AdmissibilityWarning,
+    BlowUpError,
     ConfigurationError,
     DegenerateTrajectoryError,
     DomainError,
@@ -349,6 +350,61 @@ def test_standardize_rejects_nonpositive_variance():
     res = EstimateResult("full", 1, 0.4, 0.02, 0.0, 1.0, 0.0)
     with pytest.raises(DomainError):
         standardize(res, 0.02, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("variance", [math.nan, math.inf])
+def test_standardize_rejects_a_non_finite_variance(variance):
+    res = EstimateResult("full", 1, 0.4, 0.02, 0.0, 1.0, 0.0)
+    with pytest.raises(DomainError, match="variance must be finite"):
+        standardize(res, 0.02, variance, 2.0)
+
+
+def test_queries_take_an_integral_n_and_reject_any_other_by_name():
+    acc, req = allen_cahn_run(seed=1)
+    for variant in req.variants:
+        res = estimate_theta(acc, req, variant, 4.0)
+        assert res == estimate_theta(acc, req, variant, 4) and type(res.N) is int
+    assert decompose(acc, req, 8.0) == decompose(acc, req, 8)
+    for n, message in [(True, "N must be a number, got True"),
+                       (2.5, "N must be an integer >= 1, got 2.5"),
+                       (0, "N must be an integer >= 1, got 0")]:
+        with pytest.raises(ConfigurationError, match=message):
+            estimate_theta(acc, req, "full", n)
+
+
+def never_finalized():
+    req = EstimatorRequest(alpha=0.5, n_list=(2,))
+    return EstimatorAccumulator(1, eigenvalues(OP, 2), 1.0, 0.5, req), req
+
+
+def blown_up():
+    acc, req = allen_cahn_run(seed=1)
+    acc.q = np.full_like(acc.q, np.inf)
+    return acc, req
+
+
+@pytest.mark.parametrize("run, query, error, message", [
+    (never_finalized, lambda acc, req: estimate_theta(acc, req, "full", 2),
+     ConfigurationError, "accumulator has not been finalized"),
+    (lambda: allen_cahn_run(seed=1), lambda acc, req: estimate_theta(acc, req, "full", 17),
+     ConfigurationError, r"N=17 outside simulated mode range 1\.\.16"),
+    (lambda: fhn_run(epsilon=0.1, sigma_w=0.05), lambda acc, req: decompose(acc, req, 4),
+     ConfigurationError, "decompose applies to scalar runs"),
+    (blown_up, lambda acc, req: estimate_theta(acc, req, "linear", 4),
+     BlowUpError, "non-finite denominator"),
+    (lambda: allen_cahn_run(seed=1), lambda acc, req: estimate_theta(acc, req, "bogus", 4),
+     ConfigurationError, "'bogus' is not one of the scalar variants full/partial/linear"),
+    (lambda: fhn_run(epsilon=0.1, sigma_w=0.05),
+     lambda acc, req: estimate_theta(acc, req, "partial", 4), ConfigurationError,
+     "'partial' is not one of the coupled variants full/partial1/partial2/linear"),
+    (lambda: allen_cahn_run(seed=1), lambda acc, req: coupled_estimates(acc, req, 4),
+     ConfigurationError, "'partial1' is not one of the scalar variants"),
+], ids=["never-finalized", "N-above-n_modes", "decompose-coupled", "blown-up",
+        "unknown-variant", "scalar-variant-on-coupled", "coupled-estimates-on-scalar"])
+def test_estimator_query_errors_name_their_cause(run, query, error, message):
+    acc, req = run()
+    with pytest.raises(error, match=message):
+        query(acc, req)
 
 
 def test_admissibility_warning():

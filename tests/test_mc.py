@@ -209,6 +209,21 @@ def test_summarize_rejects_a_non_integral_n_by_name(rows, keyword, message):
         summarize(rows, 0.1, None, 2.0, **keyword)
 
 
+@pytest.mark.parametrize("keyword, message", [
+    ({"histogram_bin_width": 0.3}, "histogram_bin_width must divide histogram_range"),
+    ({"histogram_bin_width": 0.0}, "histogram_bin_width must be positive, got 0.0"),
+    ({"histogram_bin_width": -0.4}, "histogram_bin_width must be positive, got -0.4"),
+    ({"histogram_bin_width": float("nan")}, "histogram_bin_width must be finite, got nan"),
+    ({"histogram_range": (5.0, -5.0)}, "histogram_range must be a finite increasing pair"),
+], ids=["partial-last-bin", "zero-width", "negative-width", "nan-width", "reversed-range"])
+def test_bad_histogram_is_rejected_by_name_by_summarize_and_study_spec(keyword, message):
+    rows = [(t, "full", 4, 0.02 + 0.01 * t) for t in range(5)]
+    with pytest.raises(ConfigurationError, match=message):
+        summarize(rows, 0.02, 0.01, 2.0, **keyword)
+    with pytest.raises(ConfigurationError, match=message):
+        replace(linear_study(), **keyword)
+
+
 @pytest.mark.parametrize("threads, env, message", [
     (2.5, None, "threads must be an integer >= 1, got 2.5"),
     (0, None, "threads must be an integer >= 1, got 0"),

@@ -25,8 +25,8 @@ from spde_drift import simulate
 from spde_drift.simulate import (
     ModelSpec,
     SchemeSpec,
+    _mode_stream,
     _NoiseBlocks,
-    _standard_normals,
     simulate_model,
     simulate_ou_exact,
     simulate_trials,
@@ -47,6 +47,14 @@ def linear_model(theta=1.0, gamma=1.0, x0=(1.0,), n_sim=1):
 
 
 REQ1 = EstimatorRequest(alpha=1.0, n_list=(1,), variants=("linear",))
+
+
+def whole_run_normals(seed, channel, n_modes, n_draws):
+    """(n_draws, n_modes) N(0, 1) draws, each mode's stream drawn whole at once."""
+    return np.stack(
+        [_mode_stream(seed, channel, k + 1).standard_normal(n_draws) for k in range(n_modes)],
+        axis=1,
+    )
 
 
 def ks_distance(sample, cdf):
@@ -122,6 +130,57 @@ def test_ou_exact_transition_variance_long_step_limit():
 def test_ou_exact_zero_elapsed_time():
     path = simulate_ou_exact(0.5, 0.5, OP, 3, [0.3, 0.3], seed=5)
     assert np.array_equal(path[0], path[1])
+
+
+def whole_run_ou_path(theta, gamma, n_modes, times, seed):
+    """simulate_ou_exact from every draw at once: one lfilter call per mode
+    on a uniform grid, else the per-interval recursion."""
+    lam = eigenvalues(OP, n_modes)
+    full = np.concatenate([[0.0], times]) if times[0] > 0 else np.asarray(times)
+    diffs = np.diff(full)
+    draws = whole_run_normals(seed, 0, n_modes, len(diffs))
+    path = np.zeros((len(full), n_modes))
+
+    def transition(d):
+        return np.exp(-theta * lam * d), lam ** (-gamma) * np.sqrt(
+            -np.expm1(-2.0 * theta * lam * d) / (2.0 * theta * lam))
+
+    if np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0) and diffs[0] > 0:
+        decay, amp = transition(diffs[0])
+        for k in range(n_modes):
+            path[1:, k] = lfilter([amp[k]], [1.0, -decay[k]], draws[:, k])
+    else:
+        for i, d in enumerate(diffs):
+            path[i + 1] = path[i]
+            if d > 0:
+                decay, amp = transition(d)
+                path[i + 1] = decay * path[i] + amp * draws[i]
+    return path[1:] if times[0] > 0 else path
+
+
+@pytest.mark.parametrize("times", [
+    np.linspace(0.0, 1.0, 3001),
+    np.cumsum(np.tile([1e-3, 2e-3, 0.0], 1000)) + 0.3,
+], ids=["uniform", "non-uniform"])
+def test_ou_exact_draws_blockwise_the_bits_of_the_whole_run(times):
+    # 64 modes x 3000 intervals span three value-budget blocks
+    for seed in (0, 7):
+        path = simulate_ou_exact(0.1, 0.5, OP, 64, times, seed)
+        expected = whole_run_ou_path(0.1, 0.5, 64, times, seed)
+        assert path.tobytes() == expected.tobytes()
+
+
+def test_ou_exact_memory_is_the_path_and_one_noise_block():
+    times = np.linspace(0.0, 1.0, 16385)
+    simulate_ou_exact(0.1, 0.5, OP, 64, times[:3], 1)
+    tracemalloc.start()
+    try:
+        path = simulate_ou_exact(0.1, 0.5, OP, 64, times, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a whole-run draw array would add another 8 * 64 * 16384 = 8.4 MB
+    assert peak - path.nbytes < 2_000_000
 
 
 def test_ou_exact_time_grid_validation():
@@ -245,7 +304,7 @@ def test_determinism_bitwise():
 
 def test_noise_streams_are_uncorrelated_across_modes():
     n = 100_000
-    draws = _standard_normals(seed=3, channel=0, n_modes=4, n_draws=n)
+    draws = whole_run_normals(seed=3, channel=0, n_modes=4, n_draws=n)
     corr = np.corrcoef(draws.T)
     off_diag = corr[~np.eye(4, dtype=bool)]
     assert np.max(np.abs(off_diag)) < 4.0 / math.sqrt(n)
@@ -882,7 +941,7 @@ def test_noise_blocks_continue_the_whole_run_streams():
     drawn = np.concatenate(blocks, axis=-1)
     for b, seed in enumerate(seeds):
         for c in range(len(amps)):
-            whole = _standard_normals(seed, c, amps.shape[1], n_steps)
+            whole = whole_run_normals(seed, c, amps.shape[1], n_steps)
             whole *= math.sqrt(h)
             whole *= amps[c]
             assert drawn[b, c].T.tobytes() == whole.tobytes()
@@ -935,7 +994,7 @@ def reference_linear_output(model, scheme):
     theta, gamma = model.theta_true, model.gamma
     lam = eigenvalues(model.operator, n0)
     x0 = model.initial_state()
-    draws = _standard_normals(scheme.seed, 0, n0, n_steps)
+    draws = whole_run_normals(scheme.seed, 0, n0, n_steps)
     amp_noise = scheme.noise_scale * lam ** (-gamma)
     if scheme.backend == "ou_exact":
         decay = np.exp(-theta * lam * h)
