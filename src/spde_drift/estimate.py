@@ -159,6 +159,7 @@ def robust_numerator(
 
         1/2 sum_{k<=N} lambda_k^{1+2a} ((x_T^k)^2 - (x_0^k)^2 - T lambda_k^{-2 gamma})
     """
+    n = checked("N", n, "count")
     x0 = np.asarray(x0, dtype=np.float64)
     xT = np.asarray(xT, dtype=np.float64)
     if x0.shape[-1] < n or xT.shape[-1] < n:
@@ -239,14 +240,15 @@ class EstimatorAccumulator:
         if self.bias_w is not None:
             _fold(self.bias_w, v * left[:, :, 1])
 
-    def add_path(self, path):
-        """``q`` and ``ito`` of each step of path rows x_j .. x_{j+n}."""
+    def add_path(self, path, modes: slice = slice(None)):
+        """``q`` and ``ito`` of each step of path rows x_j .. x_{j+n} of
+        ``modes``."""
         left = path[:-1]
-        _fold(self.q, left * left)
+        _fold(self.q[:, modes], left * left)
         if self.ito is not None:
             steps = path[1:] - left
             steps *= left
-            _fold(self.ito, steps)
+            _fold(self.ito[:, modes], steps)
 
     def finalize(self, h: float, x0, xT):
         for arr in (self.q, self.bias_full, self.bias_part, self.bias_w):

@@ -7,13 +7,15 @@ any statistic is computed, so the report is byte-identical for every degree
 of parallelism.
 
 The trials are cut into contiguous chunks of min(CHUNK_TRIALS,
-ceil(n_trials / workers)) and each chunk is one task: its trials are stepped
-together as one batch by ``simulate.simulate_trials``, whose outputs are the
-bits of lone runs for any batch size; drift-free trials run one at a time
-within their chunk unless a bias model observes them.  At most one worker
-process is started per chunk, and a single worker runs every chunk
-in-process.  A drift-free study with several workers imports ``scipy.signal``
-before it starts them, so that forked workers share the parent's copy.
+ceil(n_trials / workers)) and each chunk is one task: its trials, drift-free
+ones included, are stepped together as one batch by
+``simulate.simulate_trials``, whose outputs are the bits of lone runs for
+any batch size.  An unobserved drift-free chunk is filtered a tile of one
+mode of every trial at a time, since its modes are independent recursions.
+At most one worker process is started per chunk, and a single worker runs
+every chunk in-process.  A drift-free study with several workers imports
+``scipy.signal`` before it starts them, so that forked workers share the
+parent's copy.
 """
 
 from __future__ import annotations

@@ -21,22 +21,27 @@ nonlinearity, plus an explicit recovery row w.
 
 Every trajectory runs through one block loop, ``_run_blocks``, on a batch
 of trials, one per seed, as one ``(trials, components, n_modes)`` state; a
-single trajectory is a batch of one.  Noise increments are drawn a block of
-steps at a time from counter-based Philox streams keyed by (seed, channel,
-mode) that live for the whole run, so trajectories are bit-reproducible
-regardless of host parallelism and memory does not grow with the step count.
-A per-model kernel fills the block's path: the stepped kernel one step at a
-time, the drift-free kernel with one linear filter call per mode for every
-trial of a block.
-Drift-free trials run one at a time, in blocks bounded by the value budget
-alone, unless a bias model observes them.
+single trajectory is a batch of one.  The loop's block is a tile of steps
+and modes of every trial.  Noise increments are drawn a tile at a time from
+counter-based Philox streams keyed by (seed, channel, mode) that live for
+the whole run, so trajectories are bit-reproducible regardless of host
+parallelism and memory does not grow with the step count.  A per-model
+kernel fills the tile's path: the stepped kernel one step at a time, the
+drift-free kernel with one linear filter call per mode for every trial.
+When the modes are coupled (a drift, or a bias model that observes the
+whole field) a tile holds every mode.  An unobserved drift-free model is
+one independent recursion per mode, so its tile is one mode of every trial
+over as many steps as the value budget holds: a trial of up to that many
+steps takes one filter call per mode, and its draws, filter and sums run
+over long contiguous pieces instead of short strided columns.
 
-Once per block, and the same way for every model, the loop runs the bias
-observer on the block's path, adds the path's left-endpoint Riemann sums to
+Once per tile, and the same way for every model, the loop runs the bias
+observer on the tile's path, adds the path's left-endpoint Riemann sums to
 the estimator integrals, takes the requested snapshots and checks for
-blow-ups.  The observer evaluates the rows the request reads (the bias
-model's full row unless the step kept it, and each partial truncation N on
-its own grid, exact for N modes) and folds them in step order.  Each
+blow-ups, keeping each trial's earliest (step, mode).  The observer
+evaluates the rows the request reads (the bias model's full row unless the
+step kept it, and each partial truncation N on its own grid, exact for N
+modes) and folds them in step order.  Each
 operation acts on every trial alone (each drift row is its own matrix
 product), so a trial's output is the same bits in any batch and for any
 block length.
@@ -143,43 +148,58 @@ def _mode_stream(seed: int, channel: int, mode: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-#: a noise block holds at most this many values, so memory does not grow
+#: a noise tile holds at most this many values, so memory does not grow
 #: with n_steps; the stepped kernel, which reads one step at a time, also
-#: caps its blocks at this many steps
+#: caps its tiles at this many steps
 _NOISE_BLOCK_VALUES = 1 << 16
 _NOISE_BLOCK_STEPS = 256
 
 
 class _NoiseBlocks:
-    """Increments amps[c, k] * dW_j, dW ~ N(0, h), of B trials, drawn a block
-    of at most ``max_steps`` steps at a time; trial b, channel c and mode k
-    read the stream keyed (seeds[b], c, k + 1) from first step to last, so
-    every block length gives the draws of one whole-run call."""
+    """Increments amps[c, k] * dW_j, dW ~ N(0, h), of B trials, drawn a tile
+    of at most ``max_steps`` steps and ``width`` modes at a time; trial b,
+    channel c and mode k read the stream keyed (seeds[b], c, k + 1) from
+    first step to last, so every tiling gives the draws of one whole-run
+    call."""
 
     def __init__(self, seeds, amps: np.ndarray, n_steps: int, h: float,
-                 max_steps: int = _NOISE_BLOCK_STEPS):
+                 max_steps: int = _NOISE_BLOCK_STEPS, width: int | None = None):
         self._streams = [
             [[_mode_stream(seed, c, k + 1) for k in range(amps.shape[1])]
              for c in range(len(amps))]
             for seed in seeds
         ]
-        n_values = len(seeds) * amps.size
+        self.n_steps = n_steps
+        self.width = amps.shape[1] if width is None else width
+        n_values = len(seeds) * len(amps) * self.width
         length = max(1, min(n_steps, max_steps, _NOISE_BLOCK_VALUES // n_values))
         self.length = length
-        self._buf = np.empty((len(seeds),) + amps.shape + (length,))
+        self._buf = np.empty((len(seeds), len(amps), self.width, length))
         self._amps = amps[..., None]
         self._scale = math.sqrt(h)
 
-    def block(self, n: int) -> np.ndarray:
-        """The next n <= block length steps, shaped (B, channels, n_modes, n)."""
-        buf = self._buf[..., :n]
+    def block(self, n: int, modes: slice = slice(None)) -> np.ndarray:
+        """The next n <= length steps of ``modes``, at most ``width`` of them,
+        shaped (B, channels, modes, n)."""
+        amps = self._amps[:, modes]
+        buf = self._buf[:, :, : amps.shape[1], :n]
         for b, channels in enumerate(self._streams):
             for c, streams in enumerate(channels):
-                for k, gen in enumerate(streams):
-                    gen.standard_normal(n, out=buf[b, c, k])
+                for i, gen in enumerate(streams[modes]):
+                    gen.standard_normal(n, out=buf[b, c, i])
         buf *= self._scale
-        buf *= self._amps
+        buf *= amps
         return buf
+
+    def tiles(self):
+        """(j0, modes, increments) of every tile in run order: the step
+        blocks in turn, each as its mode slices of ``width`` modes in turn."""
+        n_modes = self._amps.shape[1]
+        for j0 in range(0, self.n_steps, self.length):
+            n = min(self.length, self.n_steps - j0)
+            for k in range(0, n_modes, self.width):
+                modes = slice(k, k + self.width)
+                yield j0, modes, self.block(n, modes)
 
 
 def _noise_amp(noise_scale: float, lam: np.ndarray, gamma: float) -> np.ndarray:
@@ -195,18 +215,17 @@ def _ou_transition(theta, lam, d, gamma, noise_scale):
     return decay, amp
 
 
-def _ar1_filter(decay, amp, draws, out, zi):
-    """Per mode k, out[j, ..., k] = decay_k out[j-1, ..., k] + amp_k draws[k, ..., j]
-    from state zi[k], one call per mode for every row of draws[k]: draws is
-    (modes, steps) or (modes, trials, steps), out (steps, [trials,] modes)."""
+def _ar1_filter(decay: float, gain: float, draws, out, zi):
+    """One mode of every row: out[j] = decay out[j-1] + gain draws[:, j]
+    from state zi, one ``lfilter`` call for the (rows, steps) draws into
+    the (steps, rows) out; the (rows, 1) zi is updated in place, so the
+    next tile continues the recursion."""
     # imported here: scipy.signal is most of the package's import time, and
     # only drift-free runs use it
     from scipy.signal import lfilter
 
-    # zi[k] is updated in place, so the next block continues the recursion
-    for k in range(len(decay)):
-        path, zi[k] = lfilter([amp[k]], [1.0, -decay[k]], draws[k], axis=-1, zi=zi[k])
-        out[..., k] = path.T  # np.moveaxis would add about 5 us a call
+    path, zi[...] = lfilter([gain], [1.0, -decay], draws, zi=zi)
+    out[...] = path.T
 
 
 def _snapshot_indices(n_steps: int, stride: int | None) -> np.ndarray | None:
@@ -220,9 +239,10 @@ def _snapshot_indices(n_steps: int, stride: int | None) -> np.ndarray | None:
 
 def _euler_kernel(h: float, denom: np.ndarray, drift):
     """Stepped kernel: x_{j+1} = (x_j + h F(x_j) + noise_j) / denom, one step
-    at a time, where ``drift(x, i)`` returns F of the block's left state i."""
+    at a time, where ``drift(x, i)`` returns F of the block's left state i;
+    its tiles hold every mode."""
 
-    def advance(seg, dw, j0):
+    def advance(seg, dw, j0, modes):
         for i in range(dw.shape[-1]):
             x, nxt = seg[i], seg[i + 1]
             np.multiply(drift(x, i), h, out=nxt)  # the bits of x + h f + noise
@@ -234,90 +254,99 @@ def _euler_kernel(h: float, denom: np.ndarray, drift):
 
 
 def _ar1_kernel(decay: np.ndarray, gain: np.ndarray, x0: np.ndarray, n_trials: int):
-    """Drift-free kernel from x0: x_{j+1} = decay x_j + gain noise_j, a whole
-    block of every trial per ``lfilter`` call and mode."""
+    """Drift-free kernel from x0: x_{j+1} = decay x_j + gain noise_j, one
+    ``lfilter`` call per mode of the tile for every trial."""
     zi = np.zeros((len(decay), n_trials, 1))
 
-    def advance(seg, dw, j0):
+    def advance(seg, dw, j0, modes):
         n = dw.shape[-1]
         path = seg[1 : n + 1, :, 0]  # x_{j0+1} .. x_{j0+n} of every trial
-        _ar1_filter(decay, gain, dw[:, 0].swapaxes(0, 1), path, zi)
-        if np.any(x0 != 0.0):
-            path += x0 * decay ** np.arange(j0 + 1, j0 + n + 1)[:, None, None]
+        for i, k in enumerate(range(len(decay))[modes]):
+            _ar1_filter(decay[k], gain[k], dw[:, 0, i], path[..., i], zi[k])
+        if np.any(x0[modes] != 0.0):
+            terms = decay[modes] ** np.arange(j0 + 1.0, j0 + n + 1)[:, None, None]
+            terms *= x0[modes]
+            path += terms
 
     return advance
 
 
 def _run_blocks(scheme, noise: _NoiseBlocks, start, advance, acc, observe=None) -> list:
     """Run every trial of ``noise`` from the (components, n_modes) ``start``,
-    a block of steps at a time: ``advance(seg, dw, j0)`` fills rows 1..n of
-    the (n + 1, trials, components, n_modes) path ``seg`` from its row 0,
-    x_{j0}, and the block's increments dw.
+    a tile of steps and modes at a time, as ``noise.tiles`` orders them:
+    ``advance(seg, dw, j0, modes)`` fills rows 1..n of the (n + 1, trials,
+    components, tile modes) path ``seg`` from its row 0, x_{j0}, and the
+    tile's increments dw.  A tile holds every mode unless the modes are
+    independent recursions (``noise.width`` 1).
 
-    Per block ``observe`` sees the block's path once, the observed field
-    (component 0) goes to the batched ``acc``, snapshots are taken and
-    blow-ups recorded; a component 1 is the recovery field w.
-    Entry b of the result is trial b's SimOutput, or the BlowUpError of its
-    lone run.
+    Per tile ``observe`` sees the path once, the observed field
+    (component 0) goes to the batched ``acc``, snapshots go into their rows
+    of the trajectory and blow-ups are recorded; a component 1 is the
+    recovery field w.  Entry b of the result is trial b's SimOutput, or the
+    BlowUpError of its lone run.
     """
     h = scheme.dt
-    n_steps = scheme.n_steps
-    idx = _snapshot_indices(n_steps, scheme.snapshot_stride)
-    seg = np.empty((noise.length + 1, len(acc.q)) + start.shape)
-    seg[0] = start
-    x0 = seg[0].copy()
-    snaps = [x0[None]]
+    n_modes = start.shape[-1]
+    idx = _snapshot_indices(scheme.n_steps, scheme.snapshot_stride)
+    state = np.empty((len(acc.q),) + start.shape)  # x_{j0} of every mode
+    state[:] = start
+    x0 = state.copy()
+    traj = None if idx is None else np.empty((len(idx),) + state.shape)
+    if traj is not None:
+        traj[0] = x0
+    seg = np.empty((noise.length + 1,) + state.shape[:-1] + (noise.width,))
     failed = [None] * len(x0)
     # a blow-up surfaces as BlowUpError, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for j0 in range(0, n_steps, noise.length):
-            n = min(noise.length, n_steps - j0)
+        for j0, modes, dw in noise.tiles():
+            n = dw.shape[-1]
             path = seg[: n + 1]  # x_{j0} .. x_{j0 + n}
-            advance(path, noise.block(n), j0)
+            path[0] = state[..., modes]
+            advance(path, dw, j0, modes)
             if observe is not None:
                 observe(path)
-            acc.add_path(path[:, :, 0])
-            if idx is not None:
-                snaps.append(path[idx[(idx > j0) & (idx <= j0 + n)] - j0])
-            _retire(path, j0, failed)
-            if all(err is not None for err in failed):
+            acc.add_path(path[:, :, 0], modes)
+            if traj is not None:
+                rows = slice(*np.searchsorted(idx, (j0, j0 + n), side="right"))
+                traj[rows, ..., modes] = path[idx[rows] - j0]
+            _retire(path, j0, modes.start, failed)
+            state[..., modes] = path[-1]
+            if modes.stop >= n_modes and all(err is not None for err in failed):
                 break
-            seg[0] = path[-1]
 
-    xT = seg[0].copy()
-    acc.finalize(h, x0[:, 0], xT[:, 0])
+    acc.finalize(h, x0[:, 0], state[:, 0])
     times = None if idx is None else idx * h
-    traj = None if idx is None else np.concatenate(snaps)
     outs = []
     for b, (err, trial_acc) in enumerate(zip(failed, acc.split())):
         if err is not None:
             outs.append(err)
             continue
         out = SimOutput(
-            x0=x0[b, 0], xT=xT[b, 0], accumulators=trial_acc, times=times,
+            x0=x0[b, 0], xT=state[b, 0], accumulators=trial_acc, times=times,
             trajectory=None if traj is None else traj[:, b, 0],
         )
         if x0.shape[1] == 2:
-            out.w0, out.wT = x0[b, 1], xT[b, 1]
+            out.w0, out.wT = x0[b, 1], state[b, 1]
             out.w_trajectory = None if traj is None else traj[:, b, 1]
         outs.append(out)
     return outs
 
 
-def _retire(path, j0: int, failed: list):
-    """Zero the last state of each trial of ``path`` (rows x_{j0} ..) that is
-    not finite, recording the BlowUpError of its first non-finite step and
-    mode unless it failed before; components are scanned in order, so a
-    coupled state reports v before w.  A non-finite entry stays non-finite
-    under every update, so only the last row needs a test."""
+def _retire(path, j0: int, k0: int, failed: list):
+    """Zero the last state of each trial of the tile ``path`` (rows x_{j0} ..
+    of modes k0 + 1 ..) that is not finite, and record the BlowUpError of its
+    first non-finite step and mode unless an earlier (step, mode) failed
+    before; components are scanned in order, so a coupled state reports v
+    before w.  A non-finite entry stays non-finite under every update, so
+    only the last row needs a test."""
     last = path[-1]
     flat = path.reshape(len(path), len(last), -1)
     for b in np.flatnonzero(~np.isfinite(flat[-1]).all(axis=1)):
-        if failed[b] is None:
-            bad = ~np.isfinite(flat[1:, b])
-            i = int(np.flatnonzero(bad.any(axis=1))[0])
-            mode = int(np.flatnonzero(bad[i])[0]) % last.shape[-1] + 1
-            failed[b] = BlowUpError(step=j0 + i + 1, mode=mode)
+        bad = ~np.isfinite(flat[1:, b])
+        i = int(np.flatnonzero(bad.any(axis=1))[0])
+        step, mode = j0 + i + 1, k0 + int(np.flatnonzero(bad[i])[0]) % last.shape[-1] + 1
+        if failed[b] is None or (step, mode) < (failed[b].step, failed[b].mode):
+            failed[b] = BlowUpError(step=step, mode=mode)
         last[b] = 0.0
 
 
@@ -420,7 +449,8 @@ def simulate_trials(
     recovery row w: its bias nonlinearity is the activator's cubic, w has
     denom 1 and amplitude sigma_w lambda^{-gamma_w}, and
     ``FHNParams.coupled_drift`` completes F.
-    Drift-free trials run one at a time unless a bias model observes them.
+    A drift-free batch runs in tiles of one mode of every trial unless a
+    bias model observes it, which needs every mode of a step at once.
     """
     _check_request(model, scheme, est_req, seeds)
     warn_if_inadmissible(est_req.alpha, model.gamma, model.operator.beta)
@@ -438,7 +468,7 @@ def simulate_trials(
     op = model.operator
     lam = eigenvalues(op, n0)
     x0 = np.stack([model.initial_state(), model.initial_w_state()][: 1 + coupled])
-    acc_args = (lam, scheme.t_final, model.gamma, est_req, coupled)
+    acc = EstimatorAccumulator(len(seeds), lam, scheme.t_final, model.gamma, est_req, coupled)
 
     if not _drifts(model):
         if scheme.backend == "ou_exact":  # gain scales plain N(0, 1) draws
@@ -449,17 +479,14 @@ def simulate_trials(
         else:  # noise enters the implicit step divided by (1 + h theta lam)
             decay = gain = 1.0 / (1.0 + h * model.theta_true * lam)
             amps, step = _noise_amp(scheme.noise_scale, lam, model.gamma), h
-        outs = []
-        # blocks bounded by values alone, each one lfilter call per mode for
-        # the whole group; a batch shrinks them, but saves plan calls when
-        # observed
-        for group in [seeds] if observed else [[seed] for seed in seeds]:
-            noise = _NoiseBlocks(group, amps[None], n_steps, step, max_steps=n_steps)
-            acc = EstimatorAccumulator(len(group), *acc_args)
-            observe = _observer(bias_nl, op, est_req, acc, noise.length) if observed else None
-            kernel = _ar1_kernel(decay, gain, x0[0], len(group))
-            outs += _run_blocks(scheme, noise, x0, kernel, acc, observe)
-        return outs
+        # unobserved, each mode is its own recursion: a tile is one mode of
+        # every trial over as many steps as the value budget holds, so a
+        # trial takes one lfilter call per mode, not one per mode and block
+        noise = _NoiseBlocks(seeds, amps[None], n_steps, step, max_steps=n_steps,
+                             width=n0 if observed else 1)
+        observe = _observer(bias_nl, op, est_req, acc, noise.length) if observed else None
+        kernel = _ar1_kernel(decay, gain, x0[0], len(seeds))
+        return _run_blocks(scheme, noise, x0, kernel, acc, observe)
 
     n_trials = len(seeds)
     denom = np.ones((1 + coupled, n0))  # w is stepped explicitly
@@ -469,7 +496,6 @@ def simulate_trials(
         amps = np.stack([
             p.sigma * amps[0], p.sigma_w * _noise_amp(scheme.noise_scale, lam, p.gamma_w)
         ])
-    acc = EstimatorAccumulator(n_trials, *acc_args)
     noise = _NoiseBlocks(seeds, amps, n_steps, h)
     step_nl = bias_nl if coupled else nl  # the activator's cubic steps v
     plan = NemytskiiPlan(step_nl, _plans_grid(step_nl, n0), op, (n_trials, 1), n0, n0)
@@ -531,19 +557,21 @@ def simulate_ou_exact(
     uniform = n_int > 0 and diffs[0] > 0 and np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0)
     if uniform:
         decay, amp = _ou_transition(theta, lam, diffs[0], gamma, noise_scale)
-        zi = np.zeros((n_modes, 1))
+        zi = np.zeros((n_modes, 1, 1))
     x = np.zeros(n_modes)
-    # xi of interval i and mode k is draw i of the stream keyed (seed, 0, k + 1)
-    noise = _NoiseBlocks([seed], np.ones((1, n_modes)), n_int, 1.0, max_steps=n_int)
-    for j0 in range(0, n_int, noise.length):
-        n = min(noise.length, n_int - j0)
-        draws = noise.block(n)[0, 0]  # (n_modes, n)
+    # xi of interval i and mode k is draw i of the stream keyed (seed, 0, k + 1);
+    # on a uniform grid each mode is its own recursion, so a tile is one mode
+    noise = _NoiseBlocks([seed], np.ones((1, n_modes)), n_int, 1.0, max_steps=n_int,
+                         width=1 if uniform else n_modes)
+    for j0, modes, dw in noise.tiles():
+        n = dw.shape[-1]
         if uniform:
-            _ar1_filter(decay, amp, draws, path[j0 + 1 : j0 + n + 1], zi)
+            k = modes.start
+            _ar1_filter(decay[k], amp[k], dw[0, 0], path[j0 + 1 : j0 + n + 1, modes], zi[k])
         else:
             for i, dt in enumerate(diffs[j0 : j0 + n]):
                 if dt > 0:
                     decay, amp = _ou_transition(theta, lam, dt, gamma, noise_scale)
-                    x = decay * x + amp * draws[:, i]
+                    x = decay * x + amp * dw[0, 0, :, i]
                 path[j0 + i + 1] = x
     return path[1:] if prepend else path

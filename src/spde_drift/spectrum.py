@@ -60,6 +60,10 @@ def frac_power_apply(x, rho: float, spec: OperatorSpec) -> np.ndarray:
     Negative rho smooths.  Accepts batched input with modes on the last axis.
     """
     arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim == 0 or arr.shape[-1] == 0:
+        raise ConfigurationError(
+            f"x must hold at least one mode on its last axis, got shape {arr.shape}"
+        )
     lam = eigenvalues(spec, arr.shape[-1])
     return lam**rho * arr
 

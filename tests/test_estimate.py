@@ -365,11 +365,15 @@ def test_queries_take_an_integral_n_and_reject_any_other_by_name():
         res = estimate_theta(acc, req, variant, 4.0)
         assert res == estimate_theta(acc, req, variant, 4) and type(res.N) is int
     assert decompose(acc, req, 8.0) == decompose(acc, req, 8)
+    endpoints = ([0.3, -0.1], [0.2, 0.4], 1.0, 0.5, 0.5)
+    assert robust_numerator(*endpoints, 2.0, OP) == robust_numerator(*endpoints, 2, OP)
     for n, message in [(True, "N must be a number, got True"),
                        (2.5, "N must be an integer >= 1, got 2.5"),
                        (0, "N must be an integer >= 1, got 0")]:
         with pytest.raises(ConfigurationError, match=message):
             estimate_theta(acc, req, "full", n)
+        with pytest.raises(ConfigurationError, match=message):
+            robust_numerator(*endpoints, n, OP)
 
 
 def never_finalized():

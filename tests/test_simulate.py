@@ -589,7 +589,7 @@ FHN = NonlinearitySpec("fhn", fhn_params=FHNParams(a=0.5, b=1.0, epsilon=0.1))
 
 
 #: batch cases whose request sums the Ito numerator, so that ``ito`` is compared
-ITO_SUM_CASES = ("fhn", "burgers", "drift_free_ou_exact")
+ITO_SUM_CASES = ("fhn", "burgers", "drift_free_euler", "drift_free_ou_exact")
 
 
 def batch_case(name):
@@ -604,8 +604,9 @@ def batch_case(name):
             alpha=0.8, n_list=(4, 16), variants=("full", "partial1", "partial2", "linear"),
             numerator_mode=mode,
         )
-    if name == "drift_free_bias":  # drift-free trials observed by a cubic bias model
-        model, scheme, req = batch_case("drift_free_euler")
+    if name.startswith("drift_free_bias"):  # drift-free trials observed by a cubic
+        model, scheme, req = batch_case(  # bias model, on euler unless named
+            "drift_free_" + (name[len("drift_free_bias_"):] or "euler"))
         return model, scheme, replace(req, bias_model=SKEWED_CUBIC)
     if name.startswith("drift_free_"):
         model = ModelSpec(OP, 0.05, 0.6, NONE_NL, (0.7071, -0.2), 32)
@@ -900,7 +901,10 @@ def test_blow_up_in_a_batch_is_the_lone_runs_error():
     assert 0 < failed < len(seeds)
 
 
-@pytest.mark.parametrize("name", ["allen_cahn", "fhn", "burgers"])
+@pytest.mark.parametrize("name", [
+    "allen_cahn", "fhn", "burgers", "drift_free_euler", "drift_free_ou_exact",
+    "drift_free_bias", "drift_free_bias_ou_exact",
+])
 def test_stepped_outputs_are_bit_identical_for_any_block_length(name, monkeypatch):
     model, scheme, req = batch_case(name)
     # 302 steps: no block length below divides them, nor does the default 256
@@ -908,9 +912,15 @@ def test_stepped_outputs_are_bit_identical_for_any_block_length(name, monkeypatc
     seeds = [31, 32, 33]
     amps = np.ones((2 if name == "fhn" else 1, model.n_sim))
     default = simulate_trials(model, scheme, req, seeds)
+    for seed, out in zip(seeds, default):
+        assert_same_bits(out, simulate_model(model, replace(scheme, seed=seed), req))
     for length in (1, 3, 7):
         monkeypatch.setattr(simulate, "_NOISE_BLOCK_VALUES", length * len(seeds) * amps.size)
         assert _NoiseBlocks(seeds, amps, scheme.n_steps, scheme.dt).length == length
+        # an unobserved drift-free tile is one mode of every trial: 32 * length
+        # steps, so each mode's run is cut into pieces of 32, 96 and 224 steps
+        one_mode = _NoiseBlocks(seeds, amps, scheme.n_steps, 1.0, scheme.n_steps, width=1)
+        assert one_mode.length == 32 * length < scheme.n_steps
         for a, b in zip(default, simulate_trials(model, scheme, req, seeds)):
             assert_same_bits(a, b)
 

@@ -58,6 +58,13 @@ def test_frac_power_identity():
     assert np.array_equal(frac_power_apply(x, 0.0, spec), x)
 
 
+@pytest.mark.parametrize("x, shape", [(1.0, r"\(\)"), ([], r"\(0,\)")], ids=["0-d", "empty"])
+def test_mode_vectors_without_a_mode_are_rejected_by_name(x, shape):
+    for call in (frac_power_apply, sobolev_norm):
+        with pytest.raises(ConfigurationError, match=f"x must hold at least one mode .* {shape}"):
+            call(x, 0.5, OperatorSpec())
+
+
 def test_frac_power_one():
     spec = OperatorSpec()
     out = frac_power_apply([1.0, 1.0], 1.0, spec)
