@@ -19,7 +19,6 @@ from .errors import (
     BlowUpError,
     ConfigurationError,
     DegenerateTrajectoryError,
-    DomainError,
     SpdeDriftError,
     StudyError,
 )
@@ -241,13 +240,10 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
     try:
         return args.func(args)
-    except (ConfigurationError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (BlowUpError, DegenerateTrajectoryError, StudyError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RUNTIME
-    except SpdeDriftError as exc:
+    except SpdeDriftError as exc:  # ConfigurationError, DomainError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -162,6 +162,9 @@ def robust_numerator(
     n = checked("N", n, "count")
     x0 = np.asarray(x0, dtype=np.float64)
     xT = np.asarray(xT, dtype=np.float64)
+    for name, x in (("x0", x0), ("xT", xT)):
+        if x.ndim == 0:
+            raise ConfigurationError(f"{name} must hold modes on its last axis, got shape ()")
     if x0.shape[-1] < n or xT.shape[-1] < n:
         raise ConfigurationError("endpoint vectors have fewer than N modes")
     lam = eigenvalues(spec, n)

@@ -362,15 +362,18 @@ def summarize(
     standardize_rows(rows_in, theta_true, variance, beta)
 
     by_key: dict[tuple[str, int], list[EstimateRow]] = {}
-    variants_seen: list[str] = []
     for row in rows_in:
         by_key.setdefault((row.variant, row.N), []).append(row)
-        if row.variant not in variants_seen:
-            variants_seen.append(row.variant)
+    variants_seen = list(dict.fromkeys(row.variant for row in rows_in))
+    if expected_variants:
+        for variant in expected_variants:
+            if variant not in variants_seen:
+                warnings.warn(f"variant {variant!r} produced no estimates; omitted")
 
-    trials_present = {r.trial for r in rows_in}
-
+    bin_edges = _bin_edges(histogram_bin_width, histogram_range)
     summary_rows: dict[tuple[str, int], dict[str, float]] = {}
+    ks: dict[str, float] = {}
+    histograms: dict[str, np.ndarray] = {}
     for (variant, n), rows in sorted(by_key.items()):
         vals = np.array([r.theta_hat for r in rows])
         p2_5, median, p97_5 = np.percentile(vals, [2.5, 50.0, 97.5])
@@ -385,35 +388,19 @@ def summarize(
         if len(zs):
             stats["z_mean"] = float(np.mean(zs))
             stats["z_var"] = float(np.var(zs))
+            if n == histogram_n:
+                ks[variant] = normal_ks_distance(zs)
+                # outliers land in the edge bins
+                clipped = np.clip(zs, bin_edges[0], bin_edges[-1])
+                histograms[variant], _ = np.histogram(clipped, bins=bin_edges)
         summary_rows[(variant, n)] = stats
-
-    if expected_variants:
-        for variant in expected_variants:
-            if variant not in variants_seen:
-                warnings.warn(f"variant {variant!r} produced no estimates; omitted")
-
-    bin_edges = _bin_edges(histogram_bin_width, histogram_range)
-    ks: dict[str, float] = {}
-    histograms: dict[str, np.ndarray] = {}
-    for variant in variants_seen:
-        rows = by_key.get((variant, histogram_n))
-        if not rows:
-            continue
-        zs = np.array([r.z for r in rows if r.z is not None])
-        if len(zs) == 0:
-            continue
-        ks[variant] = normal_ks_distance(zs)
-        # outliers land in the edge bins
-        clipped = np.clip(zs, bin_edges[0], bin_edges[-1])
-        counts, _ = np.histogram(clipped, bins=bin_edges)
-        histograms[variant] = counts
 
     mse_slope: dict[str, float | None] = {}
     for variant in variants_seen:
         pts = [
-            (n, summary_rows[(v, n)]["mse"])
-            for (v, n) in sorted(summary_rows)
-            if v == variant and summary_rows[(v, n)]["mse"] > 0
+            (n, stats["mse"])
+            for (v, n), stats in sorted(summary_rows.items())
+            if v == variant and stats["mse"] > 0
         ]
         if len(pts) >= 2:
             log_n = np.log([p[0] for p in pts])
@@ -426,7 +413,7 @@ def summarize(
         theta_true=theta_true,
         beta=beta,
         variance=variance,
-        n_trials=n_trials if n_trials is not None else len(trials_present),
+        n_trials=n_trials if n_trials is not None else len({r.trial for r in rows_in}),
         rows=summary_rows,
         ks=ks,
         mse_slope=mse_slope,

@@ -28,6 +28,8 @@ the whole run, so trajectories are bit-reproducible regardless of host
 parallelism and memory does not grow with the step count.  A per-model
 kernel fills the tile's path: the stepped kernel one step at a time, the
 drift-free kernel with one linear filter call per mode for every trial.
+That one drift-free kernel fills every drift-free path, the uniform grid
+of ``simulate_ou_exact`` included, and is the package's only filter.
 When the modes are coupled (a drift, or a bias model that observes the
 whole field) a tile holds every mode.  An unobserved drift-free model is
 one independent recursion per mode, so its tile is one mode of every trial
@@ -170,34 +172,36 @@ class _NoiseBlocks:
             for seed in seeds
         ]
         self.n_steps = n_steps
-        self.width = amps.shape[1] if width is None else width
+        self.n_modes = amps.shape[1]
+        self.width = self.n_modes if width is None else width
         n_values = len(seeds) * len(amps) * self.width
         length = max(1, min(n_steps, max_steps, _NOISE_BLOCK_VALUES // n_values))
         self.length = length
         self._buf = np.empty((len(seeds), len(amps), self.width, length))
-        self._amps = amps[..., None]
         self._scale = math.sqrt(h)
+        # unit factors are skipped: multiplying by 1.0 would keep every bit
+        unit = self._scale == 1.0 and np.all(amps == 1.0)
+        self._amps = None if unit else amps[..., None]
 
     def block(self, n: int, modes: slice = slice(None)) -> np.ndarray:
         """The next n <= length steps of ``modes``, at most ``width`` of them,
         shaped (B, channels, modes, n)."""
-        amps = self._amps[:, modes]
-        buf = self._buf[:, :, : amps.shape[1], :n]
+        buf = self._buf[:, :, : len(range(self.n_modes)[modes]), :n]
         for b, channels in enumerate(self._streams):
             for c, streams in enumerate(channels):
                 for i, gen in enumerate(streams[modes]):
                     gen.standard_normal(n, out=buf[b, c, i])
-        buf *= self._scale
-        buf *= amps
+        if self._amps is not None:
+            buf *= self._scale
+            buf *= self._amps[:, modes]
         return buf
 
     def tiles(self):
         """(j0, modes, increments) of every tile in run order: the step
         blocks in turn, each as its mode slices of ``width`` modes in turn."""
-        n_modes = self._amps.shape[1]
         for j0 in range(0, self.n_steps, self.length):
             n = min(self.length, self.n_steps - j0)
-            for k in range(0, n_modes, self.width):
+            for k in range(0, self.n_modes, self.width):
                 modes = slice(k, k + self.width)
                 yield j0, modes, self.block(n, modes)
 
@@ -213,19 +217,6 @@ def _ou_transition(theta, lam, d, gamma, noise_scale):
         -np.expm1(-2.0 * theta * lam * d) / (2.0 * theta * lam)
     )
     return decay, amp
-
-
-def _ar1_filter(decay: float, gain: float, draws, out, zi):
-    """One mode of every row: out[j] = decay out[j-1] + gain draws[:, j]
-    from state zi, one ``lfilter`` call for the (rows, steps) draws into
-    the (steps, rows) out; the (rows, 1) zi is updated in place, so the
-    next tile continues the recursion."""
-    # imported here: scipy.signal is most of the package's import time, and
-    # only drift-free runs use it
-    from scipy.signal import lfilter
-
-    path, zi[...] = lfilter([gain], [1.0, -decay], draws, zi=zi)
-    out[...] = path.T
 
 
 def _snapshot_indices(n_steps: int, stride: int | None) -> np.ndarray | None:
@@ -255,14 +246,22 @@ def _euler_kernel(h: float, denom: np.ndarray, drift):
 
 def _ar1_kernel(decay: np.ndarray, gain: np.ndarray, x0: np.ndarray, n_trials: int):
     """Drift-free kernel from x0: x_{j+1} = decay x_j + gain noise_j, one
-    ``lfilter`` call per mode of the tile for every trial."""
+    ``lfilter`` call per mode of the tile for every trial, each mode's filter
+    state carried to its next tile.  It fills every drift-free path: both
+    backends of ``simulate_trials`` and the uniform grid of
+    ``simulate_ou_exact``."""
+    # imported here: scipy.signal is most of the package's import time, and
+    # only drift-free runs use it
+    from scipy.signal import lfilter
+
     zi = np.zeros((len(decay), n_trials, 1))
 
     def advance(seg, dw, j0, modes):
         n = dw.shape[-1]
         path = seg[1 : n + 1, :, 0]  # x_{j0+1} .. x_{j0+n} of every trial
         for i, k in enumerate(range(len(decay))[modes]):
-            _ar1_filter(decay[k], gain[k], dw[:, 0, i], path[..., i], zi[k])
+            out, zi[k] = lfilter([gain[k]], [1.0, -decay[k]], dw[:, 0, i], zi=zi[k])
+            path[..., i] = out.T
         if np.any(x0[modes] != 0.0):
             terms = decay[modes] ** np.arange(j0 + 1.0, j0 + n + 1)[:, None, None]
             terms *= x0[modes]
@@ -557,7 +556,7 @@ def simulate_ou_exact(
     uniform = n_int > 0 and diffs[0] > 0 and np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0)
     if uniform:
         decay, amp = _ou_transition(theta, lam, diffs[0], gamma, noise_scale)
-        zi = np.zeros((n_modes, 1, 1))
+        advance = _ar1_kernel(decay, amp, np.zeros(n_modes), 1)
     x = np.zeros(n_modes)
     # xi of interval i and mode k is draw i of the stream keyed (seed, 0, k + 1);
     # on a uniform grid each mode is its own recursion, so a tile is one mode
@@ -565,9 +564,8 @@ def simulate_ou_exact(
                          width=1 if uniform else n_modes)
     for j0, modes, dw in noise.tiles():
         n = dw.shape[-1]
-        if uniform:
-            k = modes.start
-            _ar1_filter(decay[k], amp[k], dw[0, 0], path[j0 + 1 : j0 + n + 1, modes], zi[k])
+        if uniform:  # the (n + 1, trials, components, modes) segment of _run_blocks
+            advance(path[j0 : j0 + n + 1, None, None, modes], dw, j0, modes)
         else:
             for i, dt in enumerate(diffs[j0 : j0 + n]):
                 if dt > 0:

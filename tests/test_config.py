@@ -104,3 +104,13 @@ def test_a_coupled_file_of_required_keys_takes_the_specs_defaults(tmp_path):
     assert cfg.model.initial_w_modes is None
     assert cfg.est_req.variants == COUPLED_VARIANTS
     assert cfg.study is None
+
+
+@pytest.mark.parametrize("keys, bias_model", [
+    ({"bias_model": "none"}, NonlinearitySpec("none")),
+    ({"bias_model": "polynomial", "bias_poly_coeffs": "0, 1, 0, -1"},
+     NonlinearitySpec("polynomial", poly_coeffs=(0.0, 1.0, 0.0, -1.0))),
+], ids=["none", "polynomial"])
+def test_a_bias_model_key_sets_the_requests_bias_model(keys, bias_model, tmp_path):
+    cfg = load_config(_write(tmp_path, _edit("estimators", **keys)))
+    assert cfg.est_req.bias_model == bias_model

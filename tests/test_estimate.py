@@ -53,6 +53,9 @@ def test_robust_numerator_direct_evaluation():
 def test_robust_numerator_requires_enough_modes():
     with pytest.raises(ConfigurationError):
         robust_numerator([1.0], [1.0], 1.0, 0.0, 0.5, n=2, spec=OP)
+    for x0, xT, name in [(1.0, [1.0], "x0"), ([1.0], 1.0, "xT"), (1.0, 1.0, "x0")]:
+        with pytest.raises(ConfigurationError, match=f"^{name} must hold modes"):
+            robust_numerator(x0, xT, 1.0, 0.5, 0.5, 1, OP)
 
 
 def linear_run(seed=0, n_sim=16, h=1e-3, t_final=0.5, theta=0.1, gamma=0.5):
@@ -403,8 +406,14 @@ def blown_up():
      "'partial' is not one of the coupled variants full/partial1/partial2/linear"),
     (lambda: allen_cahn_run(seed=1), lambda acc, req: coupled_estimates(acc, req, 4),
      ConfigurationError, "'partial1' is not one of the scalar variants"),
+    (never_finalized,
+     lambda acc, req: EstimatorAccumulator(1, eigenvalues(OP, 1), 1.0, 0.5, req),
+     ConfigurationError, "truncation level 2 exceeds simulated mode count 1"),
+    (lambda: allen_cahn_run(seed=1), lambda acc, req: acc.numerator(4, req.alpha, "bogus"),
+     ConfigurationError, "unknown numerator mode 'bogus'"),
 ], ids=["never-finalized", "N-above-n_modes", "decompose-coupled", "blown-up",
-        "unknown-variant", "scalar-variant-on-coupled", "coupled-estimates-on-scalar"])
+        "unknown-variant", "scalar-variant-on-coupled", "coupled-estimates-on-scalar",
+        "accumulator-above-mode-count", "unknown-numerator-mode"])
 def test_estimator_query_errors_name_their_cause(run, query, error, message):
     acc, req = run()
     with pytest.raises(error, match=message):

@@ -74,6 +74,8 @@ def test_too_many_modes_rejected():
     grid = GridSpec(n_grid=3, n_modes_keep=3)
     with pytest.raises(ConfigurationError):
         modes_to_grid(np.ones(4), grid, SPEC)
+    with pytest.raises(ConfigurationError, match="need n_modes_keep <= n_grid"):
+        GridSpec(3, 5)
 
 
 def test_grid_size_mismatch_rejected():
@@ -632,5 +634,8 @@ def test_nonlinearity_validation():
         NonlinearitySpec("none", poly_coeffs=(0.0, 1.0))
     with pytest.raises(ConfigurationError):
         NonlinearitySpec("fhn")
+    with pytest.raises(ConfigurationError, match="fhn_params only valid for variant='fhn'"):
+        NonlinearitySpec("polynomial", poly_coeffs=(0.0, 1.0),
+                         fhn_params=FHNParams(a=0.5, b=0.5, epsilon=0.1))
     assert ALLEN_CAHN.degree == 3
     assert ALLEN_CAHN.is_odd_polynomial

@@ -157,6 +157,13 @@ def test_ks_distance_of_synthetic_normal_sample():
     assert normal_ks_distance(rng.uniform(2.0, 3.0, size=1000)) > 0.5
 
 
+def test_empty_samples_are_rejected():
+    with pytest.raises(ConfigurationError, match="KS distance of an empty sample"):
+        normal_ks_distance([])
+    with pytest.raises(ConfigurationError, match="no estimates to summarize"):
+        summarize([], 0.1, None, 2.0)
+
+
 def test_summarize_order_statistics():
     rows = [
         EstimateRow(trial=i, variant="full", N=4, alpha=0.5, theta_hat=v)

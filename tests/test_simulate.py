@@ -242,7 +242,7 @@ def domain_cases():
             kind = numeric_type(hint)
             if kind is not None:
                 cases += [(owner + name, v) for v in out_of_domain(owner + name, kind)]
-    return cases
+    return cases + [("times", [[0.1, 0.2]])]  # "times must be a 1-D nonempty sequence"
 
 
 def domain_sweep_base(owner):
@@ -561,6 +561,8 @@ def test_scheme_validation():
         SchemeSpec(dt=0.1, t_final=1.0, seed=-1)
     with pytest.raises(ConfigurationError):
         SchemeSpec(dt=0.1, t_final=1.0, seed=0, backend="magic")
+    with pytest.raises(ConfigurationError, match="dt must not exceed t_final"):
+        SchemeSpec(dt=2.0, t_final=1.0, seed=0)
 
 
 def test_model_validation():
