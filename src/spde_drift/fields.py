@@ -20,9 +20,11 @@ a_k, so squaring the field and scaling its cosine coefficients is exact.
 An odd polynomial maps the odd extension of u to an odd function, so f(u)
 is a pure sine series with no cosine part to project.  ``NemytskiiPlan``
 evaluates every drift as modes to samples, f at the samples, and samples to
-sine coefficients; its docstring names the three stages that supply the two
-linear maps (J. P. Boyd, *Chebyshev and Fourier Spectral Methods*, 2nd ed.,
-2001).
+sine coefficients; its docstring names the two stages that supply the two
+linear maps, and the sizes at which either stage applies them as
+precomputed tables instead of transforms (J. P. Boyd, *Chebyshev and Fourier
+Spectral Methods*, 2nd ed., 2001).  Every type-I DST of the module goes
+through ``_dst1``.
 
 Dealiasing: a polynomial of degree m applied to n_in modes has sine-degree
 m * n_in.  The general stage, whose periodic grid has 2(M_g+1) points, is
@@ -46,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+import scipy.fftpack
 
 from .errors import ConfigurationError, check_fields, spec_field
 from .spectrum import OperatorSpec
@@ -207,13 +210,20 @@ def _fit_modes(x: np.ndarray, n: int) -> np.ndarray:
     return np.pad(x, pad)
 
 
+def _dst1(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    """Type-I DST along the last axis, the package's only DST call: the
+    pocketfft kernel and bits of ``scipy.fft.dst``, without its per-call
+    backend dispatch (several microseconds)."""
+    return scipy.fftpack.dst(x, type=1, axis=-1, overwrite_x=overwrite_x)
+
+
 def _interior(x, L: float, padded: np.ndarray) -> np.ndarray:
     """The field at the interior points, 0.5 DST-I(x sqrt(2/L)) with the
     exact 0.5 folded into the scale.  ``x`` is written into the first
     columns of ``padded``, shaped like x with one column per interior point,
     whose other columns must be zero."""
     np.multiply(x, 0.5 * math.sqrt(2.0 / L), out=padded[..., : x.shape[-1]])
-    return scipy.fft.dst(padded, type=1, axis=-1)
+    return _dst1(padded)
 
 
 def modes_to_grid(x, grid: GridSpec, spec: OperatorSpec) -> np.ndarray:
@@ -239,7 +249,7 @@ def grid_to_modes(u, grid: GridSpec, spec: OperatorSpec) -> np.ndarray:
         )
     L = spec.domain_length
     scale = math.sqrt(L / 2.0) / (grid.n_grid + 1)
-    coeffs = scale * scipy.fft.dst(arr, type=1, axis=-1)
+    coeffs = scale * _dst1(arr)
     return coeffs[..., : grid.n_modes_keep]
 
 
@@ -262,11 +272,16 @@ def _cos_to_sine_projection(n_out: int, n_cos: int, L: float) -> np.ndarray:
     return out
 
 
-#: the general stage multiplies by two tables instead of running FFTs when
-#: each table holds at most this many entries (64 KiB).  The bound is an
-#: estimate from direct plan-call timings at 16 trials of 3 and 6 rows on a
-#: 2-core host, where the tables lost at 43 modes on 255 points and at 63 on
-#: 127; no benchmark workload runs a general plan above it.
+#: a plan multiplies by two tables instead of running transforms when
+#: max(n_in, n_out) times its stage's sample count is at most this many
+#: entries (64 KiB a table).  From direct plan-call timings on a 2-core host:
+#: general plans at 16 trials of 3 and 6 rows lost with tables at 43 modes on
+#: 255 points and at 63 on 127.  Odd plans of a cubic, n_in = n_out: at 1-2
+#: rows the tables took 0.35-0.58 of the DST time at every size up to 2^14
+#: entries; at 48 rows 0.22-0.64 up to 2^13, except on 127 points, where
+#: they took 0.83-0.85 at 48 modes and 1.12-1.14 at 63 (8001 entries).  A
+#: benchmark's odd plans stay at 32 modes and below (4064 entries, 0.5) or
+#: at 100 (25,500 entries, the DST).
 _TABLE_ENTRIES = 1 << 13
 
 
@@ -278,8 +293,9 @@ class NemytskiiPlan:
     dealiasing check, the choice of stage and every buffer of that stage are
     set up here, so a call allocates at most the outputs of its transforms.
     ``n_rows`` may also be a shape such as (trials, rows) for a stack of
-    batches.  ``stage`` names the chosen stage; it depends on the
-    nonlinearity, n_in, n_out and the grid, never on the rows.
+    batches.  ``stage`` names the chosen stage and ``tables`` says whether
+    its maps are applied as tables; both depend on the nonlinearity, n_in,
+    n_out and the grid, never on the rows.
 
     A call maps an (n_rows, n_in) array to (n_rows, n_out) coefficients in
     three steps: a linear map from the modes to samples of the field, f at
@@ -300,10 +316,12 @@ class NemytskiiPlan:
       part of the even u^2 is zero.  The projection is one matrix product per
       batch of the stack, with that batch's own shape, so a batch gets the
       same bits whatever is stacked with it.
-    - ``tables``: the ``fft`` stage's two maps as precomputed matrices when
-      each fits in ``_TABLE_ENTRIES`` entries (the matrix-multiplication
-      transform, which beats the FFT at small sizes: Boyd, ch. 10), one
-      product per row, so each row has the bits of its lone call.
+
+    Either stage's two maps become precomputed tables, the stage applied to
+    the identity, when max(n_in, n_out) times the stage's sample count (M_g
+    or 2(M_g+1)) is at most ``_TABLE_ENTRIES`` (the matrix-multiplication
+    transform, which beats the FFT at small sizes: Boyd, ch. 10).  A call is
+    then one product per row, so each row has the bits of its lone call.
 
     Coefficients above min(m n_in, M_g) are zero for an odd polynomial and
     for Burgers; the cosine part of any other polynomial projects onto every
@@ -333,9 +351,12 @@ class NemytskiiPlan:
         lead = (n_rows,) if np.ndim(n_rows) == 0 else tuple(n_rows)
         self.shape = lead + (n_in,)
         self._coeffs = (0.0, 0.0, 1.0) if burgers else nl.poly_coeffs
-        tables = max(n_in, n_out) * 2 * (m_g + 1) <= _TABLE_ENTRIES
-        self.stage = "odd" if nl.is_odd_polynomial else "tables" if tables else "fft"
-        build = {"odd": _odd_stage, "tables": _table_stage, "fft": _fft_stage}[self.stage]
+        odd = nl.is_odd_polynomial
+        self.stage = "odd" if odd else "fft"
+        build, n_samples = _stage(odd, m_g)
+        self.tables = max(n_in, n_out) * n_samples <= _TABLE_ENTRIES
+        if self.tables:
+            build = functools.partial(_table_stage, odd)
         self._samples, self._poly, self._coefficients = build(
             burgers, nl.degree, m_g, spec.domain_length, lead, n_in, n_out
         )
@@ -372,7 +393,7 @@ def _odd_stage(burgers, degree, m_g, L, lead, n_in, n_out):
     scale = math.sqrt(L / 2.0) / (m_g + 1)
 
     def coefficients(w):
-        c = scipy.fft.dst(w, type=1, axis=-1, overwrite_x=True)
+        c = _dst1(w, overwrite_x=True)
         np.multiply(c[..., :n_s], scale, out=out[..., :n_s])
         return out
 
@@ -427,45 +448,50 @@ def _fft_stage(burgers, degree, m_g, L, lead, n_in, n_out):
     return samples, np.empty_like(ext), coefficients
 
 
-def _table_stage(burgers, degree, m_g, L, lead, n_in, n_out):
-    """The ``fft`` stage's two maps as matrix products, one (1, n) product
-    per row."""
-    to_ext, to_out = _general_tables(burgers, degree, m_g, L, n_in, n_out)
-    ext = np.empty(lead + (1, to_ext.shape[-1]))
+def _stage(odd: bool, m_g: int):
+    """The builder of the odd or the ``fft`` stage and its sample count on
+    M_g interior points."""
+    return (_odd_stage, m_g) if odd else (_fft_stage, 2 * (m_g + 1))
+
+
+def _table_stage(odd, burgers, degree, m_g, L, lead, n_in, n_out):
+    """The stage's two maps as matrix products, one (1, n) product per row."""
+    to_samples, to_out = _tables(odd, burgers, degree, m_g, L, n_in, n_out)
+    samples_out = np.empty(lead + (1, to_samples.shape[-1]))
     out = np.empty(lead + (1, n_out))
     out_rows = out[..., 0, :]
 
     def samples(x):
-        np.matmul(x[..., None, :], to_ext, out=ext)
-        return ext
+        np.matmul(x[..., None, :], to_samples, out=samples_out)
+        return samples_out
 
     def coefficients(w):
         np.matmul(w, to_out, out=out)
         return out_rows
 
-    return samples, np.empty_like(ext), coefficients
+    return samples, np.empty_like(samples_out), coefficients
 
 
 @functools.lru_cache(maxsize=32)
-def _general_tables(
-    burgers: bool, degree: int, m_g: int, L: float, n_in: int, n_out: int
+def _tables(
+    odd: bool, burgers: bool, degree: int, m_g: int, L: float, n_in: int, n_out: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ``tables`` stage's matrices: row k of the (n_in, 2(M_g+1)) first
-    is the ``fft`` stage's odd extension of mode k + 1, row j of the
-    (2(M_g+1), n_out) second its output for a unit sample at point j, so the
-    two stages share every constant.  Each unit sample is its own batch of
-    one row, so every row is projected alone.  Read-only, shared through the
-    cache."""
-    n_points = 2 * (m_g + 1)
-    samples, _, coefficients = _fft_stage(
-        burgers, degree, m_g, L, (n_points, 1), n_in, n_out
+    """The odd or the ``fft`` stage applied to the identity: row k of the
+    (n_in, n_samples) first table is the stage's samples of mode k + 1, row j
+    of the (n_samples, n_out) second its output for a unit sample at point
+    j, so tables and transforms share every constant.  Each unit sample is
+    its own batch of one row, so every row is projected alone.  Read-only,
+    shared through the cache."""
+    build, n_samples = _stage(odd, m_g)
+    samples, _, coefficients = build(
+        burgers, degree, m_g, L, (n_samples, 1), n_in, n_out
     )
-    eye = np.eye(n_points)[:, None]
-    to_ext = samples(eye[..., :n_in])[:n_in, 0].copy()
+    eye = np.eye(n_samples)[:, None]
+    to_samples = samples(eye[..., :n_in])[:n_in, 0].copy()
     to_out = coefficients(eye)[:, 0].copy()
-    for table in (to_ext, to_out):
+    for table in (to_samples, to_out):
         table.setflags(write=False)
-    return to_ext, to_out
+    return to_samples, to_out
 
 
 def nemytskii_modes(

@@ -25,6 +25,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -254,7 +255,8 @@ def run_study(spec: StudySpec, threads: int | None = None) -> MCReport:
     """Run ``n_trials`` independent trajectories and aggregate the estimates.
 
     Raises a study-level error (with the partial report attached) when more
-    than 10% of the trials fail.
+    than 10% of the trials fail, and one naming the lost trials, without a
+    report, when a worker process dies.
     """
     n_workers = resolve_threads(threads)
     chunks = _chunks(spec.n_trials, n_workers)
@@ -266,7 +268,18 @@ def run_study(spec: StudySpec, threads: int | None = None) -> MCReport:
             # by the forked workers instead of imported again in each
             import scipy.signal  # noqa: F401
         with ProcessPoolExecutor(max_workers=min(n_workers, len(chunks))) as pool:
-            parts = list(pool.map(_run_chunk, [spec] * len(chunks), chunks))
+            futures = [pool.submit(_run_chunk, spec, chunk) for chunk in chunks]
+        parts, lost = [], []
+        for chunk, future in zip(chunks, futures):
+            try:
+                parts.append(future.result())
+            except BrokenProcessPool:  # a signal or the OOM killer ended a worker
+                lost.append(f"{chunk.start}-{chunk.stop - 1}")
+        if lost:
+            raise StudyError(
+                f"a worker process died (killed by a signal or out of memory); "
+                f"trials {', '.join(lost)} were not run"
+            )
     results = [r for part in parts for r in part]  # chunks come back in trial order
 
     estimates: list[EstimateRow] = []

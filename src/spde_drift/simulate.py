@@ -64,7 +64,7 @@ from .estimate import (
     EstimatorRequest,
     warn_if_inadmissible,
 )
-from .fields import NemytskiiPlan, NonlinearitySpec, _plans_grid
+from .fields import NemytskiiPlan, NonlinearitySpec, _plans_grid, _stage
 from .spectrum import OperatorSpec, eigenvalues
 
 BACKENDS = ("euler", "ou_exact")
@@ -413,7 +413,7 @@ def _observer(bias_nl: NonlinearitySpec, op: OperatorSpec, req, acc, block: int,
     n_trials, n0 = acc.q.shape
     cuts = (() if f_full is not None else (n0,)) + (req.n_list if req.wants_partial else ())
     grids = [_plans_grid(bias_nl, n) for n in cuts]
-    samples = [g.n_grid if bias_nl.is_odd_polynomial else 2 * (g.n_grid + 1) for g in grids]
+    samples = [_stage(bias_nl.is_odd_polynomial, g.n_grid)[1] for g in grids]
     per_step = n_trials * (3 * n0 + sum(3 * m + 2 * n for m, n in zip(samples, cuts)))
     s = min(block, max(1, _NOISE_BLOCK_VALUES // per_step))
     left = np.zeros((s, n_trials, 1, n0)) if cuts else None  # stale past a short sub-block

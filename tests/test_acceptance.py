@@ -26,7 +26,7 @@ from spde_drift.fields import (
     nemytskii_modes,
 )
 from spde_drift.mc import StudySpec, run_study
-from spde_drift.simulate import ModelSpec, SchemeSpec, simulate_model
+from spde_drift.simulate import ModelSpec, SchemeSpec, simulate_model, simulate_trials
 from spde_drift.spectrum import OperatorSpec
 from spde_drift.theory import AdvisorQuery, advise, asymptotic_constants, ou_moment_oracle
 
@@ -131,10 +131,15 @@ def test_criterion_4_ou_moment_oracle():
     )
     req = EstimatorRequest(alpha=gamma, n_list=(20,), variants=("linear",))
     mean_q = np.zeros(20)
-    for i in range(m_trials):
-        scheme = SchemeSpec(dt=h, t_final=t_final, seed=40_000 + i,
-                            backend="ou_exact")
-        mean_q += simulate_model(model, scheme, req).accumulators.q
+    scheme = SchemeSpec(dt=h, t_final=t_final, seed=40_000, backend="ou_exact")
+    seeds = [40_000 + i for i in range(m_trials)]
+    for j in range(0, m_trials, 16):  # a batch gives each trial its lone bits
+        batch = simulate_trials(model, scheme, req, seeds[j : j + 16])
+        if j == 0:
+            lone = simulate_model(model, scheme, req)
+            assert batch[0].accumulators.q.tobytes() == lone.accumulators.q.tobytes()
+        for out in batch:
+            mean_q += out.accumulators.q
     mean_q /= m_trials
     rel_errors = {}
     for k in (1, 5, 20):

@@ -3,14 +3,16 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import signal
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spde_drift import cli
+from spde_drift import cli, mc
 from spde_drift.cli import _write_trajectory_csv, main
 from spde_drift.config import load_config
 from spde_drift.errors import AdmissibilityWarning
@@ -405,6 +407,29 @@ def test_mc_blow_up_exits_with_runtime_code_and_flushes_report(
         for f in summary["failures"]
     )
     assert (out / "estimates.csv").read_bytes() == b"trial,variant,N,alpha,theta_hat,z\r\n"
+
+
+TEST_PID = os.getpid()
+
+
+def _killed_chunk(spec, trials):
+    """A chunk whose worker process is ended by SIGKILL, as by the OOM killer."""
+    if os.getpid() == TEST_PID:
+        raise AssertionError("the chunk ran in the test process, not in a worker")
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_mc_lost_worker_exits_with_runtime_code(linear_cfg, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(mc, "_run_chunk", _killed_chunk)
+    out = tmp_path / "study"
+    assert main(["mc", str(linear_cfg), "--out-dir", str(out), "--threads", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: a worker process died (killed by a signal or out of memory); "
+        "trials 0-2, 3-5 were not run\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
 
 
 FHN_CONFIG = """

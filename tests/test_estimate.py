@@ -22,7 +22,7 @@ from spde_drift.estimate import (
     warn_if_inadmissible,
 )
 from spde_drift.fields import ALLEN_CAHN, FHNParams, NonlinearitySpec
-from spde_drift.simulate import ModelSpec, SchemeSpec, simulate_model
+from spde_drift.simulate import ModelSpec, SchemeSpec, simulate_model, simulate_trials
 from spde_drift.spectrum import OperatorSpec, eigenvalues
 
 PI = math.pi
@@ -166,10 +166,14 @@ def test_exact_ou_sample_mean_consistent():
     )
     req = EstimatorRequest(alpha=gamma, n_list=(64,), variants=("linear",))
     estimates = np.empty(500)
-    for i in range(500):
-        scheme = SchemeSpec(dt=1e-4, t_final=1.0, seed=50_000 + i, backend="ou_exact")
-        out = simulate_model(model, scheme, req)
-        estimates[i] = estimate_theta(out.accumulators, req, "linear", 64).theta_hat
+    scheme = SchemeSpec(dt=1e-4, t_final=1.0, seed=50_000, backend="ou_exact")
+    seeds = [50_000 + i for i in range(500)]
+    for j in range(0, 500, 16):  # a batch gives each trial its lone bits
+        batch = simulate_trials(model, scheme, req, seeds[j : j + 16])
+        for i, out in enumerate(batch, j):
+            estimates[i] = estimate_theta(out.accumulators, req, "linear", 64).theta_hat
+    lone = simulate_model(model, scheme, req)
+    assert estimate_theta(lone.accumulators, req, "linear", 64).theta_hat == estimates[0]
     stderr = estimates.std(ddof=1) / math.sqrt(len(estimates))
     assert abs(estimates.mean() - theta) < 3 * stderr
 

@@ -5,6 +5,7 @@ import pytest
 import scipy.fft
 from scipy.integrate import simpson
 
+from spde_drift import fields
 from spde_drift.errors import ConfigurationError
 from spde_drift.fields import (
     ALLEN_CAHN,
@@ -13,8 +14,9 @@ from spde_drift.fields import (
     NemytskiiPlan,
     NonlinearitySpec,
     _cos_to_sine_projection,
-    _general_tables,
+    _dst1,
     _plans_grid,
+    _tables,
     burgers_modes,
     default_grid,
     fhn_drift,
@@ -334,16 +336,17 @@ def reference_nemytskii(x, nl, grid, spec, n_out):
 
 
 def reference_table_nemytskii(x, nl, grid, spec, n_out):
-    """The ``tables`` stage as allocating steps, one row at a time: the
+    """Either stage as tables in allocating steps, one row at a time: the
     cached tables' products around ``polyval`` (u^2 for Burgers)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     burgers = nl.variant == "burgers"
     coeffs = np.asarray((0.0, 0.0, 1.0) if burgers else nl.poly_coeffs)
-    to_ext, to_out = _general_tables(
-        burgers, nl.degree, grid.n_grid, spec.domain_length, x.shape[-1], n_out
+    to_samples, to_out = _tables(
+        nl.is_odd_polynomial, burgers, nl.degree, grid.n_grid, spec.domain_length,
+        x.shape[-1], n_out,
     )
     return np.stack([
-        np.polynomial.polynomial.polyval(row @ to_ext, coeffs, tensor=False) @ to_out
+        np.polynomial.polynomial.polyval(row @ to_samples, coeffs, tensor=False) @ to_out
         for row in x
     ])
 
@@ -398,8 +401,9 @@ def reference_odd_nemytskii(x, nl, grid, spec, n_out):
 @pytest.mark.parametrize("L", [1.0, 2.0])
 def test_nemytskii_plan_matches_reference_bitwise(m_g, L):
     # same arithmetic in the same order, only without temporaries: the fft
-    # stage against the FFT pipeline on the sizes that select it (127 and
-    # 255 points), the tables stage against its products on the smaller ones
+    # stage's transforms against the FFT pipeline on the sizes that select
+    # them (127 and 255 points), its tables against their products on the
+    # smaller ones
     rng = np.random.default_rng(m_g)
     spec = OperatorSpec(domain_length=L)
     for coeffs in [(0.1, -0.3, 0.8, -1.0), (0.5, 2.0)]:
@@ -407,9 +411,9 @@ def test_nemytskii_plan_matches_reference_bitwise(m_g, L):
         n = m_g // nl.degree
         x = rng.standard_normal((4, n))
         grid = GridSpec(m_g, n)
-        stage = NemytskiiPlan(nl, grid, spec, 4, n, n).stage
-        assert stage == ("fft" if m_g >= 127 else "tables")
-        reference = reference_nemytskii if stage == "fft" else reference_table_nemytskii
+        plan = NemytskiiPlan(nl, grid, spec, 4, n, n)
+        assert (plan.stage, plan.tables) == ("fft", m_g < 127)
+        reference = reference_table_nemytskii if plan.tables else reference_nemytskii
         assert np.array_equal(
             nemytskii_modes(x, nl, grid, spec, n), reference(x, nl, grid, spec, n)
         )
@@ -422,30 +426,42 @@ QUADRATIC = NonlinearitySpec("polynomial", poly_coeffs=(0.2, 0.5, -1.0))
 
 
 def table_cases(m_g):
-    """(nl, n) of the tables stage on m_g points: FHN's cubic, a quadratic
-    and Burgers, each at the most modes whose tables fit."""
+    """(nl, n) of plans on m_g points that take tables: FHN's cubic, a
+    quadratic and Burgers on the fft stage, Allen-Cahn on the odd one, each
+    at the most modes whose tables fit."""
     K = 2 * (m_g + 1)
     return [(nl, min(m_g // nl.degree, (1 << 13) // K))
-            for nl in (FHN_CUBIC, QUADRATIC, NonlinearitySpec("burgers"))]
+            for nl in (FHN_CUBIC, QUADRATIC, NonlinearitySpec("burgers"))
+            ] + [(ALLEN_CAHN, min(m_g // 2, (1 << 13) // m_g))]
 
 
 def closed_form_tables(nl, m_g, L, n_in, n_out):
-    """The tables stage's two matrices from their formulas, without a
-    transform.  Mode k is sqrt(2/L) sin(k pi x / L) at the periodic points
-    x_j = 2 L j / N.  A unit sample at x_j has the interpolant
-    a_0/2 + sum_l (a_l cos + s_l sin)(l pi x / L) with a_l = (2/N) cos(2 pi l j / N),
-    s_l = (2/N) sin(2 pi l j / N), l <= n_freq; its sine coefficients are
-    (L/2) s_k plus a_l times the integral of cos(l pi x/L) sin(k pi x/L)
-    over [0, L], or for Burgers -(w)_x / 2 = sum_l a_l (l pi / 2L) sin."""
+    """A plan's two tables from their formulas, without a transform.
+
+    Odd stage: mode k is sqrt(2/L) sin(k pi x / L) at the interior points
+    x_j = j L / (M_g+1), and a unit sample at x_j has the quadrature
+    coefficients (L / (M_g+1)) Phi_k(x_j), zero from min(m n_in, M_g) on.
+
+    fft stage: mode k at the periodic points x_j = 2 L j / N.  A unit sample
+    at x_j has the interpolant a_0/2 + sum_l (a_l cos + s_l sin)(l pi x / L)
+    with a_l = (2/N) cos(2 pi l j / N), s_l = (2/N) sin(2 pi l j / N),
+    l <= n_freq; its sine coefficients are (L/2) s_k plus a_l times the
+    integral of cos(l pi x/L) sin(k pi x/L) over [0, L], or for Burgers
+    -(w)_x / 2 = sum_l a_l (l pi / 2L) sin."""
     N = 2 * (m_g + 1)
     n_freq = min(nl.degree * n_in, m_g)
     n_s = min(n_out, n_freq)
-    j = np.arange(N)[:, None]
+    odd = nl.is_odd_polynomial
+    j = np.arange(1, m_g + 1)[:, None] if odd else np.arange(N)[:, None]
 
     def wave(fn, k):  # fn(2 pi k j / N), the phase reduced exactly mod N
         return fn(2 * math.pi * ((j * k) % N) / N)
 
-    to_ext = math.sqrt(2 / L) * wave(np.sin, np.arange(1, n_in + 1)).T
+    to_samples = math.sqrt(2 / L) * wave(np.sin, np.arange(1, n_in + 1)).T
+    if odd:
+        to_out = np.zeros((m_g, n_out))
+        to_out[:, :n_s] = L / (m_g + 1) * math.sqrt(2 / L) * wave(np.sin, np.arange(1, n_s + 1))
+        return to_samples, to_out
     l = np.arange(n_freq + 1)
     a = 2 / N * wave(np.cos, l)
     a[:, 0] /= 2
@@ -454,7 +470,7 @@ def closed_form_tables(nl, m_g, L, n_in, n_out):
     to_out = np.zeros((N, n_out))
     if nl.variant == "burgers":
         to_out[:, :n_s] = a[:, 1 : n_s + 1] * (k[:n_s, 0] * math.pi / (2 * L)) * sine_norm
-        return to_ext, to_out
+        return to_samples, to_out
     to_out[:, :n_s] = 2 / N * wave(np.sin, np.arange(1, n_s + 1)) * sine_norm
 
     def sine_integral(m):  # integral of sin(m pi x / L) over [0, L]
@@ -463,34 +479,39 @@ def closed_form_tables(nl, m_g, L, n_in, n_out):
 
     cos_sin = (sine_integral(k + l) + sine_integral(k - l)) / 2  # product to sum
     to_out += math.sqrt(2 / L) * a @ cos_sin.T
-    return to_ext, to_out
+    return to_samples, to_out
 
 
 @pytest.mark.parametrize("m_g", [31, 63, 127])
 @pytest.mark.parametrize("L", [1.0, 2.0])
 def test_table_stage_matches_table_reference_bitwise(m_g, L):
-    # per-row products over the cached tables, as allocating steps; a
-    # (16, 6) stack of rows gets the bits of each row alone.  The tables
-    # themselves match their closed forms to round-off.
+    # per-row products over the cached tables, as allocating steps, on both
+    # stages; a (16, 6) stack of rows and the observer's (s, trials, 1)
+    # stack give each row the bits of its lone call.  The tables themselves
+    # match their closed forms to round-off.
     rng = np.random.default_rng(m_g)
     spec = OperatorSpec(domain_length=L)
     for nl, n in table_cases(m_g):
         grid = GridSpec(m_g, n)
-        tables = _general_tables(nl.variant == "burgers", nl.degree, m_g, L, n, n)
+        odd = nl.is_odd_polynomial
+        tables = _tables(odd, nl.variant == "burgers", nl.degree, m_g, L, n, n)
         for table, closed in zip(tables, closed_form_tables(nl, m_g, L, n, n)):
             assert np.max(np.abs(table - closed)) <= 1e-14 * np.max(np.abs(closed))
-        plan = NemytskiiPlan(nl, grid, spec, (16, 6), n, n)
-        assert plan.stage == "tables"
-        x = rng.standard_normal((16, 6, n)) / np.arange(1, n + 1)
-        out = plan(x).reshape(-1, n)
-        assert np.array_equal(out, reference_table_nemytskii(x.reshape(-1, n), nl, grid, spec, n))
-        assert np.array_equal(out[:1], nemytskii_modes(x[0, :1], nl, grid, spec, n))
+        for lead in ((16, 6), (24, 2, 1)):
+            plan = NemytskiiPlan(nl, grid, spec, lead, n, n)
+            assert (plan.stage, plan.tables) == ("odd" if odd else "fft", True)
+            x = rng.standard_normal(lead + (n,)) / np.arange(1, n + 1)
+            out = plan(x).reshape(-1, n)
+            rows = x.reshape(-1, n)
+            assert np.array_equal(out, reference_table_nemytskii(rows, nl, grid, spec, n))
+            assert np.array_equal(out[:1], nemytskii_modes(rows[:1], nl, grid, spec, n))
 
 
 @pytest.mark.parametrize("m_g", [31, 63, 127])
 @pytest.mark.parametrize("L", [1.0, 2.0])
 def test_table_stage_matches_fft_references(m_g, L):
-    # the two stages differ in summation order only
+    # tables and transforms differ in summation order only; the odd stage's
+    # reference is its DST pipeline
     rng = np.random.default_rng(m_g)
     spec = OperatorSpec(domain_length=L)
     for nl, n in table_cases(m_g):
@@ -499,40 +520,66 @@ def test_table_stage_matches_fft_references(m_g, L):
         out = nemytskii_modes(x, nl, grid, spec, n)
         if nl.variant == "burgers":
             reference = reference_burgers(x, grid, spec, n)
+        elif nl.is_odd_polynomial:
+            reference = reference_odd_nemytskii(x, nl, grid, spec, n)
         else:
             reference = reference_nemytskii(x, nl, grid, spec, n)
         assert np.max(np.abs(out - reference)) <= 1e-12
 
 
 def test_general_stage_is_chosen_by_table_size():
-    # the stage depends on the nonlinearity, n_in, n_out and the grid only,
-    # so a trial keeps its stage, and its bits, in any batch
+    # the stage and its tables depend on the nonlinearity, n_in, n_out and
+    # the grid only, so a trial keeps them, and its bits, in any batch; the
+    # bound counts the stage's own samples, 2(M_g+1) or M_g
     def stage(nl, n_in, m_g, lead=1, n_out=None):
-        return NemytskiiPlan(nl, GridSpec(m_g, n_in), SPEC, lead, n_in, n_out or n_in).stage
+        plan = NemytskiiPlan(nl, GridSpec(m_g, n_in), SPEC, lead, n_in, n_out or n_in)
+        return plan.stage, plan.tables
 
     burgers = NonlinearitySpec("burgers")
     for nl in (FHN_CUBIC, QUADRATIC, burgers):
-        assert stage(nl, 32, 127, (1, 1)) == stage(nl, 32, 127, (16, 6)) == "tables"
-        assert stage(nl, 43, 255, (1, 1)) == stage(nl, 43, 255, (16, 6)) == "fft"
-    assert stage(FHN_CUBIC, 32, default_grid(32, 3).n_grid) == "tables"  # FitzHugh-Nagumo
-    assert stage(FHN_CUBIC, 33, 127) == "fft"  # 33 * 256 entries
-    assert stage(FHN_CUBIC, 8, 127, n_out=40) == "fft"  # a wide output table
+        assert stage(nl, 32, 127, (1, 1)) == stage(nl, 32, 127, (16, 6)) == ("fft", True)
+        assert stage(nl, 43, 255, (1, 1)) == stage(nl, 43, 255, (16, 6)) == ("fft", False)
+    assert stage(FHN_CUBIC, 32, default_grid(32, 3).n_grid) == ("fft", True)  # FitzHugh-Nagumo
+    assert stage(FHN_CUBIC, 33, 127) == ("fft", False)  # 33 * 256 entries
+    assert stage(FHN_CUBIC, 8, 127, n_out=40) == ("fft", False)  # a wide output table
     for nl in (ALLEN_CAHN, ODD_QUINTIC):
-        for n, m_g in [(4, 31), (32, 127), (100, 511)]:
-            assert stage(nl, n, m_g) == "odd"
+        for n, m_g in [(4, 31), (32, 127), (32, 255)]:
+            assert stage(nl, n, m_g, (1, 1)) == stage(nl, n, m_g, (24, 2, 1)) == ("odd", True)
+        for n, m_g in [(33, 255), (100, 511)]:
+            assert stage(nl, n, m_g, (1, 1)) == stage(nl, n, m_g, (24, 2, 1)) == ("odd", False)
+        assert stage(nl, 8, 127, n_out=64) == ("odd", True)  # 64 * 127 entries
+        assert stage(nl, 8, 127, n_out=65) == ("odd", False)  # 65 * 127 entries
 
 
 @pytest.mark.parametrize("m_g", [31, 63, 127])
 @pytest.mark.parametrize("L", [1.0, 2.0])
-def test_odd_nemytskii_plan_matches_odd_reference_bitwise(m_g, L):
+def test_odd_nemytskii_plan_matches_odd_reference_bitwise(m_g, L, monkeypatch):
+    # these sizes take tables; with the bound at 0 the plan runs the DST
+    # stage, which keeps the bits of its allocating steps
     rng = np.random.default_rng(m_g)
     spec = OperatorSpec(domain_length=L)
     for n in (m_g // 3, m_g // 2):  # the general and the odd bound
+        assert NemytskiiPlan(ALLEN_CAHN, GridSpec(m_g, n), spec, 4, n, n).tables
+    monkeypatch.setattr(fields, "_TABLE_ENTRIES", 0)
+    for n in (m_g // 3, m_g // 2):
         x = rng.standard_normal((4, n))
+        plan = NemytskiiPlan(ALLEN_CAHN, GridSpec(m_g, n), spec, 4, n, n)
+        assert (plan.stage, plan.tables) == ("odd", False)
         assert np.array_equal(
-            nemytskii_modes(x, ALLEN_CAHN, GridSpec(m_g, n), spec, n),
-            reference_odd_nemytskii(x, ALLEN_CAHN, GridSpec(m_g, n), spec, n),
+            plan(x), reference_odd_nemytskii(x, ALLEN_CAHN, GridSpec(m_g, n), spec, n)
         )
+
+
+@pytest.mark.parametrize("m_g", [15, 31, 63, 127, 255, 511])
+@pytest.mark.parametrize("lead", [(), (1,), (16, 1), (24, 2, 1)], ids=str)
+def test_dst1_matches_scipy_fft_dst_bitwise(m_g, lead):
+    # the package's one DST call takes another route to pocketfft than
+    # scipy.fft.dst; the two must stay the same bits
+    x = np.random.default_rng(m_g).standard_normal(lead + (m_g,))
+    reference = scipy.fft.dst(x, type=1, axis=-1)
+    assert _dst1(x).tobytes() == reference.tobytes()
+    y = x.copy()
+    assert _dst1(y, overwrite_x=True).tobytes() == reference.tobytes()
 
 
 ODD_QUINTIC = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 0.3, 0.0, -1.2, 0.0, 0.5))
@@ -583,27 +630,28 @@ def test_plan_grid_is_odd_only_for_an_odd_polynomial():
 
 
 def test_nemytskii_plan_reuse_matches_fresh_calls():
-    # every stage: tables (a cubic and Burgers at 32 modes), odd (Allen-Cahn
-    # on its plan grid, and 4 modes to 20 coefficients, whose columns from
-    # 3 n_in up are never written) and fft (the cubic at 43 modes)
+    # both stages with and without tables: the fft stage's tables (a cubic
+    # and Burgers at 32 modes) and transforms (the cubic at 43 modes), the
+    # odd stage's DSTs (Allen-Cahn on its plan grid) and tables (4 modes to
+    # 20 coefficients, whose columns from 3 n_in up stay zero)
     rng = np.random.default_rng(21)
     cubic = NonlinearitySpec("polynomial", poly_coeffs=(0.0, -0.5, 1.5, -1.0))
     cases = [
-        (cubic, default_grid(32, 3), 32, 32, "tables"),
-        (NonlinearitySpec("burgers"), default_grid(32, 3), 32, 32, "tables"),
-        (ALLEN_CAHN, _plans_grid(ALLEN_CAHN, 100), 100, 100, "odd"),
-        (cubic, GridSpec(255, 43), 43, 43, "fft"),
-        (ALLEN_CAHN, GridSpec(31, 4), 4, 20, "odd"),
+        (cubic, default_grid(32, 3), 32, 32, ("fft", True)),
+        (NonlinearitySpec("burgers"), default_grid(32, 3), 32, 32, ("fft", True)),
+        (ALLEN_CAHN, _plans_grid(ALLEN_CAHN, 100), 100, 100, ("odd", False)),
+        (cubic, GridSpec(255, 43), 43, 43, ("fft", False)),
+        (ALLEN_CAHN, GridSpec(31, 4), 4, 20, ("odd", True)),
     ]
     for nl, grid, n, n_out, stage in cases:
         plan = NemytskiiPlan(nl, grid, SPEC, 3, n, n_out)
-        assert plan.stage == stage
+        assert (plan.stage, plan.tables) == stage
         for i in range(25):
             x = rng.standard_normal((3, n)) * rng.uniform(0.1, 3.0)
             x[:, rng.integers(1, n + 1):] = 0.0  # vary the populated mode count
             out = plan(x)
             assert np.array_equal(out, nemytskii_modes(x, nl, grid, SPEC, n_out))
-            if stage == "odd":
+            if plan.stage == "odd":
                 assert np.array_equal(out[:, 3 * n:], np.zeros((3, max(n_out - 3 * n, 0))))
         # nothing of the previous input survives in the buffers
         assert np.array_equal(plan(np.zeros((3, n))), np.zeros((3, n_out)))

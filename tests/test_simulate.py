@@ -318,10 +318,15 @@ def test_linear_weak_accuracy_of_time_integrals():
     req = EstimatorRequest(alpha=gamma, n_list=(20,), variants=("linear",))
     m_trials = 2000
     acc_q = np.zeros(20)
-    for i in range(m_trials):
-        scheme = SchemeSpec(dt=h, t_final=t_final, seed=10_000 + i)
-        out = simulate_model(model, scheme, req)
-        acc_q += out.accumulators.q
+    scheme = SchemeSpec(dt=h, t_final=t_final, seed=10_000)
+    seeds = [10_000 + i for i in range(m_trials)]
+    for j in range(0, m_trials, 16):  # a batch gives each trial its lone bits
+        batch = simulate_trials(model, scheme, req, seeds[j : j + 16])
+        if j == 0:
+            lone = simulate_model(model, scheme, req)
+            assert batch[0].accumulators.q.tobytes() == lone.accumulators.q.tobytes()
+        for out in batch:
+            acc_q += out.accumulators.q
     acc_q /= m_trials
     lam = eigenvalues(OP, 20)
     for k in (1, 5, 20):
@@ -699,20 +704,22 @@ def test_paths_do_not_depend_on_the_bias_model(model_nl, bias, backend):
 
 
 @pytest.mark.parametrize("name, n_sim, stage", [
-    ("allen_cahn", 32, "odd"), ("allen_cahn", 100, "odd"), ("fhn", 32, "tables"),
-    ("skewed_cubic", 33, "fft"),
+    ("allen_cahn", 32, ("odd", True)), ("allen_cahn", 100, ("odd", False)),
+    ("fhn", 32, ("fft", True)), ("skewed_cubic", 33, ("fft", False)),
 ], ids=["32", "100", "fhn-32", "skewed_cubic-33"])
 def test_drift_outputs_do_not_depend_on_partial_variants(name, n_sim, stage):
     # the step evaluates the drift's own row alone and the partial rows are
     # evaluated apart from it, so the full field's drift has the same bits
-    # with or without them, on every stage (the fft stage projects each batch
-    # of its stack in one product, and the drift's batch is its row alone)
+    # with or without them, on both stages with and without tables (the fft
+    # stage projects each batch of its stack in one product, and the drift's
+    # batch is its row alone)
     model, scheme, req = batch_case(name)
     model = replace(model, n_sim=n_sim)
     nl = model.nonlinearity
     if nl.variant == "fhn":  # the step evaluates the activator's cubic
         nl = NonlinearitySpec("polynomial", poly_coeffs=nl.fhn_params.cubic_coeffs())
-    assert NemytskiiPlan(nl, _plans_grid(nl, n_sim), OP, 1, n_sim, n_sim).stage == stage
+    plan = NemytskiiPlan(nl, _plans_grid(nl, n_sim), OP, 1, n_sim, n_sim)
+    assert (plan.stage, plan.tables) == stage
     lean = replace(req, variants=("full", "linear"))
     seeds = [3, 4, 5]
     with_rows = simulate_trials(model, scheme, req, seeds)
@@ -729,10 +736,10 @@ def test_drift_outputs_do_not_depend_on_partial_variants(name, n_sim, stage):
 
 
 @pytest.mark.parametrize("model_nl, bias, n_sim, n_list, stages", [
-    (ALLEN_CAHN, None, 100, (4, 8, 16, 20, 32), {"odd"}),
-    (SKEWED_CUBIC, None, 32, (4, 8, 16, 32), {"tables"}),
-    (SKEWED_CUBIC, None, 100, (8, 40, 100), {"tables", "fft"}),
-    (NONE_NL, SKEWED_CUBIC, 48, (8, 40), {"tables", "fft"}),
+    (ALLEN_CAHN, None, 100, (4, 8, 16, 20, 32), {("odd", True)}),
+    (SKEWED_CUBIC, None, 32, (4, 8, 16, 32), {("fft", True)}),
+    (SKEWED_CUBIC, None, 100, (8, 40, 100), {("fft", True), ("fft", False)}),
+    (NONE_NL, SKEWED_CUBIC, 48, (8, 40), {("fft", True), ("fft", False)}),
 ], ids=["odd", "tables", "fft", "drift_free-fft"])
 def test_partial_rows_on_their_own_grid_match_the_shared_grid(
     model_nl, bias, n_sim, n_list, stages
@@ -746,8 +753,8 @@ def test_partial_rows_on_their_own_grid_match_the_shared_grid(
     req = EstimatorRequest(alpha=0.6, n_list=n_list, variants=("full", "partial", "linear"),
                            bias_model=bias)
     bias_nl = bias or model_nl
-    assert {NemytskiiPlan(bias_nl, _plans_grid(bias_nl, n), OP, 1, n, n).stage
-            for n in n_list} == stages
+    plans = [NemytskiiPlan(bias_nl, _plans_grid(bias_nl, n), OP, 1, n, n) for n in n_list]
+    assert {(plan.stage, plan.tables) for plan in plans} == stages
     shared = _plans_grid(bias_nl, n_sim)
     for out in simulate_trials(model, scheme, req, [3, 4]):
         left = out.trajectory[:-1]
