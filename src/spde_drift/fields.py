@@ -24,7 +24,8 @@ sine coefficients; its docstring names the two stages that supply the two
 linear maps, and the sizes at which either stage applies them as
 precomputed tables instead of transforms (J. P. Boyd, *Chebyshev and Fourier
 Spectral Methods*, 2nd ed., 2001).  Every type-I DST of the module goes
-through ``_dst1``.
+through ``_dst1``.  scipy's transforms are imported when the first plan or
+one-shot transform is built (``_load_transforms``), not with the module.
 
 Dealiasing: a polynomial of degree m applied to n_in modes has sine-degree
 m * n_in.  The general stage, whose periodic grid has 2(M_g+1) points, is
@@ -47,8 +48,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-import scipy.fftpack
 
 from .errors import ConfigurationError, check_fields, spec_field
 from .spectrum import OperatorSpec
@@ -210,11 +209,27 @@ def _fit_modes(x: np.ndarray, n: int) -> np.ndarray:
     return np.pad(x, pad)
 
 
+#: scipy's DST and rfft, bound by ``_load_transforms``
+_dst = _rfft = None
+
+
+def _load_transforms():
+    """Import scipy's transforms and bind them, once: every plan and
+    one-shot transform calls this when it is built, so ``import spde_drift``
+    does not pay for ``scipy.fft`` and a call runs no import."""
+    global _dst, _rfft
+    if _rfft is None:
+        import scipy.fft
+        import scipy.fftpack
+
+        _dst, _rfft = scipy.fftpack.dst, scipy.fft.rfft
+
+
 def _dst1(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
     """Type-I DST along the last axis, the package's only DST call: the
     pocketfft kernel and bits of ``scipy.fft.dst``, without its per-call
-    backend dispatch (several microseconds)."""
-    return scipy.fftpack.dst(x, type=1, axis=-1, overwrite_x=overwrite_x)
+    backend dispatch (several microseconds).  Needs ``_load_transforms``."""
+    return _dst(x, type=1, axis=-1, overwrite_x=overwrite_x)
 
 
 def _interior(x, L: float, padded: np.ndarray) -> np.ndarray:
@@ -234,6 +249,7 @@ def modes_to_grid(x, grid: GridSpec, spec: OperatorSpec) -> np.ndarray:
     """
     arr = np.asarray(x, dtype=np.float64)
     _check_mode_count(arr.shape[-1], grid)
+    _load_transforms()
     return _interior(arr, spec.domain_length, np.zeros(arr.shape[:-1] + (grid.n_grid,)))
 
 
@@ -249,6 +265,7 @@ def grid_to_modes(u, grid: GridSpec, spec: OperatorSpec) -> np.ndarray:
         )
     L = spec.domain_length
     scale = math.sqrt(L / 2.0) / (grid.n_grid + 1)
+    _load_transforms()
     coeffs = scale * _dst1(arr)
     return coeffs[..., : grid.n_modes_keep]
 
@@ -387,6 +404,7 @@ class NemytskiiPlan:
 def _odd_stage(burgers, degree, m_g, L, lead, n_in, n_out):
     """Samples at the M_g interior points; f(u) back by DST as
     ``grid_to_modes``."""
+    _load_transforms()
     n_s = min(n_out, degree * n_in, m_g)
     modes = np.zeros(lead + (m_g,))
     out = np.zeros(lead + (n_out,))  # only the first n_s columns are written
@@ -404,6 +422,8 @@ def _fft_stage(burgers, degree, m_g, L, lead, n_in, n_out):
     """Samples of the odd extension on the periodic grid; sine coefficients
     by rfft and closed-form projection of the cosine part, or for Burgers
     the cosine part differentiated."""
+    _load_transforms()
+    rfft = _rfft
     n_freq = min(degree * n_in, m_g)
     n_s = min(n_out, n_freq)
     n_points = 2 * (m_g + 1)
@@ -428,7 +448,7 @@ def _fft_stage(burgers, degree, m_g, L, lead, n_in, n_out):
         out[..., n_s:] = 0.0
         # w = a_0/2 + sum_l (a_l cos + s_l sin); a indexed from l = 0 with the
         # 1/2 folded in, s from l = 1, both truncated at n_freq
-        spectrum = scipy.fft.rfft(w, axis=-1, overwrite_x=True)
+        spectrum = rfft(w, axis=-1, overwrite_x=True)
         np.multiply(spectrum.real[..., : n_freq + 1], 2.0, out=a)
         np.divide(a, n_points, out=a)
         a[..., 0] *= 0.5
@@ -472,23 +492,34 @@ def _table_stage(odd, burgers, degree, m_g, L, lead, n_in, n_out):
     return samples, np.empty_like(samples_out), coefficients
 
 
+#: unit samples per block of a table build hold at most this many values
+_TABLE_BUILD_VALUES = 1 << 16
+
+
 @functools.lru_cache(maxsize=32)
 def _tables(
     odd: bool, burgers: bool, degree: int, m_g: int, L: float, n_in: int, n_out: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The odd or the ``fft`` stage applied to the identity: row k of the
+    """The odd or the ``fft`` stage applied to unit inputs: row k of the
     (n_in, n_samples) first table is the stage's samples of mode k + 1, row j
     of the (n_samples, n_out) second its output for a unit sample at point
     j, so tables and transforms share every constant.  Each unit sample is
-    its own batch of one row, so every row is projected alone.  Read-only,
-    shared through the cache."""
+    its own batch of one row, so every row is projected alone, and the unit
+    samples go through the stage in blocks of at most
+    ``_TABLE_BUILD_VALUES`` values, so a build holds a few such blocks, not
+    an n_samples x n_samples identity.  Read-only, shared through the
+    cache."""
     build, n_samples = _stage(odd, m_g)
-    samples, _, coefficients = build(
-        burgers, degree, m_g, L, (n_samples, 1), n_in, n_out
-    )
-    eye = np.eye(n_samples)[:, None]
-    to_samples = samples(eye[..., :n_in])[:n_in, 0].copy()
-    to_out = coefficients(eye)[:, 0].copy()
+    samples, _, _ = build(burgers, degree, m_g, L, (n_in, 1), n_in, n_out)
+    to_samples = samples(np.eye(n_in)[:, None])[:, 0].copy()
+    block = max(1, _TABLE_BUILD_VALUES // n_samples)
+    _, _, coefficients = build(burgers, degree, m_g, L, (block, 1), n_in, n_out)
+    to_out = np.empty((n_samples, n_out))
+    for j in range(0, n_samples, block):
+        r = min(block, n_samples - j)
+        units = np.zeros((block, 1, n_samples))  # rows past r stay zero
+        units[np.arange(r), 0, np.arange(j, j + r)] = 1.0
+        to_out[j : j + r] = coefficients(units)[:r, 0]
     for table in (to_samples, to_out):
         table.setflags(write=False)
     return to_samples, to_out

@@ -13,14 +13,16 @@ ones included, are stepped together as one batch by
 any batch size.  An unobserved drift-free chunk is filtered a tile of one
 mode of every trial at a time, since its modes are independent recursions.
 At most one worker process is started per chunk, and a single worker runs
-every chunk in-process.  A drift-free study with several workers imports
-``scipy.signal`` before it starts them, so that forked workers share the
-parent's copy.
+every chunk in-process.  A study with several workers first imports the
+scipy modules its runs load on first use (``simulate.scipy_modules``: the
+transforms of a plan, the drift-free filter), so that forked workers share
+the parent's copies instead of each importing them again.
 """
 
 from __future__ import annotations
 
 import csv
+import importlib
 import math
 import os
 import warnings
@@ -29,7 +31,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     BlowUpError,
@@ -42,7 +43,7 @@ from .errors import (
     spec_field,
 )
 from .estimate import EstimatorRequest, estimate_theta, z_score
-from .simulate import ModelSpec, SchemeSpec, SimOutput, _drifts, simulate_trials
+from .simulate import ModelSpec, SchemeSpec, SimOutput, scipy_modules, simulate_trials
 from .theory import asymptotic_constants
 
 THREADS_ENV_VAR = "SPDE_DRIFT_THREADS"
@@ -191,6 +192,8 @@ def write_estimate_rows(fh, rows) -> None:
 
 def normal_ks_distance(sample) -> float:
     """Kolmogorov-Smirnov distance of a sample to the standard normal."""
+    from scipy.special import ndtr  # imported here, not with the package
+
     z = np.sort(np.asarray(sample, dtype=np.float64))
     n = len(z)
     if n == 0:
@@ -263,10 +266,8 @@ def run_study(spec: StudySpec, threads: int | None = None) -> MCReport:
     if n_workers == 1 or len(chunks) == 1:
         parts = [_run_chunk(spec, chunk) for chunk in chunks]
     else:
-        if not _drifts(spec.model):
-            # the drift-free filter's module, loaded once here and inherited
-            # by the forked workers instead of imported again in each
-            import scipy.signal  # noqa: F401
+        for name in scipy_modules(spec.model, spec.est_req):
+            importlib.import_module(name)  # once here, not again in each worker
         with ProcessPoolExecutor(max_workers=min(n_workers, len(chunks))) as pool:
             futures = [pool.submit(_run_chunk, spec, chunk) for chunk in chunks]
         parts, lost = [], []

@@ -250,8 +250,7 @@ def _ar1_kernel(decay: np.ndarray, gain: np.ndarray, x0: np.ndarray, n_trials: i
     state carried to its next tile.  It fills every drift-free path: both
     backends of ``simulate_trials`` and the uniform grid of
     ``simulate_ou_exact``."""
-    # imported here: scipy.signal is most of the package's import time, and
-    # only drift-free runs use it
+    # imported here, not with the package: only drift-free runs use it
     from scipy.signal import lfilter
 
     zi = np.zeros((len(decay), n_trials, 1))
@@ -368,6 +367,26 @@ def _drifts(model: ModelSpec) -> bool:
     return model.nonlinearity.variant != "none"
 
 
+def _bias_nl(model: ModelSpec, req: EstimatorRequest) -> NonlinearitySpec:
+    """The nonlinearity whose bias terms the run observes: a coupled model's
+    activator cubic, else the request's bias model, else the drift's own."""
+    nl = model.nonlinearity
+    if nl.variant == "fhn":
+        return NonlinearitySpec("polynomial", poly_coeffs=nl.fhn_params.cubic_coeffs())
+    return nl if req.bias_model is None else req.bias_model
+
+
+def scipy_modules(model: ModelSpec, req: EstimatorRequest) -> tuple[str, ...]:
+    """The scipy modules a run of ``model`` under ``req`` loads on first use:
+    the transforms when it builds a ``NemytskiiPlan`` (a drift to step or a
+    bias model to observe) and ``scipy.signal`` for the drift-free filter.
+    A study imports them before it forks its workers, which then share them
+    instead of each importing them again."""
+    plans = _drifts(model) or _bias_nl(model, req).variant != "none"
+    transforms = ("scipy.fft", "scipy.fftpack") if plans else ()
+    return transforms + (() if _drifts(model) else ("scipy.signal",))
+
+
 def _check_request(model, scheme, req, seeds):
     """Raise the ConfigurationError of the first rule that the run breaks."""
     coupled = model.nonlinearity.variant == "fhn"
@@ -455,11 +474,8 @@ def simulate_trials(
     warn_if_inadmissible(est_req.alpha, model.gamma, model.operator.beta)
     nl = model.nonlinearity
     coupled = nl.variant == "fhn"
-    if coupled:
-        p = nl.fhn_params
-        bias_nl = NonlinearitySpec("polynomial", poly_coeffs=p.cubic_coeffs())
-    else:
-        bias_nl = nl if est_req.bias_model is None else est_req.bias_model
+    p = nl.fhn_params
+    bias_nl = _bias_nl(model, est_req)
     observed = bias_nl.variant != "none"
     n0 = model.n_sim
     h = scheme.dt

@@ -64,6 +64,7 @@ def frac_power_apply(x, rho: float, spec: OperatorSpec) -> np.ndarray:
         raise ConfigurationError(
             f"x must hold at least one mode on its last axis, got shape {arr.shape}"
         )
+    rho = checked("rho", rho, "finite")
     lam = eigenvalues(spec, arr.shape[-1])
     return lam**rho * arr
 
@@ -80,5 +81,6 @@ def sobolev_norm(x, rho: float, spec: OperatorSpec) -> float:
 
 def regularity_limit(gamma: float, beta: float) -> float:
     """Regularity limit rho* = gamma - 1/(2 beta) of the solution scale."""
+    gamma = checked("gamma", gamma, "finite", DomainError)
     checked("beta", beta, "positive", DomainError)
     return gamma - 1.0 / (2.0 * beta)

@@ -686,3 +686,48 @@ def test_only_drift_free_runs_load_scipy_signal(config, loaded, request, tmp_pat
     # neither the import nor the config loads it; the drift-free filter does
     assert out.splitlines()[-1].split() == ["0", "False", loaded]
     assert (tmp_path / "run" / "estimates.csv").is_file()
+
+
+SCIPY_OF_A_CALL = """
+import json, sys
+import spde_drift
+from spde_drift.cli import main
+from spde_drift.config import load_config
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+
+load_config(sys.argv[1])
+at_start = scipy_modules()
+try:
+    code = main(sys.argv[2:])
+except SystemExit as exc:  # --help
+    code = exc.code
+print(json.dumps([at_start, code, scipy_modules()]))
+"""
+
+TRANSFORMS = {"scipy.fft", "scipy.fftpack"}
+
+
+@pytest.mark.parametrize("argv, code, loads", [
+    (["--help"], 0, set()),
+    (["advise", "--example", "burgers", "--gamma", "0.8", "--alpha", "0.8"], 0, set()),
+    (BASE_ARGS["theory"], 0, set()),
+    (["estimate", "{bad}"], 1, set()),
+    (["simulate", "{cfg}", "--out", "{out}"], 0, TRANSFORMS),
+], ids=["help", "advise", "theory", "validation-error", "simulate"])
+def test_scipy_loads_only_with_the_kernels_that_use_it(argv, code, loads, cubic_cfg,
+                                                       tmp_path, fresh_python):
+    """``import spde_drift`` and a config load no scipy module; advice,
+    theory, help and a failed validation need none, and a run of a model
+    with a drift loads the transforms of its plans but no filter."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(with_value(ALLEN_CAHN_CONFIG, "model", "theta_true", "-1"))
+    argv = [a.format(bad=bad, cfg=cubic_cfg, out=tmp_path / "run") for a in argv]
+    out = fresh_python(SCIPY_OF_A_CALL, cubic_cfg, *argv)
+    at_start, exit_code, loaded = json.loads(out.splitlines()[-1])
+    assert at_start == []
+    assert exit_code == code
+    assert {name for name in loaded if name.count(".") == 1} >= loads
+    assert "scipy.signal" not in loaded
+    assert bool(loaded) == bool(loads)

@@ -1,4 +1,6 @@
+import builtins
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from spde_drift.fields import (
     NonlinearitySpec,
     _cos_to_sine_projection,
     _dst1,
+    _load_transforms,
     _plans_grid,
     _tables,
     burgers_modes,
@@ -507,6 +510,46 @@ def test_table_stage_matches_table_reference_bitwise(m_g, L):
             assert np.array_equal(out[:1], nemytskii_modes(rows[:1], nl, grid, spec, n))
 
 
+def identity_tables(nl, m_g, L, n_in, n_out):
+    """A plan's two tables from its stage applied to the whole identity at
+    once, each unit sample a batch of one row."""
+    build, n_samples = fields._stage(nl.is_odd_polynomial, m_g)
+    samples, _, coefficients = build(nl.variant == "burgers", nl.degree, m_g, L,
+                                     (n_samples, 1), n_in, n_out)
+    eye = np.eye(n_samples)[:, None]
+    return samples(eye[..., :n_in])[:n_in, 0], coefficients(eye)[:, 0]
+
+
+@pytest.mark.parametrize("m_g", [31, 63, 127])
+@pytest.mark.parametrize("L", [1.0, 2.0])
+def test_tables_built_in_blocks_keep_the_bits_of_the_identity(m_g, L, monkeypatch):
+    # unit samples go through the stage in blocks; every unit sample is its
+    # own row, so whole blocks, several blocks and a short last one give
+    # the bytes of the identity at once
+    for values in (fields._TABLE_BUILD_VALUES, 1000):
+        monkeypatch.setattr(fields, "_TABLE_BUILD_VALUES", values)
+        for nl, n in table_cases(m_g):
+            for n_out in (n, max(1, n // 2)):
+                tables = _tables.__wrapped__(nl.is_odd_polynomial, nl.variant == "burgers",
+                                             nl.degree, m_g, L, n, n_out)
+                for table, reference in zip(tables, identity_tables(nl, m_g, L, n, n_out)):
+                    assert table.tobytes() == reference.tobytes()
+
+
+def test_table_builds_are_bounded_by_the_tables():
+    # a 2047-point odd plan of 2 modes keeps tables of 2 x 2047 entries; its
+    # stage applied to the 2047 x 2047 identity peaked at 128 MiB
+    _tables.cache_clear()
+    tracemalloc.start()
+    try:
+        plan = NemytskiiPlan(ALLEN_CAHN, GridSpec(2047, 2), OperatorSpec(), 1, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (plan.stage, plan.tables) == ("odd", True)
+    assert peak < 4 * 2**20
+
+
 @pytest.mark.parametrize("m_g", [31, 63, 127])
 @pytest.mark.parametrize("L", [1.0, 2.0])
 def test_table_stage_matches_fft_references(m_g, L):
@@ -575,11 +618,34 @@ def test_odd_nemytskii_plan_matches_odd_reference_bitwise(m_g, L, monkeypatch):
 def test_dst1_matches_scipy_fft_dst_bitwise(m_g, lead):
     # the package's one DST call takes another route to pocketfft than
     # scipy.fft.dst; the two must stay the same bits
+    _load_transforms()  # as every plan and one-shot transform does
     x = np.random.default_rng(m_g).standard_normal(lead + (m_g,))
     reference = scipy.fft.dst(x, type=1, axis=-1)
     assert _dst1(x).tobytes() == reference.tobytes()
     y = x.copy()
     assert _dst1(y, overwrite_x=True).tobytes() == reference.tobytes()
+
+
+def test_plan_calls_run_no_import(monkeypatch):
+    # scipy's transforms are imported and bound when a plan is built; an
+    # import inside the call would cost every step
+    plans = [NemytskiiPlan(nl, GridSpec(m_g, n), SPEC, (4, 1), n, n)
+             for nl, m_g, n in ((ALLEN_CAHN, 63, 16), (ALLEN_CAHN, 255, 100),
+                                (QUADRATIC, 127, 16), (QUADRATIC, 255, 100))]
+    assert {(plan.stage, plan.tables) for plan in plans} == {
+        ("odd", True), ("odd", False), ("fft", True), ("fft", False)}
+    imports = []
+    real_import = builtins.__import__
+
+    def import_(name, *args, **kwargs):
+        imports.append(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", import_)
+    for plan in plans:
+        plan(np.ones(plan.shape))
+    monkeypatch.undo()
+    assert imports == []
 
 
 ODD_QUINTIC = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 0.3, 0.0, -1.2, 0.0, 0.5))

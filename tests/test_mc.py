@@ -333,19 +333,31 @@ from spde_drift import mc
 from spde_drift.fields import NonlinearitySpec
 from test_mc import InProcessPool, linear_study, stepping_study
 
-class SignalProbe(InProcessPool):
+def scipy_modules():
+    return {name for name in sys.modules if name.partition(".")[0] == "scipy"}
+
+class ScipyProbe(InProcessPool):
     loaded = []
+    at_start = []  # the scipy modules of each pool's parent when it starts
+    late = set()  # scipy modules a chunk of a pool holds that its parent lacked
 
     def __init__(self, max_workers):
         super().__init__(max_workers)
         self.loaded.append("scipy.signal" in sys.modules)
+        self.at_start.append(scipy_modules())
 
-mc.ProcessPoolExecutor = SignalProbe
+    def submit(self, fn, *args):
+        future = super().submit(fn, *args)
+        self.late.update(scipy_modules() - self.at_start[-1])
+        return future
+
+mc.ProcessPoolExecutor = ScipyProbe
 spec = {
     "ou_exact": linear_study(),
     "euler": linear_study(backend="euler"),
     "quadratic_bias": linear_study(backend="euler"),
     "allen_cahn": stepping_study("allen_cahn"),
+    "fhn": stepping_study("fhn"),
 }[sys.argv[1]]
 if sys.argv[1] == "quadratic_bias":  # a drift-free model observed by a drift
     bias = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 0.5, -1.0))
@@ -353,19 +365,26 @@ if sys.argv[1] == "quadratic_bias":  # a drift-free model observed by a drift
 report = mc.run_study(spec, threads=2)
 reference = mc.run_study(spec, threads=1)
 same = json.dumps(report.to_json_dict()) == json.dumps(reference.to_json_dict())
-print(json.dumps([SignalProbe.loaded, same, "scipy.signal" in sys.modules]))
+transforms = [{"scipy.fft", "scipy.fftpack"} <= start for start in ScipyProbe.at_start]
+print(json.dumps([ScipyProbe.loaded, same, "scipy.signal" in sys.modules,
+                  sorted(ScipyProbe.late), transforms]))
 """
 
 
 @pytest.mark.parametrize("name, drift_free", [
     ("ou_exact", True), ("euler", True), ("quadratic_bias", True), ("allen_cahn", False),
+    ("fhn", False),
 ])
 def test_drift_free_study_imports_scipy_signal_before_its_pool(name, drift_free,
                                                                fresh_python):
-    """Forked workers inherit the parent's scipy.signal, so a multi-worker
-    drift-free study, whatever its bias model, loads it before it starts
-    them; a study of a model with a drift never loads it."""
-    loaded, same, loaded_at_end = json.loads(fresh_python(POOL_PROBE, name))
+    """Forked workers inherit the parent's scipy modules, so a multi-worker
+    study loads every one its chunks use before it starts them: the filter
+    of a drift-free model, whatever its bias model, and the transforms of a
+    run that builds a plan.  A study of a model with a drift never loads
+    the filter."""
+    loaded, same, loaded_at_end, late, transforms = json.loads(fresh_python(POOL_PROBE, name))
     assert loaded == [drift_free]
     assert same
     assert loaded_at_end == drift_free
+    assert late == []
+    assert transforms == [name in ("quadratic_bias", "allen_cahn", "fhn")]

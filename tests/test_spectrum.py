@@ -65,6 +65,13 @@ def test_mode_vectors_without_a_mode_are_rejected_by_name(x, shape):
             call(x, 0.5, OperatorSpec())
 
 
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, "0.5", True])
+def test_non_finite_exponents_are_rejected_by_name(rho):
+    for call in (frac_power_apply, sobolev_norm):
+        with pytest.raises(ConfigurationError, match="^rho must be "):
+            call([1.0, 2.0], rho, OperatorSpec())
+
+
 def test_frac_power_one():
     spec = OperatorSpec()
     out = frac_power_apply([1.0, 1.0], 1.0, spec)
@@ -154,3 +161,9 @@ def test_regularity_limit_rejects_bad_beta():
         regularity_limit(0.5, 0.0)
     with pytest.raises(DomainError):
         regularity_limit(0.5, -1.0)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, None])
+def test_regularity_limit_rejects_non_finite_gamma_by_name(gamma):
+    with pytest.raises(DomainError, match="^gamma must be "):
+        regularity_limit(gamma, 2.0)
