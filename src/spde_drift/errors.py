@@ -1,5 +1,5 @@
 """Exception hierarchy and warnings shared across the package, and the one
-check of a numeric spec field's domain."""
+check of a numeric spec field's or computed constant's domain."""
 
 import math
 import numbers
@@ -56,6 +56,16 @@ def checked(name: str, value, domain, error=ConfigurationError):
     if (kind is int and number != value) or not test(number):
         raise error(f"{name} must be {words}, got {value!r}")
     return number
+
+
+def checked_result(name: str, compute, domain="finite", error=DomainError):
+    """``compute()`` as ``checked`` returns it, where an overflow or a
+    division by an underflowed zero reads as inf."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    return checked(name, value, domain, error)
 
 
 def spec_field(domain, default=MISSING):

@@ -13,16 +13,15 @@ ones included, are stepped together as one batch by
 any batch size.  An unobserved drift-free chunk is filtered a tile of one
 mode of every trial at a time, since its modes are independent recursions.
 At most one worker process is started per chunk, and a single worker runs
-every chunk in-process.  A study with several workers first imports the
-scipy modules its runs load on first use (``simulate.scipy_modules``: the
-transforms of a plan, the drift-free filter), so that forked workers share
-the parent's copies instead of each importing them again.
+every chunk in-process.  A study with several workers first builds trial
+0's set-up (``simulate._setup``) in the parent: a bad request is rejected
+before any worker starts, and the scipy modules and plan tables that set-up
+loads are inherited by the forked workers instead of being built in each.
 """
 
 from __future__ import annotations
 
 import csv
-import importlib
 import math
 import os
 import warnings
@@ -43,7 +42,7 @@ from .errors import (
     spec_field,
 )
 from .estimate import EstimatorRequest, estimate_theta, z_score
-from .simulate import ModelSpec, SchemeSpec, SimOutput, scipy_modules, simulate_trials
+from .simulate import ModelSpec, SchemeSpec, SimOutput, _setup, simulate_trials
 from .theory import asymptotic_constants
 
 THREADS_ENV_VAR = "SPDE_DRIFT_THREADS"
@@ -266,8 +265,8 @@ def run_study(spec: StudySpec, threads: int | None = None) -> MCReport:
     if n_workers == 1 or len(chunks) == 1:
         parts = [_run_chunk(spec, chunk) for chunk in chunks]
     else:
-        for name in scipy_modules(spec.model, spec.est_req):
-            importlib.import_module(name)  # once here, not again in each worker
+        # checks the request, and loads once here what each worker's set-up loads
+        _setup(spec.model, spec.scheme, spec.est_req, [mix_seed(spec.scheme.seed, 0)])
         with ProcessPoolExecutor(max_workers=min(n_workers, len(chunks))) as pool:
             futures = [pool.submit(_run_chunk, spec, chunk) for chunk in chunks]
         parts, lost = [], []

@@ -11,13 +11,13 @@ implicit in theta A through denom^k = 1 + h theta lambda_k and explicit in
 the recovery component, whose denom is 1; a drift-free model is the same
 per-mode linear recursion, or its exact Ornstein-Uhlenbeck transitions.
 
-One builder, ``simulate_trials``, checks every request up front and sets
-every model up: denom, noise amplitudes, the kernel, the accumulator and the
-observer of the bias model, which only observes the path.  An Euler step
-evaluates only the drift's own f on the full state; when the bias model is
-the drift, the step keeps that row for the observer.  The coupled system is
-the scalar setup for the activator v, with its cubic as the bias
-nonlinearity, plus an explicit recovery row w.
+One builder, ``_setup``, checks every request up front and sets every model
+up: denom, noise amplitudes, the kernel, the accumulator and the observer of
+the bias model, which only observes the path.  A study's parent runs it once
+before it forks.  An Euler step evaluates only the drift's own f on the full
+state; when the bias model is the drift, the step keeps that row for the
+observer.  The coupled system is the scalar setup for the activator v, with
+its cubic as the bias nonlinearity, plus an explicit recovery row w.
 
 Every trajectory runs through one block loop, ``_run_blocks``, on a batch
 of trials, one per seed, as one ``(trials, components, n_modes)`` state; a
@@ -56,7 +56,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigurationError, check_fields, checked, spec_field
+from .errors import (BlowUpError, ConfigurationError, check_fields, checked, checked_result,
+                     spec_field)
 from .estimate import (
     COUPLED_VARIANTS,
     SCALAR_VARIANTS,
@@ -117,10 +118,10 @@ class SchemeSpec:
         check_fields(self)
         if self.dt > self.t_final:
             raise ConfigurationError("dt must not exceed t_final")
-        if not math.isfinite(self.t_final / self.dt):
-            raise ConfigurationError("dt is too small: t_final / dt overflows")
-        n = round(self.t_final / self.dt)
-        if n < 1 or abs(n - self.t_final / self.dt) > 1e-9 * max(1.0, n):
+        steps = checked_result("t_final / dt", lambda: self.t_final / self.dt, "finite",
+                               ConfigurationError)
+        n = round(steps)
+        if n < 1 or abs(n - steps) > 1e-9 * max(1.0, n):
             raise ConfigurationError("t_final must be an integer multiple of dt")
         if self.backend not in BACKENDS:
             raise ConfigurationError(f"backend must be one of {BACKENDS}")
@@ -361,32 +362,6 @@ def simulate_model(
     return out
 
 
-def _drifts(model: ModelSpec) -> bool:
-    """Whether the model steps a drift.  A drift-free model is the per-mode
-    linear filter, whatever bias model it is estimated with."""
-    return model.nonlinearity.variant != "none"
-
-
-def _bias_nl(model: ModelSpec, req: EstimatorRequest) -> NonlinearitySpec:
-    """The nonlinearity whose bias terms the run observes: a coupled model's
-    activator cubic, else the request's bias model, else the drift's own."""
-    nl = model.nonlinearity
-    if nl.variant == "fhn":
-        return NonlinearitySpec("polynomial", poly_coeffs=nl.fhn_params.cubic_coeffs())
-    return nl if req.bias_model is None else req.bias_model
-
-
-def scipy_modules(model: ModelSpec, req: EstimatorRequest) -> tuple[str, ...]:
-    """The scipy modules a run of ``model`` under ``req`` loads on first use:
-    the transforms when it builds a ``NemytskiiPlan`` (a drift to step or a
-    bias model to observe) and ``scipy.signal`` for the drift-free filter.
-    A study imports them before it forks its workers, which then share them
-    instead of each importing them again."""
-    plans = _drifts(model) or _bias_nl(model, req).variant != "none"
-    transforms = ("scipy.fft", "scipy.fftpack") if plans else ()
-    return transforms + (() if _drifts(model) else ("scipy.signal",))
-
-
 def _check_request(model, scheme, req, seeds):
     """Raise the ConfigurationError of the first rule that the run breaks."""
     coupled = model.nonlinearity.variant == "fhn"
@@ -405,7 +380,7 @@ def _check_request(model, scheme, req, seeds):
          f"requested truncation {max(req.n_list)} exceeds n_sim={model.n_sim}"),
         (not coupled and bias is not None and bias.variant == "fhn",
          "fhn is not a valid bias model for scalar runs"),
-        (scheme.backend == "ou_exact" and _drifts(model),
+        (scheme.backend == "ou_exact" and model.nonlinearity.variant != "none",
          "backend 'ou_exact' requires a drift-free model (nonlinearity none)"),
     ]:
         if broken:
@@ -459,7 +434,17 @@ def simulate_trials(
 ) -> list:
     """One trajectory per seed (``scheme.seed`` is not used), stepped together
     as one batch.  Entry b is what ``simulate_model`` returns for seed b, bit
-    for bit, or the ``BlowUpError`` that it raises.
+    for bit, or the ``BlowUpError`` that it raises."""
+    args = _setup(model, scheme, est_req, seeds)
+    warn_if_inadmissible(est_req.alpha, model.gamma, model.operator.beta)
+    return _run_blocks(scheme, *args)
+
+
+def _setup(model: ModelSpec, scheme: SchemeSpec, req: EstimatorRequest, seeds) -> tuple:
+    """Check a run of ``seeds`` and build what it steps with: ``_run_blocks``'
+    arguments after ``scheme`` (noise, start, kernel, accumulator, observer).
+    Building them loads the scipy modules the run uses and fills the plans'
+    caches; a study's parent calls it once before it forks its workers.
 
     The model alone picks the kernel, and the bias model only observes: an
     Euler step evaluates only the drift, and the observer evaluates the bias
@@ -467,15 +452,15 @@ def simulate_trials(
     recovery row w: its bias nonlinearity is the activator's cubic, w has
     denom 1 and amplitude sigma_w lambda^{-gamma_w}, and
     ``FHNParams.coupled_drift`` completes F.
-    A drift-free batch runs in tiles of one mode of every trial unless a
-    bias model observes it, which needs every mode of a step at once.
     """
-    _check_request(model, scheme, est_req, seeds)
-    warn_if_inadmissible(est_req.alpha, model.gamma, model.operator.beta)
+    _check_request(model, scheme, req, seeds)
     nl = model.nonlinearity
     coupled = nl.variant == "fhn"
     p = nl.fhn_params
-    bias_nl = _bias_nl(model, est_req)
+    if coupled:  # the activator's cubic
+        bias_nl = NonlinearitySpec("polynomial", poly_coeffs=p.cubic_coeffs())
+    else:
+        bias_nl = nl if req.bias_model is None else req.bias_model
     observed = bias_nl.variant != "none"
     n0 = model.n_sim
     h = scheme.dt
@@ -483,9 +468,9 @@ def simulate_trials(
     op = model.operator
     lam = eigenvalues(op, n0)
     x0 = np.stack([model.initial_state(), model.initial_w_state()][: 1 + coupled])
-    acc = EstimatorAccumulator(len(seeds), lam, scheme.t_final, model.gamma, est_req, coupled)
+    acc = EstimatorAccumulator(len(seeds), lam, scheme.t_final, model.gamma, req, coupled)
 
-    if not _drifts(model):
+    if nl.variant == "none":  # the per-mode linear filter, whatever the bias model
         if scheme.backend == "ou_exact":  # gain scales plain N(0, 1) draws
             decay, gain = _ou_transition(
                 model.theta_true, lam, h, model.gamma, scheme.noise_scale
@@ -499,9 +484,8 @@ def simulate_trials(
         # trial takes one lfilter call per mode, not one per mode and block
         noise = _NoiseBlocks(seeds, amps[None], n_steps, step, max_steps=n_steps,
                              width=n0 if observed else 1)
-        observe = _observer(bias_nl, op, est_req, acc, noise.length) if observed else None
-        kernel = _ar1_kernel(decay, gain, x0[0], len(seeds))
-        return _run_blocks(scheme, noise, x0, kernel, acc, observe)
+        observe = _observer(bias_nl, op, req, acc, noise.length) if observed else None
+        return noise, x0, _ar1_kernel(decay, gain, x0[0], len(seeds)), acc, observe
 
     n_trials = len(seeds)
     denom = np.ones((1 + coupled, n0))  # w is stepped explicitly
@@ -515,10 +499,10 @@ def simulate_trials(
     step_nl = bias_nl if coupled else nl  # the activator's cubic steps v
     plan = NemytskiiPlan(step_nl, _plans_grid(step_nl, n0), op, (n_trials, 1), n0, n0)
     # the default bias model is the drift: the step keeps its row for the observer
-    f_full = None if est_req.bias_model is not None else np.empty(
+    f_full = None if req.bias_model is not None else np.empty(
         (noise.length, n_trials, 1, n0)
     )
-    observe = _observer(bias_nl, op, est_req, acc, noise.length, f_full) if observed else None
+    observe = _observer(bias_nl, op, req, acc, noise.length, f_full) if observed else None
     f = np.empty((n_trials,) + denom.shape)
     f_parts = f.swapaxes(0, 1)  # (F_v, F_w) of every coupled trial
 
@@ -531,7 +515,7 @@ def simulate_trials(
         p.coupled_drift(out[:, 0], x[:, 0], x[:, 1], f_parts)
         return f
 
-    return _run_blocks(scheme, noise, x0, _euler_kernel(h, denom, drift), acc, observe)
+    return noise, x0, _euler_kernel(h, denom, drift), acc, observe
 
 
 def simulate_ou_exact(

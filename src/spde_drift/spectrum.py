@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, check_fields, checked, spec_field
+from .errors import (ConfigurationError, DomainError, check_fields, checked, checked_result,
+                     spec_field)
 
 DIRICHLET_LAPLACIAN_1D = "dirichlet_laplacian_1d"
 
@@ -38,6 +39,9 @@ class OperatorSpec:
                 f"unsupported operator kind {self.kind!r}; "
                 f"supported: {', '.join(_SUPPORTED_KINDS)}"
             )
+        # overflows for a tiny domain_length and underflows to 0 for a huge one
+        checked_result("(pi / domain_length)**2", lambda: self.lambda_scale, "positive",
+                       ConfigurationError)
 
     @property
     def beta(self) -> float:
@@ -82,5 +86,5 @@ def sobolev_norm(x, rho: float, spec: OperatorSpec) -> float:
 def regularity_limit(gamma: float, beta: float) -> float:
     """Regularity limit rho* = gamma - 1/(2 beta) of the solution scale."""
     gamma = checked("gamma", gamma, "finite", DomainError)
-    checked("beta", beta, "positive", DomainError)
-    return gamma - 1.0 / (2.0 * beta)
+    beta = checked("beta", beta, "positive", DomainError)
+    return checked_result("regularity limit", lambda: gamma - 1.0 / (2.0 * beta))

@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import ConfigurationError, DomainError, check_fields, checked, spec_field
+from .errors import (ConfigurationError, DomainError, check_fields, checked, checked_result,
+                     spec_field)
 
 EXAMPLES = ("reaction_diffusion", "burgers", "cahn_hilliard")
 
@@ -65,16 +66,15 @@ def asymptotic_constants(
         )
     a2 = 2.0 * alpha - 2.0 * gamma + 1.0
     a4 = 4.0 * alpha - 4.0 * gamma + 1.0
-    c_mean = t_final * lambda_scale**a2 / (2.0 * theta * (beta * a2 + 1.0))
-    c_var = t_final * lambda_scale**a4 / (2.0 * theta**3 * (beta * a4 + 1.0))
+    c_mean = checked_result("c_mean", lambda: (
+        t_final * lambda_scale**a2 / (2.0 * theta * (beta * a2 + 1.0))))
+    c_var = checked_result("c_var", lambda: (
+        t_final * lambda_scale**a4 / (2.0 * theta**3 * (beta * a4 + 1.0))))
     # Lambda enters to the first power: the c_mean(2a-g) / c_mean(a)^2 ratio
     # leaves exponent a4 - 2*a2 = -1
-    variance = (
-        2.0
-        * theta
-        * (beta * a2 + 1.0) ** 2
-        / (t_final * lambda_scale * (beta * a4 + 1.0))
-    )
+    variance = checked_result("variance", lambda: (
+        2.0 * theta * (beta * a2 + 1.0) ** 2
+        / (t_final * lambda_scale * (beta * a4 + 1.0))))
     return AsymptoticConstants(
         c_mean=c_mean,
         c_var=c_var,
@@ -98,7 +98,8 @@ def ou_moment_oracle(
 ) -> OUMomentOracle:
     for name, value in (("theta", theta), ("gamma", gamma), ("lam", lam), ("t_final", t_final)):
         checked(name, value, "positive", DomainError)
-    stationary = lam ** (-(2.0 * gamma + 1.0)) / (2.0 * theta)
+    stationary = checked_result(
+        "stationary", lambda: lam ** (-(2.0 * gamma + 1.0)) / (2.0 * theta))
 
     def cov(s: float, t: float) -> float:
         lo, hi = (s, t) if s <= t else (t, s)
@@ -106,10 +107,11 @@ def ou_moment_oracle(
             math.exp(-theta * lam * (hi - lo)) - math.exp(-theta * lam * (hi + lo))
         )
 
-    mean_integral = stationary * (
+    mean_integral = checked_result("mean_integral", lambda: stationary * (
         t_final - (-math.expm1(-2.0 * theta * lam * t_final)) / (2.0 * theta * lam)
-    )
-    var_leading = t_final * lam ** (-(4.0 * gamma + 3.0)) / (2.0 * theta**3)
+    ))
+    var_leading = checked_result("var_integral_leading", lambda: (
+        t_final * lam ** (-(4.0 * gamma + 3.0)) / (2.0 * theta**3)))
     return OUMomentOracle(
         mean_integral=mean_integral,
         var_integral_leading=var_leading,
@@ -211,7 +213,7 @@ def _advise_reaction_diffusion(q: AdvisorQuery) -> Advice:
     hyp: list[tuple[str, bool]] = []
     notes = []
 
-    # (n+2)/16 as asymptotic_constants computes it, so _variance never refuses
+    # (n+2)/16 as asymptotic_constants computes it, so _variance never refuses alpha
     threshold = q.gamma - (1.0 + 1.0 / beta) / 8.0
     alpha_ok = q.alpha > threshold
     hyp.append((f"alpha > gamma - (n+2)/16 = {threshold}", alpha_ok))

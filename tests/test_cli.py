@@ -174,6 +174,28 @@ def test_mc_with_inadmissible_alpha_writes_unstandardized_artifacts(tmp_path):
     assert (out / "mse.svg").read_text() == render_mse_plot(n_values, mse, reference)
 
 
+def test_mc_with_one_truncation_level_writes_every_artifact(tmp_path):
+    # the N axis of the band and MSE plots has one point
+    cfg = tmp_path / "one_n.cfg"
+    cfg.write_text(with_value(LINEAR_CONFIG, "estimators", "n_list", "8"))
+    out = tmp_path / "study"
+    assert main(["mc", str(cfg), "--out-dir", str(out), "--threads", "1"]) == 0
+    assert {p.name for p in out.iterdir()} == {
+        "estimates.csv", "summary.json", "median_band.svg", "mse.svg", "histogram.svg"
+    }
+    for name in ("median_band.svg", "mse.svg"):
+        svg = (out / name).read_text()
+        assert svg.startswith("<svg") and "polyline" in svg
+        assert "nan" not in svg and "inf" not in svg
+
+
+@pytest.mark.parametrize("scale, label", [(1e-6, ">1e-06<"), (1e6, ">1e+06<")])
+def test_log_axis_ticks_far_from_one_are_labelled_in_exponent_form(scale, label):
+    mse = {"full": [4.0 * scale, 2.0 * scale, scale]}
+    svg = render_mse_plot([2, 4, 8], mse, [8.0 * scale, 1.0 * scale, 0.125 * scale])
+    assert label in svg
+
+
 def test_mc_without_a_study_section_is_validation_error(cubic_cfg, tmp_path, capsys):
     out = tmp_path / "study"
     assert main(["mc", str(cubic_cfg), "--out-dir", str(out)]) == 1
@@ -289,6 +311,13 @@ NON_FINITE_ARGS = [
     ("advise", "--theta", "inf", "theta"),
     ("advise", "--gamma", "nan", "gamma"),
     ("advise", "--alpha", "inf", "alpha"),
+    # finite arguments whose constants are not finite floats
+    ("theory", "--theta", "1e300", "c_var"),
+    ("theory", "--theta", "1e-300", "c_var"),
+    ("theory", "--alpha", "1e6", "c_mean"),
+    ("theory", "--T", "1e-320", "variance"),
+    ("advise", "--t-final", "1e-320", "variance"),
+    ("advise", "--alpha", "1e300", "c_mean"),
 ]
 
 
@@ -308,6 +337,26 @@ def test_non_finite_theory_and_advise_arguments_are_validation_errors(
     captured = capsys.readouterr()
     assert re.search(rf"^error: .*\b{name}\b", captured.err)
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, base, theta", [
+    ("mc", "linear", "1e-300"), ("estimate", "cubic", "1e300"),
+])
+def test_runs_without_a_finite_variance_write_blank_z(command, base, theta, tmp_path,
+                                                      capsys):
+    """A theta_true whose asymptotic constants leave the float range still
+    runs: its estimates are written unstandardized."""
+    cfg = tmp_path / "run.cfg"
+    text = {"linear": LINEAR_CONFIG, "cubic": ALLEN_CAHN_CONFIG}[base]
+    cfg.write_text(with_value(text, "model", "theta_true", theta))
+    out = tmp_path / "out"
+    argv = [command, str(cfg)]
+    argv += ["--out-dir", str(out), "--threads", "1"] if command == "mc" else ["--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "estimates.csv" if command == "mc" else out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(row["z"] == "" for row in rows)
 
 
 def test_bad_subcommand_is_validation_error(capsys):
@@ -475,6 +524,8 @@ def with_value(text, section, key, value):
     ("linear", "estimators", "alpha", "inf"),
     ("linear", "model", "theta_true", "inf"),
     ("linear", "model", "gamma", "inf"),
+    ("linear", "model", "domain_length", "1e-300"),  # (pi / L)**2 overflows
+    ("linear", "model", "domain_length", "1e200"),  # (pi / L)**2 underflows to 0
     ("fhn", "model", "initial_w_modes", "0.1, nan"),
     ("fhn", "model", "b", "nan"),
     ("fhn", "model", "epsilon", "inf"),

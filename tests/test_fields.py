@@ -752,4 +752,7 @@ def test_nonlinearity_validation():
         NonlinearitySpec("polynomial", poly_coeffs=(0.0, 1.0),
                          fhn_params=FHNParams(a=0.5, b=0.5, epsilon=0.1))
     assert ALLEN_CAHN.degree == 3
+    assert NonlinearitySpec("none").degree == 1
+    fhn = NonlinearitySpec("fhn", fhn_params=FHNParams(a=0.5, b=0.5, epsilon=0.1))
+    assert fhn.degree == 3  # the activator's cubic
     assert ALLEN_CAHN.is_odd_polynomial

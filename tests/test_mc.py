@@ -1,8 +1,10 @@
+import ast
 import csv
 import io
 import json
 from concurrent.futures import Future
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +315,22 @@ class InProcessPool:
         return future
 
 
+def test_a_rejected_request_starts_no_pool(monkeypatch):
+    """A multi-worker study checks its request in the parent, before any
+    worker starts: it raises what a one-worker study raises."""
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", InProcessPool)
+    InProcessPool.created.clear()
+    spec = linear_study()
+    spec = replace(spec, est_req=replace(spec.est_req, variants=("partial1",)))
+    messages = []
+    for threads in (1, 2):
+        with pytest.raises(ConfigurationError) as exc:
+            run_study(spec, threads=threads)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] == "scalar runs use variants full/partial/linear"
+    assert InProcessPool.created == []
+
+
 def test_pool_never_exceeds_the_chunk_count(monkeypatch):
     monkeypatch.setattr(mc, "ProcessPoolExecutor", InProcessPool)
     InProcessPool.created.clear()
@@ -358,6 +376,7 @@ spec = {
     "quadratic_bias": linear_study(backend="euler"),
     "allen_cahn": stepping_study("allen_cahn"),
     "fhn": stepping_study("fhn"),
+    "burgers": stepping_study("burgers"),
 }[sys.argv[1]]
 if sys.argv[1] == "quadratic_bias":  # a drift-free model observed by a drift
     bias = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 0.5, -1.0))
@@ -373,7 +392,7 @@ print(json.dumps([ScipyProbe.loaded, same, "scipy.signal" in sys.modules,
 
 @pytest.mark.parametrize("name, drift_free", [
     ("ou_exact", True), ("euler", True), ("quadratic_bias", True), ("allen_cahn", False),
-    ("fhn", False),
+    ("fhn", False), ("burgers", False),
 ])
 def test_drift_free_study_imports_scipy_signal_before_its_pool(name, drift_free,
                                                                fresh_python):
@@ -387,4 +406,39 @@ def test_drift_free_study_imports_scipy_signal_before_its_pool(name, drift_free,
     assert same
     assert loaded_at_end == drift_free
     assert late == []
-    assert transforms == [name in ("quadratic_bias", "allen_cahn", "fhn")]
+    assert transforms == [name in ("quadratic_bias", "allen_cahn", "fhn", "burgers")]
+
+
+#: the only functions that import scipy: the plans' transforms, the
+#: drift-free filter and the KS distance's normal cdf
+SCIPY_IMPORT_SITES = {"fields._load_transforms", "simulate._ar1_kernel",
+                      "mc.normal_ks_distance"}
+
+
+def scipy_import_sites(node, where):
+    """The qualified name of the innermost function or class around each
+    scipy import under ``node``, ``where`` being that of ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from scipy_import_sites(child, f"{where}.{child.name}")
+            continue
+        if isinstance(child, ast.Import):
+            modules = [alias.name for alias in child.names]
+        else:
+            modules = [child.module or ""] if isinstance(child, ast.ImportFrom) else []
+        if any(module.partition(".")[0] == "scipy" for module in modules):
+            yield where
+        yield from scipy_import_sites(child, where)
+
+
+def test_scipy_is_imported_only_where_its_kernels_are_built():
+    """A study's parent builds one trial's set-up before it forks, and that
+    loads the transforms and the filter for its workers.  A scipy import
+    anywhere else, on a stepping path say, would run again in every worker."""
+    package = Path(mc.__file__).parent
+    sites = {
+        site
+        for path in sorted(package.glob("*.py"))
+        for site in scipy_import_sites(ast.parse(path.read_text()), path.stem)
+    }
+    assert sites == SCIPY_IMPORT_SITES

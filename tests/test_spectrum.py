@@ -45,6 +45,15 @@ def test_unsupported_kind_rejected():
         OperatorSpec(kind="neumann_laplacian_1d")
 
 
+@pytest.mark.parametrize("length, words", [(1e-300, "finite, got inf"),
+                                           (1e200, "positive, got 0.0")],
+                         ids=["overflow", "underflow"])
+def test_domain_length_without_a_finite_positive_scale_rejected_by_name(length, words):
+    with pytest.raises(ConfigurationError,
+                       match=rf"^\(pi / domain_length\)\*\*2 must be {words}$"):
+        OperatorSpec(domain_length=length)
+
+
 def test_growth_constants_are_derived_from_the_domain():
     for length in (1.0, 2.0):
         spec = OperatorSpec(domain_length=length)
@@ -161,6 +170,9 @@ def test_regularity_limit_rejects_bad_beta():
         regularity_limit(0.5, 0.0)
     with pytest.raises(DomainError):
         regularity_limit(0.5, -1.0)
+    # 1 / (2 beta) overflows to inf
+    with pytest.raises(DomainError, match="^regularity limit must be finite, got -inf"):
+        regularity_limit(0.5, 1e-320)
 
 
 @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, None])

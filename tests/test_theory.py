@@ -42,6 +42,20 @@ def test_inadmissible_alpha_rejected_by_name():
         asymptotic_constants(0.1, 1.0, PI**2, beta=2.0, gamma=0.5, alpha=0.3)
 
 
+@pytest.mark.parametrize("call, args, name", [
+    (asymptotic_constants, (1e300, 1.0, PI**2, 2.0, 0.5, 0.5), "c_var"),  # theta**3 overflows
+    (asymptotic_constants, (1e-300, 1.0, PI**2, 2.0, 0.5, 0.5), "c_var"),  # theta**3 is 0
+    (asymptotic_constants, (0.1, 1.0, PI**2, 2.0, 0.5, 1e6), "c_mean"),
+    (asymptotic_constants, (0.1, 1e-320, PI**2, 2.0, 0.5, 0.5), "variance"),
+    (ou_moment_oracle, (0.1, 200.0, 1e-3, 1.0), "stationary"),
+    (ou_moment_oracle, (1e-300, 0.5, 1.0, 1.0), "var_integral_leading"),
+], ids=["theta-1e300", "theta-1e-300", "alpha-1e6", "T-1e-320", "oracle-lam-1e-3",
+        "oracle-theta-1e-300"])
+def test_constants_outside_the_float_range_are_rejected_by_name(call, args, name):
+    with pytest.raises(DomainError, match=f"^{name} must be finite, got inf"):
+        call(*args)
+
+
 def test_variance_minimal_at_alpha_equals_gamma():
     theta, t_final, lam, beta, gamma = 0.05, 1.0, PI**2, 2.0, 0.7
     lo = gamma - (1 + 1 / beta) / 8 + 0.01
@@ -162,6 +176,22 @@ def test_advise_burgers_low_gamma_reports_failed_hypothesis():
     failed = [name for name, ok in adv.hypotheses if not ok]
     assert any("gamma > 1/2" in name for name in failed)
     assert all(e.status == STATUS_NOT_COVERED for e in adv.estimators.values())
+
+
+@pytest.mark.parametrize("query, failed", [
+    (AdvisorQuery("reaction_diffusion", gamma=0.8, alpha=0.1, m_f=3), "alpha > gamma - (n+2)/16"),
+    (AdvisorQuery("cahn_hilliard", gamma=0.3, alpha=0.3, n=3), "gamma > 10/24"),
+], ids=["reaction-diffusion-low-alpha", "cahn-hilliard-3d-low-gamma"])
+def test_advice_with_a_failed_hypothesis_covers_no_estimator(query, failed):
+    adv = advise(query)
+    (name,) = [name for name, ok in adv.hypotheses if not ok]
+    assert name.startswith(failed)
+    assert all(e.status == STATUS_NOT_COVERED for e in adv.estimators.values())
+    assert all(e.rate is None and e.variance is None for e in adv.estimators.values())
+    if query.example == "reaction_diffusion":
+        # the alpha test and the assumed regularity; the note says it is assumed
+        assert len(adv.hypotheses) == 2
+        assert adv.notes and "assumption" in adv.notes[0]
 
 
 def test_advise_reaction_diffusion_general_case_consistent():
