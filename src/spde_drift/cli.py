@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("config")
     p_mc.add_argument("--out-dir", default="mc-out")
     p_mc.add_argument("--threads", type=int, default=None,
-                      help="worker processes (default: $SPDE_DRIFT_THREADS or 1)")
+                      help="processes, this one included (default: $SPDE_DRIFT_THREADS or 1)")
     p_mc.set_defaults(func=cmd_mc)
 
     p_adv = sub.add_parser("advise", help="asymptotic guarantees per example class",

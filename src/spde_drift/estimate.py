@@ -43,6 +43,7 @@ from .errors import (
 )
 from .fields import NonlinearitySpec
 from .spectrum import OperatorSpec, eigenvalues
+from .theory import admissibility_threshold
 
 #: per run kind, each variant's bias integral (``bias_full`` on the full
 #: field, ``bias_part`` on the field truncated to N modes, or None for no
@@ -133,7 +134,7 @@ class Decomposition:
 
 def warn_if_inadmissible(alpha: float, gamma: float, beta: float) -> None:
     """Warn when the contrast parameter violates alpha > gamma - (1+1/beta)/8."""
-    threshold = gamma - (1.0 + 1.0 / beta) / 8.0
+    threshold = admissibility_threshold(gamma, beta)
     if alpha <= threshold:
         warnings.warn(
             f"alpha={alpha} is not above the admissibility threshold "

@@ -7,20 +7,24 @@ any statistic is computed, so the report is byte-identical for every degree
 of parallelism.
 
 The trials are cut into contiguous chunks of min(CHUNK_TRIALS,
-ceil(n_trials / workers)) and each chunk is one task: its trials, drift-free
-ones included, are stepped together as one batch by
-``simulate.simulate_trials``, whose outputs are the bits of lone runs for
-any batch size.  An unobserved drift-free chunk is filtered a tile of one
-mode of every trial at a time, since its modes are independent recursions.
-At most one worker process is started per chunk, and a single worker runs
-every chunk in-process.  A study with several workers first builds trial
-0's set-up (``simulate._setup``) in the parent: a bad request is rejected
+ceil(n_trials / processes)) and each chunk is one task: its trials, drift-free
+ones included, are stepped together as one batch by ``simulate._run_blocks``,
+whose outputs are the bits of lone runs for any batch size.  An unobserved
+drift-free chunk is filtered a tile of one mode of every trial at a time,
+since its modes are independent recursions.  ``threads`` counts processes,
+the study's parent included, and is capped by the chunk count and the
+count of CPUs it may run on.  The parent builds chunk 0's set-up
+(``simulate._setup``) before anything else: a bad request is rejected
 before any worker starts, and the scipy modules and plan tables that set-up
 loads are inherited by the forked workers instead of being built in each.
+On n processes the parent steps chunk 0 and every n-th chunk after it while
+n - 1 workers step the others; one process steps every chunk itself and
+starts no pool.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
@@ -41,8 +45,8 @@ from .errors import (
     checked,
     spec_field,
 )
-from .estimate import EstimatorRequest, estimate_theta, z_score
-from .simulate import ModelSpec, SchemeSpec, SimOutput, _setup, simulate_trials
+from .estimate import EstimatorRequest, estimate_theta, warn_if_inadmissible, z_score
+from .simulate import ModelSpec, SchemeSpec, SimOutput, _run_blocks, _setup
 from .theory import asymptotic_constants
 
 THREADS_ENV_VAR = "SPDE_DRIFT_THREADS"
@@ -217,17 +221,24 @@ def estimate_rows(
     ]
 
 
-def _chunks(n_trials: int, n_workers: int) -> list[range]:
-    size = min(CHUNK_TRIALS, -(-n_trials // n_workers))
+def _chunks(n_trials: int, n_processes: int) -> list[range]:
+    size = min(CHUNK_TRIALS, -(-n_trials // n_processes))
     return [range(i, min(i + size, n_trials)) for i in range(0, n_trials, size)]
 
 
-def _run_chunk(spec: StudySpec, trials: range) -> list:
-    """(trial, rows, None) or (trial, None, reason) for each trial of a chunk."""
-    scheme = replace(spec.scheme, snapshot_stride=None)
+def _chunk_setup(spec: StudySpec, trials: range) -> tuple:
+    """``simulate._setup`` of a chunk's trials, which checks the request."""
     seeds = [mix_seed(spec.scheme.seed, i) for i in trials]
+    return _setup(spec.model, spec.scheme, spec.est_req, seeds)
+
+
+def _run_chunk(spec: StudySpec, trials: range, setup: tuple | None = None) -> list:
+    """(trial, rows, None) or (trial, None, reason) for each trial of a chunk,
+    stepped from ``setup``, else from the chunk's own ``_chunk_setup``."""
+    if setup is None:
+        setup = _chunk_setup(spec, trials)
+    outs = _run_blocks(replace(spec.scheme, snapshot_stride=None), *setup)
     results = []
-    outs = simulate_trials(spec.model, scheme, spec.est_req, seeds)
     for trial, out in zip(trials, outs):
         try:
             if isinstance(out, BlowUpError):
@@ -239,8 +250,9 @@ def _run_chunk(spec: StudySpec, trials: range) -> list:
 
 
 def resolve_threads(threads: int | None) -> int:
-    """The worker count: ``threads``, else $SPDE_DRIFT_THREADS, else 1; a
-    count below 1 or not integral is rejected by name."""
+    """The process count asked for, the study's parent included: ``threads``,
+    else $SPDE_DRIFT_THREADS, else 1; a count below 1 or not integral is
+    rejected by name."""
     if threads is not None:
         return checked("threads", threads, "count")
     env = os.environ.get(THREADS_ENV_VAR)
@@ -253,6 +265,14 @@ def resolve_threads(threads: int | None) -> int:
     return checked(THREADS_ENV_VAR, count, "count")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS keeps
+    one (so a taskset or cpuset limit counts), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_study(spec: StudySpec, threads: int | None = None) -> MCReport:
     """Run ``n_trials`` independent trajectories and aggregate the estimates.
 
@@ -260,27 +280,31 @@ def run_study(spec: StudySpec, threads: int | None = None) -> MCReport:
     than 10% of the trials fail, and one naming the lost trials, without a
     report, when a worker process dies.
     """
-    n_workers = resolve_threads(threads)
-    chunks = _chunks(spec.n_trials, n_workers)
-    if n_workers == 1 or len(chunks) == 1:
-        parts = [_run_chunk(spec, chunk) for chunk in chunks]
-    else:
-        # checks the request, and loads once here what each worker's set-up loads
-        _setup(spec.model, spec.scheme, spec.est_req, [mix_seed(spec.scheme.seed, 0)])
-        with ProcessPoolExecutor(max_workers=min(n_workers, len(chunks))) as pool:
-            futures = [pool.submit(_run_chunk, spec, chunk) for chunk in chunks]
-        parts, lost = [], []
-        for chunk, future in zip(chunks, futures):
-            try:
-                parts.append(future.result())
-            except BrokenProcessPool:  # a signal or the OOM killer ended a worker
-                lost.append(f"{chunk.start}-{chunk.stop - 1}")
-        if lost:
-            raise StudyError(
-                f"a worker process died (killed by a signal or out of memory); "
-                f"trials {', '.join(lost)} were not run"
-            )
-    results = [r for part in parts for r in part]  # chunks come back in trial order
+    n_processes = min(resolve_threads(threads), _usable_cpus())
+    chunks = _chunks(spec.n_trials, n_processes)
+    # checks the request, and loads before any fork what every chunk's set-up loads
+    first = _chunk_setup(spec, chunks[0])
+    warn_if_inadmissible(spec.est_req.alpha, spec.model.gamma, spec.model.operator.beta)
+    n = min(n_processes, len(chunks))
+    with ProcessPoolExecutor(n - 1) if n > 1 else contextlib.nullcontext() as pool:
+        # the parent's share is every n-th chunk from chunk 0; workers step
+        # the others
+        futures = {i: pool.submit(_run_chunk, spec, chunk)
+                   for i, chunk in enumerate(chunks) if i % n}
+        parts = {i: _run_chunk(spec, chunks[i], first if i == 0 else None)
+                 for i in range(0, len(chunks), n)}
+    lost = []
+    for i, future in futures.items():
+        try:
+            parts[i] = future.result()
+        except BrokenProcessPool:  # a signal or the OOM killer ended a worker
+            lost.append(f"{chunks[i].start}-{chunks[i].stop - 1}")
+    if lost:
+        raise StudyError(
+            f"a worker process died (killed by a signal or out of memory); "
+            f"trials {', '.join(lost)} were not run"
+        )
+    results = [r for i in range(len(chunks)) for r in parts[i]]
 
     estimates: list[EstimateRow] = []
     failures: list[tuple[int, str]] = []

@@ -13,11 +13,11 @@ per-mode linear recursion, or its exact Ornstein-Uhlenbeck transitions.
 
 One builder, ``_setup``, checks every request up front and sets every model
 up: denom, noise amplitudes, the kernel, the accumulator and the observer of
-the bias model, which only observes the path.  A study's parent runs it once
-before it forks.  An Euler step evaluates only the drift's own f on the full
-state; when the bias model is the drift, the step keeps that row for the
-observer.  The coupled system is the scalar setup for the activator v, with
-its cubic as the bias nonlinearity, plus an explicit recovery row w.
+the bias model, which only observes the path.  A study's parent runs it for
+chunk 0 before it forks.  An Euler step evaluates only the drift's own f on
+the full state; when the bias model is the drift, the step keeps that row
+for the observer.  The coupled system is the scalar setup for the activator
+v, with its cubic as the bias nonlinearity, plus an explicit recovery row w.
 
 Every trajectory runs through one block loop, ``_run_blocks``, on a batch
 of trials, one per seed, as one ``(trials, components, n_modes)`` state; a
@@ -120,6 +120,8 @@ class SchemeSpec:
             raise ConfigurationError("dt must not exceed t_final")
         steps = checked_result("t_final / dt", lambda: self.t_final / self.dt, "finite",
                                ConfigurationError)
+        if steps > 2**53:  # every float above is an integer
+            raise ConfigurationError(f"t_final / dt must be at most 2**53, got {steps:g}")
         n = round(steps)
         if n < 1 or abs(n - steps) > 1e-9 * max(1.0, n):
             raise ConfigurationError("t_final must be an integer multiple of dt")
@@ -444,7 +446,7 @@ def _setup(model: ModelSpec, scheme: SchemeSpec, req: EstimatorRequest, seeds) -
     """Check a run of ``seeds`` and build what it steps with: ``_run_blocks``'
     arguments after ``scheme`` (noise, start, kernel, accumulator, observer).
     Building them loads the scipy modules the run uses and fills the plans'
-    caches; a study's parent calls it once before it forks its workers.
+    caches; a study's parent builds chunk 0's before it forks its workers.
 
     The model alone picks the kernel, and the bias model only observes: an
     Euler step evaluates only the drift, and the observer evaluates the bias

@@ -47,6 +47,12 @@ class AsymptoticConstants:
     rate_exponent: float
 
 
+def admissibility_threshold(gamma: float, beta: float) -> float:
+    """gamma - (1 + 1/beta)/8: the estimators' asymptotics need the contrast
+    parameter alpha above it."""
+    return gamma - (1.0 + 1.0 / beta) / 8.0
+
+
 def asymptotic_constants(
     theta: float,
     t_final: float,
@@ -58,7 +64,7 @@ def asymptotic_constants(
     positive = {"theta": theta, "t_final": t_final, "lambda_scale": lambda_scale, "beta": beta}
     for name, value in {**positive, "gamma": gamma, "alpha": alpha}.items():
         checked(name, value, "positive" if name in positive else "finite", DomainError)
-    threshold = gamma - (1.0 + 1.0 / beta) / 8.0
+    threshold = admissibility_threshold(gamma, beta)
     if not alpha > threshold:
         raise DomainError(
             f"alpha > gamma - (1+1/beta)/8 required: alpha={alpha}, "
@@ -213,8 +219,8 @@ def _advise_reaction_diffusion(q: AdvisorQuery) -> Advice:
     hyp: list[tuple[str, bool]] = []
     notes = []
 
-    # (n+2)/16 as asymptotic_constants computes it, so _variance never refuses alpha
-    threshold = q.gamma - (1.0 + 1.0 / beta) / 8.0
+    # the threshold asymptotic_constants tests, so _variance never refuses alpha
+    threshold = admissibility_threshold(q.gamma, beta)
     alpha_ok = q.alpha > threshold
     hyp.append((f"alpha > gamma - (n+2)/16 = {threshold}", alpha_ok))
     hyp.append(

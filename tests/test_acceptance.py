@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from spde_drift import mc
 from spde_drift.cli import main
 from spde_drift.estimate import EstimatorRequest, decompose
 from spde_drift.fields import (
@@ -37,6 +38,14 @@ THREADS = 2
 SIN_PI_X = (1.0 / math.sqrt(2.0),)  # sin(pi x) in the orthonormal sine basis
 
 
+def run_on_threads(spec):
+    """``run_study`` on THREADS processes, so a worker is forked beside the
+    parent even on a host with fewer CPUs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc, "_usable_cpus", lambda: THREADS)
+        return run_study(spec, threads=THREADS)
+
+
 def report(criterion: int, message: str):
     print(f"\n[criterion {criterion}] PASS: {message}")
 
@@ -57,7 +66,7 @@ def allen_cahn_study():
         n_trials=100,
         histogram_n=20,
     )
-    return run_study(spec, threads=THREADS)
+    return run_on_threads(spec)
 
 
 @pytest.fixture(scope="session")
@@ -76,7 +85,7 @@ def smooth_noise_study():
         n_trials=100,
         histogram_n=20,
     )
-    return run_study(spec, threads=THREADS)
+    return run_on_threads(spec)
 
 
 @pytest.fixture(scope="session")
@@ -93,7 +102,7 @@ def ou_normality_study():
         n_trials=1000,
         histogram_n=64,
     )
-    return run_study(spec, threads=THREADS)
+    return run_on_threads(spec)
 
 
 def test_criterion_1_figure_consistency_band(allen_cahn_study):
@@ -262,7 +271,7 @@ def test_criterion_8_coupled_system():
         n_trials=50,
         histogram_n=16,
     )
-    study = run_study(spec, threads=THREADS)
+    study = run_on_threads(spec)
 
     ok_trials = set(range(50)) - {t for t, _ in study.failures}
     finite = {

@@ -6,8 +6,11 @@ import math
 import os
 import re
 import signal
+import subprocess
+import sys
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +155,31 @@ def test_mc_writes_all_artifacts(linear_cfg, tmp_path, capsys):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+INADMISSIBLE_MC = """
+import sys
+from spde_drift import mc
+from spde_drift.cli import main
+mc._usable_cpus = lambda: 3  # two real workers beside the parent on any host
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_mc_warns_once_per_study(tmp_path, capfd):
+    """The parent warns after the request check; no chunk warns, so three
+    processes print one warning."""
+    cfg = tmp_path / "inadmissible.cfg"
+    cfg.write_text(with_value(LINEAR_CONFIG, "estimators", "alpha", "0.1"))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    argv = ["mc", str(cfg), "--out-dir", str(tmp_path / "out"), "--threads", "3"]
+    proc = subprocess.run([sys.executable, "-c", INADMISSIBLE_MC, *argv], env=env,
+                          timeout=300)
+    assert proc.returncode == 0
+    err = capfd.readouterr().err
+    assert err.count("AdmissibilityWarning") == 1, err
+
+
 def test_mc_with_inadmissible_alpha_writes_unstandardized_artifacts(tmp_path):
     # alpha = 0.1 is not above gamma - (1 + 1/beta)/8 = 0.3125: no variance
     cfg = tmp_path / "inadmissible.cfg"
@@ -203,7 +231,8 @@ def test_mc_without_a_study_section_is_validation_error(cubic_cfg, tmp_path, cap
     assert not out.exists()
 
 
-def test_mc_thread_count_does_not_change_output(linear_cfg, tmp_path):
+def test_mc_thread_count_does_not_change_output(linear_cfg, tmp_path, monkeypatch):
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)  # one real worker on any host
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     assert main(["mc", str(linear_cfg), "--out-dir", str(out1), "--threads", "1"]) == 0
@@ -459,23 +488,26 @@ def test_mc_blow_up_exits_with_runtime_code_and_flushes_report(
 
 
 TEST_PID = os.getpid()
+RUN_CHUNK = mc._run_chunk
 
 
-def _killed_chunk(spec, trials):
-    """A chunk whose worker process is ended by SIGKILL, as by the OOM killer."""
+def _killed_chunk(spec, trials, setup=None):
+    """The real chunk in the study's parent; a worker process is ended by
+    SIGKILL, as by the OOM killer."""
     if os.getpid() == TEST_PID:
-        raise AssertionError("the chunk ran in the test process, not in a worker")
+        return RUN_CHUNK(spec, trials, setup)
     os.kill(os.getpid(), signal.SIGKILL)
 
 
 def test_mc_lost_worker_exits_with_runtime_code(linear_cfg, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(mc, "_run_chunk", _killed_chunk)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)  # one real worker on any host
     out = tmp_path / "study"
     assert main(["mc", str(linear_cfg), "--out-dir", str(out), "--threads", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.err == (
         "error: a worker process died (killed by a signal or out of memory); "
-        "trials 0-2, 3-5 were not run\n"
+        "trials 3-5 were not run\n"
     )
     assert captured.out == ""
     assert not out.exists()
@@ -518,6 +550,7 @@ def with_value(text, section, key, value):
     ("linear", "study", "histogram_bin_width", "nan"),
     ("linear", "study", "histogram_range", "0, inf"),
     ("linear", "scheme", "dt", "1e-320"),
+    ("linear", "scheme", "dt", "1e-300"),  # t_final / dt above 2**53
     ("linear", "scheme", "noise_scale", "nan"),
     ("linear", "scheme", "noise_scale", "inf"),
     ("linear", "estimators", "alpha", "nan"),

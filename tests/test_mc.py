@@ -2,6 +2,7 @@ import ast
 import csv
 import io
 import json
+import os
 from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
@@ -99,9 +100,17 @@ def stepping_study(name):
     return StudySpec(model=model, scheme=scheme, est_req=req, n_trials=5, histogram_n=16)
 
 
+def run_on(spec, processes):
+    """``run_study`` on ``processes`` processes, even on a host with fewer
+    CPUs, so that more than one forks real workers beside the parent."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc, "_usable_cpus", lambda: processes)
+        return run_study(spec, threads=processes)
+
+
 def assert_reproducible_and_thread_independent(spec):
     r1 = run_study(spec, threads=1)
-    r2 = run_study(spec, threads=2)
+    r2 = run_on(spec, 2)
     j1 = json.dumps(r1.to_json_dict(), sort_keys=True)
     j2 = json.dumps(r2.to_json_dict(), sort_keys=True)
     assert j1 == j2
@@ -319,6 +328,7 @@ def test_a_rejected_request_starts_no_pool(monkeypatch):
     """A multi-worker study checks its request in the parent, before any
     worker starts: it raises what a one-worker study raises."""
     monkeypatch.setattr(mc, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
     InProcessPool.created.clear()
     spec = linear_study()
     spec = replace(spec, est_req=replace(spec.est_req, variants=("partial1",)))
@@ -332,20 +342,94 @@ def test_a_rejected_request_starts_no_pool(monkeypatch):
 
 
 def test_pool_never_exceeds_the_chunk_count(monkeypatch):
+    """``threads`` counts the parent: a pool of n - 1 workers runs beside it,
+    and never more processes than there are chunks."""
     monkeypatch.setattr(mc, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 64)
     InProcessPool.created.clear()
     spec = linear_study(n_trials=3)
     report = run_study(spec, threads=64)
-    assert InProcessPool.created == [3]
+    assert InProcessPool.created == [2]
     reference = run_study(spec, threads=1)
-    assert InProcessPool.created == [3]  # one worker runs in-process
+    assert InProcessPool.created == [2]  # one process starts no pool
     assert json.dumps(report.to_json_dict()) == json.dumps(reference.to_json_dict())
     run_study(linear_study(n_trials=40), threads=2)  # chunks of 16, 16 and 8
-    assert InProcessPool.created == [3, 2]
+    assert InProcessPool.created == [2, 1]
+
+
+RUN_CHUNK = mc._run_chunk
+
+
+@pytest.mark.parametrize("cpus, pools", [(4, [3]), (1, [])])
+def test_processes_are_capped_by_the_cpu_count(cpus, pools, monkeypatch):
+    """A study runs at most as many processes as it has CPUs, its parent
+    included, and cuts its trials into chunks for that many."""
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+    InProcessPool.created.clear()
+    stepped = []
+
+    def recorded(spec, trials, setup=None):
+        stepped.append(trials)
+        return RUN_CHUNK(spec, trials, setup)
+
+    monkeypatch.setattr(mc, "_run_chunk", recorded)
+    report = run_study(linear_study(n_trials=3000, variants=("linear",)), threads=3000)
+    assert InProcessPool.created == pools
+    assert report.n_trials == 3000 and report.n_failed == 0
+    assert sorted(len(trials) for trials in stepped)[1:] == [16] * 187  # 3000 = 187 * 16 + 8
+
+
+def test_usable_cpus_reads_the_affinity_set_else_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert mc._usable_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert mc._usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert mc._usable_cpus() == 1
+
+
+class RecordingPool(InProcessPool):
+    """An in-process pool that records the first trial of every chunk
+    submitted to it."""
+
+    submitted = []
+
+    def submit(self, fn, *args):
+        self.submitted.append(args[1].start)
+        return super().submit(fn, *args)
+
+
+@pytest.mark.parametrize("processes, workers, parent", [
+    (2, [16, 48], [(0, True), (32, False), (64, False)]),
+    (3, [16, 32, 64], [(0, True), (48, False)]),
+])
+def test_parent_steps_every_nth_chunk_from_its_own_set_up(processes, workers, parent,
+                                                          monkeypatch):
+    """On n processes the parent steps chunk 0 from the set-up it built
+    before any worker, and every n-th chunk after it; the workers get the
+    others, and the report is the one-process report."""
+    spec = linear_study(n_trials=80)  # five chunks of 16
+    reference = json.dumps(run_study(spec, threads=1).to_json_dict())
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: processes)
+    monkeypatch.setattr(RecordingPool, "submitted", [])
+    stepped = []
+
+    def recorded(spec, trials, setup=None):
+        stepped.append((trials.start, setup is not None))
+        return RUN_CHUNK(spec, trials, setup)
+
+    monkeypatch.setattr(mc, "_run_chunk", recorded)
+    report = run_study(spec, threads=processes)
+    assert json.dumps(report.to_json_dict()) == reference
+    assert RecordingPool.submitted == workers
+    assert [step for step in stepped if step[0] not in workers] == parent
 
 
 POOL_PROBE = """
-import json, sys
+import json, os, sys
 from dataclasses import replace
 from spde_drift import mc
 from spde_drift.fields import NonlinearitySpec
@@ -370,6 +454,7 @@ class ScipyProbe(InProcessPool):
         return future
 
 mc.ProcessPoolExecutor = ScipyProbe
+mc._usable_cpus = lambda: 2  # a pool beside the parent on any host
 spec = {
     "ou_exact": linear_study(),
     "euler": linear_study(backend="euler"),

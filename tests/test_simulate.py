@@ -568,6 +568,10 @@ def test_scheme_validation():
         SchemeSpec(dt=0.1, t_final=1.0, seed=0, backend="magic")
     with pytest.raises(ConfigurationError, match="dt must not exceed t_final"):
         SchemeSpec(dt=2.0, t_final=1.0, seed=0)
+    # above 2**53 every float is an integer: the multiple check would test nothing
+    with pytest.raises(ConfigurationError, match=r"t_final / dt must be at most 2\*\*53"):
+        SchemeSpec(dt=1e-300, t_final=1.0, seed=0)
+    assert SchemeSpec(dt=2.0**-53, t_final=1.0, seed=0).n_steps == 2**53
 
 
 def test_model_validation():
