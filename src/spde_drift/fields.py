@@ -289,6 +289,19 @@ def _cos_to_sine_projection(n_out: int, n_cos: int, L: float) -> np.ndarray:
     return out
 
 
+#: the one value budget of the package's blocks: a noise tile, an observer
+#: sub-block and a block of a table build each hold at most this many values
+#: (512 KiB of float64), so memory does not grow with the step count or the
+#: grid, and ``_block_length`` is the one rule that sizes them
+_BLOCK_VALUES = 1 << 16
+
+
+def _block_length(limit: int, per_item: int) -> int:
+    """The items in a block: as many of ``per_item`` values as fit in
+    ``_BLOCK_VALUES``, at least 1 and at most ``limit``."""
+    return max(1, min(limit, _BLOCK_VALUES // per_item))
+
+
 #: a plan multiplies by two tables instead of running transforms when
 #: max(n_in, n_out) times its stage's sample count is at most this many
 #: entries (64 KiB a table).  From direct plan-call timings on a 2-core host:
@@ -492,10 +505,6 @@ def _table_stage(odd, burgers, degree, m_g, L, lead, n_in, n_out):
     return samples, np.empty_like(samples_out), coefficients
 
 
-#: unit samples per block of a table build hold at most this many values
-_TABLE_BUILD_VALUES = 1 << 16
-
-
 @functools.lru_cache(maxsize=32)
 def _tables(
     odd: bool, burgers: bool, degree: int, m_g: int, L: float, n_in: int, n_out: int
@@ -505,14 +514,14 @@ def _tables(
     of the (n_samples, n_out) second its output for a unit sample at point
     j, so tables and transforms share every constant.  Each unit sample is
     its own batch of one row, so every row is projected alone, and the unit
-    samples go through the stage in blocks of at most
-    ``_TABLE_BUILD_VALUES`` values, so a build holds a few such blocks, not
-    an n_samples x n_samples identity.  Read-only, shared through the
-    cache."""
+    samples go through the stage in blocks of ``_block_length`` rows, at
+    most all n_samples of them, so a build holds a few blocks of the value
+    budget, not an n_samples x n_samples identity.  Read-only, shared
+    through the cache."""
     build, n_samples = _stage(odd, m_g)
     samples, _, _ = build(burgers, degree, m_g, L, (n_in, 1), n_in, n_out)
     to_samples = samples(np.eye(n_in)[:, None])[:, 0].copy()
-    block = max(1, _TABLE_BUILD_VALUES // n_samples)
+    block = _block_length(n_samples, n_samples)
     _, _, coefficients = build(burgers, degree, m_g, L, (block, 1), n_in, n_out)
     to_out = np.empty((n_samples, n_out))
     for j in range(0, n_samples, block):

@@ -46,6 +46,7 @@ from .errors import (
     spec_field,
 )
 from .estimate import EstimatorRequest, estimate_theta, warn_if_inadmissible, z_score
+from .fields import _BLOCK_VALUES
 from .simulate import ModelSpec, SchemeSpec, SimOutput, _run_blocks, _setup
 from .theory import asymptotic_constants
 
@@ -93,8 +94,9 @@ class StudySpec:
 
 def _bin_edges(width: float, value_range) -> np.ndarray:
     """The histogram's bin edges lo + width * i, i = 0 .. n, whose last edge
-    is hi to round-off; a width or range that cannot give them is rejected
-    by the name of its ``StudySpec`` field."""
+    is hi to round-off; a width or range that cannot give them, or that
+    gives more bins than the value budget, is rejected by the name of its
+    ``StudySpec`` field before any edge is built."""
     width = checked("histogram_bin_width", width, "positive")
     value_range = checked("histogram_range", value_range, ("finite",))
     if len(value_range) != 2 or not value_range[0] < value_range[1]:
@@ -107,6 +109,11 @@ def _bin_edges(width: float, value_range) -> np.ndarray:
         raise ConfigurationError(
             "histogram_bin_width must divide histogram_range into a whole "
             "number >= 1 of bins"
+        )
+    if n > _BLOCK_VALUES:
+        raise ConfigurationError(
+            f"histogram_bin_width gives {bins:.6g} bins over histogram_range, more "
+            f"than {_BLOCK_VALUES}"
         )
     return lo + width * np.arange(n + 1)
 
@@ -151,18 +158,20 @@ class MCReport:
         return self.rows[(variant, n)]
 
     def to_json_dict(self) -> dict:
+        """The report as plain JSON values; a non-finite statistic (one that
+        left the float range) is None, so the document stays strict JSON."""
         return {
             "theta_true": self.theta_true,
             "beta": self.beta,
-            "variance": self.variance,
+            "variance": _json_number(self.variance),
             "n_trials": self.n_trials,
             "n_failed": self.n_failed,
             "rows": [
-                {"variant": v, "N": n, **stats}
+                {"variant": v, "N": n, **{k: _json_number(x) for k, x in stats.items()}}
                 for (v, n), stats in sorted(self.rows.items())
             ],
-            "ks": dict(sorted(self.ks.items())),
-            "mse_slope": dict(sorted(self.mse_slope.items())),
+            "ks": {v: _json_number(x) for v, x in sorted(self.ks.items())},
+            "mse_slope": {v: _json_number(x) for v, x in sorted(self.mse_slope.items())},
             "histogram": {
                 "N": self.histogram_n,
                 "bin_edges": [float(b) for b in self.bin_edges],
@@ -179,6 +188,11 @@ class MCReport:
     def write_estimates_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             write_estimate_rows(fh, self.estimates)
+
+
+def _json_number(x):
+    """``x``, or None where it is a non-finite float."""
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def write_estimate_rows(fh, rows) -> None:
@@ -385,7 +399,9 @@ def summarize(
     convention (so MSE = var(theta_hat) + bias^2 exactly).  ``variance`` is
     the asymptotic variance V shared by every N, or None to skip
     standardization.  The histograms and KS distances are taken at
-    ``histogram_n``, by default the largest N present.
+    ``histogram_n``, by default the largest N present.  A statistic that
+    leaves the float range is non-finite, without a warning, and the MSE
+    slope is fitted on the finite positive MSEs only.
     """
     rows_in = _as_rows(estimates)
     if not rows_in and not failures:
@@ -413,18 +429,21 @@ def summarize(
     histograms: dict[str, np.ndarray] = {}
     for (variant, n), rows in sorted(by_key.items()):
         vals = np.array([r.theta_hat for r in rows])
-        p2_5, median, p97_5 = np.percentile(vals, [2.5, 50.0, 97.5])
+        with np.errstate(over="ignore", invalid="ignore"):  # such a statistic is inf or nan
+            p2_5, median, p97_5 = np.percentile(vals, [2.5, 50.0, 97.5])
+            mse = np.mean((vals - theta_true) ** 2)
         stats = {
             "median": float(median),
             "p2_5": float(p2_5),
             "p97_5": float(p97_5),
-            "mse": float(np.mean((vals - theta_true) ** 2)),
+            "mse": float(mse),
             "n_estimates": len(rows),
         }
         zs = np.array([r.z for r in rows if r.z is not None])
         if len(zs):
-            stats["z_mean"] = float(np.mean(zs))
-            stats["z_var"] = float(np.var(zs))
+            with np.errstate(over="ignore", invalid="ignore"):
+                stats["z_mean"] = float(np.mean(zs))
+                stats["z_var"] = float(np.var(zs))
             if n == histogram_n:
                 ks[variant] = normal_ks_distance(zs)
                 # outliers land in the edge bins
@@ -437,7 +456,7 @@ def summarize(
         pts = [
             (n, stats["mse"])
             for (v, n), stats in sorted(summary_rows.items())
-            if v == variant and stats["mse"] > 0
+            if v == variant and 0 < stats["mse"] < math.inf
         ]
         if len(pts) >= 2:
             log_n = np.log([p[0] for p in pts])

@@ -22,10 +22,13 @@ v, with its cubic as the bias nonlinearity, plus an explicit recovery row w.
 Every trajectory runs through one block loop, ``_run_blocks``, on a batch
 of trials, one per seed, as one ``(trials, components, n_modes)`` state; a
 single trajectory is a batch of one.  The loop's block is a tile of steps
-and modes of every trial.  Noise increments are drawn a tile at a time from
-counter-based Philox streams keyed by (seed, channel, mode) that live for
-the whole run, so trajectories are bit-reproducible regardless of host
-parallelism and memory does not grow with the step count.  A per-model
+and modes of every trial.  A tile, and the observer's sub-block of it, take
+as many steps as fit in the package's one value budget
+(``fields._BLOCK_VALUES``, 2^16 values), at least one, and
+``fields._block_length`` sizes both.  Noise increments are drawn a tile at a
+time from counter-based Philox streams keyed by (seed, channel, mode) that
+live for the whole run, so trajectories are bit-reproducible regardless of
+host parallelism and memory does not grow with the step count.  A per-model
 kernel fills the tile's path: the stepped kernel one step at a time, the
 drift-free kernel with one linear filter call per mode for every trial.
 That one drift-free kernel fills every drift-free path, the uniform grid
@@ -65,7 +68,7 @@ from .estimate import (
     EstimatorRequest,
     warn_if_inadmissible,
 )
-from .fields import NemytskiiPlan, NonlinearitySpec, _plans_grid, _stage
+from .fields import NemytskiiPlan, NonlinearitySpec, _block_length, _plans_grid, _stage
 from .spectrum import OperatorSpec, eigenvalues
 
 BACKENDS = ("euler", "ou_exact")
@@ -153,10 +156,8 @@ def _mode_stream(seed: int, channel: int, mode: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-#: a noise tile holds at most this many values, so memory does not grow
-#: with n_steps; the stepped kernel, which reads one step at a time, also
-#: caps its tiles at this many steps
-_NOISE_BLOCK_VALUES = 1 << 16
+#: the stepped kernel, which reads one step at a time, caps its noise tiles
+#: at this many steps even where the value budget holds more
 _NOISE_BLOCK_STEPS = 256
 
 
@@ -177,8 +178,7 @@ class _NoiseBlocks:
         self.n_steps = n_steps
         self.n_modes = amps.shape[1]
         self.width = self.n_modes if width is None else width
-        n_values = len(seeds) * len(amps) * self.width
-        length = max(1, min(n_steps, max_steps, _NOISE_BLOCK_VALUES // n_values))
+        length = _block_length(min(n_steps, max_steps), len(seeds) * len(amps) * self.width)
         self.length = length
         self._buf = np.empty((len(seeds), len(amps), self.width, length))
         self._scale = math.sqrt(h)
@@ -404,14 +404,14 @@ def _observer(bias_nl: NonlinearitySpec, op: OperatorSpec, req, acc, block: int,
     state the observer holds the field and at most two full rows of
     products (row 0, and v w of a coupled state), and per plan row the plan
     (at most three buffers of its samples and one of its coefficients) and
-    the row's products: s states of them fit in ``_NOISE_BLOCK_VALUES``
-    values."""
+    the row's products: s is the ``_block_length`` of those values per
+    state, so a sub-block holds at most the value budget."""
     n_trials, n0 = acc.q.shape
     cuts = (() if f_full is not None else (n0,)) + (req.n_list if req.wants_partial else ())
     grids = [_plans_grid(bias_nl, n) for n in cuts]
     samples = [_stage(bias_nl.is_odd_polynomial, g.n_grid)[1] for g in grids]
     per_step = n_trials * (3 * n0 + sum(3 * m + 2 * n for m, n in zip(samples, cuts)))
-    s = min(block, max(1, _NOISE_BLOCK_VALUES // per_step))
+    s = _block_length(block, per_step)
     left = np.zeros((s, n_trials, 1, n0)) if cuts else None  # stale past a short sub-block
     plans = [(n, NemytskiiPlan(bias_nl, g, op, left.shape[:-1], n, n))
              for n, g in zip(cuts, grids)]

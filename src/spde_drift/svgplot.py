@@ -33,7 +33,9 @@ class _Panel:
         lo, hi = lim
         if log:
             lo, hi = math.log10(lo), math.log10(hi)
-        if hi <= lo:
+        if not math.isfinite(hi - lo):  # a limit or the span outside the float range
+            lo, hi = 0.0, 1.0
+        elif hi <= lo:
             hi = lo + 1.0
         return lo, hi
 
@@ -126,8 +128,21 @@ class _Panel:
                 f'font-size="10">{self._fmt(v)}</text>'
             )
 
+    def _points(self, xs, ys) -> str:
+        """The SVG points of the data points with a finite position: a
+        non-finite value, or one <= 0 on a log axis, is left out."""
+        pts = []
+        for x, y in zip(xs, ys):
+            x, y = float(x), float(y)  # Python floats overflow to inf silently
+            if (self.log_x and x <= 0) or (self.log_y and y <= 0):
+                continue
+            px, py = self._tx(x), self._ty(y)
+            if math.isfinite(px) and math.isfinite(py):
+                pts.append(f"{px:.2f},{py:.2f}")
+        return " ".join(pts)
+
     def polyline(self, xs, ys, color, width=1.5, dash=None):
-        pts = " ".join(f"{self._tx(x):.2f},{self._ty(y):.2f}" for x, y in zip(xs, ys))
+        pts = self._points(xs, ys)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.elements.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
@@ -135,9 +150,8 @@ class _Panel:
         )
 
     def band(self, xs, lo_ys, hi_ys, color, opacity=0.25):
-        fwd = [(x, y) for x, y in zip(xs, hi_ys)]
-        back = [(x, y) for x, y in zip(reversed(xs), reversed(lo_ys))]
-        pts = " ".join(f"{self._tx(x):.2f},{self._ty(y):.2f}" for x, y in fwd + back)
+        pts = self._points(list(xs) + list(reversed(xs)),
+                           list(hi_ys) + list(reversed(lo_ys)))
         self.elements.append(
             f'<polygon points="{pts}" fill="{color}" opacity="{opacity}" stroke="none"/>'
         )
@@ -185,8 +199,9 @@ def render_band_plot(n_values, summaries, theta_true) -> str:
     panels = []
     for i, variant in enumerate(variants):
         s = summaries[variant]
-        lo = min(np.min(s["p2_5"]), theta_true)
-        hi = max(np.max(s["p97_5"]), theta_true)
+        # the axis spans the finite percentiles and the true parameter
+        lo = min([float(v) for v in s["p2_5"] if math.isfinite(v)] + [theta_true])
+        hi = max([float(v) for v in s["p97_5"] if math.isfinite(v)] + [theta_true])
         pad = 0.08 * (hi - lo) or 0.01
         panel = _Panel(i * panel_w, 0, panel_w, panel_h,
                        (min(n_values), max(n_values)), (lo - pad, hi + pad))
@@ -204,9 +219,10 @@ def render_band_plot(n_values, summaries, theta_true) -> str:
 def render_mse_plot(n_values, mse_by_variant, reference) -> str:
     """Log-log MSE per variant with the squared rate reference curve."""
     panel_w, panel_h = 420.0, 300.0
-    all_vals = [v for vals in mse_by_variant.values() for v in vals if v > 0]
-    all_vals += [v for v in reference if v > 0]
-    lo, hi = min(all_vals), max(all_vals)
+    # the axis spans the finite positive values; others are left out
+    all_vals = [v for vals in [*mse_by_variant.values(), reference] for v in vals
+                if 0 < v < math.inf]
+    lo, hi = (min(all_vals), max(all_vals)) if all_vals else (1.0, 1.0)
     panel = _Panel(0, 0, panel_w, panel_h, (min(n_values), max(n_values)),
                    (lo * 0.5, hi * 2.0), log_x=True, log_y=True)
     panel.frame(title="mean squared error vs N", xlabel="N", ylabel="MSE")
@@ -214,7 +230,7 @@ def render_mse_plot(n_values, mse_by_variant, reference) -> str:
     panel.label("squared rate reference", 0, "#000")
     for i, (variant, vals) in enumerate(mse_by_variant.items()):
         color = _COLORS[i % len(_COLORS)]
-        pts = [(n, v) for n, v in zip(n_values, vals) if v > 0]
+        pts = [(n, v) for n, v in zip(n_values, vals) if 0 < v < math.inf]
         if pts:
             panel.polyline([p[0] for p in pts], [p[1] for p in pts], color)
             panel.label(variant, i + 1, color)

@@ -217,6 +217,33 @@ def test_mc_with_one_truncation_level_writes_every_artifact(tmp_path):
         assert "nan" not in svg and "inf" not in svg
 
 
+def test_mc_whose_statistics_overflow_writes_every_artifact(tmp_path):
+    # noise-free paths from 1e-140 give estimates near 1e279, whose squared
+    # errors leave the float range: each MSE is written as null and the
+    # plots draw the finite values only
+    text = ALLEN_CAHN_CONFIG + "\n[study]\nn_trials = 3\n"
+    for section, key, value in [("model", "initial_modes", "1e-140"), ("scheme", "dt", "1e-3"),
+                                ("scheme", "t_final", "0.01"), ("scheme", "noise_scale", "0")]:
+        text = with_value(text, section, key, value)
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "study"
+    assert main(["mc", str(cfg), "--out-dir", str(out), "--threads", "1"]) == 0
+    assert {p.name for p in out.iterdir()} == {
+        "estimates.csv", "summary.json", "median_band.svg", "mse.svg", "histogram.svg"
+    }
+    for name in ("median_band.svg", "mse.svg", "histogram.svg"):
+        svg = (out / name).read_text()
+        assert "nan" not in svg and "inf" not in svg
+
+    def reject(constant):
+        raise ValueError(f"summary.json holds {constant}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    assert all(row["mse"] is None for row in summary["rows"])
+    assert set(summary["mse_slope"].values()) == {None}
+
+
 @pytest.mark.parametrize("scale, label", [(1e-6, ">1e-06<"), (1e6, ">1e+06<")])
 def test_log_axis_ticks_far_from_one_are_labelled_in_exponent_form(scale, label):
     mse = {"full": [4.0 * scale, 2.0 * scale, scale]}
@@ -672,6 +699,20 @@ def test_bin_width_that_does_not_divide_the_range_is_validation_error(
     assert main(["mc", str(bad), "--out-dir", str(out), "--threads", "1"]) == 1
     captured = capsys.readouterr()
     assert re.search(r"^error: .*\bhistogram_bin_width\b", captured.err)
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_more_bins_than_the_value_budget_is_one_validation_error_line(tmp_path, capsys):
+    # 1e301 bins: the edges are never built
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(with_value(LINEAR_CONFIG, "study", "histogram_bin_width", "1e-300"))
+    out = tmp_path / "study"
+    assert main(["mc", str(bad), "--out-dir", str(out), "--threads", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: histogram_bin_width gives 1e+301 bins over histogram_range, more than 65536\n"
+    )
     assert captured.out == ""
     assert not out.exists()
 

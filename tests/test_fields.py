@@ -526,8 +526,8 @@ def test_tables_built_in_blocks_keep_the_bits_of_the_identity(m_g, L, monkeypatc
     # unit samples go through the stage in blocks; every unit sample is its
     # own row, so whole blocks, several blocks and a short last one give
     # the bytes of the identity at once
-    for values in (fields._TABLE_BUILD_VALUES, 1000):
-        monkeypatch.setattr(fields, "_TABLE_BUILD_VALUES", values)
+    for values in (fields._BLOCK_VALUES, 1000):
+        monkeypatch.setattr(fields, "_BLOCK_VALUES", values)
         for nl, n in table_cases(m_g):
             for n_out in (n, max(1, n // 2)):
                 tables = _tables.__wrapped__(nl.is_odd_polynomial, nl.variant == "burgers",
@@ -548,6 +548,24 @@ def test_table_builds_are_bounded_by_the_tables():
         tracemalloc.stop()
     assert (plan.stage, plan.tables) == ("odd", True)
     assert peak < 4 * 2**20
+
+
+def test_small_table_builds_take_blocks_of_at_most_their_samples(monkeypatch):
+    # a block of unit samples holds at most n_samples rows: the 15-point odd
+    # tables of 4 modes were built from a 4369-row block (2^16 values), which
+    # peaked at 1.2 MiB
+    args = (True, False, 3, 15, 1.0, 4, 4)
+    _tables.__wrapped__(*args)  # load the transforms outside the traced build
+    tracemalloc.start()
+    try:
+        tables = _tables.__wrapped__(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**10
+    monkeypatch.setattr(fields, "_BLOCK_VALUES", 1)  # one unit sample at a time
+    for table, one_row in zip(tables, _tables.__wrapped__(*args)):
+        assert table.tobytes() == one_row.tobytes()
 
 
 @pytest.mark.parametrize("m_g", [31, 63, 127])

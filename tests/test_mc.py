@@ -234,7 +234,10 @@ def test_summarize_rejects_a_non_integral_n_by_name(rows, keyword, message):
     ({"histogram_bin_width": -0.4}, "histogram_bin_width must be positive, got -0.4"),
     ({"histogram_bin_width": float("nan")}, "histogram_bin_width must be finite, got nan"),
     ({"histogram_range": (5.0, -5.0)}, "histogram_range must be a finite increasing pair"),
-], ids=["partial-last-bin", "zero-width", "negative-width", "nan-width", "reversed-range"])
+    ({"histogram_bin_width": 1e-300}, "histogram_bin_width gives 1e\\+301 bins"),
+    ({"histogram_bin_width": 1e-5}, "histogram_bin_width gives 1e\\+06 bins"),
+], ids=["partial-last-bin", "zero-width", "negative-width", "nan-width", "reversed-range",
+        "1e301-bins", "1e6-bins"])
 def test_bad_histogram_is_rejected_by_name_by_summarize_and_study_spec(keyword, message):
     rows = [(t, "full", 4, 0.02 + 0.01 * t) for t in range(5)]
     with pytest.raises(ConfigurationError, match=message):

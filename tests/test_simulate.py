@@ -17,6 +17,7 @@ from spde_drift.fields import (
     GridSpec,
     NemytskiiPlan,
     NonlinearitySpec,
+    _BLOCK_VALUES,
     _plans_grid,
     nemytskii_modes,
 )
@@ -788,13 +789,13 @@ def observer_traced_peak(variants):
 
 def test_partial_rows_stay_within_the_block_value_budget():
     # the observer's partial plans, the left states they read and the rows'
-    # products hold at most _NOISE_BLOCK_VALUES values (plans counted at
+    # products hold at most _BLOCK_VALUES values (plans counted at
     # three buffers of their samples, which also covers a call's transform
     # outputs): 0.38 MB, where one plan call per 40-step block took 4.2 MB
     lean, rows = ("full", "linear"), ("full", "partial", "linear")
     observer_traced_peak(rows)  # fill the caches outside the compared runs
     extra = observer_traced_peak(rows) - observer_traced_peak(lean)
-    assert 0 < extra <= 8 * simulate._NOISE_BLOCK_VALUES
+    assert 0 < extra <= 8 * _BLOCK_VALUES
 
 
 @pytest.mark.parametrize("name", ["drift_free_euler", "drift_free_ou_exact", "allen_cahn",
@@ -928,7 +929,7 @@ def test_stepped_outputs_are_bit_identical_for_any_block_length(name, monkeypatc
     for seed, out in zip(seeds, default):
         assert_same_bits(out, simulate_model(model, replace(scheme, seed=seed), req))
     for length in (1, 3, 7):
-        monkeypatch.setattr(simulate, "_NOISE_BLOCK_VALUES", length * len(seeds) * amps.size)
+        monkeypatch.setattr("spde_drift.fields._BLOCK_VALUES", length * len(seeds) * amps.size)
         assert _NoiseBlocks(seeds, amps, scheme.n_steps, scheme.dt).length == length
         # an unobserved drift-free tile is one mode of every trial: 32 * length
         # steps, so each mode's run is cut into pieces of 32, 96 and 224 steps
@@ -1065,7 +1066,7 @@ DRIFT_FREE_CASES = [
 def test_drift_free_blocks_reproduce_the_whole_path(backend, case, monkeypatch):
     n_sim, x0, noise_scale, stride, n_steps, block_values = case
     if block_values is not None:  # blocks of block_values // n_sim steps
-        monkeypatch.setattr(simulate, "_NOISE_BLOCK_VALUES", block_values)
+        monkeypatch.setattr("spde_drift.fields._BLOCK_VALUES", block_values)
     model = linear_model(theta=0.1, gamma=0.5, x0=x0, n_sim=n_sim)
     scheme = SchemeSpec(
         dt=1e-4, t_final=n_steps * 1e-4, seed=40 + n_sim, snapshot_stride=stride,
