@@ -16,21 +16,22 @@ the study's parent included, and is capped by the chunk count and the
 count of CPUs it may run on.  The parent builds chunk 0's set-up
 (``simulate._setup``) before anything else: a bad request is rejected
 before any worker starts, and the scipy modules and plan tables that set-up
-loads are inherited by the forked workers instead of being built in each.
-On n processes the parent steps chunk 0 and every n-th chunk after it while
-n - 1 workers step the others; one process steps every chunk itself and
-starts no pool.
+loads are inherited by the workers instead of being built in each.  On n
+processes the parent starts n - 1 workers with ``os.fork`` itself, so they
+inherit its set-up whatever multiprocessing's start method is, then steps
+chunk 0 and every n-th chunk after it; worker w steps chunks w, w + n, ...
+and returns its rows through a pipe.  One process, or a platform without
+``os.fork``, steps every chunk itself and starts no worker.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
 import os
+import pickle
+import signal
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -287,6 +288,64 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+class _Worker:
+    """A forked process that steps ``chunks[i]`` for each i in ``mine`` and
+    pickles ``{i: _run_chunk(spec, chunks[i])}``, or the exception that
+    stopped it, into a pipe.  It leaves through ``os._exit`` only, so it
+    never runs the parent's code after the fork."""
+
+    def __init__(self, spec: StudySpec, chunks: list[range], mine: range):
+        self.mine = mine
+        self.fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(self.fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(self.fd)
+                try:
+                    payload = {i: _run_chunk(spec, chunks[i]) for i in mine}
+                except BaseException as exc:  # the parent raises it
+                    payload = exc
+                with open(write_fd, "wb") as pipe:
+                    pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+
+    def result(self) -> dict | None:
+        """The worker's rows by chunk index, read to EOF once it has exited,
+        or None when it died without them (a signal, the OOM killer); the
+        exception it raised is raised here."""
+        with open(self.fd, "rb") as pipe:
+            self.fd = None
+            payload = pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if status != 0 or not payload:
+            return None
+        payload = pickle.loads(payload)
+        if isinstance(payload, BaseException):
+            raise payload
+        return payload
+
+    def end(self) -> None:
+        """Kill and reap the worker, and close its pipe, unless ``result``
+        has."""
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def run_study(spec: StudySpec, threads: int | None = None) -> MCReport:
     """Run ``n_trials`` independent trajectories and aggregate the estimates.
 
@@ -294,29 +353,36 @@ def run_study(spec: StudySpec, threads: int | None = None) -> MCReport:
     than 10% of the trials fail, and one naming the lost trials, without a
     report, when a worker process dies.
     """
-    n_processes = min(resolve_threads(threads), _usable_cpus())
+    cpus = _usable_cpus() if hasattr(os, "fork") else 1
+    n_processes = min(resolve_threads(threads), cpus)
     chunks = _chunks(spec.n_trials, n_processes)
     # checks the request, and loads before any fork what every chunk's set-up loads
     first = _chunk_setup(spec, chunks[0])
     warn_if_inadmissible(spec.est_req.alpha, spec.model.gamma, spec.model.operator.beta)
     n = min(n_processes, len(chunks))
-    with ProcessPoolExecutor(n - 1) if n > 1 else contextlib.nullcontext() as pool:
-        # the parent's share is every n-th chunk from chunk 0; workers step
-        # the others
-        futures = {i: pool.submit(_run_chunk, spec, chunk)
-                   for i, chunk in enumerate(chunks) if i % n}
+    workers = []
+    try:
+        # the parent's share is every n-th chunk from chunk 0; worker w steps
+        # chunks w, w + n, ...
+        for w in range(1, n):
+            workers.append(_Worker(spec, chunks, range(w, len(chunks), n)))
         parts = {i: _run_chunk(spec, chunks[i], first if i == 0 else None)
                  for i in range(0, len(chunks), n)}
-    lost = []
-    for i, future in futures.items():
-        try:
-            parts[i] = future.result()
-        except BrokenProcessPool:  # a signal or the OOM killer ended a worker
-            lost.append(f"{chunks[i].start}-{chunks[i].stop - 1}")
+        lost = []
+        for worker in workers:
+            rows = worker.result()
+            if rows is None:
+                lost.extend(worker.mine)
+            else:
+                parts.update(rows)
+    finally:  # no worker outlives the study, whatever ends it
+        for worker in workers:
+            worker.end()
     if lost:
+        trials = ", ".join(f"{chunks[i].start}-{chunks[i].stop - 1}" for i in sorted(lost))
         raise StudyError(
             f"a worker process died (killed by a signal or out of memory); "
-            f"trials {', '.join(lost)} were not run"
+            f"trials {trials} were not run"
         )
     results = [r for i in range(len(chunks)) for r in parts[i]]
 

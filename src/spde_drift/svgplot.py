@@ -35,8 +35,8 @@ class _Panel:
             lo, hi = math.log10(lo), math.log10(hi)
         if not math.isfinite(hi - lo):  # a limit or the span outside the float range
             lo, hi = 0.0, 1.0
-        elif hi <= lo:
-            hi = lo + 1.0
+        elif hi - lo <= 1e-9 * abs(lo):  # empty, or too narrow for a tick step to advance
+            hi = lo + max(1.0, 1e-9 * abs(lo))
         return lo, hi
 
     def _tx(self, x):

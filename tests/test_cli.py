@@ -20,7 +20,7 @@ from spde_drift.cli import _write_trajectory_csv, main
 from spde_drift.config import load_config
 from spde_drift.errors import AdmissibilityWarning
 from spde_drift.simulate import simulate_model
-from spde_drift.svgplot import render_mse_plot
+from spde_drift.svgplot import render_band_plot, render_mse_plot
 from spde_drift.theory import AdvisorQuery, advise, asymptotic_constants
 
 LINEAR_CONFIG = """
@@ -249,6 +249,15 @@ def test_log_axis_ticks_far_from_one_are_labelled_in_exponent_form(scale, label)
     mse = {"full": [4.0 * scale, 2.0 * scale, scale]}
     svg = render_mse_plot([2, 4, 8], mse, [8.0 * scale, 1.0 * scale, 0.125 * scale])
     assert label in svg
+
+
+@pytest.mark.parametrize("hi", [1e20, np.nextafter(1e20, 2e20)])
+def test_an_axis_span_below_the_float_spacing_still_gets_its_ticks(hi):
+    """A span no tick step can advance over, here a band whose percentiles
+    and true parameter agree to within one ulp of 1e20, is widened."""
+    a = np.array([1e20, hi])
+    svg = render_band_plot([4, 8], {"full": {"median": a, "p2_5": a, "p97_5": a}}, 1e20)
+    assert svg.startswith("<svg") and svg.endswith("</svg>\n")
 
 
 def test_mc_without_a_study_section_is_validation_error(cubic_cfg, tmp_path, capsys):
@@ -538,6 +547,28 @@ def test_mc_lost_worker_exits_with_runtime_code(linear_cfg, tmp_path, capsys, mo
     )
     assert captured.out == ""
     assert not out.exists()
+    with pytest.raises(ChildProcessError):  # the dead worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _failing_chunk(spec, trials, setup=None):
+    """The real chunk in the study's parent; a worker process raises."""
+    if os.getpid() == TEST_PID:
+        return RUN_CHUNK(spec, trials, setup)
+    raise MemoryError
+
+
+def test_mc_worker_error_is_raised_by_the_parent(linear_cfg, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(mc, "_run_chunk", _failing_chunk)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)  # one real worker on any host
+    out = tmp_path / "study"
+    assert main(["mc", str(linear_cfg), "--out-dir", str(out), "--threads", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory\n"
+    assert captured.out == ""
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):  # no worker is left
+        os.waitpid(-1, os.WNOHANG)
 
 
 FHN_CONFIG = """
@@ -856,3 +887,12 @@ def test_scipy_loads_only_with_the_kernels_that_use_it(argv, code, loads, cubic_
     assert {name for name in loaded if name.count(".") == 1} >= loads
     assert "scipy.signal" not in loaded
     assert bool(loaded) == bool(loads)
+
+
+def test_import_loads_no_process_pool(fresh_python):
+    """A study forks its workers itself, so a cold start never pays for
+    ``concurrent.futures`` or ``multiprocessing``."""
+    out = fresh_python("import sys, spde_drift, spde_drift.cli\n"
+                       "print(sorted(m for m in sys.modules if m.partition('.')[0] in "
+                       "('concurrent', 'multiprocessing')))")
+    assert out.strip() == "[]"

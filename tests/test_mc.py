@@ -3,7 +3,7 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import Future
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -306,31 +306,30 @@ def test_histogram_outliers_clipped_into_edge_bins():
     assert counts.sum() == 2
     assert len(report.bin_edges) == 26  # [-5, 5] at width 0.4
 
+
 class InProcessPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts no
-    process and runs every task in the calling process."""
+    """Stands in for ``mc._Worker``: records the worker count n - 1 of each
+    study that starts workers, starts no process and steps each worker's
+    chunks in the calling process."""
 
     created = []
 
-    def __init__(self, max_workers):
-        self.created.append(max_workers)
+    def __init__(self, spec, chunks, mine):
+        if mine.start == 1:  # a study's first worker; mine.step is n
+            self.created.append(mine.step - 1)
+        self.rows = {i: mc._run_chunk(spec, chunks[i]) for i in mine}
 
-    def __enter__(self):
-        return self
+    def result(self):
+        return self.rows
 
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    def end(self):
+        pass
 
 
 def test_a_rejected_request_starts_no_pool(monkeypatch):
     """A multi-worker study checks its request in the parent, before any
     worker starts: it raises what a one-worker study raises."""
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(mc, "_Worker", InProcessPool)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
     InProcessPool.created.clear()
     spec = linear_study()
@@ -347,7 +346,7 @@ def test_a_rejected_request_starts_no_pool(monkeypatch):
 def test_pool_never_exceeds_the_chunk_count(monkeypatch):
     """``threads`` counts the parent: a pool of n - 1 workers runs beside it,
     and never more processes than there are chunks."""
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(mc, "_Worker", InProcessPool)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 64)
     InProcessPool.created.clear()
     spec = linear_study(n_trials=3)
@@ -367,7 +366,7 @@ RUN_CHUNK = mc._run_chunk
 def test_processes_are_capped_by_the_cpu_count(cpus, pools, monkeypatch):
     """A study runs at most as many processes as it has CPUs, its parent
     included, and cuts its trials into chunks for that many."""
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(mc, "_Worker", InProcessPool)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
     InProcessPool.created.clear()
     stepped = []
@@ -393,15 +392,51 @@ def test_usable_cpus_reads_the_affinity_set_else_the_cpu_count(monkeypatch):
     assert mc._usable_cpus() == 1
 
 
+def test_a_platform_without_fork_runs_a_study_in_one_process(monkeypatch):
+    monkeypatch.setattr(mc, "_Worker", InProcessPool)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 4)
+    monkeypatch.delattr(os, "fork")
+    InProcessPool.created.clear()
+    spec = linear_study(n_trials=40)
+    report = run_study(spec, threads=4)
+    assert InProcessPool.created == []
+    monkeypatch.undo()
+    assert json.dumps(report.to_json_dict()) == json.dumps(
+        run_study(spec, threads=1).to_json_dict())
+
+
+TEST_PID = os.getpid()
+
+
+def test_a_failing_parent_chunk_ends_every_worker_first(monkeypatch):
+    """When the parent's own chunk raises, the workers, here still asleep,
+    are killed and reaped before the error leaves ``run_study``."""
+    def parent_fails(spec, trials, setup=None):
+        if os.getpid() == TEST_PID:
+            raise MemoryError
+        time.sleep(60)
+        return RUN_CHUNK(spec, trials, setup)
+
+    monkeypatch.setattr(mc, "_run_chunk", parent_fails)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)  # two real workers on any host
+    start = time.monotonic()
+    with pytest.raises(MemoryError):
+        run_study(linear_study(n_trials=9), threads=3)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):  # no worker is left
+        os.waitpid(-1, os.WNOHANG)
+
+
 class RecordingPool(InProcessPool):
-    """An in-process pool that records the first trial of every chunk
-    submitted to it."""
+    """An in-process stand-in that records the first trial of every chunk
+    its workers get, in chunk order."""
 
     submitted = []
 
-    def submit(self, fn, *args):
-        self.submitted.append(args[1].start)
-        return super().submit(fn, *args)
+    def __init__(self, spec, chunks, mine):
+        self.submitted.extend(chunks[i].start for i in mine)
+        self.submitted.sort()
+        super().__init__(spec, chunks, mine)
 
 
 @pytest.mark.parametrize("processes, workers, parent", [
@@ -415,7 +450,7 @@ def test_parent_steps_every_nth_chunk_from_its_own_set_up(processes, workers, pa
     others, and the report is the one-process report."""
     spec = linear_study(n_trials=80)  # five chunks of 16
     reference = json.dumps(run_study(spec, threads=1).to_json_dict())
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(mc, "_Worker", RecordingPool)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: processes)
     monkeypatch.setattr(RecordingPool, "submitted", [])
     stepped = []
@@ -443,20 +478,17 @@ def scipy_modules():
 
 class ScipyProbe(InProcessPool):
     loaded = []
-    at_start = []  # the scipy modules of each pool's parent when it starts
-    late = set()  # scipy modules a chunk of a pool holds that its parent lacked
+    at_start = []  # the scipy modules of each study's parent when its first worker starts
+    late = set()  # scipy modules a worker's chunks hold that its parent lacked
 
-    def __init__(self, max_workers):
-        super().__init__(max_workers)
-        self.loaded.append("scipy.signal" in sys.modules)
-        self.at_start.append(scipy_modules())
-
-    def submit(self, fn, *args):
-        future = super().submit(fn, *args)
+    def __init__(self, spec, chunks, mine):
+        if mine.start == 1:
+            self.loaded.append("scipy.signal" in sys.modules)
+            self.at_start.append(scipy_modules())
+        super().__init__(spec, chunks, mine)
         self.late.update(scipy_modules() - self.at_start[-1])
-        return future
 
-mc.ProcessPoolExecutor = ScipyProbe
+mc._Worker = ScipyProbe
 mc._usable_cpus = lambda: 2  # a pool beside the parent on any host
 spec = {
     "ou_exact": linear_study(),
