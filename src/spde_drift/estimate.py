@@ -97,13 +97,6 @@ class EstimatorRequest:
                 f"numerator_mode must be one of {NUMERATOR_MODES}"
             )
 
-    @property
-    def wants_partial(self) -> bool:
-        return any(
-            terms[v][0] == "bias_part"
-            for terms in BIAS_TERMS.values() for v in self.variants if v in terms
-        )
-
 
 @dataclass
 class EstimateResult:
@@ -192,8 +185,9 @@ class EstimatorAccumulator:
 
     Every integral and endpoint has a leading axis of ``n_trials``;
     ``split`` then hands out one accumulator per trial, with the bits that
-    trial accumulates alone.  It holds only what ``req`` reads:
-    ``bias_part`` for a partial variant, ``ito`` under
+    trial accumulates alone.  It holds only what ``req`` reads: a bias
+    integral when a requested variant of its run kind reads it (so a
+    linear-only request holds none), ``ito`` under
     ``numerator_mode = ito_sum``.
     """
 
@@ -220,11 +214,14 @@ class EstimatorAccumulator:
         def zeros(*shape):
             return np.zeros((n_trials,) + shape)
 
+        terms = BIAS_TERMS["coupled" if coupled else "scalar"]
+        terms = [terms[v] for v in req.variants if v in terms]
+        reads = {name for name, _ in terms} | {"bias_w" for _, minus_w in terms if minus_w}
         self.q = zeros(n_modes)
         self.ito = zeros(n_modes) if req.numerator_mode == "ito_sum" else None
-        self.bias_full = zeros(n_modes)
-        self.bias_part = zeros(len(req.n_list), n_modes) if req.wants_partial else None
-        self.bias_w = zeros(n_modes) if coupled else None
+        self.bias_full = zeros(n_modes) if "bias_full" in reads else None
+        self.bias_part = zeros(len(req.n_list), n_modes) if "bias_part" in reads else None
+        self.bias_w = zeros(n_modes) if "bias_w" in reads else None
         self.x0: np.ndarray | None = None
         self.xT: np.ndarray | None = None
         self._finalized = False
@@ -233,13 +230,15 @@ class EstimatorAccumulator:
 
     def add_bias(self, left, rows):
         """The bias terms of left states ``left`` (steps, trials, components,
-        n_modes) in step order, given per step the bias model's ``rows``:
-        rows[0] on the full field, rows[1 + i] the first n_list[i]
+        n_modes) in step order, given per step the bias model's ``rows`` of
+        the integrals held: on the full field, then the first n_list[i]
         coefficients on the field truncated to that many modes.  The columns
         of ``bias_part[:, i]`` above n_list[i] stay zero."""
         v = left[:, :, 0]
-        _fold(self.bias_full, v * rows[0])
-        for i, (n, f) in enumerate(zip(self.n_list, rows[1:])):
+        if self.bias_full is not None:
+            _fold(self.bias_full, v * rows[0])
+            rows = rows[1:]
+        for i, (n, f) in enumerate(zip(self.n_list, rows)):
             _fold(self.bias_part[:, i, :n], v[..., :n] * f)
         if self.bias_w is not None:
             _fold(self.bias_w, v * left[:, :, 1])
@@ -324,12 +323,12 @@ class EstimatorAccumulator:
         integral, minus_w = BIAS_TERMS[kind][variant]
         if integral is None:
             return 0.0
+        for name in (integral, "bias_w")[: 1 + minus_w]:
+            if getattr(self, name) is None:
+                raise ConfigurationError(
+                    f"{name} was not accumulated: no requested variant reads it")
         row = getattr(self, integral)
         if integral == "bias_part":
-            if row is None:
-                raise ConfigurationError(
-                    "partial bias integrals were not accumulated for this run"
-                )
             if n not in self.n_list:
                 raise ConfigurationError(
                     f"partial bias only available at N in {self.n_list}, got {n}"

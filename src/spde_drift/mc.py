@@ -6,22 +6,14 @@ shared sequential stream; per-trial records are sorted by trial index before
 any statistic is computed, so the report is byte-identical for every degree
 of parallelism.
 
-The trials are cut into contiguous chunks of min(CHUNK_TRIALS,
-ceil(n_trials / processes)) and each chunk is one task: its trials, drift-free
-ones included, are stepped together as one batch by ``simulate._run_blocks``,
-whose outputs are the bits of lone runs for any batch size.  An unobserved
-drift-free chunk is filtered a tile of one mode of every trial at a time,
-since its modes are independent recursions.  ``threads`` counts processes,
-the study's parent included, and is capped by the chunk count and the
-count of CPUs it may run on.  The parent builds chunk 0's set-up
-(``simulate._setup``) before anything else: a bad request is rejected
-before any worker starts, and the scipy modules and plan tables that set-up
-loads are inherited by the workers instead of being built in each.  On n
-processes the parent starts n - 1 workers with ``os.fork`` itself, so they
-inherit its set-up whatever multiprocessing's start method is, then steps
-chunk 0 and every n-th chunk after it; worker w steps chunks w, w + n, ...
-and returns its rows through a pipe.  One process, or a platform without
-``os.fork``, steps every chunk itself and starts no worker.
+``run_chunks`` is the one many-trial runner: it cuts a list of items (trial
+indices or seeds) into chunks and runs a function of a chunk on processes it
+forks itself.  A study is that runner plus estimate rows.  Its parent builds
+chunk 0's set-up (``simulate._setup``) before it forks, so a bad request is
+rejected before any worker starts and the workers inherit the scipy modules
+and plan tables it loads, and a chunk's trials are stepped as one batch by
+``simulate._run_blocks``, whose outputs are the bits of lone runs for any
+batch size.
 """
 
 from __future__ import annotations
@@ -236,9 +228,11 @@ def estimate_rows(
     ]
 
 
-def _chunks(n_trials: int, n_processes: int) -> list[range]:
-    size = min(CHUNK_TRIALS, -(-n_trials // n_processes))
-    return [range(i, min(i + size, n_trials)) for i in range(0, n_trials, size)]
+def _chunks(items, n_processes: int) -> list:
+    """``items`` in contiguous slices (ranges of a range) of min(CHUNK_TRIALS,
+    ceil(len(items) / n_processes)) items, the last one maybe shorter."""
+    size = max(1, min(CHUNK_TRIALS, -(-len(items) // n_processes)))
+    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 def _chunk_setup(spec: StudySpec, trials: range) -> tuple:
@@ -265,19 +259,18 @@ def _run_chunk(spec: StudySpec, trials: range, setup: tuple | None = None) -> li
 
 
 def resolve_threads(threads: int | None) -> int:
-    """The process count asked for, the study's parent included: ``threads``,
-    else $SPDE_DRIFT_THREADS, else 1; a count below 1 or not integral is
-    rejected by name."""
-    if threads is not None:
-        return checked("threads", threads, "count")
-    env = os.environ.get(THREADS_ENV_VAR)
-    if not env:
-        return 1
-    try:
-        count = int(env)
-    except ValueError as exc:
-        raise ConfigurationError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from exc
-    return checked(THREADS_ENV_VAR, count, "count")
+    """The process count of a run, its parent included: ``threads``, else
+    $SPDE_DRIFT_THREADS, else 1, capped by ``_usable_cpus`` and at 1 without
+    ``os.fork``; a count below 1 or not integral is rejected by name."""
+    name, count = "threads", threads
+    if threads is None:
+        name, env = THREADS_ENV_VAR, os.environ.get(THREADS_ENV_VAR)
+        try:
+            count = int(env or 1)
+        except ValueError as exc:
+            raise ConfigurationError(f"{name} must be an integer, got {env!r}") from exc
+    cpus = _usable_cpus() if hasattr(os, "fork") else 1
+    return min(checked(name, count, "count"), cpus)
 
 
 def _usable_cpus() -> int:
@@ -289,12 +282,12 @@ def _usable_cpus() -> int:
 
 
 class _Worker:
-    """A forked process that steps ``chunks[i]`` for each i in ``mine`` and
-    pickles ``{i: _run_chunk(spec, chunks[i])}``, or the exception that
-    stopped it, into a pipe.  It leaves through ``os._exit`` only, so it
-    never runs the parent's code after the fork."""
+    """A forked process that pickles ``{i: fn(chunks[i])}`` for each i in
+    ``mine``, or the exception that stopped it, into a pipe.  It leaves
+    through ``os._exit`` only, so it never runs the parent's code after the
+    fork."""
 
-    def __init__(self, spec: StudySpec, chunks: list[range], mine: range):
+    def __init__(self, fn, chunks: list, mine: range):
         self.mine = mine
         self.fd, write_fd = os.pipe()
         try:
@@ -308,7 +301,7 @@ class _Worker:
             try:
                 os.close(self.fd)
                 try:
-                    payload = {i: _run_chunk(spec, chunks[i]) for i in mine}
+                    payload = {i: fn(chunks[i]) for i in mine}
                 except BaseException as exc:  # the parent raises it
                     payload = exc
                 with open(write_fd, "wb") as pipe:
@@ -319,9 +312,9 @@ class _Worker:
         os.close(write_fd)
 
     def result(self) -> dict | None:
-        """The worker's rows by chunk index, read to EOF once it has exited,
-        or None when it died without them (a signal, the OOM killer); the
-        exception it raised is raised here."""
+        """The worker's results by chunk index, read to EOF once it has
+        exited, or None when it died without them (a signal, the OOM
+        killer); the exception it raised is raised here."""
         with open(self.fd, "rb") as pipe:
             self.fd = None
             payload = pipe.read()
@@ -346,6 +339,43 @@ class _Worker:
             self.pid = None
 
 
+def run_chunks(fn, items, threads: int | None = None) -> list:
+    """``[fn(chunk) for chunk in _chunks(items, n)]`` on n =
+    ``resolve_threads(threads)`` processes, but never more than the chunks.
+
+    The parent forks n - 1 ``_Worker``s itself (``os.fork``, whatever
+    multiprocessing's start method is), then runs chunk 0 and every n-th
+    chunk after it; worker w runs chunks w, w + n, ...  Only ``fn``'s results
+    are pickled.  A worker's exception is raised here, a worker that dies
+    without its results is a ``StudyError`` naming the first and last item of
+    each chunk it lost, and no worker outlives the run."""
+    n_processes = resolve_threads(threads)
+    chunks = _chunks(items, n_processes)
+    n = max(1, min(n_processes, len(chunks)))
+    workers = []
+    try:
+        for w in range(1, n):
+            workers.append(_Worker(fn, chunks, range(w, len(chunks), n)))
+        parts = {i: fn(chunks[i]) for i in range(0, len(chunks), n)}
+        lost = []
+        for worker in workers:
+            results = worker.result()
+            if results is None:
+                lost.extend(worker.mine)
+            else:
+                parts.update(results)
+    finally:  # no worker outlives the run, whatever ends it
+        for worker in workers:
+            worker.end()
+    if lost:
+        trials = ", ".join(f"{chunks[i][0]}-{chunks[i][-1]}" for i in sorted(lost))
+        raise StudyError(
+            f"a worker process died (killed by a signal or out of memory); "
+            f"trials {trials} were not run"
+        )
+    return [parts[i] for i in range(len(chunks))]
+
+
 def run_study(spec: StudySpec, threads: int | None = None) -> MCReport:
     """Run ``n_trials`` independent trajectories and aggregate the estimates.
 
@@ -353,46 +383,18 @@ def run_study(spec: StudySpec, threads: int | None = None) -> MCReport:
     than 10% of the trials fail, and one naming the lost trials, without a
     report, when a worker process dies.
     """
-    cpus = _usable_cpus() if hasattr(os, "fork") else 1
-    n_processes = min(resolve_threads(threads), cpus)
-    chunks = _chunks(spec.n_trials, n_processes)
+    n_processes = resolve_threads(threads)
+    trials = range(spec.n_trials)
     # checks the request, and loads before any fork what every chunk's set-up loads
-    first = _chunk_setup(spec, chunks[0])
+    first = _chunk_setup(spec, _chunks(trials, n_processes)[0])
     warn_if_inadmissible(spec.est_req.alpha, spec.model.gamma, spec.model.operator.beta)
-    n = min(n_processes, len(chunks))
-    workers = []
-    try:
-        # the parent's share is every n-th chunk from chunk 0; worker w steps
-        # chunks w, w + n, ...
-        for w in range(1, n):
-            workers.append(_Worker(spec, chunks, range(w, len(chunks), n)))
-        parts = {i: _run_chunk(spec, chunks[i], first if i == 0 else None)
-                 for i in range(0, len(chunks), n)}
-        lost = []
-        for worker in workers:
-            rows = worker.result()
-            if rows is None:
-                lost.extend(worker.mine)
-            else:
-                parts.update(rows)
-    finally:  # no worker outlives the study, whatever ends it
-        for worker in workers:
-            worker.end()
-    if lost:
-        trials = ", ".join(f"{chunks[i].start}-{chunks[i].stop - 1}" for i in sorted(lost))
-        raise StudyError(
-            f"a worker process died (killed by a signal or out of memory); "
-            f"trials {trials} were not run"
-        )
-    results = [r for i in range(len(chunks)) for r in parts[i]]
 
-    estimates: list[EstimateRow] = []
-    failures: list[tuple[int, str]] = []
-    for trial, rows, err in results:
-        if err is not None:
-            failures.append((trial, err))
-        else:
-            estimates.extend(rows)
+    def run(chunk):  # chunk 0 is stepped from the set-up built before the fork
+        return _run_chunk(spec, chunk, first if chunk.start == 0 else None)
+
+    results = [r for part in run_chunks(run, trials, n_processes) for r in part]
+    estimates = [row for _, rows, err in results if err is None for row in rows]
+    failures = [(trial, err) for trial, _, err in results if err is not None]
 
     variance = theoretical_variance(spec.model, spec.scheme.t_final, spec.est_req.alpha)
     report = summarize(

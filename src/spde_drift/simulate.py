@@ -393,11 +393,11 @@ def _observer(bias_nl: NonlinearitySpec, op: OperatorSpec, req, acc, block: int,
               f_full=None):
     """A closure that adds to ``acc`` the bias terms of the left states of a
     (n + 1, trials, components, n_modes) block path, n <= ``block``, in step
-    order.  Row 0 is ``bias_nl`` on the full field: the drift step's own,
-    (block, trials, 1, n_modes) ``f_full``, when the bias model is the drift,
-    else evaluated here on its ``_plans_grid``.  Each partial truncation N is
-    evaluated on its own grid, exact for N modes in and out, since only the
-    first N coefficients are read.
+    order, for the integrals ``acc`` holds.  Row 0 is ``bias_nl`` on the full
+    field: the drift step's own, (block, trials, 1, n_modes) ``f_full``, when
+    the bias model is the drift, else evaluated here on its ``_plans_grid``.
+    Each partial truncation N is evaluated on its own grid, exact for N modes
+    in and out, since only the first N coefficients are read.
 
     The left states go through the plans in sub-blocks of s steps, each plan
     with lead (s, trials, 1), so every row is its own product.  Per left
@@ -407,7 +407,8 @@ def _observer(bias_nl: NonlinearitySpec, op: OperatorSpec, req, acc, block: int,
     the row's products: s is the ``_block_length`` of those values per
     state, so a sub-block holds at most the value budget."""
     n_trials, n0 = acc.q.shape
-    cuts = (() if f_full is not None else (n0,)) + (req.n_list if req.wants_partial else ())
+    full = () if f_full is not None or acc.bias_full is None else (n0,)
+    cuts = full + (req.n_list if acc.bias_part is not None else ())
     grids = [_plans_grid(bias_nl, n) for n in cuts]
     samples = [_stage(bias_nl.is_odd_polynomial, g.n_grid)[1] for g in grids]
     per_step = n_trials * (3 * n0 + sum(3 * m + 2 * n for m, n in zip(samples, cuts)))
@@ -463,7 +464,8 @@ def _setup(model: ModelSpec, scheme: SchemeSpec, req: EstimatorRequest, seeds) -
         bias_nl = NonlinearitySpec("polynomial", poly_coeffs=p.cubic_coeffs())
     else:
         bias_nl = nl if req.bias_model is None else req.bias_model
-    observed = bias_nl.variant != "none"
+    # every variant but linear reads a bias integral, which the accumulator then holds
+    observed = bias_nl.variant != "none" and req.variants != ("linear",)
     n0 = model.n_sim
     h = scheme.dt
     n_steps = scheme.n_steps
@@ -501,9 +503,8 @@ def _setup(model: ModelSpec, scheme: SchemeSpec, req: EstimatorRequest, seeds) -
     step_nl = bias_nl if coupled else nl  # the activator's cubic steps v
     plan = NemytskiiPlan(step_nl, _plans_grid(step_nl, n0), op, (n_trials, 1), n0, n0)
     # the default bias model is the drift: the step keeps its row for the observer
-    f_full = None if req.bias_model is not None else np.empty(
-        (noise.length, n_trials, 1, n0)
-    )
+    keep = req.bias_model is None and acc.bias_full is not None
+    f_full = np.empty((noise.length, n_trials, 1, n0)) if keep else None
     observe = _observer(bias_nl, op, req, acc, noise.length, f_full) if observed else None
     f = np.empty((n_trials,) + denom.shape)
     f_parts = f.swapaxes(0, 1)  # (F_v, F_w) of every coupled trial

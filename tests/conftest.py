@@ -6,6 +6,30 @@ from pathlib import Path
 import pytest
 
 import spde_drift
+from spde_drift import mc
+from spde_drift.simulate import simulate_trials
+
+#: processes of the tests that spread trials over processes
+THREADS = 2
+
+
+def run_on_threads(run, *args):
+    """``run(*args, threads=THREADS)``, ``run`` being ``mc.run_study`` or
+    ``mc.run_chunks``, with ``mc._usable_cpus`` reading THREADS, so a worker
+    is forked beside the parent even on a host with fewer CPUs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc, "_usable_cpus", lambda: THREADS)
+        return run(*args, threads=THREADS)
+
+
+def run_seeds(fn, model, scheme, req, seeds):
+    """``fn`` of each seed's ``SimOutput``, in seed order: ``mc.run_chunks``
+    steps each chunk of seeds as one batch, which gives each trial its lone
+    bits, on THREADS processes."""
+    def chunk(part):
+        return [fn(out) for out in simulate_trials(model, scheme, req, part)]
+
+    return [x for part in run_on_threads(mc.run_chunks, chunk, seeds) for x in part]
 
 
 @pytest.fixture

@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import run_on_threads, run_seeds
 from scipy.integrate import simpson
 
-from spde_drift import mc
 from spde_drift.cli import main
 from spde_drift.estimate import EstimatorRequest, decompose
 from spde_drift.fields import (
@@ -27,23 +27,14 @@ from spde_drift.fields import (
     nemytskii_modes,
 )
 from spde_drift.mc import StudySpec, run_study
-from spde_drift.simulate import ModelSpec, SchemeSpec, simulate_model, simulate_trials
+from spde_drift.simulate import ModelSpec, SchemeSpec, simulate_model
 from spde_drift.spectrum import OperatorSpec
 from spde_drift.theory import AdvisorQuery, advise, asymptotic_constants, ou_moment_oracle
 
 PI = math.pi
 OP = OperatorSpec()
-THREADS = 2
 
 SIN_PI_X = (1.0 / math.sqrt(2.0),)  # sin(pi x) in the orthonormal sine basis
-
-
-def run_on_threads(spec):
-    """``run_study`` on THREADS processes, so a worker is forked beside the
-    parent even on a host with fewer CPUs."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mc, "_usable_cpus", lambda: THREADS)
-        return run_study(spec, threads=THREADS)
 
 
 def report(criterion: int, message: str):
@@ -66,7 +57,7 @@ def allen_cahn_study():
         n_trials=100,
         histogram_n=20,
     )
-    return run_on_threads(spec)
+    return run_on_threads(run_study, spec)
 
 
 @pytest.fixture(scope="session")
@@ -85,7 +76,7 @@ def smooth_noise_study():
         n_trials=100,
         histogram_n=20,
     )
-    return run_on_threads(spec)
+    return run_on_threads(run_study, spec)
 
 
 @pytest.fixture(scope="session")
@@ -102,7 +93,7 @@ def ou_normality_study():
         n_trials=1000,
         histogram_n=64,
     )
-    return run_on_threads(spec)
+    return run_on_threads(run_study, spec)
 
 
 def test_criterion_1_figure_consistency_band(allen_cahn_study):
@@ -139,16 +130,13 @@ def test_criterion_4_ou_moment_oracle():
         nonlinearity=NonlinearitySpec("none"), initial_modes=(0.0,), n_sim=20,
     )
     req = EstimatorRequest(alpha=gamma, n_list=(20,), variants=("linear",))
-    mean_q = np.zeros(20)
     scheme = SchemeSpec(dt=h, t_final=t_final, seed=40_000, backend="ou_exact")
     seeds = [40_000 + i for i in range(m_trials)]
-    for j in range(0, m_trials, 16):  # a batch gives each trial its lone bits
-        batch = simulate_trials(model, scheme, req, seeds[j : j + 16])
-        if j == 0:
-            lone = simulate_model(model, scheme, req)
-            assert batch[0].accumulators.q.tobytes() == lone.accumulators.q.tobytes()
-        for out in batch:
-            mean_q += out.accumulators.q
+    qs = run_seeds(lambda out: out.accumulators.q, model, scheme, req, seeds)
+    assert qs[0].tobytes() == simulate_model(model, scheme, req).accumulators.q.tobytes()
+    mean_q = np.zeros(20)
+    for q in qs:  # in seed order
+        mean_q += q
     mean_q /= m_trials
     rel_errors = {}
     for k in (1, 5, 20):
@@ -271,7 +259,7 @@ def test_criterion_8_coupled_system():
         n_trials=50,
         histogram_n=16,
     )
-    study = run_on_threads(spec)
+    study = run_on_threads(run_study, spec)
 
     ok_trials = set(range(50)) - {t for t, _ in study.failures}
     finite = {

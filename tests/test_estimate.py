@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import run_seeds
 
 from spde_drift.errors import (
     AdmissibilityWarning,
@@ -22,7 +23,7 @@ from spde_drift.estimate import (
     warn_if_inadmissible,
 )
 from spde_drift.fields import ALLEN_CAHN, FHNParams, NonlinearitySpec
-from spde_drift.simulate import ModelSpec, SchemeSpec, simulate_model, simulate_trials
+from spde_drift.simulate import ModelSpec, SchemeSpec, simulate_model
 from spde_drift.spectrum import OperatorSpec, eigenvalues
 
 PI = math.pi
@@ -165,13 +166,11 @@ def test_exact_ou_sample_mean_consistent():
         initial_modes=(0.0,), n_sim=64,
     )
     req = EstimatorRequest(alpha=gamma, n_list=(64,), variants=("linear",))
-    estimates = np.empty(500)
     scheme = SchemeSpec(dt=1e-4, t_final=1.0, seed=50_000, backend="ou_exact")
     seeds = [50_000 + i for i in range(500)]
-    for j in range(0, 500, 16):  # a batch gives each trial its lone bits
-        batch = simulate_trials(model, scheme, req, seeds[j : j + 16])
-        for i, out in enumerate(batch, j):
-            estimates[i] = estimate_theta(out.accumulators, req, "linear", 64).theta_hat
+    estimates = np.array(run_seeds(
+        lambda out: estimate_theta(out.accumulators, req, "linear", 64).theta_hat,
+        model, scheme, req, seeds))
     lone = simulate_model(model, scheme, req)
     assert estimate_theta(lone.accumulators, req, "linear", 64).theta_hat == estimates[0]
     stderr = estimates.std(ddof=1) / math.sqrt(len(estimates))
@@ -199,13 +198,14 @@ def _numerator_gaps(theta, gamma, h, n_modes, n_paths, seed0):
     req = EstimatorRequest(
         alpha=gamma, n_list=(n_modes,), variants=("linear",), numerator_mode="ito_sum"
     )
-    diffs = np.empty(n_paths)
-    for i in range(n_paths):
-        scheme = SchemeSpec(dt=h, t_final=1.0, seed=seed0 + i, backend="ou_exact")
-        acc = simulate_model(model, scheme, req).accumulators
-        diffs[i] = acc.numerator(n_modes, gamma, "robust") - acc.numerator(
-            n_modes, gamma, "ito_sum"
-        )
+    scheme = SchemeSpec(dt=h, t_final=1.0, seed=seed0, backend="ou_exact")
+
+    def gap(out):
+        acc = out.accumulators
+        return acc.numerator(n_modes, gamma, "robust") - acc.numerator(n_modes, gamma, "ito_sum")
+
+    diffs = np.array(run_seeds(gap, model, scheme, req, range(seed0, seed0 + n_paths)))
+    assert diffs[0] == gap(simulate_model(model, scheme, req))
     return diffs
 
 

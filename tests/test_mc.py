@@ -3,12 +3,14 @@ import csv
 import io
 import json
 import os
+import signal
 import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_on_threads
 
 from spde_drift.errors import ConfigurationError, StudyError
 from spde_drift.estimate import EstimatorRequest
@@ -100,17 +102,9 @@ def stepping_study(name):
     return StudySpec(model=model, scheme=scheme, est_req=req, n_trials=5, histogram_n=16)
 
 
-def run_on(spec, processes):
-    """``run_study`` on ``processes`` processes, even on a host with fewer
-    CPUs, so that more than one forks real workers beside the parent."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mc, "_usable_cpus", lambda: processes)
-        return run_study(spec, threads=processes)
-
-
 def assert_reproducible_and_thread_independent(spec):
     r1 = run_study(spec, threads=1)
-    r2 = run_on(spec, 2)
+    r2 = run_on_threads(run_study, spec)
     j1 = json.dumps(r1.to_json_dict(), sort_keys=True)
     j2 = json.dumps(r2.to_json_dict(), sort_keys=True)
     assert j1 == j2
@@ -314,10 +308,10 @@ class InProcessPool:
 
     created = []
 
-    def __init__(self, spec, chunks, mine):
+    def __init__(self, fn, chunks, mine):
         if mine.start == 1:  # a study's first worker; mine.step is n
             self.created.append(mine.step - 1)
-        self.rows = {i: mc._run_chunk(spec, chunks[i]) for i in mine}
+        self.rows = {i: fn(chunks[i]) for i in mine}
 
     def result(self):
         return self.rows
@@ -427,16 +421,62 @@ def test_a_failing_parent_chunk_ends_every_worker_first(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def draws(seeds):
+    """A chunk function that is not a study."""
+    return seeds, os.getpid(), [np.random.default_rng(s).standard_normal(4) for s in seeds]
+
+
+def test_run_chunks_returns_its_chunks_in_order_on_any_process_count(monkeypatch):
+    seeds = [1000 + 7 * i for i in range(40)]  # chunks of 16, 16, 8; at 3 processes 14, 14, 12
+    flat = set()
+    for processes in (1, 2, 3):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: processes)
+        parts = mc.run_chunks(draws, seeds, threads=3)
+        assert [s for chunk, _, _ in parts for s in chunk] == seeds
+        pids = [pid for _, pid, _ in parts]
+        assert pids[0] == TEST_PID and len(set(pids)) == processes
+        flat.add(b"".join(d.tobytes() for _, _, ds in parts for d in ds))
+    assert len(flat) == 1
+    assert mc.run_chunks(draws, [], threads=3) == []
+
+
+def killed_beside_the_parent(seeds):
+    if os.getpid() != TEST_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return seeds
+
+
+def raises_beside_the_parent(seeds):
+    if os.getpid() != TEST_PID:
+        raise KeyError(seeds[0])
+    return seeds
+
+
+@pytest.mark.parametrize("fn, error, message", [
+    (killed_beside_the_parent, StudyError, "; trials 116-131, 148-163 were not run$"),
+    (raises_beside_the_parent, KeyError, "^116$"),  # the worker's chunks are 1 and 3
+])
+def test_run_chunks_raises_what_its_workers_lose(fn, error, message, monkeypatch):
+    """A worker killed by a signal is a ``StudyError`` naming the first and
+    last item of each chunk it lost, a worker's exception is raised in the
+    parent, and no worker is left either way."""
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    with pytest.raises(error, match=message):
+        mc.run_chunks(fn, list(range(100, 180)), threads=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class RecordingPool(InProcessPool):
     """An in-process stand-in that records the first trial of every chunk
     its workers get, in chunk order."""
 
     submitted = []
 
-    def __init__(self, spec, chunks, mine):
+    def __init__(self, fn, chunks, mine):
         self.submitted.extend(chunks[i].start for i in mine)
         self.submitted.sort()
-        super().__init__(spec, chunks, mine)
+        super().__init__(fn, chunks, mine)
 
 
 @pytest.mark.parametrize("processes, workers, parent", [
@@ -481,11 +521,11 @@ class ScipyProbe(InProcessPool):
     at_start = []  # the scipy modules of each study's parent when its first worker starts
     late = set()  # scipy modules a worker's chunks hold that its parent lacked
 
-    def __init__(self, spec, chunks, mine):
+    def __init__(self, fn, chunks, mine):
         if mine.start == 1:
             self.loaded.append("scipy.signal" in sys.modules)
             self.at_start.append(scipy_modules())
-        super().__init__(spec, chunks, mine)
+        super().__init__(fn, chunks, mine)
         self.late.update(scipy_modules() - self.at_start[-1])
 
 mc._Worker = ScipyProbe

@@ -6,6 +6,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
+from conftest import run_seeds
 from scipy.signal import lfilter
 from scipy.special import ndtr
 
@@ -318,16 +319,13 @@ def test_linear_weak_accuracy_of_time_integrals():
     model = linear_model(theta=theta, gamma=gamma, x0=(0.0,), n_sim=20)
     req = EstimatorRequest(alpha=gamma, n_list=(20,), variants=("linear",))
     m_trials = 2000
-    acc_q = np.zeros(20)
     scheme = SchemeSpec(dt=h, t_final=t_final, seed=10_000)
     seeds = [10_000 + i for i in range(m_trials)]
-    for j in range(0, m_trials, 16):  # a batch gives each trial its lone bits
-        batch = simulate_trials(model, scheme, req, seeds[j : j + 16])
-        if j == 0:
-            lone = simulate_model(model, scheme, req)
-            assert batch[0].accumulators.q.tobytes() == lone.accumulators.q.tobytes()
-        for out in batch:
-            acc_q += out.accumulators.q
+    qs = run_seeds(lambda out: out.accumulators.q, model, scheme, req, seeds)
+    assert qs[0].tobytes() == simulate_model(model, scheme, req).accumulators.q.tobytes()
+    acc_q = np.zeros(20)
+    for q in qs:  # in seed order
+        acc_q += q
     acc_q /= m_trials
     lam = eigenvalues(OP, 20)
     for k in (1, 5, 20):
@@ -820,6 +818,30 @@ def test_accumulator_holds_only_the_integrals_its_request_reads(name):
                 with pytest.raises(ConfigurationError, match="Itô sum.*numerator_mode"):
                     estimate_theta(acc, replace(run_req, numerator_mode="ito_sum"),
                                    "linear", req.n_list[0])
+
+
+@pytest.mark.parametrize("name, variants, query, missing", [
+    ("allen_cahn", ("linear",), "full", "bias_full"),
+    ("quadratic_bias", ("linear",), "full", "bias_full"),
+    ("drift_free_bias", ("linear",), "full", "bias_full"),
+    ("fhn", ("linear",), "full", "bias_full"),
+    ("fhn", ("partial2", "linear"), "partial1", "bias_w"),
+], ids=["allen_cahn", "quadratic_bias", "drift_free_bias", "fhn", "fhn-partial2"])
+def test_an_integral_no_requested_variant_reads_is_not_held(name, variants, query, missing):
+    # nor observed: a linear-only run builds no observer, and its linear
+    # rows keep the bits of a run of every variant
+    model, scheme, req = batch_case(name)
+    scheme, lean, seeds = replace(scheme, t_final=0.01), replace(req, variants=variants), [3, 4]
+    assert (simulate._setup(model, scheme, lean, seeds)[-1] is None) == (variants == ("linear",))
+    for a, b in zip(simulate_trials(model, scheme, lean, seeds),
+                    simulate_trials(model, scheme, req, seeds)):
+        assert a.accumulators.bias_full is None and a.accumulators.bias_w is None
+        assert (a.accumulators.bias_part is None) == (variants == ("linear",))
+        for n in req.n_list:
+            assert (estimate_theta(a.accumulators, lean, "linear", n).theta_hat.hex()
+                    == estimate_theta(b.accumulators, req, "linear", n).theta_hat.hex())
+        with pytest.raises(ConfigurationError, match=f"^{missing} was not accumulated"):
+            estimate_theta(a.accumulators, req, query, 4)
 
 
 FHN_IN_A_FRESH_INTERPRETER = """
