@@ -24,8 +24,10 @@ sine coefficients; its docstring names the two stages that supply the two
 linear maps, and the sizes at which either stage applies them as
 precomputed tables instead of transforms (J. P. Boyd, *Chebyshev and Fourier
 Spectral Methods*, 2nd ed., 2001).  Every type-I DST of the module goes
-through ``_dst1``.  scipy's transforms are imported when the first plan or
-one-shot transform is built (``_load_transforms``), not with the module.
+through ``_dst1`` and every rfft through ``_rfft``, each one direct call to
+the pocketfft kernel that ``scipy.fft`` runs, writing into a buffer its
+caller owns.  ``scipy.fft`` is imported when the first plan or one-shot
+transform is built (``_load_transforms``), not with the module.
 
 Dealiasing: a polynomial of degree m applied to n_in modes has sine-degree
 m * n_in.  The general stage, whose periodic grid has 2(M_g+1) points, is
@@ -209,36 +211,48 @@ def _fit_modes(x: np.ndarray, n: int) -> np.ndarray:
     return np.pad(x, pad)
 
 
-#: scipy's DST and rfft, bound by ``_load_transforms``
-_dst = _rfft = None
+#: pocketfft's DST and real FFT, bound by ``_load_transforms``
+_dst = _r2c = None
 
 
 def _load_transforms():
-    """Import scipy's transforms and bind them, once: every plan and
-    one-shot transform calls this when it is built, so ``import spde_drift``
-    does not pay for ``scipy.fft`` and a call runs no import."""
-    global _dst, _rfft
-    if _rfft is None:
-        import scipy.fft
-        import scipy.fftpack
+    """Import ``scipy.fft`` and bind the two pocketfft kernels behind its
+    ``dst`` and ``rfft``, once: every plan and one-shot transform calls this
+    when it is built, so ``import spde_drift`` does not pay for ``scipy.fft``
+    and a call runs no import."""
+    global _dst, _r2c
+    if _r2c is None:
+        from scipy.fft._pocketfft import pypocketfft
 
-        _dst, _rfft = scipy.fftpack.dst, scipy.fft.rfft
-
-
-def _dst1(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    """Type-I DST along the last axis, the package's only DST call: the
-    pocketfft kernel and bits of ``scipy.fft.dst``, without its per-call
-    backend dispatch (several microseconds).  Needs ``_load_transforms``."""
-    return _dst(x, type=1, axis=-1, overwrite_x=overwrite_x)
+        _dst, _r2c = pypocketfft.dst, pypocketfft.r2c
 
 
-def _interior(x, L: float, padded: np.ndarray) -> np.ndarray:
+def _dst1(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Type-I DST along the last axis into ``out``, which is ``x`` itself or
+    a buffer that does not overlap it (pocketfft rejects a partial overlap).
+    The kernel and bits of ``scipy.fft.dst(x, type=1)``, unnormalised, on
+    one thread, without its argument checks and backend dispatch; the
+    arguments go by position.  Needs ``_load_transforms``."""
+    return _dst(x, 1, (x.ndim - 1,), 0, out, 1)
+
+
+def _rfft(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Forward real FFT along the last axis into the complex buffer ``out``
+    (last axis x.shape[-1] // 2 + 1, not overlapping ``x``): the kernel and
+    bits of ``scipy.fft.rfft(x)``, called as ``_dst1`` calls its DST."""
+    return _r2c(x, (x.ndim - 1,), True, 0, out, 1)
+
+
+def _interior(x, L: float, padded: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The field at the interior points, 0.5 DST-I(x sqrt(2/L)) with the
-    exact 0.5 folded into the scale.  ``x`` is written into the first
-    columns of ``padded``, shaped like x with one column per interior point,
-    whose other columns must be zero."""
-    np.multiply(x, 0.5 * math.sqrt(2.0 / L), out=padded[..., : x.shape[-1]])
-    return _dst1(padded)
+    exact 0.5 folded into the scale, written into ``out`` (``padded`` or a
+    separate buffer).  ``x`` is copied into the first columns of the
+    C-contiguous ``padded``, shaped like x with one column per interior
+    point, whose other columns must be zero; the scale then runs over the
+    whole of ``padded``, where it leaves the zeros as they are."""
+    padded[..., : x.shape[-1]] = x
+    np.multiply(padded, 0.5 * math.sqrt(2.0 / L), out=padded)
+    return _dst1(padded, out)
 
 
 def modes_to_grid(x, grid: GridSpec, spec: OperatorSpec) -> np.ndarray:
@@ -250,7 +264,8 @@ def modes_to_grid(x, grid: GridSpec, spec: OperatorSpec) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     _check_mode_count(arr.shape[-1], grid)
     _load_transforms()
-    return _interior(arr, spec.domain_length, np.zeros(arr.shape[:-1] + (grid.n_grid,)))
+    padded = np.zeros(arr.shape[:-1] + (grid.n_grid,))
+    return _interior(arr, spec.domain_length, padded, padded)
 
 
 def grid_to_modes(u, grid: GridSpec, spec: OperatorSpec) -> np.ndarray:
@@ -266,7 +281,8 @@ def grid_to_modes(u, grid: GridSpec, spec: OperatorSpec) -> np.ndarray:
     L = spec.domain_length
     scale = math.sqrt(L / 2.0) / (grid.n_grid + 1)
     _load_transforms()
-    coeffs = scale * _dst1(arr)
+    coeffs = _dst1(arr, np.empty(arr.shape))
+    coeffs *= scale
     return coeffs[..., : grid.n_modes_keep]
 
 
@@ -321,7 +337,8 @@ class NemytskiiPlan:
 
     Built once for a batch of ``n_rows`` states with ``n_in`` modes each: the
     dealiasing check, the choice of stage and every buffer of that stage are
-    set up here, so a call allocates at most the outputs of its transforms.
+    set up here, and each transform writes into one of those buffers, so a
+    call allocates no array.
     ``n_rows`` may also be a shape such as (trials, rows) for a stack of
     batches.  ``stage`` names the chosen stage and ``tables`` says whether
     its maps are applied as tables; both depend on the nonlinearity, n_in,
@@ -413,6 +430,10 @@ class NemytskiiPlan:
 
 # Each stage builder returns a plan's samples map, its Horner buffer and its
 # coefficients map, with every buffer shaped like the batch stack ``lead``.
+# numpy runs an elementwise operation without an iterator, and so without
+# allocating, only on C-contiguous or one-dimensional operands of one shape:
+# the maps apply their scales to whole buffers or to flat views of them and
+# move columns by plain copies.
 
 def _odd_stage(burgers, degree, m_g, L, lead, n_in, n_out):
     """Samples at the M_g interior points; f(u) back by DST as
@@ -420,15 +441,18 @@ def _odd_stage(burgers, degree, m_g, L, lead, n_in, n_out):
     _load_transforms()
     n_s = min(n_out, degree * n_in, m_g)
     modes = np.zeros(lead + (m_g,))
+    u = np.empty_like(modes)
     out = np.zeros(lead + (n_out,))  # only the first n_s columns are written
     scale = math.sqrt(L / 2.0) / (m_g + 1)
 
     def coefficients(w):
-        c = _dst1(w, overwrite_x=True)
-        np.multiply(c[..., :n_s], scale, out=out[..., :n_s])
+        """Sine coefficients of the interior samples w (overwritten)."""
+        c = _dst1(w, w)
+        np.multiply(c, scale, out=c)
+        out[..., :n_s] = c[..., :n_s]
         return out
 
-    return lambda x: _interior(x, L, modes), np.empty_like(modes), coefficients
+    return lambda x: _interior(x, L, modes, u), np.empty_like(modes), coefficients
 
 
 def _fft_stage(burgers, degree, m_g, L, lead, n_in, n_out):
@@ -436,45 +460,55 @@ def _fft_stage(burgers, degree, m_g, L, lead, n_in, n_out):
     by rfft and closed-form projection of the cosine part, or for Burgers
     the cosine part differentiated."""
     _load_transforms()
-    rfft = _rfft
     n_freq = min(degree * n_in, m_g)
     n_s = min(n_out, n_freq)
     n_points = 2 * (m_g + 1)
     modes = np.zeros(lead + (m_g,))
+    u = np.empty_like(modes)
     ext = np.zeros(lead + (n_points,))
-    a = np.empty(lead + (n_freq + 1,))
-    out = np.empty(lead + (n_out,))
+    spectrum = np.empty(lead + (m_g + 2,), dtype=np.complex128)
+    parts = spectrum.view(np.float64).reshape(-1)  # re, im, re, im, ...
+    a = np.empty(spectrum.shape)  # a_l in column l, for every rfft frequency
+    a_flat, a_0 = a.reshape(-1), a.reshape(-1, m_g + 2)[:, 0]
+    out = np.zeros(lead + (n_out,))
     if burgers:  # (-(u^2)_x / 2, Phi_k) = (k pi / 4) sqrt(2/L) a_k
-        deriv = np.arange(1, n_s + 1) * (math.pi / 4 * math.sqrt(2 / L))
+        deriv = np.zeros(out.shape)  # one row per row: keeps out[..., n_s:] zero
+        deriv[..., :n_s] = np.arange(1, n_s + 1) * (math.pi / 4 * math.sqrt(2 / L))
     else:
+        s = np.empty(spectrum.shape)  # s_l in column l
+        s_flat = s.reshape(-1)
         proj_t = _cos_to_sine_projection(n_out, n_freq + 1, L).T
+        projected = np.empty_like(out)
 
     def samples(x):
         """[0, u_1..u_M, 0, -u_M..-u_1] over [0, 2L)."""
-        u = _interior(x, L, modes)
+        _interior(x, L, modes, u)
         ext[..., 1 : m_g + 1] = u
-        np.negative(u[..., ::-1], out=ext[..., m_g + 2 :])
+        np.negative(u, out=u)
+        ext[..., m_g + 2 :] = u[..., ::-1]
         return ext
 
     def coefficients(w):
-        """Sine coefficients of the periodic samples w (overwritten)."""
-        out[..., n_s:] = 0.0
-        # w = a_0/2 + sum_l (a_l cos + s_l sin); a indexed from l = 0 with the
-        # 1/2 folded in, s from l = 1, both truncated at n_freq
-        spectrum = rfft(w, axis=-1, overwrite_x=True)
-        np.multiply(spectrum.real[..., : n_freq + 1], 2.0, out=a)
+        """Sine coefficients of the periodic samples w."""
+        # w = a_0/2 + sum_l (a_l cos + s_l sin) with the 1/2 folded into a_0;
+        # both are truncated at n_freq
+        _rfft(w, spectrum)
+        np.multiply(parts[0::2], 2.0, out=a_flat)
         np.divide(a, n_points, out=a)
-        a[..., 0] *= 0.5
+        np.multiply(a_0, 0.5, out=a_0)
         if burgers:
-            np.multiply(a[..., 1 : n_s + 1], deriv, out=out[..., :n_s])
-            return out
-        s = out[..., :n_s]
-        np.multiply(spectrum.imag[..., 1 : n_s + 1], -2.0, out=s)
-        s /= n_points
-        s *= L / 2.0
+            out[..., :n_s] = a[..., 1 : n_s + 1]
+            return np.multiply(out, deriv, out=out)
+        np.multiply(parts[1::2], -2.0, out=s_flat)
+        np.divide(s, n_points, out=s)
+        np.multiply(s, L / 2.0, out=s)
+        out[..., :n_s] = s[..., 1 : n_s + 1]
+        out[..., n_s:] = 0.0
         # a stacked matmul makes one BLAS call per batch, each with the lone
-        # batch's shape; a (trials * rows)-row product would round differently
-        np.add(out, a @ proj_t, out=out)
+        # batch's shape; a (trials * rows)-row product would round differently.
+        # BLAS reads a's column range through its leading dimension, uncopied
+        np.matmul(a[..., : n_freq + 1], proj_t, out=projected)
+        np.add(out, projected, out=out)
         np.multiply(out, math.sqrt(2.0 / L), out=out)
         return out
 

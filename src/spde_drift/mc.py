@@ -283,7 +283,8 @@ def _usable_cpus() -> int:
 
 class _Worker:
     """A forked process that pickles ``{i: fn(chunks[i])}`` for each i in
-    ``mine``, or the exception that stopped it, into a pipe.  It leaves
+    ``mine``, or the exception that stopped it, into a pipe; results that
+    cannot be pickled are replaced by the pickling error.  It leaves
     through ``os._exit`` only, so it never runs the parent's code after the
     fork."""
 
@@ -304,8 +305,13 @@ class _Worker:
                     payload = {i: fn(chunks[i]) for i in mine}
                 except BaseException as exc:  # the parent raises it
                     payload = exc
+                try:
+                    data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+                except BaseException as exc:  # the parent raises why; an
+                    # error that cannot be pickled either exits 1 below
+                    data = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
                 with open(write_fd, "wb") as pipe:
-                    pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+                    pipe.write(data)
                 status = 0
             finally:
                 os._exit(status)

@@ -862,7 +862,7 @@ except SystemExit as exc:  # --help
 print(json.dumps([at_start, code, scipy_modules()]))
 """
 
-TRANSFORMS = {"scipy.fft", "scipy.fftpack"}
+TRANSFORMS = {"scipy.fft"}
 
 
 @pytest.mark.parametrize("argv, code, loads", [
@@ -886,6 +886,7 @@ def test_scipy_loads_only_with_the_kernels_that_use_it(argv, code, loads, cubic_
     assert exit_code == code
     assert {name for name in loaded if name.count(".") == 1} >= loads
     assert "scipy.signal" not in loaded
+    assert "scipy.fftpack" not in loaded
     assert bool(loaded) == bool(loads)
 
 

@@ -19,6 +19,7 @@ from spde_drift.fields import (
     _dst1,
     _load_transforms,
     _plans_grid,
+    _rfft,
     _tables,
     burgers_modes,
     default_grid,
@@ -634,24 +635,49 @@ def test_odd_nemytskii_plan_matches_odd_reference_bitwise(m_g, L, monkeypatch):
 @pytest.mark.parametrize("m_g", [15, 31, 63, 127, 255, 511])
 @pytest.mark.parametrize("lead", [(), (1,), (16, 1), (24, 2, 1)], ids=str)
 def test_dst1_matches_scipy_fft_dst_bitwise(m_g, lead):
-    # the package's one DST call takes another route to pocketfft than
-    # scipy.fft.dst; the two must stay the same bits
+    # the package's one DST call goes to pocketfft without scipy.fft.dst's
+    # wrapper; into a separate buffer and in place, the two must stay the
+    # same bits
     _load_transforms()  # as every plan and one-shot transform does
     x = np.random.default_rng(m_g).standard_normal(lead + (m_g,))
     reference = scipy.fft.dst(x, type=1, axis=-1)
-    assert _dst1(x).tobytes() == reference.tobytes()
+    out = np.empty_like(x)
+    assert _dst1(x, out) is out
+    assert out.tobytes() == reference.tobytes()
     y = x.copy()
-    assert _dst1(y, overwrite_x=True).tobytes() == reference.tobytes()
+    assert _dst1(y, y) is y
+    assert y.tobytes() == reference.tobytes()
 
 
-def test_plan_calls_run_no_import(monkeypatch):
-    # scipy's transforms are imported and bound when a plan is built; an
-    # import inside the call would cost every step
+@pytest.mark.parametrize("n_points", [256, 512])
+@pytest.mark.parametrize("lead", [(4, 1), (3,)], ids=str)
+def test_rfft_matches_scipy_fft_rfft_bitwise(n_points, lead):
+    # the fft stage's rfft of the periodic samples, on the stage's sample
+    # counts for 127 and 255 interior points, into its complex buffer
+    _load_transforms()
+    w = np.random.default_rng(n_points).standard_normal(lead + (n_points,))
+    spectrum = np.empty(lead + (n_points // 2 + 1,), dtype=np.complex128)
+    assert _rfft(w, spectrum) is spectrum
+    assert spectrum.tobytes() == scipy.fft.rfft(w, axis=-1).tobytes()
+
+
+def warm_plans():
+    """A plan of each (stage, tables) kind on a stack of (4, 1) batches,
+    each called once."""
     plans = [NemytskiiPlan(nl, GridSpec(m_g, n), SPEC, (4, 1), n, n)
              for nl, m_g, n in ((ALLEN_CAHN, 63, 16), (ALLEN_CAHN, 255, 100),
                                 (QUADRATIC, 127, 16), (QUADRATIC, 255, 100))]
     assert {(plan.stage, plan.tables) for plan in plans} == {
         ("odd", True), ("odd", False), ("fft", True), ("fft", False)}
+    for plan in plans:
+        plan(np.ones(plan.shape))
+    return plans
+
+
+def test_plan_calls_run_no_import(monkeypatch):
+    # scipy's transforms are imported and bound when a plan is built; an
+    # import inside the call would cost every step
+    plans = warm_plans()
     imports = []
     real_import = builtins.__import__
 
@@ -664,6 +690,21 @@ def test_plan_calls_run_no_import(monkeypatch):
         plan(np.ones(plan.shape))
     monkeypatch.undo()
     assert imports == []
+
+
+def test_warm_plan_calls_allocate_no_array():
+    # every transform, product and scale of a call writes into a buffer of
+    # its plan; one (4, 1, 255) DST output would be 8 KB, and numpy's buffer
+    # for a strided two-dimensional operand is as large as the operand
+    for plan in warm_plans():
+        x = np.random.default_rng(0).standard_normal(plan.shape)
+        tracemalloc.start()
+        try:
+            plan(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024, (plan.stage, plan.tables, peak)
 
 
 ODD_QUINTIC = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 0.3, 0.0, -1.2, 0.0, 0.5))

@@ -467,6 +467,16 @@ def test_run_chunks_raises_what_its_workers_lose(fn, error, message, monkeypatch
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_run_chunks_raises_why_a_worker_could_not_pickle_its_results(monkeypatch):
+    """A result that cannot be pickled is the pickling error in the parent,
+    not a worker that died; the parent's own chunks are never pickled."""
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    with pytest.raises(AttributeError, match="^Can't pickle local object .*<lambda>'$"):
+        mc.run_chunks(lambda c: [lambda: 0 for _ in c], list(range(40)), threads=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class RecordingPool(InProcessPool):
     """An in-process stand-in that records the first trial of every chunk
     its workers get, in chunk order."""
@@ -509,7 +519,7 @@ def test_parent_steps_every_nth_chunk_from_its_own_set_up(processes, workers, pa
 POOL_PROBE = """
 import json, os, sys
 from dataclasses import replace
-from spde_drift import mc
+from spde_drift import fields, mc
 from spde_drift.fields import NonlinearitySpec
 from test_mc import InProcessPool, linear_study, stepping_study
 
@@ -520,11 +530,13 @@ class ScipyProbe(InProcessPool):
     loaded = []
     at_start = []  # the scipy modules of each study's parent when its first worker starts
     late = set()  # scipy modules a worker's chunks hold that its parent lacked
+    bound = []  # whether the plans' transforms were bound then
 
     def __init__(self, fn, chunks, mine):
         if mine.start == 1:
             self.loaded.append("scipy.signal" in sys.modules)
             self.at_start.append(scipy_modules())
+            self.bound.append(fields._r2c is not None)
         super().__init__(fn, chunks, mine)
         self.late.update(scipy_modules() - self.at_start[-1])
 
@@ -544,9 +556,12 @@ if sys.argv[1] == "quadratic_bias":  # a drift-free model observed by a drift
 report = mc.run_study(spec, threads=2)
 reference = mc.run_study(spec, threads=1)
 same = json.dumps(report.to_json_dict()) == json.dumps(reference.to_json_dict())
-transforms = [{"scipy.fft", "scipy.fftpack"} <= start for start in ScipyProbe.at_start]
+# scipy.signal imports scipy.fft too, so a drift-free study loads it; only
+# a study that builds a plan binds the transforms
+transforms = [bound and "scipy.fft" in start
+              for bound, start in zip(ScipyProbe.bound, ScipyProbe.at_start)]
 print(json.dumps([ScipyProbe.loaded, same, "scipy.signal" in sys.modules,
-                  sorted(ScipyProbe.late), transforms]))
+                  sorted(ScipyProbe.late), transforms, "scipy.fftpack" in sys.modules]))
 """
 
 
@@ -561,12 +576,14 @@ def test_drift_free_study_imports_scipy_signal_before_its_pool(name, drift_free,
     of a drift-free model, whatever its bias model, and the transforms of a
     run that builds a plan.  A study of a model with a drift never loads
     the filter."""
-    loaded, same, loaded_at_end, late, transforms = json.loads(fresh_python(POOL_PROBE, name))
+    loaded, same, loaded_at_end, late, transforms, fftpack = json.loads(
+        fresh_python(POOL_PROBE, name))
     assert loaded == [drift_free]
     assert same
     assert loaded_at_end == drift_free
     assert late == []
     assert transforms == [name in ("quadratic_bias", "allen_cahn", "fhn", "burgers")]
+    assert not fftpack
 
 
 #: the only functions that import scipy: the plans' transforms, the
@@ -575,30 +592,54 @@ SCIPY_IMPORT_SITES = {"fields._load_transforms", "simulate._ar1_kernel",
                       "mc.normal_ks_distance"}
 
 
-def scipy_import_sites(node, where):
+def sites(node, where, found):
     """The qualified name of the innermost function or class around each
-    scipy import under ``node``, ``where`` being that of ``node``."""
+    node under ``node`` for which ``found`` holds, ``where`` being that of
+    ``node``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from scipy_import_sites(child, f"{where}.{child.name}")
+            yield from sites(child, f"{where}.{child.name}", found)
             continue
-        if isinstance(child, ast.Import):
-            modules = [alias.name for alias in child.names]
-        else:
-            modules = [child.module or ""] if isinstance(child, ast.ImportFrom) else []
-        if any(module.partition(".")[0] == "scipy" for module in modules):
+        if found(child):
             yield where
-        yield from scipy_import_sites(child, where)
+        yield from sites(child, where, found)
+
+
+def package_sites(found):
+    """``sites`` of ``found`` over every module of the package."""
+    return {
+        site
+        for path in sorted(Path(mc.__file__).parent.glob("*.py"))
+        for site in sites(ast.parse(path.read_text()), path.stem, found)
+    }
+
+
+def imports_scipy(node):
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    else:
+        modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+    return any(module.partition(".")[0] == "scipy" for module in modules)
+
+
+def names_pypocketfft(node):
+    """A name, attribute, imported name or module path with a part
+    ``pypocketfft``."""
+    words = [getattr(node, key, None) for key in ("id", "attr", "name", "module")]
+    return any("pypocketfft" in word.split(".") for word in words if isinstance(word, str))
 
 
 def test_scipy_is_imported_only_where_its_kernels_are_built():
     """A study's parent builds one trial's set-up before it forks, and that
     loads the transforms and the filter for its workers.  A scipy import
     anywhere else, on a stepping path say, would run again in every worker."""
+    assert package_sites(imports_scipy) == SCIPY_IMPORT_SITES
+
+
+def test_transforms_are_bound_in_one_place():
+    """Every DST and rfft is one direct pocketfft call through the kernels
+    that ``fields._load_transforms`` binds: no module names scipy.fftpack,
+    whose wrapper the calls skip, and no other function names the binding."""
     package = Path(mc.__file__).parent
-    sites = {
-        site
-        for path in sorted(package.glob("*.py"))
-        for site in scipy_import_sites(ast.parse(path.read_text()), path.stem)
-    }
-    assert sites == SCIPY_IMPORT_SITES
+    assert [p.name for p in sorted(package.glob("*.py")) if "fftpack" in p.read_text()] == []
+    assert package_sites(names_pypocketfft) == {"fields._load_transforms"}
