@@ -111,7 +111,9 @@ class EstimateResult:
 
 @dataclass
 class Decomposition:
-    """All scalar variants at once, sharing one numerator evaluation.
+    """All scalar variants at one N, from one ``estimate_theta`` call per
+    bias variant (full, partial), each of which evaluates the numerator and
+    denominator itself; the linear estimate is read off the full call.
 
     By construction theta_full == theta_linear + bias_full and
     theta_partial == theta_linear + bias_partial, bit for bit.
@@ -376,7 +378,8 @@ def decompose(acc: EstimatorAccumulator, req: EstimatorRequest, n: int) -> Decom
 def coupled_estimates(
     acc: EstimatorAccumulator, req: EstimatorRequest, n: int
 ) -> dict[str, EstimateResult]:
-    """The four coupled-system estimators sharing one numerator/denominator."""
+    """The four coupled-system estimators at N, one ``estimate_theta`` call
+    each, so each evaluates the numerator and denominator itself."""
     return {v: estimate_theta(acc, req, v, n) for v in COUPLED_VARIANTS}
 
 

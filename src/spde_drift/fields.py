@@ -398,12 +398,8 @@ class NemytskiiPlan:
         lead = (n_rows,) if np.ndim(n_rows) == 0 else tuple(n_rows)
         self.shape = lead + (n_in,)
         self._coeffs = (0.0, 0.0, 1.0) if burgers else nl.poly_coeffs
-        odd = nl.is_odd_polynomial
-        self.stage = "odd" if odd else "fft"
-        build, n_samples = _stage(odd, m_g)
-        self.tables = max(n_in, n_out) * n_samples <= _TABLE_ENTRIES
-        if self.tables:
-            build = functools.partial(_table_stage, odd)
+        self.stage = "odd" if nl.is_odd_polynomial else "fft"
+        build, self.tables, _ = _plan_stage(nl, m_g, n_in, n_out)
         self._samples, self._poly, self._coefficients = build(
             burgers, nl.degree, m_g, spec.domain_length, lead, n_in, n_out
         )
@@ -515,10 +511,30 @@ def _fft_stage(burgers, degree, m_g, L, lead, n_in, n_out):
     return samples, np.empty_like(ext), coefficients
 
 
-def _stage(odd: bool, m_g: int):
-    """The builder of the odd or the ``fft`` stage and its sample count on
-    M_g interior points."""
-    return (_odd_stage, m_g) if odd else (_fft_stage, 2 * (m_g + 1))
+def _stage(odd: bool, burgers: bool, m_g: int, n_out: int):
+    """The builder of the odd or the ``fft`` stage, its sample count on M_g
+    interior points, and the float64 values (a complex one counts two) its
+    buffers hold per row of the stack for n_out coefficients."""
+    if odd:  # padded modes, samples, Horner buffer, output
+        return _odd_stage, m_g, 3 * m_g + n_out
+    n_samples, n_spectrum = 2 * (m_g + 1), m_g + 2
+    # padded modes and samples, extension and Horner buffer, spectrum and a,
+    # output
+    values = 2 * m_g + 2 * n_samples + 3 * n_spectrum + n_out
+    # and Burgers' derivative, or the others' s and projection
+    return _fft_stage, n_samples, values + (n_out if burgers else n_spectrum + n_out)
+
+
+def _plan_stage(nl: NonlinearitySpec, m_g: int, n_in: int, n_out: int):
+    """The builder of a plan of ``nl`` on M_g interior points, whether it
+    applies its stage as tables, and the float64 values its buffers hold
+    per row of the stack; the tables are shared, so they do not count."""
+    odd = nl.is_odd_polynomial
+    build, n_samples, values = _stage(odd, nl.variant == "burgers", m_g, n_out)
+    if max(n_in, n_out) * n_samples > _TABLE_ENTRIES:
+        return build, False, values
+    # samples, Horner buffer, output
+    return functools.partial(_table_stage, odd), True, 2 * n_samples + n_out
 
 
 def _table_stage(odd, burgers, degree, m_g, L, lead, n_in, n_out):
@@ -549,13 +565,15 @@ def _tables(
     j, so tables and transforms share every constant.  Each unit sample is
     its own batch of one row, so every row is projected alone, and the unit
     samples go through the stage in blocks of ``_block_length`` rows, at
-    most all n_samples of them, so a build holds a few blocks of the value
-    budget, not an n_samples x n_samples identity.  Read-only, shared
-    through the cache."""
-    build, n_samples = _stage(odd, m_g)
-    samples, _, _ = build(burgers, degree, m_g, L, (n_in, 1), n_in, n_out)
+    most all n_samples of them, each row counted at its unit sample and the
+    stage's buffers, so a build holds about one block of the value budget,
+    not an n_samples x n_samples identity.  Read-only, shared through the
+    cache."""
+    build, n_samples, values = _stage(odd, burgers, m_g, n_out)
+    samples = build(burgers, degree, m_g, L, (n_in, 1), n_in, n_out)[0]
     to_samples = samples(np.eye(n_in)[:, None])[:, 0].copy()
-    block = _block_length(n_samples, n_samples)
+    del samples  # and the stage's n_in rows of buffers with it
+    block = _block_length(n_samples, n_samples + values)
     _, _, coefficients = build(burgers, degree, m_g, L, (block, 1), n_in, n_out)
     to_out = np.empty((n_samples, n_out))
     for j in range(0, n_samples, block):

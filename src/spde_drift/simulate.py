@@ -68,7 +68,7 @@ from .estimate import (
     EstimatorRequest,
     warn_if_inadmissible,
 )
-from .fields import NemytskiiPlan, NonlinearitySpec, _block_length, _plans_grid, _stage
+from .fields import NemytskiiPlan, NonlinearitySpec, _block_length, _plan_stage, _plans_grid
 from .spectrum import OperatorSpec, eigenvalues
 
 BACKENDS = ("euler", "ou_exact")
@@ -402,16 +402,17 @@ def _observer(bias_nl: NonlinearitySpec, op: OperatorSpec, req, acc, block: int,
     The left states go through the plans in sub-blocks of s steps, each plan
     with lead (s, trials, 1), so every row is its own product.  Per left
     state the observer holds the field and at most two full rows of
-    products (row 0, and v w of a coupled state), and per plan row the plan
-    (at most three buffers of its samples and one of its coefficients) and
-    the row's products: s is the ``_block_length`` of those values per
-    state, so a sub-block holds at most the value budget."""
+    products (row 0, and v w of a coupled state), and per plan row the
+    values the plan's buffers hold (``fields._plan_stage``) and the row's
+    products: s is the ``_block_length`` of those values per state, so a
+    sub-block holds at most the value budget, or one step that alone holds
+    more."""
     n_trials, n0 = acc.q.shape
     full = () if f_full is not None or acc.bias_full is None else (n0,)
     cuts = full + (req.n_list if acc.bias_part is not None else ())
     grids = [_plans_grid(bias_nl, n) for n in cuts]
-    samples = [_stage(bias_nl.is_odd_polynomial, g.n_grid)[1] for g in grids]
-    per_step = n_trials * (3 * n0 + sum(3 * m + 2 * n for m, n in zip(samples, cuts)))
+    plan_values = [_plan_stage(bias_nl, g.n_grid, n, n)[2] for n, g in zip(cuts, grids)]
+    per_step = n_trials * (3 * n0 + sum(v + n for v, n in zip(plan_values, cuts)))
     s = _block_length(block, per_step)
     left = np.zeros((s, n_trials, 1, n0)) if cuts else None  # stale past a short sub-block
     plans = [(n, NemytskiiPlan(bias_nl, g, op, left.shape[:-1], n, n))

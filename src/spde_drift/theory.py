@@ -263,9 +263,10 @@ def _advise_reaction_diffusion(q: AdvisorQuery) -> Advice:
 
 def _advise_burgers(q: AdvisorQuery) -> Advice:
     beta = 2.0
+    threshold = admissibility_threshold(q.gamma, beta)  # gamma - 3/16
     hyp = [
         ("gamma > 1/2", q.gamma > 0.5),
-        (f"alpha > gamma - 3/16 = {q.gamma - 3.0 / 16.0}", q.alpha > q.gamma - 3.0 / 16.0),
+        (f"alpha > gamma - 3/16 = {threshold}", q.alpha > threshold),
     ]
     if not all(ok for _, ok in hyp):
         return Advice(q.example, beta, hyp, _not_covered_all())
@@ -281,12 +282,8 @@ def _advise_cahn_hilliard(q: AdvisorQuery) -> Advice:
     n = q.n
     beta = 4.0 / n
     rate_full = 0.5 + 2.0 / n
-    hyp = [
-        (
-            f"alpha > gamma - (n+4)/32 = {q.gamma - (n + 4) / 32.0}",
-            q.alpha > q.gamma - (n + 4) / 32.0,
-        )
-    ]
+    threshold = admissibility_threshold(q.gamma, beta)  # gamma - (n+4)/32
+    hyp = [(f"alpha > gamma - (n+4)/32 = {threshold}", q.alpha > threshold)]
     if n == 3:
         hyp.append(("gamma > 10/24", q.gamma > 10.0 / 24.0))
     if not all(ok for _, ok in hyp):

@@ -1,8 +1,10 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spde_drift
@@ -20,6 +22,20 @@ def run_on_threads(run, *args):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mc, "_usable_cpus", lambda: THREADS)
         return run(*args, threads=THREADS)
+
+
+def traced(fn, *args):
+    """``fn(*args)`` under tracemalloc: its result, the peak of the traced
+    bytes while it ran, and the bytes of the numpy arrays it left held."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+        arrays = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    finally:
+        tracemalloc.stop()
+    return out, peak, sum(trace.size for trace in arrays.traces)
 
 
 def run_seeds(fn, model, scheme, req, seeds):

@@ -6,11 +6,8 @@ import math
 import os
 import re
 import signal
-import subprocess
-import sys
 
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,28 +153,23 @@ def test_mc_writes_all_artifacts(linear_cfg, tmp_path, capsys):
 
 
 INADMISSIBLE_MC = """
-import sys
+import os, sys
 from spde_drift import mc
 from spde_drift.cli import main
+os.dup2(1, 2)  # every process's warnings come back as output
 mc._usable_cpus = lambda: 3  # two real workers beside the parent on any host
 sys.exit(main(sys.argv[1:]))
 """
 
 
-def test_mc_warns_once_per_study(tmp_path, capfd):
+def test_mc_warns_once_per_study(tmp_path, fresh_python):
     """The parent warns after the request check; no chunk warns, so three
     processes print one warning."""
     cfg = tmp_path / "inadmissible.cfg"
     cfg.write_text(with_value(LINEAR_CONFIG, "estimators", "alpha", "0.1"))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    argv = ["mc", str(cfg), "--out-dir", str(tmp_path / "out"), "--threads", "3"]
-    proc = subprocess.run([sys.executable, "-c", INADMISSIBLE_MC, *argv], env=env,
-                          timeout=300)
-    assert proc.returncode == 0
-    err = capfd.readouterr().err
-    assert err.count("AdmissibilityWarning") == 1, err
+    out = fresh_python(INADMISSIBLE_MC, "mc", cfg, "--out-dir", tmp_path / "out",
+                       "--threads", 3)
+    assert out.count("AdmissibilityWarning") == 1, out
 
 
 def test_mc_with_inadmissible_alpha_writes_unstandardized_artifacts(tmp_path):

@@ -1,10 +1,10 @@
 import builtins
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.fft
+from conftest import traced
 from scipy.integrate import simpson
 
 from spde_drift import fields
@@ -514,9 +514,9 @@ def test_table_stage_matches_table_reference_bitwise(m_g, L):
 def identity_tables(nl, m_g, L, n_in, n_out):
     """A plan's two tables from its stage applied to the whole identity at
     once, each unit sample a batch of one row."""
-    build, n_samples = fields._stage(nl.is_odd_polynomial, m_g)
-    samples, _, coefficients = build(nl.variant == "burgers", nl.degree, m_g, L,
-                                     (n_samples, 1), n_in, n_out)
+    burgers = nl.variant == "burgers"
+    build, n_samples, _ = fields._stage(nl.is_odd_polynomial, burgers, m_g, n_out)
+    samples, _, coefficients = build(burgers, nl.degree, m_g, L, (n_samples, 1), n_in, n_out)
     eye = np.eye(n_samples)[:, None]
     return samples(eye[..., :n_in])[:n_in, 0], coefficients(eye)[:, 0]
 
@@ -541,12 +541,7 @@ def test_table_builds_are_bounded_by_the_tables():
     # a 2047-point odd plan of 2 modes keeps tables of 2 x 2047 entries; its
     # stage applied to the 2047 x 2047 identity peaked at 128 MiB
     _tables.cache_clear()
-    tracemalloc.start()
-    try:
-        plan = NemytskiiPlan(ALLEN_CAHN, GridSpec(2047, 2), OperatorSpec(), 1, 2, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    plan, peak, _ = traced(NemytskiiPlan, ALLEN_CAHN, GridSpec(2047, 2), OperatorSpec(), 1, 2, 2)
     assert (plan.stage, plan.tables) == ("odd", True)
     assert peak < 4 * 2**20
 
@@ -557,16 +552,22 @@ def test_small_table_builds_take_blocks_of_at_most_their_samples(monkeypatch):
     # peaked at 1.2 MiB
     args = (True, False, 3, 15, 1.0, 4, 4)
     _tables.__wrapped__(*args)  # load the transforms outside the traced build
-    tracemalloc.start()
-    try:
-        tables = _tables.__wrapped__(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    tables, peak, _ = traced(_tables.__wrapped__, *args)
     assert peak <= 64 * 2**10
     monkeypatch.setattr(fields, "_BLOCK_VALUES", 1)  # one unit sample at a time
     for table, one_row in zip(tables, _tables.__wrapped__(*args)):
         assert table.tobytes() == one_row.tobytes()
+
+
+@pytest.mark.parametrize("nl", [FHN_CUBIC, NonlinearitySpec("burgers")],
+                         ids=["cubic", "burgers"])
+def test_table_builds_count_the_stage_buffers_of_each_unit_sample(nl):
+    # the 32-mode tables on 127 points, as FitzHugh-Nagumo's drift takes them:
+    # a block counted at its unit samples alone ran all 256 of them through
+    # the stage at once, which peaked at 3.0 MiB (2.7 MiB for Burgers)
+    args = (False, nl.variant == "burgers", nl.degree, 127, 1.0, 32, 32)
+    _tables.__wrapped__(*args)  # load the transforms outside the traced build
+    assert traced(_tables.__wrapped__, *args)[1] <= 2**20
 
 
 @pytest.mark.parametrize("m_g", [31, 63, 127])
@@ -697,14 +698,23 @@ def test_warm_plan_calls_allocate_no_array():
     # its plan; one (4, 1, 255) DST output would be 8 KB, and numpy's buffer
     # for a strided two-dimensional operand is as large as the operand
     for plan in warm_plans():
-        x = np.random.default_rng(0).standard_normal(plan.shape)
-        tracemalloc.start()
-        try:
-            plan(x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced(plan, np.random.default_rng(0).standard_normal(plan.shape))
         assert peak < 1024, (plan.stage, plan.tables, peak)
+
+
+@pytest.mark.parametrize("nl, m_g, n", [
+    (ALLEN_CAHN, 63, 16), (ALLEN_CAHN, 255, 100), (QUADRATIC, 127, 16), (QUADRATIC, 255, 100),
+    (NonlinearitySpec("burgers"), 255, 100),
+], ids=["odd-tables", "odd", "fft-tables", "fft", "burgers"])
+def test_a_plan_holds_the_values_its_stage_states_per_row(nl, m_g, n):
+    # the observer sizes its sub-blocks by this count; three sample buffers
+    # and the output, 1636 values per row of the fft stage, miss 1126 of them
+    grid = GridSpec(m_g, n)
+    NemytskiiPlan(nl, grid, SPEC, 1, n, n)  # tables and projection into the caches
+    plan, _, held = traced(NemytskiiPlan, nl, grid, SPEC, 64, n, n)
+    _, tables, values = fields._plan_stage(nl, m_g, n, n)
+    assert tables == plan.tables
+    assert held == 64 * 8 * values
 
 
 ODD_QUINTIC = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 0.3, 0.0, -1.2, 0.0, 0.5))

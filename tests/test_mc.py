@@ -301,31 +301,14 @@ def test_histogram_outliers_clipped_into_edge_bins():
     assert len(report.bin_edges) == 26  # [-5, 5] at width 0.4
 
 
-class InProcessPool:
-    """Stands in for ``mc._Worker``: records the worker count n - 1 of each
-    study that starts workers, starts no process and steps each worker's
-    chunks in the calling process."""
-
-    created = []
-
-    def __init__(self, fn, chunks, mine):
-        if mine.start == 1:  # a study's first worker; mine.step is n
-            self.created.append(mine.step - 1)
-        self.rows = {i: fn(chunks[i]) for i in mine}
-
-    def result(self):
-        return self.rows
-
-    def end(self):
-        pass
-
-
 def test_a_rejected_request_starts_no_pool(monkeypatch):
-    """A multi-worker study checks its request in the parent, before any
-    worker starts: it raises what a one-worker study raises."""
-    monkeypatch.setattr(mc, "_Worker", InProcessPool)
+    """A multi-process study checks its request in the parent, before it
+    forks: it raises what a one-process study raises."""
+    def no_fork():
+        pytest.fail("a rejected request forked a worker")
+
+    monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
-    InProcessPool.created.clear()
     spec = linear_study()
     spec = replace(spec, est_req=replace(spec.est_req, variants=("partial1",)))
     messages = []
@@ -334,46 +317,56 @@ def test_a_rejected_request_starts_no_pool(monkeypatch):
             run_study(spec, threads=threads)
         messages.append(str(exc.value))
     assert messages[0] == messages[1] == "scalar runs use variants full/partial/linear"
-    assert InProcessPool.created == []
 
 
-def test_pool_never_exceeds_the_chunk_count(monkeypatch):
-    """``threads`` counts the parent: a pool of n - 1 workers runs beside it,
-    and never more processes than there are chunks."""
-    monkeypatch.setattr(mc, "_Worker", InProcessPool)
+TEST_PID = os.getpid()
+
+
+def draws(seeds):
+    """A chunk function that is not a study."""
+    return seeds, os.getpid(), [np.random.default_rng(s).standard_normal(4) for s in seeds]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """``os.fork`` made to record the forking pid of each real fork; a
+    forked worker records into its own copy of the list."""
+    forked, fork = [], os.fork
+
+    def recorded():
+        forked.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return forked
+
+
+def test_pool_never_exceeds_the_chunk_count(forks, monkeypatch):
+    """``threads`` counts the parent: it forks n - 1 workers to run beside
+    it, and never more processes than there are chunks."""
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 64)
-    InProcessPool.created.clear()
     spec = linear_study(n_trials=3)
     report = run_study(spec, threads=64)
-    assert InProcessPool.created == [2]
+    assert forks == [TEST_PID] * 2
     reference = run_study(spec, threads=1)
-    assert InProcessPool.created == [2]  # one process starts no pool
+    assert len(forks) == 2  # one process forks nothing
     assert json.dumps(report.to_json_dict()) == json.dumps(reference.to_json_dict())
     run_study(linear_study(n_trials=40), threads=2)  # chunks of 16, 16 and 8
-    assert InProcessPool.created == [2, 1]
+    assert len(forks) == 3
 
 
 RUN_CHUNK = mc._run_chunk
 
 
 @pytest.mark.parametrize("cpus, pools", [(4, [3]), (1, [])])
-def test_processes_are_capped_by_the_cpu_count(cpus, pools, monkeypatch):
-    """A study runs at most as many processes as it has CPUs, its parent
-    included, and cuts its trials into chunks for that many."""
-    monkeypatch.setattr(mc, "_Worker", InProcessPool)
+def test_processes_are_capped_by_the_cpu_count(cpus, pools, forks, monkeypatch):
+    """The runner runs at most as many processes as it has CPUs, its parent
+    included, and cuts its items into chunks for that many."""
     monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
-    InProcessPool.created.clear()
-    stepped = []
-
-    def recorded(spec, trials, setup=None):
-        stepped.append(trials)
-        return RUN_CHUNK(spec, trials, setup)
-
-    monkeypatch.setattr(mc, "_run_chunk", recorded)
-    report = run_study(linear_study(n_trials=3000, variants=("linear",)), threads=3000)
-    assert InProcessPool.created == pools
-    assert report.n_trials == 3000 and report.n_failed == 0
-    assert sorted(len(trials) for trials in stepped)[1:] == [16] * 187  # 3000 = 187 * 16 + 8
+    parts = mc.run_chunks(draws, range(3000), threads=3000)
+    assert len(forks) == sum(pools)
+    assert len({pid for _, pid, _ in parts}) == cpus
+    assert [len(chunk) for chunk, _, _ in parts] == [16] * 187 + [8]  # 3000 = 187 * 16 + 8
 
 
 def test_usable_cpus_reads_the_affinity_set_else_the_cpu_count(monkeypatch):
@@ -387,19 +380,13 @@ def test_usable_cpus_reads_the_affinity_set_else_the_cpu_count(monkeypatch):
 
 
 def test_a_platform_without_fork_runs_a_study_in_one_process(monkeypatch):
-    monkeypatch.setattr(mc, "_Worker", InProcessPool)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 4)
-    monkeypatch.delattr(os, "fork")
-    InProcessPool.created.clear()
+    monkeypatch.delattr(os, "fork")  # so a fork attempt raises
     spec = linear_study(n_trials=40)
     report = run_study(spec, threads=4)
-    assert InProcessPool.created == []
     monkeypatch.undo()
     assert json.dumps(report.to_json_dict()) == json.dumps(
         run_study(spec, threads=1).to_json_dict())
-
-
-TEST_PID = os.getpid()
 
 
 def test_a_failing_parent_chunk_ends_every_worker_first(monkeypatch):
@@ -421,22 +408,19 @@ def test_a_failing_parent_chunk_ends_every_worker_first(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
-def draws(seeds):
-    """A chunk function that is not a study."""
-    return seeds, os.getpid(), [np.random.default_rng(s).standard_normal(4) for s in seeds]
-
-
 def test_run_chunks_returns_its_chunks_in_order_on_any_process_count(monkeypatch):
+    """On n processes the parent runs chunk i exactly when i % n == 0, and
+    each chunk gets the draws of its lone seeds."""
     seeds = [1000 + 7 * i for i in range(40)]  # chunks of 16, 16, 8; at 3 processes 14, 14, 12
-    flat = set()
     for processes in (1, 2, 3):
         monkeypatch.setattr(mc, "_usable_cpus", lambda: processes)
         parts = mc.run_chunks(draws, seeds, threads=3)
-        assert [s for chunk, _, _ in parts for s in chunk] == seeds
+        assert [chunk for chunk, _, _ in parts] == mc._chunks(seeds, processes)
         pids = [pid for _, pid, _ in parts]
-        assert pids[0] == TEST_PID and len(set(pids)) == processes
-        flat.add(b"".join(d.tobytes() for _, _, ds in parts for d in ds))
-    assert len(flat) == 1
+        assert len(set(pids)) == processes
+        assert [pid == TEST_PID for pid in pids] == [i % processes == 0 for i in range(3)]
+        assert [d.tobytes() for _, _, ds in parts for d in ds] == [
+            np.random.default_rng(s).standard_normal(4).tobytes() for s in seeds]
     assert mc.run_chunks(draws, [], threads=3) == []
 
 
@@ -477,32 +461,18 @@ def test_run_chunks_raises_why_a_worker_could_not_pickle_its_results(monkeypatch
         os.waitpid(-1, os.WNOHANG)
 
 
-class RecordingPool(InProcessPool):
-    """An in-process stand-in that records the first trial of every chunk
-    its workers get, in chunk order."""
-
-    submitted = []
-
-    def __init__(self, fn, chunks, mine):
-        self.submitted.extend(chunks[i].start for i in mine)
-        self.submitted.sort()
-        super().__init__(fn, chunks, mine)
-
-
-@pytest.mark.parametrize("processes, workers, parent", [
-    (2, [16, 48], [(0, True), (32, False), (64, False)]),
-    (3, [16, 32, 64], [(0, True), (48, False)]),
+@pytest.mark.parametrize("processes, parent", [
+    (2, [(0, True), (32, False), (64, False)]),
+    (3, [(0, True), (48, False)]),
 ])
-def test_parent_steps_every_nth_chunk_from_its_own_set_up(processes, workers, parent,
-                                                          monkeypatch):
+def test_parent_steps_every_nth_chunk_from_its_own_set_up(processes, parent, monkeypatch):
     """On n processes the parent steps chunk 0 from the set-up it built
-    before any worker, and every n-th chunk after it; the workers get the
-    others, and the report is the one-process report."""
+    before it forked, and every n-th chunk after it; the report is the
+    one-process report.  The recorder sees the parent's calls only, since
+    each worker records into its own copy of ``stepped``."""
     spec = linear_study(n_trials=80)  # five chunks of 16
     reference = json.dumps(run_study(spec, threads=1).to_json_dict())
-    monkeypatch.setattr(mc, "_Worker", RecordingPool)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: processes)
-    monkeypatch.setattr(RecordingPool, "submitted", [])
     stepped = []
 
     def recorded(spec, trials, setup=None):
@@ -512,8 +482,7 @@ def test_parent_steps_every_nth_chunk_from_its_own_set_up(processes, workers, pa
     monkeypatch.setattr(mc, "_run_chunk", recorded)
     report = run_study(spec, threads=processes)
     assert json.dumps(report.to_json_dict()) == reference
-    assert RecordingPool.submitted == workers
-    assert [step for step in stepped if step[0] not in workers] == parent
+    assert stepped == parent
 
 
 POOL_PROBE = """
@@ -521,27 +490,32 @@ import json, os, sys
 from dataclasses import replace
 from spde_drift import fields, mc
 from spde_drift.fields import NonlinearitySpec
-from test_mc import InProcessPool, linear_study, stepping_study
+from test_mc import linear_study, stepping_study
 
 def scipy_modules():
     return {name for name in sys.modules if name.partition(".")[0] == "scipy"}
 
-class ScipyProbe(InProcessPool):
-    loaded = []
-    at_start = []  # the scipy modules of each study's parent when its first worker starts
-    late = set()  # scipy modules a worker's chunks hold that its parent lacked
-    bound = []  # whether the plans' transforms were bound then
+PARENT = os.getpid()
+FORK, RUN_CHUNK = os.fork, mc._run_chunk
+loaded = []  # whether scipy.signal was loaded at each fork
+at_fork = []  # the scipy modules loaded at each fork
+bound = []  # whether the plans' transforms were bound then
 
-    def __init__(self, fn, chunks, mine):
-        if mine.start == 1:
-            self.loaded.append("scipy.signal" in sys.modules)
-            self.at_start.append(scipy_modules())
-            self.bound.append(fields._r2c is not None)
-        super().__init__(fn, chunks, mine)
-        self.late.update(scipy_modules() - self.at_start[-1])
+def fork():
+    loaded.append("scipy.signal" in sys.modules)
+    at_fork.append(scipy_modules())
+    bound.append(fields._r2c is not None)
+    return FORK()
 
-mc._Worker = ScipyProbe
-mc._usable_cpus = lambda: 2  # a pool beside the parent on any host
+def run_chunk(spec, trials, setup=None):
+    results = RUN_CHUNK(spec, trials, setup)
+    late = scipy_modules() - at_fork[-1] if os.getpid() != PARENT else set()
+    if late:  # the parent raises it
+        raise ImportError(f"a worker loaded {sorted(late)} after the fork")
+    return results
+
+os.fork, mc._run_chunk = fork, run_chunk
+mc._usable_cpus = lambda: 2  # a worker beside the parent on any host
 spec = {
     "ou_exact": linear_study(),
     "euler": linear_study(backend="euler"),
@@ -558,10 +532,9 @@ reference = mc.run_study(spec, threads=1)
 same = json.dumps(report.to_json_dict()) == json.dumps(reference.to_json_dict())
 # scipy.signal imports scipy.fft too, so a drift-free study loads it; only
 # a study that builds a plan binds the transforms
-transforms = [bound and "scipy.fft" in start
-              for bound, start in zip(ScipyProbe.bound, ScipyProbe.at_start)]
-print(json.dumps([ScipyProbe.loaded, same, "scipy.signal" in sys.modules,
-                  sorted(ScipyProbe.late), transforms, "scipy.fftpack" in sys.modules]))
+transforms = [b and "scipy.fft" in start for b, start in zip(bound, at_fork)]
+print(json.dumps([loaded, same, "scipy.signal" in sys.modules, transforms,
+                  "scipy.fftpack" in sys.modules]))
 """
 
 
@@ -571,17 +544,16 @@ print(json.dumps([ScipyProbe.loaded, same, "scipy.signal" in sys.modules,
 ])
 def test_drift_free_study_imports_scipy_signal_before_its_pool(name, drift_free,
                                                                fresh_python):
-    """Forked workers inherit the parent's scipy modules, so a multi-worker
-    study loads every one its chunks use before it starts them: the filter
-    of a drift-free model, whatever its bias model, and the transforms of a
-    run that builds a plan.  A study of a model with a drift never loads
-    the filter."""
-    loaded, same, loaded_at_end, late, transforms, fftpack = json.loads(
+    """Forked workers inherit the parent's scipy modules, so a multi-process
+    study loads every one its chunks use before it forks: the filter of a
+    drift-free model, whatever its bias model, and the transforms of a run
+    that builds a plan.  A worker whose chunk loads a scipy module fails the
+    run.  A study of a model with a drift never loads the filter."""
+    loaded, same, loaded_at_end, transforms, fftpack = json.loads(
         fresh_python(POOL_PROBE, name))
     assert loaded == [drift_free]
     assert same
     assert loaded_at_end == drift_free
-    assert late == []
     assert transforms == [name in ("quadratic_bias", "allen_cahn", "fhn", "burgers")]
     assert not fftpack
 

@@ -1,17 +1,21 @@
 import math
-import tracemalloc
 from dataclasses import fields, replace
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
-from conftest import run_seeds
+from conftest import run_seeds, traced
 from scipy.signal import lfilter
 from scipy.special import ndtr
 
 from spde_drift.errors import BlowUpError, ConfigurationError, DomainError
-from spde_drift.estimate import NUMERATOR_MODES, EstimatorRequest, estimate_theta
+from spde_drift.estimate import (
+    NUMERATOR_MODES,
+    EstimatorAccumulator,
+    EstimatorRequest,
+    estimate_theta,
+)
 from spde_drift.fields import (
     ALLEN_CAHN,
     FHNParams,
@@ -175,12 +179,7 @@ def test_ou_exact_draws_blockwise_the_bits_of_the_whole_run(times):
 def test_ou_exact_memory_is_the_path_and_one_noise_block():
     times = np.linspace(0.0, 1.0, 16385)
     simulate_ou_exact(0.1, 0.5, OP, 64, times[:3], 1)
-    tracemalloc.start()
-    try:
-        path = simulate_ou_exact(0.1, 0.5, OP, 64, times, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    path, peak, _ = traced(simulate_ou_exact, 0.1, 0.5, OP, 64, times, 1)
     # a whole-run draw array would add another 8 * 64 * 16384 = 8.4 MB
     assert peak - path.nbytes < 2_000_000
 
@@ -420,12 +419,7 @@ def test_snapshot_indices_take_every_stride_and_the_last_step(n_steps, stride):
 
 def test_snapshot_indices_of_a_million_steps_stay_small():
     # one int64 array: 8 MB, where a list of Python ints took 48 MB
-    tracemalloc.start()
-    try:
-        idx = simulate._snapshot_indices(10**6, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    idx, peak, _ = traced(simulate._snapshot_indices, 10**6, 1)
     assert len(idx) == 10**6 + 1 and idx[-1] == 10**6
     assert peak < 10_000_000
 
@@ -777,23 +771,31 @@ def observer_traced_peak(variants):
     model = ModelSpec(OP, 0.05, 0.6, ALLEN_CAHN, (0.7071,), 100)
     scheme = SchemeSpec(dt=1e-4, t_final=0.01, seed=3)
     req = EstimatorRequest(alpha=0.6, n_list=(4, 8, 16, 20, 32), variants=variants)
-    tracemalloc.start()
-    try:
-        simulate_trials(model, scheme, req, list(range(16)))
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced(simulate_trials, model, scheme, req, list(range(16)))[1]
 
 
 def test_partial_rows_stay_within_the_block_value_budget():
     # the observer's partial plans, the left states they read and the rows'
-    # products hold at most _BLOCK_VALUES values (plans counted at
-    # three buffers of their samples, which also covers a call's transform
-    # outputs): 0.38 MB, where one plan call per 40-step block took 4.2 MB
+    # products hold at most _BLOCK_VALUES values (plans counted at the
+    # values their buffers hold per row): 0.38 MB, where one plan call per
+    # 40-step block took 4.2 MB
     lean, rows = ("full", "linear"), ("full", "partial", "linear")
     observer_traced_peak(rows)  # fill the caches outside the compared runs
     extra = observer_traced_peak(rows) - observer_traced_peak(lean)
     assert 0 < extra <= 8 * _BLOCK_VALUES
+
+
+@pytest.mark.parametrize("bias", [QUADRATIC, NonlinearitySpec("burgers")],
+                         ids=["quadratic", "burgers"])
+@pytest.mark.parametrize("n_trials", [2, 16])
+def test_fft_stage_observer_holds_at_most_the_block_value_budget(bias, n_trials):
+    # a 100-mode full row on the fft stage holds 2762 values per plan row
+    # (2505 for Burgers); counted at 1636, its sub-blocks held 1.4 budgets
+    req = EstimatorRequest(alpha=0.6, n_list=(4, 8), variants=("full", "linear"),
+                           bias_model=bias)
+    acc = EstimatorAccumulator(n_trials, eigenvalues(OP, 100), 1.0, 0.6, req, False)
+    simulate._observer(bias, OP, req, acc, 40)  # fill the caches
+    assert traced(simulate._observer, bias, OP, req, acc, 40)[2] <= 8 * _BLOCK_VALUES
 
 
 @pytest.mark.parametrize("name", ["drift_free_euler", "drift_free_ou_exact", "allen_cahn",
@@ -997,12 +999,7 @@ def traced_peak(n_steps):
     model = ModelSpec(OP, 0.05, 0.6, ALLEN_CAHN, (0.7071,), 4)
     scheme = SchemeSpec(dt=1e-4, t_final=n_steps * 1e-4, seed=3)
     req = EstimatorRequest(alpha=0.6, n_list=(4,), variants=("full", "linear"))
-    tracemalloc.start()
-    try:
-        simulate_model(model, scheme, req)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced(simulate_model, model, scheme, req)[1]
 
 
 def test_stepping_memory_does_not_grow_with_n_steps():
@@ -1016,12 +1013,7 @@ def drift_free_traced_peak(backend, n_steps):
     model = linear_model(theta=0.1, gamma=0.5, x0=(0.5,), n_sim=64)
     scheme = SchemeSpec(dt=1e-4, t_final=n_steps * 1e-4, seed=3, backend=backend)
     req = EstimatorRequest(alpha=0.5, n_list=(8, 64))
-    tracemalloc.start()
-    try:
-        simulate_model(model, scheme, req)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced(simulate_model, model, scheme, req)[1]
 
 
 @pytest.mark.parametrize("backend", ["euler", "ou_exact"])

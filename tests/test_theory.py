@@ -194,6 +194,22 @@ def test_advice_with_a_failed_hypothesis_covers_no_estimator(query, failed):
         assert adv.notes and "assumption" in adv.notes[0]
 
 
+@pytest.mark.parametrize("example, n, written, cut", [
+    ("burgers", 1, "3/16", 3 / 16), ("cahn_hilliard", 1, "(n+4)/32", 5 / 32),
+    ("cahn_hilliard", 2, "(n+4)/32", 6 / 32), ("cahn_hilliard", 3, "(n+4)/32", 7 / 32),
+])
+def test_advisors_state_the_paper_admissibility_threshold(example, n, written, cut):
+    # both read admissibility_threshold(gamma, beta), which is the paper's
+    # gamma - 3/16 (beta = 2) and gamma - (n+4)/32 (beta = 4/n) bit for bit:
+    # the hypothesis text, and where alpha crosses it
+    for gamma in np.linspace(0.05, 3.0, 60):
+        threshold = float(gamma) - cut
+        for alpha in (threshold, float(np.nextafter(threshold, np.inf))):
+            adv = advise(AdvisorQuery(example, gamma=float(gamma), alpha=alpha, n=n))
+            assert (f"alpha > gamma - {written} = {threshold}", alpha > threshold) in (
+                adv.hypotheses)
+
+
 def test_advise_reaction_diffusion_general_case_consistent():
     adv = advise(AdvisorQuery("reaction_diffusion", gamma=0.6, alpha=0.6, n=1, m_f=4))
     assert adv.estimators["full"].status == STATUS_NORMAL
