@@ -70,12 +70,15 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sim, rows = _single_run_rows(cfg)
-    _write_trajectory_csv(out_dir / "trajectory.csv", sim.times, sim.trajectory)
+    written = [out_dir / "trajectory.csv"]
+    _write_trajectory_csv(written[0], sim.times, sim.trajectory)
     if sim.w_trajectory is not None:
-        _write_trajectory_csv(out_dir / "trajectory_w.csv", sim.times, sim.w_trajectory)
-    with open(out_dir / "estimates.csv", "w", newline="") as fh:
+        written.append(out_dir / "trajectory_w.csv")
+        _write_trajectory_csv(written[-1], sim.times, sim.w_trajectory)
+    written.append(out_dir / "estimates.csv")
+    with open(written[-1], "w", newline="") as fh:
         write_estimate_rows(fh, rows)
-    print(f"wrote {out_dir / 'trajectory.csv'} and {out_dir / 'estimates.csv'}")
+    print(f"wrote {', '.join(map(str, written[:-1]))} and {written[-1]}")
     return EXIT_OK
 
 

@@ -185,9 +185,10 @@ class EstimatorAccumulator:
     system ``bias_w[k]`` holds int v^k w^k dt.  Left-endpoint Riemann sums at
     full step resolution.
 
-    Every integral and endpoint has a leading axis of ``n_trials``;
-    ``split`` then hands out one accumulator per trial, with the bits that
-    trial accumulates alone.  It holds only what ``req`` reads: a bias
+    Every integral has a leading axis of ``n_trials``; ``finalize`` hands
+    out one finalized accumulator per trial, with the bits that trial
+    accumulates alone, and leaves the batch unfinalized, so that no query
+    reads its trial axis as modes.  It holds only what ``req`` reads: a bias
     integral when a requested variant of its run kind reads it (so a
     linear-only request holds none), ``ito`` under
     ``numerator_mode = ito_sum``.
@@ -255,24 +256,21 @@ class EstimatorAccumulator:
             steps *= left
             _fold(self.ito[:, modes], steps)
 
-    def finalize(self, h: float, x0, xT):
-        for arr in (self.q, self.bias_full, self.bias_part, self.bias_w):
-            if arr is not None:
-                arr *= h
-        self.x0 = np.array(x0, dtype=np.float64)
-        self.xT = np.array(xT, dtype=np.float64)
-        self._finalized = True
-
-    def split(self) -> list["EstimatorAccumulator"]:
-        """One finalized accumulator per trial."""
-        names = ("q", "ito", "bias_full", "bias_part", "bias_w", "x0", "xT")
+    def finalize(self, h: float, x0, xT) -> list["EstimatorAccumulator"]:
+        """One finalized accumulator per trial b: its Riemann sums times the
+        step h, its Itô sum, and the endpoints x0[b] and xT[b]."""
+        x0 = np.asarray(x0, dtype=np.float64)
+        xT = np.asarray(xT, dtype=np.float64)
         out = []
         for b in range(len(self.q)):
             acc = copy.copy(self)
-            for name in names:
+            for name in ("q", "bias_full", "bias_part", "bias_w"):
                 arr = getattr(self, name)
                 if arr is not None:
-                    setattr(acc, name, arr[b].copy())
+                    setattr(acc, name, arr[b] * h)
+            acc.ito = None if self.ito is None else self.ito[b].copy()
+            acc.x0, acc.xT = x0[b].copy(), xT[b].copy()
+            acc._finalized = True
             out.append(acc)
         return out
 

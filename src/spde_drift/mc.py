@@ -293,10 +293,12 @@ class _Worker:
         self.fd, write_fd = os.pipe()
         try:
             self.pid = os.fork()
-        except OSError:
+        except OSError as exc:
             os.close(self.fd)
             os.close(write_fd)
-            raise
+            raise StudyError(
+                f"could not start a worker process ({exc}); run with fewer --threads"
+            ) from exc
         if self.pid == 0:
             status = 1
             try:
@@ -441,11 +443,14 @@ def standardize_rows(rows, theta_true: float, variance, beta: float) -> None:
 
 
 def _as_rows(estimates) -> list[EstimateRow]:
-    """Rows and (trial, variant, N, theta_hat) tuples as rows, each N checked
-    to be an integer >= 1."""
+    """Rows and (trial, variant, N, theta_hat) tuples as new rows, each N
+    checked to be an integer >= 1; the caller's rows are copied, so setting
+    z leaves them as they were."""
     rows = []
     for e in estimates:
-        if not isinstance(e, EstimateRow):
+        if isinstance(e, EstimateRow):
+            e = replace(e)
+        else:
             trial, variant, n, theta_hat = e
             e = EstimateRow(int(trial), str(variant), n, float("nan"), float(theta_hat))
         e.N = checked("N", e.N, "count")

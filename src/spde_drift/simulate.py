@@ -315,10 +315,10 @@ def _run_blocks(scheme, noise: _NoiseBlocks, start, advance, acc, observe=None) 
             if modes.stop >= n_modes and all(err is not None for err in failed):
                 break
 
-    acc.finalize(h, x0[:, 0], state[:, 0])
+    trial_accs = acc.finalize(h, x0[:, 0], state[:, 0])
     times = None if idx is None else idx * h
     outs = []
-    for b, (err, trial_acc) in enumerate(zip(failed, acc.split())):
+    for b, (err, trial_acc) in enumerate(zip(failed, trial_accs)):
         if err is not None:
             outs.append(err)
             continue

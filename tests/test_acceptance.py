@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import run_on_threads, run_seeds
-from scipy.integrate import simpson
+from conftest import dense_burgers, dense_projection, run_on_threads, run_seeds
 
 from spde_drift.cli import main
 from spde_drift.estimate import EstimatorRequest, decompose
@@ -175,17 +174,6 @@ def test_criterion_5_decomposition_identities():
               f"theta_linear + partial bias bit-exact on {checked} (run, N) pairs")
 
 
-def _dense_sine_projection(x, f, n_out, l_domain=1.0, n_points=10_001):
-    xs = np.linspace(0.0, l_domain, n_points)
-    k = np.arange(1, len(x) + 1)
-    u = math.sqrt(2.0 / l_domain) * np.sin(PI * np.outer(xs, k) / l_domain) @ np.asarray(x)
-    w = f(u)
-    return np.array([
-        simpson(w * math.sqrt(2.0 / l_domain) * np.sin(kk * PI * xs / l_domain), x=xs)
-        for kk in range(1, n_out + 1)
-    ])
-
-
 def test_criterion_6_pseudospectral_oracle_equivalence():
     rng = np.random.default_rng(66)
     grid = GridSpec(n_grid=127, n_modes_keep=24)
@@ -199,19 +187,10 @@ def test_criterion_6_pseudospectral_oracle_equivalence():
         x = rng.standard_normal(int(rng.integers(1, 9))) * 0.8
         nem = nemytskii_modes(x, cubic, grid, OP, 24)
         worst_nem = max(worst_nem, float(np.max(np.abs(
-            nem - _dense_sine_projection(x, f, 24)
+            nem - dense_projection(x, f, 24)
         ))))
         bur = burgers_modes(x, grid, OP, 24)
-        k = np.arange(1, len(x) + 1)
-
-        def f_bur(u, x=x, k=k):
-            xs = np.linspace(0.0, 1.0, 10_001)
-            du = math.sqrt(2.0) * (np.cos(PI * np.outer(xs, k)) * (k * PI)) @ x
-            return -u * du
-
-        worst_bur = max(worst_bur, float(np.max(np.abs(
-            bur - _dense_sine_projection(x, f_bur, 24)
-        ))))
+        worst_bur = max(worst_bur, float(np.max(np.abs(bur - dense_burgers(x, 24)))))
         back = grid_to_modes(modes_to_grid(x, grid, OP), grid, OP)
         worst_rt = max(worst_rt, float(np.max(np.abs(back[: len(x)] - x))))
     assert worst_nem < 1e-8, worst_nem

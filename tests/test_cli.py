@@ -1,5 +1,6 @@
 import configparser
 import csv
+import errno
 import io
 import json
 import math
@@ -105,7 +106,7 @@ def test_estimate_out_writes_the_bytes_it_prints(cubic_cfg, tmp_path, capsys):
     assert path.read_bytes() == printed.encode()
 
 
-def test_simulate_writes_the_recovery_trajectory_of_a_coupled_model(tmp_path):
+def test_simulate_writes_the_recovery_trajectory_of_a_coupled_model(tmp_path, capsys):
     cfg = tmp_path / "fhn.cfg"
     cfg.write_text(FHN_CONFIG)
     out = tmp_path / "run"
@@ -115,6 +116,10 @@ def test_simulate_writes_the_recovery_trajectory_of_a_coupled_model(tmp_path):
     sim = simulate_model(run.model, replace(run.scheme, snapshot_stride=1), run.est_req)
     _write_trajectory_csv(tmp_path / "w.csv", sim.times, sim.w_trajectory)
     assert (out / "trajectory_w.csv").read_bytes() == (tmp_path / "w.csv").read_bytes()
+    assert capsys.readouterr().out == (
+        f"wrote {out / 'trajectory.csv'}, {out / 'trajectory_w.csv'} and "
+        f"{out / 'estimates.csv'}\n"
+    )
 
 
 def test_invalid_theta_names_key(tmp_path, capsys):
@@ -250,6 +255,16 @@ def test_an_axis_span_below_the_float_spacing_still_gets_its_ticks(hi):
     a = np.array([1e20, hi])
     svg = render_band_plot([4, 8], {"full": {"median": a, "p2_5": a, "p97_5": a}}, 1e20)
     assert svg.startswith("<svg") and svg.endswith("</svg>\n")
+
+
+@pytest.mark.parametrize("mse, reference", [
+    ([1e308, 1e308], [1.0, 1.0]),  # a log span outside the float range
+    ([1.0, 0.5], [0.0, 0.0]),  # points a log axis cannot place
+], ids=["non-finite-span", "zero-reference"])
+def test_an_mse_plot_the_axes_cannot_hold_as_given_is_still_drawn(mse, reference):
+    svg = render_mse_plot([4, 8], {"full": mse}, reference)
+    assert svg.startswith("<svg") and svg.endswith("</svg>\n")
+    assert "nan" not in svg and "inf" not in svg
 
 
 def test_mc_without_a_study_section_is_validation_error(cubic_cfg, tmp_path, capsys):
@@ -541,6 +556,34 @@ def test_mc_lost_worker_exits_with_runtime_code(linear_cfg, tmp_path, capsys, mo
     assert not out.exists()
     with pytest.raises(ChildProcessError):  # the dead worker was reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_fork_that_fails_is_runtime_error(linear_cfg, tmp_path, capsys, monkeypatch):
+    pipes, pipe = [], os.pipe
+
+    def recorded_pipe():
+        fds = pipe()
+        pipes.extend(fds)
+        return fds
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    out = tmp_path / "study"
+    assert main(["mc", str(linear_cfg), "--out-dir", str(out), "--threads", "2"]) == 2
+    captured = capsys.readouterr()
+    cause = BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    assert captured.err == (
+        f"error: could not start a worker process ({cause}); run with fewer --threads\n"
+    )
+    assert captured.out == "" and not out.exists()
+    assert len(pipes) == 2
+    for fd in pipes:  # both ends of the worker's pipe were closed
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 def _failing_chunk(spec, trials, setup=None):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import run_seeds
+from conftest import RUN_KINDS, observed, run_seeds
 
 from spde_drift.errors import (
     AdmissibilityWarning,
@@ -23,7 +23,7 @@ from spde_drift.estimate import (
     warn_if_inadmissible,
 )
 from spde_drift.fields import ALLEN_CAHN, FHNParams, NonlinearitySpec
-from spde_drift.simulate import ModelSpec, SchemeSpec, simulate_model
+from spde_drift.simulate import ModelSpec, SchemeSpec, simulate_model, simulate_trials
 from spde_drift.spectrum import OperatorSpec, eigenvalues
 
 PI = math.pi
@@ -82,13 +82,6 @@ def test_variants_coincide_without_nonlinearity():
         assert r_full.theta_hat == r_lin.theta_hat
 
 
-def test_denominator_nondecreasing_in_n():
-    acc, req = linear_run(seed=6)
-    values = [acc.denominator(n, req.alpha) for n in range(1, 17)]
-    assert all(b >= a for a, b in zip(values, values[1:]))
-    assert values[0] >= 0.0
-
-
 def test_deterministic_decay_recovers_theta_via_ito_sum():
     # pure exponential decay sampled on a fine grid: the discrete stochastic
     # integral identity recovers theta with O(h) error
@@ -102,9 +95,33 @@ def test_deterministic_decay_recovers_theta_via_ito_sum():
         )
         acc = EstimatorAccumulator(1, eigenvalues(OP, 1), t_final, 0.5, req)
         acc.add_path(path[:, None])
-        acc.finalize(h, path[:1], path[-1:])
-        res = estimate_theta(acc.split()[0], req, "linear", 1)
+        (trial,) = acc.finalize(h, path[:1], path[-1:])
+        res = estimate_theta(trial, req, "linear", 1)
         assert abs(res.theta_hat - theta) / theta < 1e-3
+
+
+def test_a_batch_answers_no_query_and_finalize_returns_its_trials():
+    # the batch's trial axis is not a mode axis: finalize hands out the
+    # trials and leaves the batch unfinalized
+    rng = np.random.default_rng(5)
+    path = rng.standard_normal((41, 3, 3))
+    req = EstimatorRequest(alpha=0.5, n_list=(2, 3), variants=("linear",))
+    batch = EstimatorAccumulator(3, eigenvalues(OP, 3), 1.0, 0.5, req)
+    batch.add_path(path)
+    trials = batch.finalize(0.025, path[0], path[-1])
+    for query in (lambda: batch.denominator(3, 0.5), lambda: batch.denominator(2, 0.5),
+                  lambda: estimate_theta(batch, req, "linear", 3)):
+        with pytest.raises(ConfigurationError, match="accumulator has not been finalized"):
+            query()
+    assert len(trials) == 3
+    for b, trial in enumerate(trials):
+        lone = EstimatorAccumulator(1, eigenvalues(OP, 3), 1.0, 0.5, req)
+        lone.add_path(path[:, b : b + 1])
+        (lone,) = lone.finalize(0.025, path[0, b : b + 1], path[-1, b : b + 1])
+        for n in req.n_list:
+            assert trial.denominator(n, 0.5) == lone.denominator(n, 0.5)
+            assert (estimate_theta(trial, req, "linear", n).theta_hat
+                    == estimate_theta(lone, req, "linear", n).theta_hat)
 
 
 @pytest.mark.parametrize("n_trials, n_modes", [(1, 1), (3, 5)])
@@ -240,18 +257,25 @@ def allen_cahn_run(seed, n_sim=16, h=1e-3, t_final=0.3, theta=0.05, gamma=0.6,
     return out.accumulators, req
 
 
-def test_decomposition_identities_bitwise():
-    for seed in range(5):
-        acc, req = allen_cahn_run(seed)
+@pytest.mark.parametrize("name", RUN_KINDS)
+def test_denominator_is_nondecreasing_and_the_decomposition_is_exact(name):
+    model, scheme, req = RUN_KINDS[name]
+    for out in simulate_trials(model, scheme, req, [3, 4]):
+        acc = out.accumulators
+        values = [acc.denominator(n, req.alpha) for n in range(1, model.n_sim + 1)]
+        assert values[0] >= 0.0
+        assert all(b >= a for a, b in zip(values, values[1:]))
+        if acc.coupled:  # decompose applies to scalar runs
+            continue
         for n in req.n_list:
             dec = decompose(acc, req, n)
             assert dec.theta_full == dec.theta_linear + dec.bias_full
             assert dec.theta_partial == dec.theta_linear + dec.bias_partial
-            assert dec.bias_full != 0.0
+            assert (dec.bias_full != 0.0) == observed(model, req)
             # the same values come out of estimate_theta
-            assert estimate_theta(acc, req, "full", n).theta_hat == dec.theta_full
-            assert estimate_theta(acc, req, "partial", n).theta_hat == dec.theta_partial
-            assert estimate_theta(acc, req, "linear", n).theta_hat == dec.theta_linear
+            for variant in req.variants:
+                theta = estimate_theta(acc, req, variant, n).theta_hat
+                assert theta == getattr(dec, f"theta_{variant}")
 
 
 def test_misspecified_bias_none_collapses_to_linear():

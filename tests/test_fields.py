@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.fft
-from conftest import traced
-from scipy.integrate import simpson
+from conftest import dense_burgers, dense_projection, traced
 
 from spde_drift import fields
 from spde_drift.errors import ConfigurationError
@@ -32,33 +31,6 @@ from spde_drift.spectrum import OperatorSpec
 
 PI = math.pi
 SPEC = OperatorSpec()
-
-
-def dense_projection(x, f, n_out, n_points=10_001, L=1.0):
-    """Independent oracle: composite-Simpson quadrature of (f(u), Phi_k)."""
-    xs = np.linspace(0.0, L, n_points)
-    k = np.arange(1, len(x) + 1)
-    u = math.sqrt(2.0 / L) * np.sin(PI * np.outer(xs, k) / L) @ np.asarray(x)
-    w = f(u)
-    out = np.empty(n_out)
-    for kk in range(1, n_out + 1):
-        phi = math.sqrt(2.0 / L) * np.sin(kk * PI * xs / L)
-        out[kk - 1] = simpson(w * phi, x=xs)
-    return out
-
-
-def dense_burgers(x, n_out, n_points=10_001, L=1.0):
-    xs = np.linspace(0.0, L, n_points)
-    k = np.arange(1, len(x) + 1)
-    c = np.asarray(x)
-    u = math.sqrt(2.0 / L) * np.sin(PI * np.outer(xs, k) / L) @ c
-    du = math.sqrt(2.0 / L) * (np.cos(PI * np.outer(xs, k) / L) * (k * PI / L)) @ c
-    w = -u * du
-    out = np.empty(n_out)
-    for kk in range(1, n_out + 1):
-        phi = math.sqrt(2.0 / L) * np.sin(kk * PI * xs / L)
-        out[kk - 1] = simpson(w * phi, x=xs)
-    return out
 
 
 def test_modes_to_grid_zero():

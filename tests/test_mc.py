@@ -10,12 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import run_on_threads
+from conftest import RUN_KINDS, run_on_threads
 
 from spde_drift.errors import ConfigurationError, StudyError
 from spde_drift.estimate import EstimatorRequest
 from spde_drift import mc
-from spde_drift.fields import ALLEN_CAHN, FHNParams, NonlinearitySpec
+from spde_drift.fields import NonlinearitySpec
 from spde_drift.mc import (
     EstimateRow,
     StudySpec,
@@ -78,30 +78,6 @@ def test_single_trial_medians_equal_estimates():
         assert stats["p97_5"] == rows[(variant, n)]
 
 
-def stepping_study(name):
-    """A 5-trial study of a stepping model: one chunk of 5 trials on one
-    worker, chunks of 3 and 2 on two."""
-    scheme = SchemeSpec(dt=2e-3, t_final=0.2, seed=321)
-    if name == "fhn":
-        params = FHNParams(a=0.5, b=1.0, epsilon=0.1)
-        model = ModelSpec(OP, 0.02, 0.8, NonlinearitySpec("fhn", fhn_params=params),
-                          (0.5, 0.1), 16)
-        req = EstimatorRequest(alpha=0.8, n_list=(4, 16),
-                               variants=("full", "partial1", "partial2", "linear"))
-    else:
-        skewed_cubic = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 1.0, 0.5, -1.0))
-        nl, bias = {
-            "allen_cahn": (ALLEN_CAHN, None),
-            "burgers": (NonlinearitySpec("burgers"), None),
-            "quadratic_bias": (skewed_cubic,
-                               NonlinearitySpec("polynomial", poly_coeffs=(0.0, 0.5, -1.0))),
-        }[name]
-        model = ModelSpec(OP, 0.05, 0.6, nl, (0.7071,), 16)
-        req = EstimatorRequest(alpha=0.6, n_list=(4, 8, 16),
-                               variants=("full", "partial", "linear"), bias_model=bias)
-    return StudySpec(model=model, scheme=scheme, est_req=req, n_trials=5, histogram_n=16)
-
-
 def assert_reproducible_and_thread_independent(spec):
     r1 = run_study(spec, threads=1)
     r2 = run_on_threads(run_study, spec)
@@ -118,9 +94,10 @@ def test_report_reproducible_and_thread_independent():
         assert_reproducible_and_thread_independent(spec)
 
 
-@pytest.mark.parametrize("name", ["allen_cahn", "fhn", "burgers", "quadratic_bias"])
+@pytest.mark.parametrize("name", RUN_KINDS)
 def test_stepping_report_reproducible_and_thread_independent(name):
-    assert_reproducible_and_thread_independent(stepping_study(name))
+    # five trials: one chunk on one process, chunks of 3 and 2 on two
+    assert_reproducible_and_thread_independent(StudySpec(*RUN_KINDS[name], n_trials=5))
 
 
 def test_percentile_sanity_and_variant_agreement():
@@ -191,6 +168,20 @@ def test_summarize_exact_estimates_give_zero_mse_and_residuals():
     assert stats["mse"] == 0.0
     assert stats["z_mean"] == 0.0
     assert stats["z_var"] == 0.0
+
+
+def test_a_report_keeps_the_z_scores_it_was_computed_with():
+    # summarize standardizes copies: a second summary of the same rows
+    # leaves the first report's z scores and the caller's rows as they were
+    rows = [EstimateRow(trial=t, variant="full", N=4, alpha=0.5, theta_hat=0.02 + 0.01 * t)
+            for t in range(3)]
+    first = summarize(rows, theta_true=0.02, variance=1.0, beta=2.0)
+    zs = [r.z for r in first.estimates]
+    second = summarize(rows, theta_true=0.02, variance=4.0, beta=2.0)
+    assert [r.z for r in first.estimates] == zs
+    assert first.rows[("full", 4)]["z_mean"] == float(np.mean(zs))
+    assert [r.z for r in second.estimates] == [z / 2 for z in zs]
+    assert all(r.z is None for r in rows)
 
 
 def test_summarize_accepts_plain_tuples():
@@ -490,7 +481,8 @@ import json, os, sys
 from dataclasses import replace
 from spde_drift import fields, mc
 from spde_drift.fields import NonlinearitySpec
-from test_mc import linear_study, stepping_study
+from conftest import RUN_KINDS
+from test_mc import linear_study
 
 def scipy_modules():
     return {name for name in sys.modules if name.partition(".")[0] == "scipy"}
@@ -520,10 +512,7 @@ spec = {
     "ou_exact": linear_study(),
     "euler": linear_study(backend="euler"),
     "quadratic_bias": linear_study(backend="euler"),
-    "allen_cahn": stepping_study("allen_cahn"),
-    "fhn": stepping_study("fhn"),
-    "burgers": stepping_study("burgers"),
-}[sys.argv[1]]
+}.get(sys.argv[1]) or mc.StudySpec(*RUN_KINDS[sys.argv[1]], n_trials=5)
 if sys.argv[1] == "quadratic_bias":  # a drift-free model observed by a drift
     bias = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 0.5, -1.0))
     spec = replace(spec, est_req=replace(spec.est_req, bias_model=bias))

@@ -5,7 +5,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
-from conftest import run_seeds, traced
+from conftest import FHN, QUADRATIC, RUN_KINDS, SKEWED_CUBIC, observed, run_seeds, traced
 from scipy.signal import lfilter
 from scipy.special import ndtr
 
@@ -248,7 +248,7 @@ def domain_cases():
 
 def domain_sweep_base(owner):
     """The callable named ``owner`` and valid keyword arguments of it."""
-    model, scheme, req = batch_case("allen_cahn")
+    model, scheme, req = RUN_KINDS["allen_cahn"]
     bases = {
         "simulate_ou_exact": (simulate_ou_exact, dict(
             theta=0.5, gamma=0.5, spec=OP, n_modes=2, times=[0.1, 0.2], seed=0)),
@@ -587,50 +587,6 @@ def test_request_exceeding_mode_count_rejected():
         )
 
 
-QUADRATIC = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 0.5, -1.0))
-SKEWED_CUBIC = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 1.0, 0.5, -1.0))
-FHN = NonlinearitySpec("fhn", fhn_params=FHNParams(a=0.5, b=1.0, epsilon=0.1))
-
-
-#: batch cases whose request sums the Ito numerator, so that ``ito`` is compared
-ITO_SUM_CASES = ("fhn", "burgers", "drift_free_euler", "drift_free_ou_exact")
-
-
-def batch_case(name):
-    """(model, scheme, request) of a stepping model on 32 modes, the size at
-    which one BLAS product over all trials' rows would round differently from
-    a lone run's; snapshots every 7 steps."""
-    scheme = SchemeSpec(dt=1e-3, t_final=0.05, seed=0, snapshot_stride=7)
-    mode = "ito_sum" if name in ITO_SUM_CASES else "robust"
-    if name == "fhn":
-        model = ModelSpec(OP, 0.02, 0.8, FHN, (0.5, 0.1), 32, initial_w_modes=(0.2,))
-        return model, scheme, EstimatorRequest(
-            alpha=0.8, n_list=(4, 16), variants=("full", "partial1", "partial2", "linear"),
-            numerator_mode=mode,
-        )
-    if name.startswith("drift_free_bias"):  # drift-free trials observed by a cubic
-        model, scheme, req = batch_case(  # bias model, on euler unless named
-            "drift_free_" + (name[len("drift_free_bias_"):] or "euler"))
-        return model, scheme, replace(req, bias_model=SKEWED_CUBIC)
-    if name.startswith("drift_free_"):
-        model = ModelSpec(OP, 0.05, 0.6, NONE_NL, (0.7071, -0.2), 32)
-        return model, replace(scheme, backend=name[len("drift_free_"):]), EstimatorRequest(
-            alpha=0.6, n_list=(4, 32), variants=("full", "partial", "linear"),
-            numerator_mode=mode,
-        )
-    nl, bias = {
-        "allen_cahn": (ALLEN_CAHN, None),
-        "burgers": (NonlinearitySpec("burgers"), None),
-        "quadratic_bias": (SKEWED_CUBIC, QUADRATIC),
-        "skewed_cubic": (SKEWED_CUBIC, None),
-    }[name]
-    model = ModelSpec(OP, 0.05, 0.6, nl, (0.7071,), 32)
-    return model, scheme, EstimatorRequest(
-        alpha=0.6, n_list=(4, 8, 16, 20, 32), variants=("full", "partial", "linear"),
-        bias_model=bias, numerator_mode=mode,
-    )
-
-
 def output_arrays(out):
     """Every array of a SimOutput and its accumulator, by name."""
     acc = out.accumulators
@@ -650,12 +606,9 @@ def assert_same_bits(a, b):
             assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
-@pytest.mark.parametrize("name", [
-    "allen_cahn", "fhn", "burgers", "quadratic_bias", "drift_free_euler",
-    "drift_free_ou_exact", "drift_free_bias",
-])
+@pytest.mark.parametrize("name", RUN_KINDS)
 def test_trial_batches_are_bit_identical_to_lone_runs(name):
-    model, scheme, req = batch_case(name)
+    model, scheme, req = RUN_KINDS[name]
     seeds = list(range(11, 27))
     whole = simulate_trials(model, scheme, req, seeds)
     split = simulate_trials(model, scheme, req, seeds[:5]) + simulate_trials(
@@ -666,58 +619,60 @@ def test_trial_batches_are_bit_identical_to_lone_runs(name):
         assert_same_bits(a, b)
         lone = simulate_model(model, replace(scheme, seed=seed), req)
         assert_same_bits(a, lone)
+        assert np.all(np.isfinite(a.xT))
+        assert np.any(a.accumulators.bias_full != 0.0) == observed(model, req)
     assert whole[0].xT.tobytes() != whole[1].xT.tobytes()
 
 
-@pytest.mark.parametrize("model_nl, bias, backend", [
-    (ALLEN_CAHN, QUADRATIC, "euler"),
-    (ALLEN_CAHN, NONE_NL, "euler"),
-    (NONE_NL, SKEWED_CUBIC, "euler"),
-    (NONE_NL, SKEWED_CUBIC, "ou_exact"),
-], ids=["allen_cahn-quadratic", "allen_cahn-none", "drift_free-cubic-euler",
-        "drift_free-cubic-ou_exact"])
-def test_paths_do_not_depend_on_the_bias_model(model_nl, bias, backend):
+def test_run_kinds_cover_both_stages_with_and_without_tables():
+    # each stage applies its maps as tables in some kind and as transforms
+    # in another, so every guarantee over the kinds holds for all four
+    pairs = set()
+    for model, _, req in RUN_KINDS.values():
+        nl = model.nonlinearity
+        if nl.variant == "fhn":  # the step evaluates the activator's cubic
+            nl = NonlinearitySpec("polynomial", poly_coeffs=nl.fhn_params.cubic_coeffs())
+        for f in (nl, req.bias_model):
+            if f is not None and f.variant != "none":
+                n = model.n_sim
+                plan = NemytskiiPlan(f, _plans_grid(f, n), OP, 1, n, n)
+                pairs.add((plan.stage, plan.tables))
+    assert pairs == {("odd", True), ("odd", False), ("fft", True), ("fft", False)}
+
+
+@pytest.mark.parametrize("name", RUN_KINDS)
+def test_paths_do_not_depend_on_the_bias_model(name):
     # the bias model only observes the path: the model alone picks the kernel
     # and the grid of its drift, so a misspecified estimator sees the data of
-    # the correct one
-    n_sim = 100 if model_nl is ALLEN_CAHN else 32
-    model = ModelSpec(OP, 0.05, 0.6, model_nl, (0.7071, -0.2), n_sim)
-    scheme = SchemeSpec(dt=1e-3, t_final=0.05, seed=0, snapshot_stride=7, backend=backend)
-    req = EstimatorRequest(alpha=0.6, n_list=(4, 32), variants=("full", "partial", "linear"),
-                           numerator_mode="ito_sum")
+    # the correct one.  A kind's twin is observed by a quadratic, or by
+    # nothing when the kind has a bias model of its own
+    model, scheme, req = RUN_KINDS[name]
+    twin = replace(req, bias_model=QUADRATIC if req.bias_model is None else NONE_NL)
     seeds = [3, 4, 5]
-    default = simulate_trials(model, scheme, req, seeds)
-    misspecified = simulate_trials(model, scheme, replace(req, bias_model=bias), seeds)
-    for a, b in zip(default, misspecified):
+    if model.nonlinearity.variant == "fhn":  # its bias model is the activator's cubic
+        with pytest.raises(ConfigurationError, match="bias_model overrides"):
+            simulate_trials(model, scheme, twin, seeds)
+        return
+    for a, b in zip(simulate_trials(model, scheme, req, seeds),
+                    simulate_trials(model, scheme, twin, seeds)):
         for x, y in [(a.x0, b.x0), (a.xT, b.xT), (a.trajectory, b.trajectory),
                      (a.accumulators.q, b.accumulators.q),
                      (a.accumulators.ito, b.accumulators.ito)]:
-            assert x.tobytes() == y.tobytes()
-        observed = bias.variant != "none"
-        assert np.any(b.accumulators.bias_full != 0.0) == observed
+            assert (x is None and y is None) or x.tobytes() == y.tobytes()
+        assert np.any(b.accumulators.bias_full != 0.0) == observed(model, twin)
         for variant in ("linear", "full"):
-            theta = estimate_theta(b.accumulators, replace(req, bias_model=bias), variant, 32)
+            theta = estimate_theta(b.accumulators, twin, variant, req.n_list[-1])
             assert math.isfinite(theta.theta_hat)
 
 
-@pytest.mark.parametrize("name, n_sim, stage", [
-    ("allen_cahn", 32, ("odd", True)), ("allen_cahn", 100, ("odd", False)),
-    ("fhn", 32, ("fft", True)), ("skewed_cubic", 33, ("fft", False)),
-], ids=["32", "100", "fhn-32", "skewed_cubic-33"])
-def test_drift_outputs_do_not_depend_on_partial_variants(name, n_sim, stage):
+@pytest.mark.parametrize("name", RUN_KINDS)
+def test_drift_outputs_do_not_depend_on_partial_variants(name):
     # the step evaluates the drift's own row alone and the partial rows are
     # evaluated apart from it, so the full field's drift has the same bits
-    # with or without them, on both stages with and without tables (the fft
-    # stage projects each batch of its stack in one product, and the drift's
-    # batch is its row alone)
-    model, scheme, req = batch_case(name)
-    model = replace(model, n_sim=n_sim)
-    nl = model.nonlinearity
-    if nl.variant == "fhn":  # the step evaluates the activator's cubic
-        nl = NonlinearitySpec("polynomial", poly_coeffs=nl.fhn_params.cubic_coeffs())
-    plan = NemytskiiPlan(nl, _plans_grid(nl, n_sim), OP, 1, n_sim, n_sim)
-    assert (plan.stage, plan.tables) == stage
-    lean = replace(req, variants=("full", "linear"))
+    # with or without them (the fft stage projects each batch of its stack
+    # in one product, and the drift's batch is its row alone)
+    model, scheme, req = RUN_KINDS[name]
+    lean = replace(req, variants=tuple(v for v in req.variants if not v.startswith("partial")))
     seeds = [3, 4, 5]
     with_rows = simulate_trials(model, scheme, req, seeds)
     without = simulate_trials(model, scheme, lean, seeds)
@@ -726,7 +681,7 @@ def test_drift_outputs_do_not_depend_on_partial_variants(name, n_sim, stage):
             x, y = getattr(a, field), getattr(b, field)
             assert (x is None) == (y is None), field
             assert x is None or x.tobytes() == y.tobytes(), field
-        for variant in ("full", "linear"):
+        for variant in lean.variants:
             for n in req.n_list:
                 assert (estimate_theta(a.accumulators, req, variant, n).theta_hat.hex()
                         == estimate_theta(b.accumulators, lean, variant, n).theta_hat.hex())
@@ -801,7 +756,7 @@ def test_fft_stage_observer_holds_at_most_the_block_value_budget(bias, n_trials)
 @pytest.mark.parametrize("name", ["drift_free_euler", "drift_free_ou_exact", "allen_cahn",
                                   "fhn"])
 def test_accumulator_holds_only_the_integrals_its_request_reads(name):
-    model, scheme, req = batch_case(name)
+    model, scheme, req = RUN_KINDS[name]
     scheme = replace(scheme, t_final=0.01)
     lean = tuple(v for v in req.variants if not v.startswith("partial"))
     robust = {}
@@ -832,7 +787,7 @@ def test_accumulator_holds_only_the_integrals_its_request_reads(name):
 def test_an_integral_no_requested_variant_reads_is_not_held(name, variants, query, missing):
     # nor observed: a linear-only run builds no observer, and its linear
     # rows keep the bits of a run of every variant
-    model, scheme, req = batch_case(name)
+    model, scheme, req = RUN_KINDS[name]
     scheme, lean, seeds = replace(scheme, t_final=0.01), replace(req, variants=variants), [3, 4]
     assert (simulate._setup(model, scheme, lean, seeds)[-1] is None) == (variants == ("linear",))
     for a, b in zip(simulate_trials(model, scheme, lean, seeds),
@@ -849,8 +804,10 @@ def test_an_integral_no_requested_variant_reads_is_not_held(name, variants, quer
 FHN_IN_A_FRESH_INTERPRETER = """
 import os, sys
 os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = sys.argv[1]
-from test_simulate import batch_case, estimate_theta, simulate_model
-model, scheme, req = batch_case("fhn")
+from conftest import RUN_KINDS
+from spde_drift.estimate import estimate_theta
+from spde_drift.simulate import simulate_model
+model, scheme, req = RUN_KINDS["fhn"]
 out = simulate_model(model, scheme, req)
 print(out.xT.tobytes().hex(), out.wT.tobytes().hex())
 for variant in req.variants:
@@ -868,14 +825,14 @@ def test_fhn_outputs_do_not_depend_on_blas_threads(fresh_python):
 
 
 def test_trial_batches_reject_bad_seed_lists():
-    model, scheme, req = batch_case("allen_cahn")
+    model, scheme, req = RUN_KINDS["allen_cahn"]
     for seeds in ([], [1, -1], [2**64]):
         with pytest.raises(ConfigurationError, match="seeds"):
             simulate_trials(model, scheme, req, seeds)
 
 
 def test_scalar_run_rejects_coupled_variants():
-    model, scheme, _ = batch_case("allen_cahn")
+    model, scheme, _ = RUN_KINDS["allen_cahn"]
     req = EstimatorRequest(alpha=0.6, n_list=(4,), variants=("full", "partial1"))
     with pytest.raises(ConfigurationError, match="scalar runs use variants full/partial/linear"):
         simulate_model(model, scheme, req)
@@ -883,8 +840,8 @@ def test_scalar_run_rejects_coupled_variants():
 
 def rejected_case(name):
     """(model, scheme, request) of a run that breaks one validation rule."""
-    fhn_model, scheme, fhn_req = batch_case("fhn")
-    model, _, req = batch_case("allen_cahn")
+    fhn_model, scheme, fhn_req = RUN_KINDS["fhn"]
+    model, _, req = RUN_KINDS["allen_cahn"]
     ou = replace(scheme, backend="ou_exact")
     return {
         "coupled_bias_override": (fhn_model, scheme, replace(fhn_req, bias_model=NONE_NL)),
@@ -939,26 +896,19 @@ def test_blow_up_in_a_batch_is_the_lone_runs_error():
     assert 0 < failed < len(seeds)
 
 
-@pytest.mark.parametrize("name", [
-    "allen_cahn", "fhn", "burgers", "drift_free_euler", "drift_free_ou_exact",
-    "drift_free_bias", "drift_free_bias_ou_exact",
-])
+@pytest.mark.parametrize("name", RUN_KINDS)
 def test_stepped_outputs_are_bit_identical_for_any_block_length(name, monkeypatch):
-    model, scheme, req = batch_case(name)
+    model, scheme, req = RUN_KINDS[name]
     # 302 steps: no block length below divides them, nor does the default 256
     scheme = replace(scheme, t_final=0.302)
     seeds = [31, 32, 33]
-    amps = np.ones((2 if name == "fhn" else 1, model.n_sim))
     default = simulate_trials(model, scheme, req, seeds)
     for seed, out in zip(seeds, default):
         assert_same_bits(out, simulate_model(model, replace(scheme, seed=seed), req))
     for length in (1, 3, 7):
-        monkeypatch.setattr("spde_drift.fields._BLOCK_VALUES", length * len(seeds) * amps.size)
-        assert _NoiseBlocks(seeds, amps, scheme.n_steps, scheme.dt).length == length
-        # an unobserved drift-free tile is one mode of every trial: 32 * length
-        # steps, so each mode's run is cut into pieces of 32, 96 and 224 steps
-        one_mode = _NoiseBlocks(seeds, amps, scheme.n_steps, 1.0, scheme.n_steps, width=1)
-        assert one_mode.length == 32 * length < scheme.n_steps
+        # every noise tile and observer sub-block takes that many steps
+        monkeypatch.setattr(simulate, "_block_length",
+                            lambda limit, per_item, n=length: min(limit, n))
         for a, b in zip(default, simulate_trials(model, scheme, req, seeds)):
             assert_same_bits(a, b)
 
