@@ -128,7 +128,8 @@ class Decomposition:
 
 
 def warn_if_inadmissible(alpha: float, gamma: float, beta: float) -> None:
-    """Warn when the contrast parameter violates alpha > gamma - (1+1/beta)/8."""
+    """Warn when the contrast parameter violates alpha > gamma - (1+1/beta)/8,
+    naming the line that called the public entry point that calls this."""
     threshold = admissibility_threshold(gamma, beta)
     if alpha <= threshold:
         warnings.warn(

@@ -26,8 +26,8 @@ precomputed tables instead of transforms (J. P. Boyd, *Chebyshev and Fourier
 Spectral Methods*, 2nd ed., 2001).  Every type-I DST of the module goes
 through ``_dst1`` and every rfft through ``_rfft``, each one direct call to
 the pocketfft kernel that ``scipy.fft`` runs, writing into a buffer its
-caller owns.  ``scipy.fft`` is imported when the first plan or one-shot
-transform is built (``_load_transforms``), not with the module.
+caller owns.  ``_extension`` loads these and the package's other compiled
+scipy kernels from their files when the module is imported.
 
 Dealiasing: a polynomial of degree m applied to n_in modes has sine-degree
 m * n_in.  The general stage, whose periodic grid has 2(M_g+1) points, is
@@ -46,8 +46,11 @@ the same kernel.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -211,20 +214,29 @@ def _fit_modes(x: np.ndarray, n: int) -> np.ndarray:
     return np.pad(x, pad)
 
 
-#: pocketfft's DST and real FFT, bound by ``_load_transforms``
-_dst = _r2c = None
+def _extension(package: str, name: str):
+    """scipy's compiled module ``scipy.<package>.<name>``, loaded from its
+    file: no ``__init__`` of scipy or of a scipy package runs (about 1 s).
+    A missing file is an ImportError naming its path and scipy's version."""
+    scipy = importlib.util.find_spec("scipy")
+    root = Path(scipy.origin if scipy else "scipy/__init__.py").parent
+    stem = root.joinpath(*package.split("."), name)
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        spec = importlib.util.spec_from_file_location(f"scipy.{package}.{name}", f"{stem}{suffix}")
+        if Path(spec.origin).is_file():
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    # the version as importlib.metadata reads it, without that module's 15 ms import
+    version = ", ".join(p.name[6:-10] for p in root.parent.glob("scipy-*.dist-info")) or "?"
+    raise ImportError(f"no {stem}.* in scipy {version}; spde_drift is verified on scipy 1.17.1")
 
 
-def _load_transforms():
-    """Import ``scipy.fft`` and bind the two pocketfft kernels behind its
-    ``dst`` and ``rfft``, once: every plan and one-shot transform calls this
-    when it is built, so ``import spde_drift`` does not pay for ``scipy.fft``
-    and a call runs no import."""
-    global _dst, _r2c
-    if _r2c is None:
-        from scipy.fft._pocketfft import pypocketfft
-
-        _dst, _r2c = pypocketfft.dst, pypocketfft.r2c
+#: pocketfft's DST and rfft, the filter in ``scipy.signal.lfilter``, ``ndtr``
+_pocketfft = _extension("fft._pocketfft", "pypocketfft")
+_dst, _r2c = _pocketfft.dst, _pocketfft.r2c
+_linear_filter = _extension("signal", "_sigtools")._linear_filter
+_ndtr = _extension("special", "_special_ufuncs").ndtr
 
 
 def _dst1(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -232,7 +244,7 @@ def _dst1(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     a buffer that does not overlap it (pocketfft rejects a partial overlap).
     The kernel and bits of ``scipy.fft.dst(x, type=1)``, unnormalised, on
     one thread, without its argument checks and backend dispatch; the
-    arguments go by position.  Needs ``_load_transforms``."""
+    arguments go by position."""
     return _dst(x, 1, (x.ndim - 1,), 0, out, 1)
 
 
@@ -263,7 +275,6 @@ def modes_to_grid(x, grid: GridSpec, spec: OperatorSpec) -> np.ndarray:
     """
     arr = np.asarray(x, dtype=np.float64)
     _check_mode_count(arr.shape[-1], grid)
-    _load_transforms()
     padded = np.zeros(arr.shape[:-1] + (grid.n_grid,))
     return _interior(arr, spec.domain_length, padded, padded)
 
@@ -280,7 +291,6 @@ def grid_to_modes(u, grid: GridSpec, spec: OperatorSpec) -> np.ndarray:
         )
     L = spec.domain_length
     scale = math.sqrt(L / 2.0) / (grid.n_grid + 1)
-    _load_transforms()
     coeffs = _dst1(arr, np.empty(arr.shape))
     coeffs *= scale
     return coeffs[..., : grid.n_modes_keep]
@@ -434,7 +444,6 @@ class NemytskiiPlan:
 def _odd_stage(burgers, degree, m_g, L, lead, n_in, n_out):
     """Samples at the M_g interior points; f(u) back by DST as
     ``grid_to_modes``."""
-    _load_transforms()
     n_s = min(n_out, degree * n_in, m_g)
     modes = np.zeros(lead + (m_g,))
     u = np.empty_like(modes)
@@ -455,7 +464,6 @@ def _fft_stage(burgers, degree, m_g, L, lead, n_in, n_out):
     """Samples of the odd extension on the periodic grid; sine coefficients
     by rfft and closed-form projection of the cosine part, or for Burgers
     the cosine part differentiated."""
-    _load_transforms()
     n_freq = min(degree * n_in, m_g)
     n_s = min(n_out, n_freq)
     n_points = 2 * (m_g + 1)

@@ -10,8 +10,8 @@ of parallelism.
 indices or seeds) into chunks and runs a function of a chunk on processes it
 forks itself.  A study is that runner plus estimate rows.  Its parent builds
 chunk 0's set-up (``simulate._setup``) before it forks, so a bad request is
-rejected before any worker starts and the workers inherit the scipy modules
-and plan tables it loads, and a chunk's trials are stepped as one batch by
+rejected before any worker starts and the workers inherit the plan tables it
+builds, and a chunk's trials are stepped as one batch by
 ``simulate._run_blocks``, whose outputs are the bits of lone runs for any
 batch size.
 """
@@ -23,6 +23,7 @@ import math
 import os
 import pickle
 import signal
+import traceback
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -39,7 +40,7 @@ from .errors import (
     spec_field,
 )
 from .estimate import EstimatorRequest, estimate_theta, warn_if_inadmissible, z_score
-from .fields import _BLOCK_VALUES
+from .fields import _BLOCK_VALUES, _ndtr
 from .simulate import ModelSpec, SchemeSpec, SimOutput, _run_blocks, _setup
 from .theory import asymptotic_constants
 
@@ -202,13 +203,11 @@ def write_estimate_rows(fh, rows) -> None:
 
 def normal_ks_distance(sample) -> float:
     """Kolmogorov-Smirnov distance of a sample to the standard normal."""
-    from scipy.special import ndtr  # imported here, not with the package
-
     z = np.sort(np.asarray(sample, dtype=np.float64))
     n = len(z)
     if n == 0:
         raise ConfigurationError("cannot compute a KS distance of an empty sample")
-    cdf = ndtr(z)
+    cdf = _ndtr(z)
     upper = np.max(np.arange(1, n + 1) / n - cdf)
     lower = np.max(cdf - np.arange(0, n) / n)
     return float(max(upper, lower))
@@ -281,12 +280,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+class _WorkerTraceback(Exception):
+    """The cause of an exception raised in a worker: its traceback there."""
+
+
 class _Worker:
     """A forked process that pickles ``{i: fn(chunks[i])}`` for each i in
-    ``mine``, or the exception that stopped it, into a pipe; results that
-    cannot be pickled are replaced by the pickling error.  It leaves
-    through ``os._exit`` only, so it never runs the parent's code after the
-    fork."""
+    ``mine``, or the exception that stopped it with its formatted traceback,
+    into a pipe; results that cannot be pickled are replaced by the pickling
+    error.  It leaves through ``os._exit`` only, so it never runs the
+    parent's code after the fork."""
 
     def __init__(self, fn, chunks: list, mine: range):
         self.mine = mine
@@ -304,14 +307,14 @@ class _Worker:
             try:
                 os.close(self.fd)
                 try:
-                    payload = {i: fn(chunks[i]) for i in mine}
-                except BaseException as exc:  # the parent raises it
-                    payload = exc
+                    payload = ({i: fn(chunks[i]) for i in mine}, None)
+                except BaseException as exc:  # the parent raises it, caused by this text
+                    payload = (exc, traceback.format_exc())
                 try:
                     data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
                 except BaseException as exc:  # the parent raises why; an
                     # error that cannot be pickled either exits 1 below
-                    data = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
+                    data = pickle.dumps((exc, traceback.format_exc()), pickle.HIGHEST_PROTOCOL)
                 with open(write_fd, "wb") as pipe:
                     pipe.write(data)
                 status = 0
@@ -322,7 +325,8 @@ class _Worker:
     def result(self) -> dict | None:
         """The worker's results by chunk index, read to EOF once it has
         exited, or None when it died without them (a signal, the OOM
-        killer); the exception it raised is raised here."""
+        killer); the exception it raised is raised here, caused by its
+        traceback there, as ``concurrent.futures`` does."""
         with open(self.fd, "rb") as pipe:
             self.fd = None
             payload = pipe.read()
@@ -330,9 +334,9 @@ class _Worker:
         self.pid = None
         if status != 0 or not payload:
             return None
-        payload = pickle.loads(payload)
-        if isinstance(payload, BaseException):
-            raise payload
+        payload, text = pickle.loads(payload)
+        if text is not None:
+            raise payload from _WorkerTraceback(f'\n"""\n{text}"""')
         return payload
 
     def end(self) -> None:
@@ -393,7 +397,7 @@ def run_study(spec: StudySpec, threads: int | None = None) -> MCReport:
     """
     n_processes = resolve_threads(threads)
     trials = range(spec.n_trials)
-    # checks the request, and loads before any fork what every chunk's set-up loads
+    # checks the request and fills the plan caches before any fork
     first = _chunk_setup(spec, _chunks(trials, n_processes)[0])
     warn_if_inadmissible(spec.est_req.alpha, spec.model.gamma, spec.model.operator.beta)
 

@@ -68,7 +68,8 @@ from .estimate import (
     EstimatorRequest,
     warn_if_inadmissible,
 )
-from .fields import NemytskiiPlan, NonlinearitySpec, _block_length, _plan_stage, _plans_grid
+from .fields import (NemytskiiPlan, NonlinearitySpec, _block_length, _linear_filter, _plan_stage,
+                     _plans_grid)
 from .spectrum import OperatorSpec, eigenvalues
 
 BACKENDS = ("euler", "ou_exact")
@@ -249,20 +250,19 @@ def _euler_kernel(h: float, denom: np.ndarray, drift):
 
 def _ar1_kernel(decay: np.ndarray, gain: np.ndarray, x0: np.ndarray, n_trials: int):
     """Drift-free kernel from x0: x_{j+1} = decay x_j + gain noise_j, one
-    ``lfilter`` call per mode of the tile for every trial, each mode's filter
-    state carried to its next tile.  It fills every drift-free path: both
-    backends of ``simulate_trials`` and the uniform grid of
-    ``simulate_ou_exact``."""
-    # imported here, not with the package: only drift-free runs use it
-    from scipy.signal import lfilter
-
+    filter call per mode of the tile for every trial, each mode's filter
+    state carried to its next tile.  The call is the one that
+    ``scipy.signal.lfilter([gain], [1, -decay], x, zi=zi)`` makes after its
+    checks.  It fills every drift-free path: both backends of
+    ``simulate_trials`` and the uniform grid of ``simulate_ou_exact``."""
+    b, a = gain[:, None], np.stack([np.ones_like(decay), -decay], axis=1)
     zi = np.zeros((len(decay), n_trials, 1))
 
     def advance(seg, dw, j0, modes):
         n = dw.shape[-1]
         path = seg[1 : n + 1, :, 0]  # x_{j0+1} .. x_{j0+n} of every trial
         for i, k in enumerate(range(len(decay))[modes]):
-            out, zi[k] = lfilter([gain[k]], [1.0, -decay[k]], dw[:, 0, i], zi=zi[k])
+            out, zi[k] = _linear_filter(b[k], a[k], dw[:, 0, i], -1, zi[k])
             path[..., i] = out.T
         if np.any(x0[modes] != 0.0):
             terms = decay[modes] ** np.arange(j0 + 1.0, j0 + n + 1)[:, None, None]
@@ -358,7 +358,10 @@ def simulate_model(
 ) -> SimOutput:
     """One trajectory of any model: the batch of ``simulate_trials`` whose
     only seed is ``scheme.seed``; a blow-up is raised."""
-    (out,) = simulate_trials(model, scheme, est_req, (scheme.seed,))
+    # not through simulate_trials, so that the warning names this call's caller
+    args = _setup(model, scheme, est_req, (scheme.seed,))
+    warn_if_inadmissible(est_req.alpha, model.gamma, model.operator.beta)
+    (out,) = _run_blocks(scheme, *args)
     if isinstance(out, BlowUpError):
         raise out
     return out
@@ -447,8 +450,8 @@ def simulate_trials(
 def _setup(model: ModelSpec, scheme: SchemeSpec, req: EstimatorRequest, seeds) -> tuple:
     """Check a run of ``seeds`` and build what it steps with: ``_run_blocks``'
     arguments after ``scheme`` (noise, start, kernel, accumulator, observer).
-    Building them loads the scipy modules the run uses and fills the plans'
-    caches; a study's parent builds chunk 0's before it forks its workers.
+    Building them fills the plans' caches; a study's parent builds chunk 0's
+    before it forks its workers.
 
     The model alone picks the kernel, and the bias model only observes: an
     Euler step evaluates only the drift, and the observer evaluates the bias
@@ -486,7 +489,7 @@ def _setup(model: ModelSpec, scheme: SchemeSpec, req: EstimatorRequest, seeds) -
             amps, step = _noise_amp(scheme.noise_scale, lam, model.gamma), h
         # unobserved, each mode is its own recursion: a tile is one mode of
         # every trial over as many steps as the value budget holds, so a
-        # trial takes one lfilter call per mode, not one per mode and block
+        # trial takes one filter call per mode, not one per mode and block
         noise = _NoiseBlocks(seeds, amps[None], n_steps, step, max_steps=n_steps,
                              width=n0 if observed else 1)
         observe = _observer(bias_nl, op, req, acc, noise.length) if observed else None

@@ -109,6 +109,12 @@ def run_seeds(fn, model, scheme, req, seeds):
     return [x for part in run_on_threads(mc.run_chunks, chunk, seeds) for x in part]
 
 
+#: the scipy modules that ``import spde_drift`` may list in ``sys.modules``:
+#: its three compiled kernels, and no package ``__init__``
+KERNEL_MODULES = {"scipy.fft._pocketfft.pypocketfft", "scipy.signal._sigtools",
+                  "scipy.special._special_ufuncs"}
+
+
 @pytest.fixture
 def fresh_python():
     """``run(code, *args)`` runs ``python -c code args`` in a new interpreter
@@ -141,8 +147,8 @@ def _dense_field(x, n_points, L):
 
 def _dense_modes(xs, w, n_out, L):
     """Composite-Simpson quadrature of (w, Phi_k), k = 1..n_out."""
-    # imported here: the fresh interpreters that import this module probe
-    # which scipy modules a run loads
+    # imported here, so that a fresh interpreter that imports this module
+    # does not pay for scipy.integrate
     from scipy.integrate import simpson
 
     out = np.empty(n_out)

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import KERNEL_MODULES
 
 from spde_drift import cli, mc
 from spde_drift.cli import _write_trajectory_csv, main
@@ -857,72 +858,66 @@ def test_byte_order_mark_is_ignored(linear_cfg, tmp_path, capsys):
         assert re.fullmatch(rf"error: {re.escape(str(bom))}, line 3: .+\n", err), err
 
 
-SIMULATE_IN_A_FRESH_INTERPRETER = """
-import sys
+SCIPY_OF_A_CALL = """
+import json, sys
 import spde_drift
+from spde_drift import simulate
 from spde_drift.cli import main
-from spde_drift.config import load_config
-load_config(sys.argv[1])
-loaded = "scipy.signal" in sys.modules
-code = main(["simulate", sys.argv[1], "--out", sys.argv[2]])
-print(code, loaded, "scipy.signal" in sys.modules)
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+
+at_import = scipy_modules()
+FILTER, filtered = simulate._linear_filter, []
+
+def linear_filter(*args):  # the drift-free filter, counted
+    filtered.append(1)
+    return FILTER(*args)
+
+simulate._linear_filter = linear_filter
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --help
+    code = exc.code
+print(json.dumps([at_import, code, scipy_modules(), bool(filtered)]))
 """
 
 
 @pytest.mark.parametrize("config, loaded", [("cubic_cfg", "False"), ("linear_cfg", "True")])
 def test_only_drift_free_runs_load_scipy_signal(config, loaded, request, tmp_path,
                                                 fresh_python):
+    """Only a drift-free run calls the filter of ``scipy.signal.lfilter``,
+    which ``import spde_drift`` binds: the run itself loads no scipy module."""
     cfg = request.getfixturevalue(config)
-    out = fresh_python(SIMULATE_IN_A_FRESH_INTERPRETER, cfg, tmp_path / "run")
-    # neither the import nor the config loads it; the drift-free filter does
-    assert out.splitlines()[-1].split() == ["0", "False", loaded]
+    out = fresh_python(SCIPY_OF_A_CALL, "simulate", cfg, "--out", tmp_path / "run")
+    at_import, code, at_end, filtered = json.loads(out.splitlines()[-1])
+    assert code == 0
+    assert at_end == at_import
+    assert filtered == (loaded == "True")
     assert (tmp_path / "run" / "estimates.csv").is_file()
 
 
-SCIPY_OF_A_CALL = """
-import json, sys
-import spde_drift
-from spde_drift.cli import main
-from spde_drift.config import load_config
-
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
-
-load_config(sys.argv[1])
-at_start = scipy_modules()
-try:
-    code = main(sys.argv[2:])
-except SystemExit as exc:  # --help
-    code = exc.code
-print(json.dumps([at_start, code, scipy_modules()]))
-"""
-
-TRANSFORMS = {"scipy.fft"}
-
-
-@pytest.mark.parametrize("argv, code, loads", [
-    (["--help"], 0, set()),
-    (["advise", "--example", "burgers", "--gamma", "0.8", "--alpha", "0.8"], 0, set()),
-    (BASE_ARGS["theory"], 0, set()),
-    (["estimate", "{bad}"], 1, set()),
-    (["simulate", "{cfg}", "--out", "{out}"], 0, TRANSFORMS),
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (BASE_ARGS["advise"], 0),
+    (BASE_ARGS["theory"], 0),
+    (["estimate", "{bad}"], 1),
+    (["simulate", "{cfg}", "--out", "{out}"], 0),
 ], ids=["help", "advise", "theory", "validation-error", "simulate"])
-def test_scipy_loads_only_with_the_kernels_that_use_it(argv, code, loads, cubic_cfg,
-                                                       tmp_path, fresh_python):
-    """``import spde_drift`` and a config load no scipy module; advice,
-    theory, help and a failed validation need none, and a run of a model
-    with a drift loads the transforms of its plans but no filter."""
+def test_scipy_loads_only_with_the_kernels_that_use_it(argv, code, cubic_cfg, tmp_path,
+                                                       fresh_python):
+    """``import spde_drift`` loads at most scipy's three compiled kernels,
+    and no scipy package ``__init__``; help, advice, theory, a failed
+    validation and a run of a model with a drift load nothing more."""
     bad = tmp_path / "bad.cfg"
     bad.write_text(with_value(ALLEN_CAHN_CONFIG, "model", "theta_true", "-1"))
     argv = [a.format(bad=bad, cfg=cubic_cfg, out=tmp_path / "run") for a in argv]
-    out = fresh_python(SCIPY_OF_A_CALL, cubic_cfg, *argv)
-    at_start, exit_code, loaded = json.loads(out.splitlines()[-1])
-    assert at_start == []
+    out = fresh_python(SCIPY_OF_A_CALL, *argv)
+    at_import, exit_code, at_end, filtered = json.loads(out.splitlines()[-1])
+    assert set(at_import) <= KERNEL_MODULES
     assert exit_code == code
-    assert {name for name in loaded if name.count(".") == 1} >= loads
-    assert "scipy.signal" not in loaded
-    assert "scipy.fftpack" not in loaded
-    assert bool(loaded) == bool(loads)
+    assert at_end == at_import
+    assert not filtered
 
 
 def test_import_loads_no_process_pool(fresh_python):

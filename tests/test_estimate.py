@@ -23,6 +23,7 @@ from spde_drift.estimate import (
     warn_if_inadmissible,
 )
 from spde_drift.fields import ALLEN_CAHN, FHNParams, NonlinearitySpec
+from spde_drift.mc import StudySpec, run_study
 from spde_drift.simulate import ModelSpec, SchemeSpec, simulate_model, simulate_trials
 from spde_drift.spectrum import OperatorSpec, eigenvalues
 
@@ -457,14 +458,21 @@ def test_admissibility_warning():
         warn_if_inadmissible(alpha=0.5, gamma=0.5, beta=2.0)
 
 
-def test_simulate_warns_on_inadmissible_alpha():
+@pytest.mark.parametrize("run", [
+    lambda model, scheme, req: simulate_model(model, scheme, req),
+    lambda model, scheme, req: simulate_trials(model, scheme, req, (0, 1)),
+    lambda model, scheme, req: run_study(StudySpec(model, scheme, req, n_trials=2), threads=1),
+], ids=["simulate_model", "simulate_trials", "run_study"])
+def test_simulate_warns_on_inadmissible_alpha(run):
+    """Every public entry point names its caller's line in the warning."""
     model = ModelSpec(
         operator=OP, theta_true=0.1, gamma=0.5, nonlinearity=NONE_NL,
         initial_modes=(0.0,), n_sim=2,
     )
     req = EstimatorRequest(alpha=0.3, n_list=(2,), variants=("linear",))
-    with pytest.warns(AdmissibilityWarning):
-        simulate_model(model, SchemeSpec(dt=0.1, t_final=1.0, seed=0), req)
+    with pytest.warns(AdmissibilityWarning) as records:
+        run(model, SchemeSpec(dt=0.1, t_final=1.0, seed=0), req)
+    assert [record.filename for record in records] == [__file__]
 
 
 def test_request_validation():

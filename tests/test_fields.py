@@ -1,5 +1,8 @@
 import builtins
+import importlib.machinery
+import importlib.util
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +19,6 @@ from spde_drift.fields import (
     NonlinearitySpec,
     _cos_to_sine_projection,
     _dst1,
-    _load_transforms,
     _plans_grid,
     _rfft,
     _tables,
@@ -611,7 +613,6 @@ def test_dst1_matches_scipy_fft_dst_bitwise(m_g, lead):
     # the package's one DST call goes to pocketfft without scipy.fft.dst's
     # wrapper; into a separate buffer and in place, the two must stay the
     # same bits
-    _load_transforms()  # as every plan and one-shot transform does
     x = np.random.default_rng(m_g).standard_normal(lead + (m_g,))
     reference = scipy.fft.dst(x, type=1, axis=-1)
     out = np.empty_like(x)
@@ -627,11 +628,22 @@ def test_dst1_matches_scipy_fft_dst_bitwise(m_g, lead):
 def test_rfft_matches_scipy_fft_rfft_bitwise(n_points, lead):
     # the fft stage's rfft of the periodic samples, on the stage's sample
     # counts for 127 and 255 interior points, into its complex buffer
-    _load_transforms()
     w = np.random.default_rng(n_points).standard_normal(lead + (n_points,))
     spectrum = np.empty(lead + (n_points // 2 + 1,), dtype=np.complex128)
     assert _rfft(w, spectrum) is spectrum
     assert spectrum.tobytes() == scipy.fft.rfft(w, axis=-1).tobytes()
+
+
+def test_a_missing_kernel_file_is_an_import_error(tmp_path, monkeypatch):
+    """The loader has no second path to scipy: a file it does not find is an
+    ImportError naming the path and the installed scipy's version."""
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy-9.9.9.dist-info").mkdir()
+    spec = importlib.machinery.ModuleSpec("scipy", None, origin=str(tmp_path / "scipy" / "x.py"))
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    path = tmp_path / "scipy" / "signal" / "_sigtools"
+    with pytest.raises(ImportError, match=rf"^no {re.escape(str(path))}\.\* in scipy 9\.9\.9;"):
+        fields._extension("signal", "_sigtools")
 
 
 def warm_plans():

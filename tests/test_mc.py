@@ -10,11 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import RUN_KINDS, run_on_threads
+from conftest import KERNEL_MODULES, RUN_KINDS, run_on_threads
 
 from spde_drift.errors import ConfigurationError, StudyError
 from spde_drift.estimate import EstimatorRequest
-from spde_drift import mc
+from spde_drift import fields, mc
 from spde_drift.fields import NonlinearitySpec
 from spde_drift.mc import (
     EstimateRow,
@@ -138,6 +138,25 @@ def test_ks_distance_of_synthetic_normal_sample():
     assert normal_ks_distance(z) < 0.05
     # sanity: a clearly non-normal sample has a large distance
     assert normal_ks_distance(rng.uniform(2.0, 3.0, size=1000)) > 0.5
+
+
+def test_ks_distance_takes_scipy_ndtr_bits():
+    """The bound ``ndtr`` kernel gives ``scipy.special.ndtr``'s bits, edges and
+    far tails included, and the KS distance those of a reference built on
+    it."""
+    # imported here: the fresh interpreters that import this module check
+    # which scipy modules a study loads
+    import scipy.special
+
+    rng = np.random.default_rng(11)
+    x = np.concatenate([3.0 * rng.standard_normal(10_000), rng.uniform(-40.0, 40.0, 10_000),
+                        np.linspace(-40.0, 40.0, 8001), [-np.inf, np.inf, -0.0, 0.0]])
+    assert fields._ndtr(x).tobytes() == scipy.special.ndtr(x).tobytes()
+    for n in range(1, 41):  # the supremum is one value: check many
+        z = rng.standard_normal(n)
+        cdf = scipy.special.ndtr(np.sort(z))
+        reference = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        assert normal_ks_distance(z) == reference
 
 
 def test_empty_samples_are_rejected():
@@ -434,10 +453,14 @@ def raises_beside_the_parent(seeds):
 def test_run_chunks_raises_what_its_workers_lose(fn, error, message, monkeypatch):
     """A worker killed by a signal is a ``StudyError`` naming the first and
     last item of each chunk it lost, a worker's exception is raised in the
-    parent, and no worker is left either way."""
+    parent, caused by its traceback in the worker, and no worker is left
+    either way."""
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=message) as raised:
         mc.run_chunks(fn, list(range(100, 180)), threads=2)
+    cause = raised.value.__cause__  # the worker's traceback, naming fn
+    assert (cause is None) == (error is StudyError)
+    assert cause is None or f", in {fn.__name__}\n" in str(cause)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -478,35 +501,37 @@ def test_parent_steps_every_nth_chunk_from_its_own_set_up(processes, parent, mon
 
 POOL_PROBE = """
 import json, os, sys
+import spde_drift
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+
+AT_IMPORT = scipy_modules()
 from dataclasses import replace
-from spde_drift import fields, mc
+from spde_drift import mc, simulate
 from spde_drift.fields import NonlinearitySpec
 from conftest import RUN_KINDS
 from test_mc import linear_study
-
-def scipy_modules():
-    return {name for name in sys.modules if name.partition(".")[0] == "scipy"}
-
-PARENT = os.getpid()
-FORK, RUN_CHUNK = os.fork, mc._run_chunk
-loaded = []  # whether scipy.signal was loaded at each fork
+FORK, RUN_CHUNK, FILTER = os.fork, mc._run_chunk, simulate._linear_filter
 at_fork = []  # the scipy modules loaded at each fork
-bound = []  # whether the plans' transforms were bound then
+filtered = []  # a 1 for each call of the drift-free filter in this process
 
 def fork():
-    loaded.append("scipy.signal" in sys.modules)
     at_fork.append(scipy_modules())
-    bound.append(fields._r2c is not None)
     return FORK()
 
 def run_chunk(spec, trials, setup=None):
     results = RUN_CHUNK(spec, trials, setup)
-    late = scipy_modules() - at_fork[-1] if os.getpid() != PARENT else set()
-    if late:  # the parent raises it
-        raise ImportError(f"a worker loaded {sorted(late)} after the fork")
+    late = sorted(set(scipy_modules()) - set(AT_IMPORT))
+    if late:  # raised in the parent, or by a worker's chunk
+        raise ImportError(f"process {os.getpid()} loaded {late}")
     return results
 
-os.fork, mc._run_chunk = fork, run_chunk
+def linear_filter(*args):
+    filtered.append(1)
+    return FILTER(*args)
+
+os.fork, mc._run_chunk, simulate._linear_filter = fork, run_chunk, linear_filter
 mc._usable_cpus = lambda: 2  # a worker beside the parent on any host
 spec = {
     "ou_exact": linear_study(),
@@ -517,13 +542,9 @@ if sys.argv[1] == "quadratic_bias":  # a drift-free model observed by a drift
     bias = NonlinearitySpec("polynomial", poly_coeffs=(0.0, 0.5, -1.0))
     spec = replace(spec, est_req=replace(spec.est_req, bias_model=bias))
 report = mc.run_study(spec, threads=2)
-reference = mc.run_study(spec, threads=1)
+reference = mc.run_study(spec, threads=1)  # every trial in this process
 same = json.dumps(report.to_json_dict()) == json.dumps(reference.to_json_dict())
-# scipy.signal imports scipy.fft too, so a drift-free study loads it; only
-# a study that builds a plan binds the transforms
-transforms = [b and "scipy.fft" in start for b, start in zip(bound, at_fork)]
-print(json.dumps([loaded, same, "scipy.signal" in sys.modules, transforms,
-                  "scipy.fftpack" in sys.modules]))
+print(json.dumps([AT_IMPORT, at_fork, same, bool(filtered), scipy_modules()]))
 """
 
 
@@ -533,74 +554,58 @@ print(json.dumps([loaded, same, "scipy.signal" in sys.modules, transforms,
 ])
 def test_drift_free_study_imports_scipy_signal_before_its_pool(name, drift_free,
                                                                fresh_python):
-    """Forked workers inherit the parent's scipy modules, so a multi-process
-    study loads every one its chunks use before it forks: the filter of a
-    drift-free model, whatever its bias model, and the transforms of a run
-    that builds a plan.  A worker whose chunk loads a scipy module fails the
-    run.  A study of a model with a drift never loads the filter."""
-    loaded, same, loaded_at_end, transforms, fftpack = json.loads(
-        fresh_python(POOL_PROBE, name))
-    assert loaded == [drift_free]
+    """Forked workers inherit the parent's modules, and ``import spde_drift``
+    binds every scipy kernel a chunk calls, the filter of a drift-free model
+    among them, so a study's pool starts with them and no process loads one
+    later: a worker whose chunk loads a scipy module fails the run.  Only a
+    drift-free model, whatever its bias model, calls the filter."""
+    at_import, at_fork, same, filtered, at_end = json.loads(fresh_python(POOL_PROBE, name))
+    assert set(at_import) <= KERNEL_MODULES
+    assert at_fork == [at_import]
     assert same
-    assert loaded_at_end == drift_free
-    assert transforms == [name in ("quadratic_bias", "allen_cahn", "fhn", "burgers")]
-    assert not fftpack
+    assert filtered == drift_free
+    assert at_end == at_import
 
 
-#: the only functions that import scipy: the plans' transforms, the
-#: drift-free filter and the KS distance's normal cdf
-SCIPY_IMPORT_SITES = {"fields._load_transforms", "simulate._ar1_kernel",
-                      "mc.normal_ks_distance"}
-
-
-def sites(node, where, found):
-    """The qualified name of the innermost function or class around each
-    node under ``node`` for which ``found`` holds, ``where`` being that of
-    ``node``."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from sites(child, f"{where}.{child.name}", found)
-            continue
-        if found(child):
-            yield where
-        yield from sites(child, where, found)
-
-
-def package_sites(found):
-    """``sites`` of ``found`` over every module of the package."""
-    return {
-        site
-        for path in sorted(Path(mc.__file__).parent.glob("*.py"))
-        for site in sites(ast.parse(path.read_text()), path.stem, found)
-    }
-
-
-def imports_scipy(node):
-    if isinstance(node, ast.Import):
-        modules = [alias.name for alias in node.names]
-    else:
-        modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
-    return any(module.partition(".")[0] == "scipy" for module in modules)
-
-
-def names_pypocketfft(node):
-    """A name, attribute, imported name or module path with a part
-    ``pypocketfft``."""
-    words = [getattr(node, key, None) for key in ("id", "attr", "name", "module")]
-    return any("pypocketfft" in word.split(".") for word in words if isinstance(word, str))
+def package_trees():
+    """Each module of the package by name, parsed."""
+    package = Path(mc.__file__).parent
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
 
 
 def test_scipy_is_imported_only_where_its_kernels_are_built():
-    """A study's parent builds one trial's set-up before it forks, and that
-    loads the transforms and the filter for its workers.  A scipy import
-    anywhere else, on a stepping path say, would run again in every worker."""
-    assert package_sites(imports_scipy) == SCIPY_IMPORT_SITES
+    """No module of the package imports below module level, so a forked
+    worker has nothing left to load, and none imports scipy: ``fields``
+    loads the kernels' files itself, without a scipy package ``__init__``."""
+    nested, scipy_imports = [], []
+    for name, tree in package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if node not in tree.body:
+                    nested.append(f"{name}:{node.lineno}")
+                if "scipy" in ast.unparse(node):
+                    scipy_imports.append(f"{name}:{node.lineno}")
+    assert nested == []
+    assert scipy_imports == []
 
 
 def test_transforms_are_bound_in_one_place():
-    """Every DST and rfft is one direct pocketfft call through the kernels
-    that ``fields._load_transforms`` binds: no module names scipy.fftpack,
-    whose wrapper the calls skip, and no other function names the binding."""
+    """Every DST, rfft, filter and normal cdf is one direct call of a kernel
+    that ``fields`` binds at module level through ``_extension``: no module
+    names scipy.fftpack, whose wrapper the calls skip, no other module calls
+    the loader, and only ``fields`` names a scipy path outside docstrings."""
     package = Path(mc.__file__).parent
     assert [p.name for p in sorted(package.glob("*.py")) if "fftpack" in p.read_text()] == []
-    assert package_sites(names_pypocketfft) == {"fields._load_transforms"}
+    loads, naming = set(), set()
+    for name, tree in package_trees().items():
+        docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        top = {id(node) for statement in tree.body for node in ast.walk(statement)
+               if not isinstance(statement, (ast.FunctionDef, ast.ClassDef))}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_extension":
+                loads.add((name, id(node) in top))
+            if isinstance(node, ast.Constant) and id(node) not in docstrings:
+                if "scipy" in str(node.value):
+                    naming.add(name)
+    assert loads == {("fields", True)}
+    assert naming == {"fields"}
