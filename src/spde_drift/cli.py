@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._reprcsv import write_trajectory
 from .config import load_config
 from .errors import (
     BlowUpError,
@@ -43,15 +44,12 @@ EXIT_IO = 3
 
 def _write_trajectory_csv(path, times, trajectory):
     """Long-format (t, k, x) CSV, byte for byte what ``csv.writer`` writes:
-    CRLF line ends and ``repr`` floats, which round-trip exactly."""
-    k_fields = [f",{k}," for k in range(1, trajectory.shape[-1] + 1)]
-    with open(path, "w", newline="") as fh:
-        fh.write("t,k,x\r\n")
-        # one snapshot of Python floats at a time keeps the peak heap small
-        for t, row in zip(times.tolist(), trajectory):
-            t_field = repr(t)
-            lines = [f"{t_field}{k}{x!r}\r\n" for k, x in zip(k_fields, row.tolist())]
-            fh.write("".join(lines))
+    a header, then one CRLF line per snapshot and mode, each float as
+    Python's shortest round-trip ``repr``; ``_reprcsv`` formats them a block
+    of snapshots at a time."""
+    with open(path, "wb") as fh:
+        fh.write(b"t,k,x\r\n")
+        write_trajectory(fh, times, trajectory)
 
 
 def _single_run_rows(cfg):

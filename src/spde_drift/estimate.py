@@ -170,9 +170,14 @@ def robust_numerator(
 
 def _fold(total, terms):
     """Add the rows of ``terms`` (overwritten) to ``total`` in order, as one
-    += per row would, where a plain sum over a single mode goes pairwise."""
+    += per row would.  A reduction over rows of several values adds them in
+    that order in one read; over single values it would go pairwise, so
+    those take the running sum."""
     terms[0] += total
-    total[...] = np.cumsum(terms, axis=0, out=terms)[-1]
+    if total.size > 1:
+        np.add.reduce(terms, axis=0, out=total)
+    else:
+        total[...] = np.cumsum(terms, axis=0, out=terms)[-1]
 
 
 class EstimatorAccumulator:

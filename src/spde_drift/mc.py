@@ -359,8 +359,8 @@ def run_chunks(fn, items, threads: int | None = None) -> list:
     multiprocessing's start method is), then runs chunk 0 and every n-th
     chunk after it; worker w runs chunks w, w + n, ...  Only ``fn``'s results
     are pickled.  A worker's exception is raised here, a worker that dies
-    without its results is a ``StudyError`` naming the first and last item of
-    each chunk it lost, and no worker outlives the run."""
+    without its results is a ``StudyError`` naming the positions of the first
+    and last item of each chunk it lost, and no worker outlives the run."""
     n_processes = resolve_threads(threads)
     chunks = _chunks(items, n_processes)
     n = max(1, min(n_processes, len(chunks)))
@@ -379,8 +379,9 @@ def run_chunks(fn, items, threads: int | None = None) -> list:
     finally:  # no worker outlives the run, whatever ends it
         for worker in workers:
             worker.end()
-    if lost:
-        trials = ", ".join(f"{chunks[i][0]}-{chunks[i][-1]}" for i in sorted(lost))
+    if lost:  # named by position: a chunk holds trials, whatever its items are
+        size = len(chunks[0])
+        trials = ", ".join(f"{i * size}-{i * size + len(chunks[i]) - 1}" for i in sorted(lost))
         raise StudyError(
             f"a worker process died (killed by a signal or out of memory); "
             f"trials {trials} were not run"

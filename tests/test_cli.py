@@ -7,6 +7,7 @@ import math
 import os
 import re
 import signal
+import tracemalloc
 
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from conftest import KERNEL_MODULES
 
-from spde_drift import cli, mc
+from spde_drift import _reprcsv, cli, mc
 from spde_drift.cli import _write_trajectory_csv, main
 from spde_drift.config import load_config
 from spde_drift.errors import AdmissibilityWarning
@@ -436,23 +437,99 @@ def test_bad_subcommand_is_validation_error(capsys):
     assert main(["frobnicate"]) == 1
 
 
-def test_trajectory_csv_matches_csv_writer_bytes(tmp_path):
-    times = np.array([0.0, 1e-300, 0.1, 2.0])
-    trajectory = np.array([
-        [0.0, -0.0, 1e-300],
-        [1e300, 5e-324, 3.0],
-        [-2.5e-310, 1.0 / 3.0, -7.0],
-        [np.inf, -1e300, 123456789.0],
-    ])
-    path = tmp_path / "trajectory.csv"
-    _write_trajectory_csv(path, times, trajectory)
-    ref = io.StringIO(newline="")
-    writer = csv.writer(ref)
-    writer.writerow(("t", "k", "x"))
-    for t, row in zip(times, trajectory):
-        for k, x in enumerate(row, start=1):
-            writer.writerow((repr(float(t)), k, repr(float(x))))
-    assert path.read_bytes() == ref.getvalue().encode()
+def spread(rng, *shape):
+    """Normals over 20 decades, so values take every layout of ``repr``."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-10, 10, size=shape)
+
+
+def test_trajectory_csv_matches_csv_writer_bytes(tmp_path, monkeypatch):
+    """The file is what ``csv.writer`` writes of ``repr`` floats: for special
+    values, for one value, and for a trajectory whose snapshots fill several
+    blocks and part of another."""
+    rng = np.random.default_rng(5)
+    multi = spread(rng, 4001, 3)
+    multi[:3680:80, 1] = [np.nan, np.inf, -np.inf, 0.0, -0.0] * 9 + [1e16]
+    cases = [
+        (np.array([0.0, 1e-300, 0.1, 2.0]), np.array([
+            [0.0, -0.0, 1e-300],
+            [1e300, 5e-324, 3.0],
+            [-2.5e-310, 1.0 / 3.0, -7.0],
+            [np.inf, -1e300, 123456789.0],
+        ])),
+        (np.array([0.25]), np.array([[-1e-5]])),
+        (np.arange(4001) * 1e-4, multi),
+    ]
+    blocks = []
+
+    def recorded(values):
+        blocks.append(values.size)
+        return slots(values)
+
+    slots = _reprcsv._slots
+    monkeypatch.setattr(_reprcsv, "_slots", recorded)
+    for times, trajectory in cases:
+        path = tmp_path / "trajectory.csv"
+        _write_trajectory_csv(path, times, trajectory)
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(("t", "k", "x"))
+        for t, row in zip(times, trajectory):
+            for k, x in enumerate(row, start=1):
+                writer.writerow((repr(float(t)), k, repr(float(x))))
+        assert path.read_bytes() == ref.getvalue().encode()
+    rows = blocks[4::2]  # the snapshots of each block of the last case
+    assert len(rows) >= 3 and sum(rows) == 4001 and rows[-1] < rows[0]
+
+
+def test_trajectory_csv_peak_memory_does_not_grow_with_snapshots(tmp_path):
+    """Past one block, the writer's peak allocation is the same for 4 times
+    the snapshots: it holds one block of lines at a time."""
+    rng = np.random.default_rng(6)
+    peaks = []
+    for n_rows in (6000, 24000):
+        times, trajectory = np.arange(n_rows) * 1e-3, spread(rng, n_rows, 3)
+        tracemalloc.start()
+        _write_trajectory_csv(tmp_path / "trajectory.csv", times, trajectory)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
+def repr_cases():
+    """The doubles of the kernel's property test: specials, the edges of
+    the exponent and mantissa ranges, integers, decimal powers and random
+    bit patterns, each with its negative and its two neighbours, and the
+    subnormals of the smallest mantissas, which are their own neighbours."""
+    rng = np.random.default_rng(7)
+    u = np.uint64
+    exponents = np.arange(2047, dtype=u) << u(52)
+    cases = [
+        rng.integers(0, 2**64, size=10_000, dtype=u),  # any bit pattern
+        np.array([0, 0x7FF0000000000000, 0x7FF8000000000000], dtype=u),  # 0, inf, nan
+        exponents, exponents | u(1), exponents | u((1 << 52) - 1),  # every binary exponent
+        np.array([float(2**n) - d for n in range(63) for d in (0, 1)]).view(u),
+        rng.integers(-(2**62), 2**62, size=2_000).astype(np.float64).view(u),
+        np.array([float(f"{d}e{k}") for d in range(1, 10) for k in range(-324, 309)]).view(u),
+        np.array([1e-5, 1e-4, 1e15, 1e16]).view(u),
+    ]
+    x = np.concatenate(cases).view(np.float64)
+    x = np.concatenate([x, -x])
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+    return np.concatenate([x, np.arange((1 << 16) + 1, dtype=u).view(np.float64)])
+
+
+def test_kernel_writes_what_repr_writes():
+    """Each value's slot, NULs dropped, is its ``repr``, within the byte
+    columns that ``_slots`` names for the block."""
+    x = repr_cases()
+    slots, spans = _reprcsv._slots(x)
+    newline = np.full((len(x), 1), ord("\n"), dtype=np.uint8)
+    text = np.concatenate([slots[:, a:b] for a, b in spans] + [newline], axis=1)
+    got = text.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+    want = [repr(v) for v in x.tolist()]
+    wrong = [(w, g) for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) and not wrong, wrong[:5]
 
 
 @pytest.mark.parametrize("command", ["mc", "simulate"])

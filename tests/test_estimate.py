@@ -15,6 +15,7 @@ from spde_drift.estimate import (
     EstimateResult,
     EstimatorAccumulator,
     EstimatorRequest,
+    _fold,
     coupled_estimates,
     decompose,
     estimate_theta,
@@ -123,6 +124,28 @@ def test_a_batch_answers_no_query_and_finalize_returns_its_trials():
             assert trial.denominator(n, 0.5) == lone.denominator(n, 0.5)
             assert (estimate_theta(trial, req, "linear", n).theta_hat
                     == estimate_theta(lone, req, "linear", n).theta_hat)
+
+
+@pytest.mark.parametrize("shape", [(1,), (1, 1), (16, 1), (1, 4), (3, 5), (16, 100), (2, 3, 7)])
+def test_fold_adds_rows_in_step_order(shape):
+    """Both ways ``_fold`` adds, a reduction over rows of several values and
+    a running sum over single values, equal one += per row, into a
+    contiguous total and into a strided view like the accumulator's."""
+    rng = np.random.default_rng(31)
+    for steps in (1, 2, 7, 256, 4096):
+        if steps * math.prod(shape) > 10**5:
+            continue
+        terms = rng.standard_normal((steps,) + shape)
+        terms *= 10.0 ** rng.uniform(-5, 5, size=terms.shape)  # any other order rounds differently
+        start = rng.standard_normal(shape)
+        want = start.copy()
+        for row in terms:
+            want += row
+        strided = np.zeros(shape + (3,))[..., 1]
+        for total in (start.copy(), strided):
+            total[...] = start
+            _fold(total, terms.copy())
+            assert total.tobytes() == want.tobytes(), (steps, total.flags.c_contiguous)
 
 
 @pytest.mark.parametrize("n_trials, n_modes", [(1, 1), (3, 5)])

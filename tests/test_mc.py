@@ -446,18 +446,28 @@ def raises_beside_the_parent(seeds):
     return seeds
 
 
+def killed_on_seeds_beside_the_parent(seeds):
+    return killed_beside_the_parent(seeds)
+
+
+#: the items of a case: 80 values that are not their positions, or the
+#: 64-bit seeds of 40 trials
+ITEMS = {killed_on_seeds_beside_the_parent: [mix_seed(1, i) for i in range(40)]}
+
+
 @pytest.mark.parametrize("fn, error, message", [
-    (killed_beside_the_parent, StudyError, "; trials 116-131, 148-163 were not run$"),
+    (killed_beside_the_parent, StudyError, "; trials 16-31, 48-63 were not run$"),
     (raises_beside_the_parent, KeyError, "^116$"),  # the worker's chunks are 1 and 3
+    (killed_on_seeds_beside_the_parent, StudyError, "; trials 16-31 were not run$"),
 ])
 def test_run_chunks_raises_what_its_workers_lose(fn, error, message, monkeypatch):
-    """A worker killed by a signal is a ``StudyError`` naming the first and
-    last item of each chunk it lost, a worker's exception is raised in the
-    parent, caused by its traceback in the worker, and no worker is left
-    either way."""
+    """A worker killed by a signal is a ``StudyError`` naming the positions
+    of the first and last item of each chunk it lost, not the items, a
+    worker's exception is raised in the parent, caused by its traceback in
+    the worker, and no worker is left either way."""
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
     with pytest.raises(error, match=message) as raised:
-        mc.run_chunks(fn, list(range(100, 180)), threads=2)
+        mc.run_chunks(fn, ITEMS.get(fn, list(range(100, 180))), threads=2)
     cause = raised.value.__cause__  # the worker's traceback, naming fn
     assert (cause is None) == (error is StudyError)
     assert cause is None or f", in {fn.__name__}\n" in str(cause)
